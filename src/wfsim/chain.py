@@ -2,12 +2,12 @@
 
 One generation draws the next composition from a multinomial whose cell
 probabilities are the expected-update image of the current composition.
-This module provides single-step sampling, exact transition probabilities
-in log space, fully enumerated transition matrices for small populations
-(with state/entry caps), structural classification of states (absorbing,
-recurrent classes and their periods, transient), face-closure checks for
-recurrent classes, quasi-stationary distributions of the interior
-restriction, and an exhaustive drift check for scalar functions.
+This module provides trajectory sampling, fully enumerated transition
+matrices for small populations (with state/entry caps), structural
+classification of states (absorbing, recurrent classes and their periods,
+transient), face-closure checks for recurrent classes, quasi-stationary
+distributions of the interior restriction, and an exhaustive drift check
+for scalar functions.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     ReducibleInterior,
     ResourceLimitExceeded,
 )
-from .fitness import UpdateRule
+from .fitness import UpdateRule, sampling_probs
 from .simplex import (
     PAIR_CAP,
     LatticePoint,
@@ -37,21 +37,6 @@ from .simplex import (
     lattice_size,
     state_cap,
 )
-
-
-def _clean_probs(p: np.ndarray) -> np.ndarray:
-    """Clamp tiny negatives and renormalize so multinomial sampling never
-    rejects a probability vector over rounding noise."""
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
-
-
-def step_sample(rule: UpdateRule, x: LatticePoint,
-                rng: np.random.Generator) -> LatticePoint:
-    """Draw one generation: multinomial(N, update(x/N)) / N."""
-    p = rule.update_probs(x.counts / x.n)
-    counts = rng.multinomial(x.n, _clean_probs(p))
-    return LatticePoint(counts, x.n)
 
 
 def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
@@ -67,42 +52,11 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
     path[0] = x0.counts
     counts = x0.counts
     for k in range(1, steps + 1):
-        p = rule.update_probs(counts / n)
-        counts = rng.multinomial(n, _clean_probs(p))
+        counts = rng.multinomial(n, sampling_probs(rule, counts / n))
         path[k] = counts
         if stop is not None and stop(counts):
             return path[: k + 1]
     return path
-
-
-def transition_logprob(rule: UpdateRule, x: LatticePoint, y: LatticePoint) -> float:
-    """Log transition probability between two compositions of the same
-    population size (``-inf`` when unreachable)."""
-    if x.n != y.n or x.m != y.m:
-        raise DimensionMismatch("transition endpoints must share N and M")
-    p = rule.update_probs(x.counts / x.n)
-    y_counts = y.counts
-    if np.any((y_counts > 0) & (p <= 0)):
-        return -np.inf
-    with np.errstate(divide="ignore"):
-        logp = np.log(p, out=np.full_like(p, -np.inf), where=p > 0)
-    mask = y_counts > 0
-    terms = float(np.dot(y_counts[mask], logp[mask]))
-    return float(gammaln(x.n + 1) - gammaln(y_counts + 1).sum() + terms)
-
-
-def transition_prob(rule: UpdateRule, x: LatticePoint, y: LatticePoint) -> float:
-    lp = transition_logprob(rule, x, y)
-    return 0.0 if lp == -np.inf else float(np.exp(lp))
-
-
-def can_transition(rule: UpdateRule, x: LatticePoint, y: LatticePoint) -> bool:
-    """Structural positivity: reachable in one step iff every type present
-    in ``y`` has positive update probability from ``x``."""
-    if x.n != y.n or x.m != y.m:
-        raise DimensionMismatch("transition endpoints must share N and M")
-    p = rule.update_probs(x.counts / x.n)
-    return bool(np.all(p[y.counts > 0] > 0))
 
 
 def absorbing_types(rule: UpdateRule, tol: float = 1e-12) -> list[int]:
@@ -194,7 +148,8 @@ def _scc_period(adj: sp.csr_matrix, members: np.ndarray) -> int:
 
 def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
     """Enumerate every composition of size ``n`` and assemble the dense
-    transition matrix, then classify its states.
+    transition matrix, then sort its states into recurrent classes and
+    transient states.
 
     Refuses (rather than subsampling) when the state count exceeds the
     state cap or the matrix would exceed the entry cap.

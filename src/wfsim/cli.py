@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import sys
 import time
@@ -26,7 +27,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .chain import build_exact_chain, interior_qsd
+from .chain import build_exact_chain, interior_qsd, sample_path
 from .deviation import (
     bound_table,
     estimate_lipschitz,
@@ -35,7 +36,7 @@ from .deviation import (
 )
 from .errors import ConfigError, WfsimError
 from .extinction import ExperimentSpec, run_experiment
-from .fitness import make_rule
+from .fitness import check_fields, make_rule, rule_params, start_vector
 from .meanfield import build_meanfield_report, solve_interior_equilibrium
 from .simplex import round_to_lattice
 
@@ -70,24 +71,6 @@ def _csv_bytes(header, rows) -> bytes:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue().encode()
-
-
-def _rule_config(cfg: dict, keys=("matrix", "omega", "omega_ratio", "b",
-                                  "fitness", "beta", "mutation")) -> dict:
-    if "matrix" not in cfg:
-        raise ConfigError("config missing field: matrix")
-    params = {}
-    omega, ratio = cfg.get("omega"), cfg.get("omega_ratio")
-    if omega is None and ratio is not None:
-        omega = ratio / (1.0 + ratio)
-    for key in keys:
-        if key in ("omega", "omega_ratio"):
-            continue
-        if cfg.get(key) is not None:
-            params[key] = cfg[key]
-    if params.get("fitness", "linear_fractional") == "linear_fractional":
-        params["omega"] = omega
-    return params
 
 
 def _write_outputs(out_dir: Path, command: str, resolved_config: dict,
@@ -162,12 +145,8 @@ def _dispatch(command: str, runner, config_path, seed, replicates, threads,
 # ----------------------------------------------------------------------
 
 def _run_meanfield(cfg: dict, threads: int):
-    known = {"matrix", "omega", "omega_ratio", "b", "fitness", "beta",
-             "mutation", "check_permanence", "seed", "replicates"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
-    params = _rule_config(cfg)
+    check_fields(cfg, optional=("check_permanence", "seed", "replicates"))
+    params = rule_params(cfg)
     rule = make_rule(**params)
     report = build_meanfield_report(rule, check_perm=bool(cfg.get("check_permanence")))
     resolved = dict(params)
@@ -188,11 +167,9 @@ def cmd_meanfield(config_path, seed, replicates, threads, out_dir):
 # ----------------------------------------------------------------------
 
 def _run_simulate(cfg: dict, threads: int):
-    required = {"N", "initial", "steps", "seed"}
-    missing = required - set(cfg)
-    if missing:
-        raise ConfigError(f"config missing fields: {', '.join(sorted(missing))}")
-    params = _rule_config(cfg)
+    check_fields(cfg, required=("N", "initial", "steps", "seed"),
+                 optional=("stride", "stop_threshold", "replicates"))
+    params = rule_params(cfg)
     rule = make_rule(**params)
     n = int(cfg["N"])
     steps = int(cfg["steps"])
@@ -201,29 +178,25 @@ def _run_simulate(cfg: dict, threads: int):
         raise ConfigError("N, steps, stride must be positive")
     threshold = cfg.get("stop_threshold")
     seed = int(cfg["seed"])
-    x0 = round_to_lattice(np.asarray(cfg["initial"], dtype=np.float64), n)
+    start = start_vector(cfg["initial"], rule.m)
+    x0 = round_to_lattice(start, n)
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    counts = x0.counts.copy()
-    rows = [(0, *counts.tolist())]
-    stopped_at = None
-    if threshold is not None and counts.min() / n <= threshold:
-        stopped_at = 0
-    k = 0
-    while stopped_at is None and k < steps:
-        k += 1
-        p = rule.update_probs(counts / n)
-        p = np.clip(p, 0.0, None)
-        counts = rng.multinomial(n, p / p.sum())
-        if k % stride == 0 or k == steps:
-            rows.append((k, *counts.tolist()))
-        if threshold is not None and counts.min() / n <= threshold:
-            stopped_at = k
-            if k % stride != 0 and k != steps:
-                rows.append((k, *counts.tolist()))
+    def stop(counts):
+        return threshold is not None and counts.min() / n <= threshold
+
+    if stop(x0.counts):
+        path = x0.counts[None, :]
+    else:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        path = sample_path(rule, x0, steps, rng, stop=stop)
+    last = len(path) - 1
+    stopped_at = last if stop(path[last]) else None
+    # every stride-th step, plus the last one (the stop step or ``steps``)
+    kept = itertools.chain(range(0, last + 1, stride), [last] if last % stride else [])
+    rows = ((k, *path[k].tolist()) for k in kept)
 
     resolved = dict(params)
-    resolved.update({"N": n, "initial": list(map(float, cfg["initial"])),
+    resolved.update({"N": n, "initial": start.tolist(),
                      "steps": steps, "stride": stride, "seed": seed})
     if threshold is not None:
         resolved["stop_threshold"] = float(threshold)
@@ -275,14 +248,9 @@ def cmd_extinction(config_path, seed, replicates, threads, out_dir):
 # ----------------------------------------------------------------------
 
 def _run_qsd(cfg: dict, threads: int):
-    known = {"matrix", "omega", "omega_ratio", "b", "fitness", "beta",
-             "mutation", "N", "include_weights", "tol", "seed", "replicates"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
-    if "N" not in cfg:
-        raise ConfigError("config missing field: N")
-    params = _rule_config(cfg)
+    check_fields(cfg, required=("N",),
+                 optional=("include_weights", "tol", "seed", "replicates"))
+    params = rule_params(cfg)
     rule = make_rule(**params)
     n_values = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
     n_values = [int(v) for v in n_values]
@@ -323,17 +291,14 @@ def cmd_qsd(config_path, seed, replicates, threads, out_dir):
 # ----------------------------------------------------------------------
 
 def _run_bounds(cfg: dict, threads: int):
-    known = {"matrix", "omega", "omega_ratio", "b", "fitness", "beta",
-             "mutation", "N", "epsilons", "horizon", "replicates", "seed",
-             "initial", "lipschitz_samples", "safety"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
-    missing = {"N", "epsilons", "horizon", "replicates", "seed"} - set(cfg)
-    if missing:
-        raise ConfigError(f"config missing fields: {', '.join(sorted(missing))}")
-    params = _rule_config(cfg)
+    check_fields(cfg, required=("N", "epsilons", "horizon", "replicates", "seed"),
+                 optional=("initial", "lipschitz_samples", "safety"))
+    params = rule_params(cfg)
     rule = make_rule(**params)
+    if "initial" in cfg:
+        start = start_vector(cfg["initial"], rule.m)
+    else:
+        start = solve_interior_equilibrium(params["matrix"]).vector
     n_values = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
     n_values = [int(v) for v in n_values]
     epsilons = [float(e) for e in cfg["epsilons"]]
@@ -348,11 +313,6 @@ def _run_bounds(cfg: dict, threads: int):
     lip = estimate_lipschitz(rule, samples,
                              np.random.Generator(np.random.PCG64(streams[0])))
     rho = safety * lip.value
-
-    if "initial" in cfg:
-        start = np.asarray(cfg["initial"], dtype=np.float64)
-    else:
-        start = solve_interior_equilibrium(params["matrix"]).vector
 
     rows = []
     expectation = []

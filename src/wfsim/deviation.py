@@ -23,7 +23,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import bdtr, bdtrc
 
 from .errors import DimensionMismatch, DomainError, PreconditionError
-from .fitness import UpdateRule, finite_difference_jacobian
+from .fitness import UpdateRule, finite_difference_jacobian, sampling_probs
 from .meanfield import Orbit, iterate
 from .simplex import LatticePoint, lattice_counts
 
@@ -210,13 +210,6 @@ def wilson_upper(successes: int, trials: int, z: float = Z_99) -> float:
     return min(1.0, center + half)
 
 
-def _sampling_probs(rule: UpdateRule, freqs: np.ndarray) -> np.ndarray:
-    """Update map per row, clipped and renormalised for multinomial draws."""
-    probs = np.clip(rule.update_probs_batch(freqs), 0.0, None)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
-
-
 def one_step_exceedance_upper(rule: UpdateRule, x0: LatticePoint,
                               epsilon: float) -> float:
     """Exact union bound on the probability of decoupling at step 1.
@@ -235,7 +228,8 @@ def one_step_exceedance_upper(rule: UpdateRule, x0: LatticePoint,
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     n = x0.n
-    p = _sampling_probs(rule, x0.counts[None, :] / n)[0]
+    # a batch of one: the vectorised map, which simulate_deviations uses
+    p = sampling_probs(rule, x0.counts[None, :] / n)[0]
     o = iterate(rule, x0.as_frequencies(), 1).states[1]
     # X_i <= lo or X_i >= hi  <=>  |X_i/N - o_i| >= epsilon (up to tol)
     tol = 1e-9
@@ -298,7 +292,7 @@ def simulate_deviations(rule: UpdateRule, x0: LatticePoint, horizon: int,
     counts = np.tile(x0.counts, (replicates, 1))
     devs = np.empty((replicates, horizon))
     for k in range(1, horizon + 1):
-        counts = rng.multinomial(n, _sampling_probs(rule, counts / n))
+        counts = rng.multinomial(n, sampling_probs(rule, counts / n))
         devs[:, k - 1] = np.max(np.abs(counts / n - orbit.states[k]), axis=1)
     return DeviationEnsemble(deviations=devs, orbit=orbit, n=n, horizon=horizon)
 

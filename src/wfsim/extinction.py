@@ -21,7 +21,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, NoInteriorEquilibrium, PreconditionError
-from .fitness import UpdateRule, make_rule
+from .fitness import (
+    UpdateRule,
+    check_fields,
+    make_rule,
+    rule_params,
+    sampling_probs,
+    start_vector,
+)
 from .meanfield import solve_interior_equilibrium
 from .simplex import LatticePoint, SimplexPoint, SupportSet, round_to_lattice
 
@@ -136,11 +143,6 @@ class TrialOutcome(NamedTuple):
     event: Optional[bool]          # exactly one extinct type, in the least-fit set
 
 
-def _clean(p: np.ndarray) -> np.ndarray:
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
-
-
 def run_trial_threshold(rule: UpdateRule, x0: LatticePoint,
                         rng: np.random.Generator, *,
                         stop_threshold: float = 0.05,
@@ -181,8 +183,7 @@ def run_trial_threshold(rule: UpdateRule, x0: LatticePoint,
         return outcome(0, censored=False)
     for k in range(1, max_steps + 1):
         prev = counts
-        p = rule.update_probs(counts / n)
-        counts = rng.multinomial(n, _clean(p))
+        counts = rng.multinomial(n, sampling_probs(rule, counts / n))
         if k == t_star:
             sampled = counts.copy()
         if counts.min() / n <= stop_threshold:
@@ -195,7 +196,7 @@ def run_trial_absorption(rule: UpdateRule, x0: LatticePoint,
                          least_fit_set: SupportSet,
                          max_steps: int = 1_000_000) -> TrialOutcome:
     """Simulate until the first boundary hit (some type's count reaches 0)
-    and classify it: does exactly one type vanish, and is it least-fit?
+    and label it: does exactly one type vanish, and is it least-fit?
 
     Requires a mutation-free rule (so the boundary is absorbing) and an
     interior start.
@@ -208,8 +209,7 @@ def run_trial_absorption(rule: UpdateRule, x0: LatticePoint,
     counts = x0.counts.copy()
     fit_mask = least_fit_set.to_mask(x0.m)
     for k in range(1, max_steps + 1):
-        p = rule.update_probs(counts / n)
-        counts = rng.multinomial(n, _clean(p))
+        counts = rng.multinomial(n, sampling_probs(rule, counts / n))
         if counts.min() == 0:
             zeros = np.flatnonzero(counts == 0)
             ties = np.flatnonzero(counts == counts.min())
@@ -258,46 +258,27 @@ class ExperimentSpec:
         if not self.initials:
             raise ConfigError("at least one initial condition is required")
         self.sample_window = (int(self.sample_window[0]), int(self.sample_window[1]))
-        m = len(np.asarray(self.rule_params["matrix"]))
-        for x0 in self.initials:
-            if len(x0) != m:
-                raise ConfigError("initial condition length does not match matrix")
+        self.initials = [start_vector(x0, self.m).tolist() for x0 in self.initials]
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ExperimentSpec":
         """Build from a config mapping with the documented field names."""
-        cfg = dict(cfg)
-        required = ("matrix", "N", "initials", "replicates", "seed")
-        missing = [k for k in required if k not in cfg]
-        if missing:
-            raise ConfigError(f"config missing fields: {', '.join(missing)}")
-        rule_params = {
-            "matrix": cfg.pop("matrix"),
-            "b": cfg.pop("b", None),
-            "fitness": cfg.pop("fitness", "linear_fractional"),
-            "beta": cfg.pop("beta", None),
-            "mutation": cfg.pop("mutation", None),
-        }
-        omega, ratio = cfg.pop("omega", None), cfg.pop("omega_ratio", None)
-        if omega is None and ratio is not None:
-            omega = ratio / (1.0 + ratio)        # canonical form
-        if rule_params["fitness"] == "linear_fractional":
-            rule_params["omega"] = omega
-        m_declared = cfg.pop("M", None)
+        check_fields(cfg, required=("matrix", "N", "initials", "replicates", "seed"),
+                     optional=("M", "mode", "stop_threshold", "sample_window",
+                               "max_steps", "bin_width"))
+        m_declared = cfg.get("M")
         spec = cls(
-            rule_params=rule_params,
-            n=int(cfg.pop("N")),
-            initials=[list(map(float, x)) for x in cfg.pop("initials")],
-            replicates=int(cfg.pop("replicates")),
-            seed=int(cfg.pop("seed")),
-            mode=cfg.pop("mode", "threshold"),
-            stop_threshold=float(cfg.pop("stop_threshold", 0.05)),
-            sample_window=tuple(cfg.pop("sample_window", (1000, 5000))),
-            max_steps=int(cfg.pop("max_steps", 1_000_000)),
-            bin_width=float(cfg.pop("bin_width", 0.01)),
+            rule_params=rule_params(cfg),
+            n=int(cfg["N"]),
+            initials=cfg["initials"],
+            replicates=int(cfg["replicates"]),
+            seed=int(cfg["seed"]),
+            mode=cfg.get("mode", "threshold"),
+            stop_threshold=float(cfg.get("stop_threshold", 0.05)),
+            sample_window=tuple(cfg.get("sample_window", (1000, 5000))),
+            max_steps=int(cfg.get("max_steps", 1_000_000)),
+            bin_width=float(cfg.get("bin_width", 0.01)),
         )
-        if cfg:
-            raise ConfigError(f"unknown config fields: {', '.join(sorted(cfg))}")
         if m_declared is not None and int(m_declared) != spec.m:
             raise ConfigError(
                 f"declared M={m_declared} but the matrix is {spec.m}x{spec.m}"

@@ -5,6 +5,10 @@ function of the current profile.  The expected next-generation profile is
 the fitness-weighted renormalization of the current one; an optional
 row-stochastic mutation matrix is applied to the profile first.  Darwinian,
 reproductive, and average fitness notions are derived from the update map.
+Every sampler in the package draws from the multinomial cell
+probabilities of :func:`sampling_probs`, and every command reads the
+config fields that describe a rule through the helpers after
+:func:`make_rule`.
 """
 
 from __future__ import annotations
@@ -265,12 +269,7 @@ class UpdateRule:
             x = x.coords
         if self.mutation is not None:
             x = x @ self.mutation.entries
-        w = self.fitness.scaled_weights(x)
-        num = x * w
-        total = num.sum()
-        if not total > 0:
-            raise DegenerateFitness("total fitness is zero at this profile")
-        return num / total
+        return self._replicator_probs(x)
 
     def update_probs_batch(self, xs: np.ndarray) -> np.ndarray:
         """Row-wise update for a (R, M) batch of frequency vectors."""
@@ -282,12 +281,6 @@ class UpdateRule:
         if not np.all(totals > 0):
             raise DegenerateFitness("total fitness is zero at some profile")
         return num / totals
-
-    # -- public wrappers ----------------------------------------------
-    def mean_update(self, x: SimplexPoint) -> SimplexPoint:
-        if x.m != self.m:
-            raise DimensionMismatch("point dimension does not match the rule")
-        return SimplexPoint(self.update_probs(x.coords), normalize=True)
 
     def jacobian(self, x: np.ndarray, fd_step: float = 1e-7) -> np.ndarray:
         """Derivative matrix of the update map at ``x``.
@@ -322,6 +315,24 @@ class UpdateRule:
         if not total > 0:
             raise DegenerateFitness("total fitness is zero at this profile")
         return num / total
+
+
+def sampling_probs(rule: UpdateRule, freqs: np.ndarray) -> np.ndarray:
+    """Multinomial cell probabilities of one resampling step.
+
+    The update-map image of a profile ``(M,)``, or of each row of a batch
+    ``(R, M)``, with rounding negatives clamped to 0 and each row
+    renormalised, so the multinomial sampler never rejects it.  A profile
+    goes through the scalar map and a batch through the vectorised one:
+    each is the faster at its size.
+    """
+    if freqs.ndim == 1:
+        p = rule.update_probs(freqs)
+    else:
+        p = rule.update_probs_batch(freqs)
+    p = np.maximum(p, 0.0)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -380,29 +391,71 @@ def make_rule(matrix, *, omega: float | None = None,
 
 
 # ----------------------------------------------------------------------
-# module-level operations
+# config fields shared by every command
 # ----------------------------------------------------------------------
 
-def fitness_eval(model: FitnessModel, x: SimplexPoint) -> np.ndarray:
-    """Per-type fitness values at a profile (raw, unshifted)."""
-    if x.m != model.m:
-        raise DimensionMismatch("point dimension does not match the model")
-    return model.values(x.coords)
+#: Config fields that describe the update rule: the keywords of
+#: :func:`make_rule`, plus ``omega_ratio``, the odds form of ``omega``.
+RULE_FIELDS = ("matrix", "omega", "omega_ratio", "b", "fitness", "beta", "mutation")
+
+#: A configured initial condition must sum to 1 within this tolerance.
+START_SUM_TOL = 1e-9
 
 
-def replicator_update(rule: UpdateRule, x: SimplexPoint) -> SimplexPoint:
-    """Fitness-weighted renormalization of the profile (mutation-free rules)."""
-    if rule.mutation is not None:
-        raise PreconditionError("replicator_update requires a mutation-free rule")
-    return rule.mean_update(x)
+def check_fields(cfg: dict, required=(), optional=()) -> None:
+    """Reject a config mapping that has a field which is neither a rule
+    field nor listed, or that lacks a required field."""
+    unknown = set(cfg) - set(RULE_FIELDS) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
+    missing = set(required) - set(cfg)
+    if missing:
+        raise ConfigError(f"config missing fields: {', '.join(sorted(missing))}")
 
 
-def apply_mutation(rule: UpdateRule, x: SimplexPoint) -> SimplexPoint:
-    """Full update for a rule with a mutation matrix: mutate, then reweight."""
-    if rule.mutation is None:
-        raise PreconditionError("apply_mutation requires a rule with a mutation matrix")
-    return rule.mean_update(x)
+def rule_params(cfg: dict) -> dict:
+    """The :func:`make_rule` keywords of a config mapping.
 
+    Null fields are dropped and ``omega_ratio`` is resolved to ``omega``,
+    so a resolved config carries one canonical mixing weight.  Giving both
+    is a config error, as it is for :func:`make_rule`.
+    """
+    if cfg.get("matrix") is None:
+        raise ConfigError("config missing field: matrix")
+    params = {k: cfg[k] for k in RULE_FIELDS if cfg.get(k) is not None}
+    omega, ratio = params.pop("omega", None), params.pop("omega_ratio", None)
+    if omega is not None and ratio is not None:
+        raise ConfigError("give one of omega, omega_ratio, not both")
+    if ratio is not None:
+        omega = ratio / (1.0 + ratio)
+    if params.get("fitness", "linear_fractional") == "linear_fractional":
+        params["omega"] = omega
+    return params
+
+
+def start_vector(x, m: int) -> np.ndarray:
+    """A configured initial condition as a float array.
+
+    Raises :class:`ConfigError` unless it holds ``m`` finite, non-negative
+    entries summing to 1 within ``START_SUM_TOL``.
+    """
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (m,):
+        raise ConfigError(f"initial condition {x!r} must be a list of {m} numbers")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ConfigError(f"initial condition {x!r} must be finite and non-negative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > START_SUM_TOL:
+        raise ConfigError(f"initial condition {x!r} sums to {total!r}, not 1")
+    return arr
+
+
+# ----------------------------------------------------------------------
+# module-level operations
+# ----------------------------------------------------------------------
 
 def darwinian_fitness(rule: UpdateRule, x: SimplexPoint) -> np.ndarray:
     """Per-type growth factors: expected next share over current share.

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NumericRangeError, PreconditionError
-from .fitness import UpdateRule
+from .fitness import UpdateRule, sampling_probs
 from .meanfield import Orbit, iterate
 from .simplex import SimplexPoint, round_to_lattice
 
@@ -219,10 +219,7 @@ def rescaled_residuals(rule: UpdateRule, n: int, start, step: int,
     orbit = iterate(rule, x0.as_frequencies(), step)
     counts = np.tile(x0.counts, (replicates, 1))
     for k in range(step):
-        probs = rule.update_probs_batch(counts / n)
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum(axis=1, keepdims=True)
-        counts = rng.multinomial(n, probs)
+        counts = rng.multinomial(n, sampling_probs(rule, counts / n))
     residuals = np.sqrt(n) * (counts / n - orbit.states[step])
     return ResidualSample(residuals=residuals, orbit=orbit, n=n, step=step)
 

@@ -3,16 +3,18 @@
 A population profile over M types is a point of the (M-1)-dimensional
 probability simplex.  A finite population of size N lives on the lattice
 slice of integer count vectors summing to N.  This module provides the two
-point types, supports and face classification, lattice enumeration with
-resource caps, and the max-norm distance used throughout the package.
+point types and their supports, lattice enumeration with resource caps,
+rounding onto the lattice, and the max-norm distance used throughout the
+package.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -197,41 +199,7 @@ class LatticePoint:
         return f"LatticePoint({self._counts.tolist()!r}, n={self._n})"
 
 
-@dataclass(frozen=True)
-class Face:
-    """Classification of a point: the open face of the simplex it lies in."""
-
-    support: SupportSet
-    m: int
-
-    @property
-    def is_interior(self) -> bool:
-        return len(self.support) == self.m
-
-    @property
-    def is_vertex(self) -> bool:
-        return len(self.support) == 1
-
-
 PointLike = Union[SimplexPoint, LatticePoint]
-
-
-def support(x: PointLike, tol: float = 0.0) -> SupportSet:
-    """Positive-coordinate type labels of a point.
-
-    Lattice points use exact integer positivity; real-valued points use
-    strict positivity above ``tol`` (default 0, i.e. exactly positive).
-    """
-    if isinstance(x, LatticePoint):
-        return x.support()
-    return x.support(tol)
-
-
-def classify(x: PointLike, tol: float = 0.0) -> Face:
-    """Locate the open face containing ``x`` (interior iff full support)."""
-    supp = support(x, tol)
-    m = x.m
-    return Face(support=supp, m=m)
 
 
 def linf_distance(x: PointLike, y: PointLike) -> float:
@@ -259,41 +227,28 @@ def _check_lattice_cap(m: int, n: int, cap: int | None) -> int:
     return size
 
 
-def enumerate_lattice(m: int, n: int, cap: int | None = None) -> Iterator[LatticePoint]:
-    """Yield every count vector of M non-negative integers summing to N.
+def lattice_counts(m: int, n: int, cap: int | None = None) -> np.ndarray:
+    """Every count vector of M non-negative integers summing to N, as one
+    (S, M) int64 array in ascending lexicographic order.
 
-    Enumeration is in ascending lexicographic order of the count tuple and
-    refuses up front when the state count exceeds the cap.
+    Built by stars and bars: each vector is a choice of M-1 bar positions
+    among N+M-1 slots, and ``itertools.combinations`` lists the choices in
+    the lexicographic order of the count vectors.  Refuses up front when
+    the state count exceeds the cap.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    _check_lattice_cap(m, n, cap)
-
-    def generate():
-        counts = np.zeros(m, dtype=np.int64)
-
-        def rec(pos: int, remaining: int):
-            if pos == m - 1:
-                counts[pos] = remaining
-                yield LatticePoint(counts, n)
-                return
-            for head in range(remaining + 1):
-                counts[pos] = head
-                yield from rec(pos + 1, remaining - head)
-
-        yield from rec(0, n)
-
-    return generate()
-
-
-def lattice_counts(m: int, n: int, cap: int | None = None) -> np.ndarray:
-    """All lattice count vectors as one (S, M) int64 array (same order as
-    :func:`enumerate_lattice`)."""
     size = _check_lattice_cap(m, n, cap)
-    out = np.empty((size, m), dtype=np.int64)
-    for i, point in enumerate(enumerate_lattice(m, n, cap)):
-        out[i] = point.counts
-    return out
+    slots = n + m - 1
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), m - 1)),
+        dtype=np.int64, count=size * (m - 1),
+    ).reshape(size, m - 1)
+    edges = np.empty((size, m + 1), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, 1:m] = bars
+    edges[:, m] = slots
+    return np.diff(edges, axis=1) - 1
 
 
 def round_to_lattice(x: Iterable[float], n: int) -> LatticePoint:

@@ -5,28 +5,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.stats import multinomial
 
 from wfsim.chain import (
     absorbing_types,
     build_exact_chain,
-    can_transition,
     interior_qsd,
     qsd_power_iteration,
     quadratic_form_drift,
     recurrent_class_faces,
     sample_path,
-    step_sample,
-    transition_prob,
     verify_submartingale,
 )
 from wfsim.errors import (
-    DimensionMismatch,
     PreconditionError,
     ReducibleInterior,
     ResourceLimitExceeded,
 )
 from wfsim.fitness import MutationMatrix, UpdateRule, make_rule
-from wfsim.simplex import LatticePoint, enumerate_lattice
+from wfsim.simplex import LatticePoint
 
 from conftest import A1, A2, A_TWO, neutral_rule
 
@@ -53,8 +50,8 @@ class TestStepSample:
     def test_degenerate_image_is_deterministic(self):
         rule = constant_vertex_rule(3)
         rng = np.random.default_rng(0)
-        nxt = step_sample(rule, LatticePoint([2, 2, 2], 6), rng)
-        assert tuple(nxt.counts) == (6, 0, 0)
+        path = sample_path(rule, LatticePoint([2, 2, 2], 6), 1, rng)
+        assert tuple(path[1]) == (6, 0, 0)
 
     def test_moments_match_the_update_image(self, rule_a2):
         n, reps = 100, 30_000
@@ -62,7 +59,7 @@ class TestStepSample:
         p = rule_a2.update_probs(x.counts / n)
         rng = np.random.default_rng(123)
         draws = np.array(
-            [step_sample(rule_a2, x, rng).counts for _ in range(reps)],
+            [sample_path(rule_a2, x, 1, rng)[1] for _ in range(reps)],
             dtype=np.float64,
         ) / n
         se = np.sqrt(p * (1 - p) / (n * reps))
@@ -95,30 +92,30 @@ class TestStepSample:
 # ----------------------------------------------------------------------
 
 class TestTransitionProbs:
+    """Single entries and whole rows of the exact transition matrix."""
+
     def test_two_type_hand_values(self):
-        rule = neutral_rule(2)
-        x = LatticePoint([1, 1], 2)
-        assert transition_prob(rule, x, LatticePoint([2, 0], 2)) == pytest.approx(0.25)
-        assert transition_prob(rule, x, LatticePoint([1, 1], 2)) == pytest.approx(0.5)
+        chain = build_exact_chain(neutral_rule(2), 2)
+        row = chain.matrix[chain.state_index([1, 1])]
+        assert row[chain.state_index([2, 0])] == pytest.approx(0.25)
+        assert row[chain.state_index([1, 1])] == pytest.approx(0.5)
 
     def test_unreachable_when_image_coordinate_vanishes(self, rule_a2):
-        x = LatticePoint([500, 0, 0], 500)
-        y = LatticePoint([499, 1, 0], 500)
-        assert transition_prob(rule_a2, x, y) == 0.0
-        assert not can_transition(rule_a2, x, y)
-        assert can_transition(rule_a2, x, LatticePoint([500, 0, 0], 500))
-
-    def test_population_sizes_must_agree(self, rule_a2):
-        with pytest.raises(DimensionMismatch):
-            transition_prob(
-                rule_a2, LatticePoint([3, 2, 1], 6), LatticePoint([3, 2, 2], 7)
-            )
+        chain = build_exact_chain(rule_a2, 6)
+        row = chain.matrix[chain.state_index([6, 0, 0])]
+        assert row[chain.state_index([5, 1, 0])] == 0.0
+        assert row[chain.state_index([6, 0, 0])] == 1.0
 
     def test_rows_sum_to_one_exhaustively(self, rule_a1):
-        states = list(enumerate_lattice(3, 6))
-        for x in [states[0], states[9], states[-1], LatticePoint([2, 2, 2], 6)]:
-            total = sum(transition_prob(rule_a1, x, y) for y in states)
-            assert total == pytest.approx(1.0, abs=1e-12)
+        # the chain renormalises its rows, so compare them with the exact
+        # multinomial law, whose sum over the lattice is 1 only when the
+        # lattice holds every composition
+        chain = build_exact_chain(rule_a1, 6)
+        for counts in ([0, 0, 6], [1, 2, 3], [6, 0, 0], [2, 2, 2]):
+            i = chain.state_index(counts)
+            pmf = multinomial.pmf(chain.states, 6, rule_a1.update_probs(chain.states[i] / 6))
+            assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(chain.matrix[i], pmf, rtol=1e-12, atol=1e-300)
 
     def test_absorbing_types_without_mutation(self, rule_a2):
         assert absorbing_types(rule_a2) == [1, 2, 3]

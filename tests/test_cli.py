@@ -8,7 +8,10 @@ import pytest
 from click.testing import CliRunner
 
 import wfsim
+from wfsim.chain import sample_path
 from wfsim.cli import main
+from wfsim.fitness import make_rule
+from wfsim.simplex import round_to_lattice
 
 from conftest import A1, A2, CHI1, CHI2
 
@@ -34,6 +37,19 @@ def run_ok(runner, args):
 
 def load_json(out_dir, name):
     return json.loads((Path(out_dir) / name).read_text())
+
+
+def start_config(command, start):
+    """A small valid config for a command that takes a start vector."""
+    cfg = {"matrix": A2, "omega": 0.5, "seed": 1}
+    if command == "simulate":
+        cfg.update({"N": 50, "initial": start, "steps": 5})
+    elif command == "extinction":
+        cfg.update({"N": 50, "initials": [start], "replicates": 2})
+    else:
+        cfg.update({"N": [50], "initial": start, "epsilons": [0.1],
+                    "horizon": 2, "replicates": 5})
+    return cfg
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +181,44 @@ class TestSimulate:
         assert (out1 / "trajectory.csv").read_bytes() != \
             (out2 / "trajectory.csv").read_bytes()
         assert load_json(out2, "manifest.json")["seed"] == 99
+
+    def test_stride_rows_plus_stop_step_match_sample_path(self, runner, tmp_path):
+        cfg = self.base_config()
+        cfg.update({"steps": 500, "stride": 7, "stop_threshold": 0.05, "seed": 13})
+        path = write_config(tmp_path, "sim.json", cfg)
+        out = tmp_path / "out"
+        run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
+        stop_step = load_json(out, "manifest.json")["stopped_at"]
+        assert stop_step % 7 != 0          # so the stop step is an extra row
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(13)))
+        counts = sample_path(make_rule(A2, omega=0.5),
+                             round_to_lattice(cfg["initial"], 500), 500, rng,
+                             stop=lambda c: c.min() / 500 <= 0.05)
+        assert len(counts) - 1 == stop_step
+        expected = [",".join(map(str, [k, *counts[k]]))
+                    for k in [*range(0, stop_step + 1, 7), stop_step]]
+        assert (out / "trajectory.csv").read_text().splitlines()[1:] == expected
+
+    def test_start_at_threshold_writes_one_row(self, runner, tmp_path):
+        cfg = self.base_config()
+        cfg.update({"initial": [0.96, 0.02, 0.02], "stride": 7,
+                    "stop_threshold": 0.05})
+        path = write_config(tmp_path, "sim.json", cfg)
+        out = tmp_path / "out"
+        run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
+        assert (out / "trajectory.csv").read_text().splitlines() == \
+            ["step,count_1,count_2,count_3", "0,480,10,10"]
+        manifest = load_json(out, "manifest.json")
+        assert manifest["stopped_at"] == 0 and manifest["censored"] is False
+
+    def test_unknown_field_exits_one(self, runner, tmp_path):
+        cfg = self.base_config()
+        cfg["stop_treshold"] = 0.05
+        path = write_config(tmp_path, "sim.json", cfg)
+        result = runner.invoke(main, ["simulate", "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "stop_treshold" in result.stderr
 
     def test_missing_fields_exit_one(self, runner, tmp_path):
         cfg = write_config(tmp_path, "sim.json",
@@ -357,6 +411,37 @@ class TestPlumbing:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "not valid JSON" in result.stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "extinction"])
+    def test_omega_and_ratio_together_exit_one(self, runner, tmp_path, command):
+        cfg = start_config(command, [0.8, 0.1, 0.1])
+        cfg["omega_ratio"] = 1.0
+        path = write_config(tmp_path, "c.json", cfg)
+        result = runner.invoke(main, [command, "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "omega_ratio" in result.stderr
+
+    @pytest.mark.parametrize("start", [
+        [0.8, 0.3, 0.1], [0.6, 0.3, 0.0], [0.8, 0.2], [1.2, -0.1, -0.1],
+        [float("nan"), 0.5, 0.5],
+    ], ids=["sum-above-1", "sum-below-1", "length", "negative", "nan"])
+    @pytest.mark.parametrize("command", ["simulate", "extinction", "bounds"])
+    def test_malformed_start_exits_one(self, runner, tmp_path, command, start):
+        path = write_config(tmp_path, "c.json", start_config(command, start))
+        result = runner.invoke(main, [command, "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1, result.stderr
+        assert "config error: initial condition" in result.stderr
+
+    def test_readme_quick_start_imports(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Library quick start", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        imports = [line for line in block.splitlines()
+                   if line.startswith(("import ", "from "))]
+        assert imports
+        exec("\n".join(imports), {})
 
     def test_shipped_configs_parse(self):
         from wfsim.extinction import ExperimentSpec

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,14 +23,12 @@ from wfsim.fitness import (
     PayoffMatrix,
     TabulatedFitness,
     UpdateRule,
-    apply_mutation,
     average_fitness,
     darwinian_fitness,
     finite_difference_jacobian,
-    fitness_eval,
     make_rule,
-    replicator_update,
     reproductive_fitness,
+    sampling_probs,
 )
 from wfsim.simplex import SimplexPoint
 
@@ -134,7 +134,7 @@ class TestUpdateMap:
     def test_constant_fitness_is_identity(self, rule_neutral3):
         x = SimplexPoint([0.2, 0.5, 0.3])
         np.testing.assert_allclose(
-            replicator_update(rule_neutral3, x).coords, x.coords, atol=1e-15
+            rule_neutral3.update_probs(x), x.coords, atol=1e-15
         )
 
     def test_vertices_fixed(self, rule_a2):
@@ -174,6 +174,24 @@ class TestUpdateMap:
         )
 
 
+class TestSamplingProbs:
+    def test_profile_and_batch_agree_with_the_update_map(self, rule_a2):
+        xs = np.random.default_rng(10).dirichlet(np.ones(3), size=20)
+        batch = sampling_probs(rule_a2, xs)
+        np.testing.assert_allclose(batch, rule_a2.update_probs_batch(xs), atol=1e-15)
+        for x, row in zip(xs, batch):
+            np.testing.assert_allclose(sampling_probs(rule_a2, x), row, atol=1e-15)
+
+    def test_rounding_negatives_clamped_and_rows_renormalised(self):
+        image = np.array([[-1e-17, 0.25, 0.5], [0.5, 0.5, 1.0]])
+        rule = SimpleNamespace(update_probs=lambda x: image[0],
+                               update_probs_batch=lambda xs: image)
+        np.testing.assert_array_equal(sampling_probs(rule, np.zeros(3)),
+                                      [0.0, 1 / 3, 2 / 3])
+        np.testing.assert_array_equal(sampling_probs(rule, np.zeros((2, 3))),
+                                      [[0.0, 1 / 3, 2 / 3], [0.25, 0.25, 0.5]])
+
+
 class TestMutation:
     def test_identity_mutation_matches_plain_update(self, rule_a2):
         rng = np.random.default_rng(8)
@@ -198,10 +216,10 @@ class TestMutation:
 
     def test_two_type_vertex_leaks(self):
         rule = make_rule(A_TWO, omega=0.5, mutation=[[0.9, 0.1], [0.2, 0.8]])
-        got = apply_mutation(rule, SimplexPoint([1.0, 0.0]))
+        got = rule.update_probs(SimplexPoint([1.0, 0.0]))
         base = make_rule(A_TWO, omega=0.5)
         expected = base.update_probs(np.array([0.9, 0.1]))
-        np.testing.assert_allclose(got.coords, expected, atol=1e-14)
+        np.testing.assert_allclose(got, expected, atol=1e-14)
 
     def test_rows_must_be_stochastic(self):
         with pytest.raises(ConfigError):
@@ -303,7 +321,7 @@ class TestGrowthFactors:
     def test_average_fitness_constant_at_equilibrium(self, rule_a1):
         # at the equal-payoff profile every type has the same fitness value
         chi = SimplexPoint(CHI1, normalize=True)
-        phi = fitness_eval(rule_a1.fitness, chi)
+        phi = rule_a1.fitness.values(chi.coords)
         assert np.max(phi) - np.min(phi) < 1e-6
         assert average_fitness(rule_a1, chi) == pytest.approx(phi[0], rel=1e-6)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -15,17 +16,13 @@ from wfsim.errors import (
     ResourceLimitExceeded,
 )
 from wfsim.simplex import (
-    Face,
     LatticePoint,
     SimplexPoint,
     SupportSet,
-    classify,
-    enumerate_lattice,
     lattice_counts,
     lattice_size,
     linf_distance,
     round_to_lattice,
-    support,
 )
 
 
@@ -37,44 +34,44 @@ def simplex_points(m: int):
 
 
 # ----------------------------------------------------------------------
-# support / classify
+# supports and faces
 # ----------------------------------------------------------------------
 
 class TestSupport:
     def test_mixed_five_type_profile(self):
-        got = support(SimplexPoint([0.0, 1 / 2, 1 / 3, 1 / 6, 0.0]))
+        got = SimplexPoint([0.0, 1 / 2, 1 / 3, 1 / 6, 0.0]).support()
         assert got == SupportSet(labels=frozenset({2, 3, 4}))
 
     def test_vertex(self):
-        assert set(support(SimplexPoint([1.0, 0.0, 0.0]))) == {1}
+        assert set(SimplexPoint([1.0, 0.0, 0.0]).support()) == {1}
 
     def test_interior(self):
-        assert set(support(SimplexPoint([1 / 3, 1 / 3, 1 / 3]))) == {1, 2, 3}
+        assert set(SimplexPoint([1 / 3, 1 / 3, 1 / 3]).support()) == {1, 2, 3}
 
     def test_lattice_point_support(self):
-        assert set(support(LatticePoint([0, 3, 2], 5))) == {2, 3}
+        assert set(LatticePoint([0, 3, 2], 5).support()) == {2, 3}
 
     @given(simplex_points(4))
     def test_support_indices_sorted_zero_based(self, x):
-        idx = support(x).indices()
+        idx = x.support().indices()
         assert np.all(np.diff(idx) > 0)
         assert np.all(x.coords[idx] > 0)
 
 
 class TestClassify:
+    """The open face containing a point is the one spanned by its support."""
+
     def test_interior_point(self):
-        face = classify(SimplexPoint([1 / 3, 1 / 3, 1 / 3]))
-        assert face.is_interior and not face.is_vertex
+        x = SimplexPoint([1 / 3, 1 / 3, 1 / 3])
+        assert len(x.support()) == x.m
 
     def test_proper_face(self):
-        face = classify(SimplexPoint([0.5, 0.5, 0.0]))
-        assert set(face.support) == {1, 2}
-        assert not face.is_interior and not face.is_vertex
+        x = SimplexPoint([0.5, 0.5, 0.0])
+        assert set(x.support()) == {1, 2}
+        assert 1 < len(x.support()) < x.m
 
     def test_vertex(self):
-        face = classify(SimplexPoint([0.0, 1.0, 0.0]))
-        assert face.is_vertex and set(face.support) == {2}
-        assert isinstance(face, Face)
+        assert set(SimplexPoint([0.0, 1.0, 0.0]).support()) == {2}
 
 
 # ----------------------------------------------------------------------
@@ -143,13 +140,13 @@ class TestValidation:
 
 class TestLattice:
     def test_two_types_two_individuals(self):
-        pts = [tuple(p.counts) for p in enumerate_lattice(2, 2)]
+        pts = [tuple(p) for p in lattice_counts(2, 2)]
         assert pts == [(0, 2), (1, 1), (2, 0)]
         assert lattice_size(2, 2) == 3
 
     def test_three_types_two_individuals(self):
         assert lattice_size(3, 2) == 6
-        assert len(list(enumerate_lattice(3, 2))) == 6
+        assert len(lattice_counts(3, 2)) == 6
 
     def test_three_types_five_hundred(self):
         assert lattice_size(3, 500) == math.comb(502, 2) == 125751
@@ -160,10 +157,16 @@ class TestLattice:
         assert np.all(arr.sum(axis=1) == 6)
         order = np.lexsort(arr.T[::-1])
         assert np.array_equal(order, np.arange(len(arr)))
+        # reference: filter the full grid, which product lists in lex order
+        for m, n in ((1, 4), (2, 5), (3, 6), (4, 5), (5, 3)):
+            ref = [c for c in itertools.product(range(n + 1), repeat=m) if sum(c) == n]
+            got = lattice_counts(m, n)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, np.array(ref))
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitExceeded):
-            list(enumerate_lattice(4, 2000, cap=1000))
+            lattice_counts(4, 2000, cap=1000)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("WF_MAX_STATES", "5")
