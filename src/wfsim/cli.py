@@ -34,9 +34,10 @@ from .deviation import (
     expected_decoupling_lower_bound,
     simulate_deviations,
 )
+from .config import COMMANDS, resolve, rule_keywords
 from .errors import ConfigError, WfsimError
 from .extinction import ExperimentSpec, run_experiment
-from .fitness import check_fields, make_rule, rule_params, start_vector
+from .fitness import make_rule
 from .meanfield import build_meanfield_report, solve_interior_equilibrium
 from .simplex import round_to_lattice
 
@@ -74,8 +75,8 @@ def _csv_bytes(header, rows) -> bytes:
 
 
 def _write_outputs(out_dir: Path, command: str, resolved_config: dict,
-                   seed, outputs: dict[str, bytes],
-                   extras: dict | None = None, started: float = 0.0) -> None:
+                   outputs: dict[str, bytes], extras: dict | None,
+                   started: float) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     checksums = {}
     for name, blob in outputs.items():
@@ -84,7 +85,7 @@ def _write_outputs(out_dir: Path, command: str, resolved_config: dict,
     manifest = {
         "command": command,
         "config": resolved_config,
-        "seed": seed,
+        "seed": resolved_config.get("seed"),
         "version": __version__,
         "wall_clock_s": round(time.perf_counter() - started, 3),
         "outputs": checksums,
@@ -96,23 +97,6 @@ def _write_outputs(out_dir: Path, command: str, resolved_config: dict,
         click.echo(f"wrote {out_dir / name}")
 
 
-def _common_options(fn):
-    for opt in reversed([
-        click.option("--config", "config_path", type=str, default=None,
-                     help="JSON config file (or a manifest.json)"),
-        click.option("--seed", type=int, default=None,
-                     help="override the config's master seed"),
-        click.option("--replicates", type=int, default=None,
-                     help="override the config's replicate count"),
-        click.option("--threads", type=int, default=1,
-                     help="worker processes (never affects results)"),
-        click.option("--out", "out_dir", type=str, default=".",
-                     help="output directory"),
-    ]):
-        fn = opt(fn)
-    return fn
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="wf")
 def main():
@@ -122,16 +106,21 @@ def main():
 
 def _dispatch(command: str, runner, config_path, seed, replicates, threads,
               out_dir) -> None:
+    """Load, check and resolve the config, build the rule, run, write."""
     started = time.perf_counter()
     try:
         cfg = _load_config(config_path)
-        if seed is not None:
-            cfg["seed"] = seed
-        if replicates is not None:
-            cfg["replicates"] = replicates
-        resolved, outputs, extras = runner(cfg, threads)
-        _write_outputs(Path(out_dir), command, resolved,
-                       resolved.get("seed"), outputs, extras, started)
+        for flag, field, value in (("--seed", "seed", seed),
+                                   ("--replicates", "replicates", replicates)):
+            if value is not None:
+                if field not in COMMANDS[command]:
+                    raise ConfigError(f"{flag} does not apply to wf {command}")
+                cfg[field] = value
+        if threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {threads}")
+        cfg = resolve(command, cfg)
+        outputs, extras = runner(cfg, make_rule(**rule_keywords(cfg)), threads)
+        _write_outputs(Path(out_dir), command, cfg, outputs, extras, started)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
@@ -140,46 +129,40 @@ def _dispatch(command: str, runner, config_path, seed, replicates, threads,
         sys.exit(2)
 
 
-# ----------------------------------------------------------------------
-# meanfield
-# ----------------------------------------------------------------------
+def _command(name: str):
+    """Register ``runner(resolved_config, rule, threads) -> (outputs,
+    extras)`` as ``wf <name>``, with its docstring as the help text."""
+    def register(runner):
+        @main.command(name, help=runner.__doc__)
+        @click.option("--config", "config_path", type=str, default=None,
+                      help="JSON config file (or a manifest.json)")
+        @click.option("--seed", type=int, default=None,
+                      help="override seed (simulate, extinction, bounds)")
+        @click.option("--replicates", type=int, default=None,
+                      help="override replicates (extinction, bounds)")
+        @click.option("--threads", type=int, default=1,
+                      help="extinction's worker processes (never affect results)")
+        @click.option("--out", "out_dir", type=str, default=".",
+                      help="output directory")
+        def command(config_path, seed, replicates, threads, out_dir):
+            _dispatch(name, runner, config_path, seed, replicates, threads,
+                      out_dir)
+        return runner
+    return register
 
-def _run_meanfield(cfg: dict, threads: int):
-    check_fields(cfg, optional=("check_permanence", "seed", "replicates"))
-    params = rule_params(cfg)
-    rule = make_rule(**params)
-    report = build_meanfield_report(rule, check_perm=bool(cfg.get("check_permanence")))
-    resolved = dict(params)
-    resolved["check_permanence"] = bool(cfg.get("check_permanence", False))
-    return resolved, {"report.json": _json_bytes(report.to_dict())}, None
 
-
-@main.command("meanfield")
-@_common_options
-def cmd_meanfield(config_path, seed, replicates, threads, out_dir):
+@_command("meanfield")
+def _run_meanfield(cfg: dict, rule, threads: int):
     """Equilibrium, stability flags, Jacobian, and spectral radius."""
-    _dispatch("meanfield", _run_meanfield, config_path, seed, replicates,
-              threads, out_dir)
+    report = build_meanfield_report(rule, check_perm=cfg["check_permanence"])
+    return {"report.json": _json_bytes(report.to_dict())}, None
 
 
-# ----------------------------------------------------------------------
-# simulate
-# ----------------------------------------------------------------------
-
-def _run_simulate(cfg: dict, threads: int):
-    check_fields(cfg, required=("N", "initial", "steps", "seed"),
-                 optional=("stride", "stop_threshold", "replicates"))
-    params = rule_params(cfg)
-    rule = make_rule(**params)
-    n = int(cfg["N"])
-    steps = int(cfg["steps"])
-    stride = int(cfg.get("stride", 1))
-    if n < 1 or steps < 0 or stride < 1:
-        raise ConfigError("N, steps, stride must be positive")
-    threshold = cfg.get("stop_threshold")
-    seed = int(cfg["seed"])
-    start = start_vector(cfg["initial"], rule.m)
-    x0 = round_to_lattice(start, n)
+@_command("simulate")
+def _run_simulate(cfg: dict, rule, threads: int):
+    """One trajectory of the resampling chain, written as CSV."""
+    n, stride, threshold = cfg["N"], cfg["stride"], cfg.get("stop_threshold")
+    x0 = round_to_lattice(cfg["initial"], n)
 
     def stop(counts):
         return threshold is not None and counts.min() / n <= threshold
@@ -187,40 +170,23 @@ def _run_simulate(cfg: dict, threads: int):
     if stop(x0.counts):
         path = x0.counts[None, :]
     else:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        path = sample_path(rule, x0, steps, rng, stop=stop)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg["seed"])))
+        path = sample_path(rule, x0, cfg["steps"], rng, stop=stop)
     last = len(path) - 1
     stopped_at = last if stop(path[last]) else None
     # every stride-th step, plus the last one (the stop step or ``steps``)
     kept = itertools.chain(range(0, last + 1, stride), [last] if last % stride else [])
     rows = ((k, *path[k].tolist()) for k in kept)
-
-    resolved = dict(params)
-    resolved.update({"N": n, "initial": start.tolist(),
-                     "steps": steps, "stride": stride, "seed": seed})
-    if threshold is not None:
-        resolved["stop_threshold"] = float(threshold)
     header = ["step"] + [f"count_{j + 1}" for j in range(rule.m)]
     extras = {"stopped_at": stopped_at,
               "censored": bool(threshold is not None and stopped_at is None)}
-    return resolved, {"trajectory.csv": _csv_bytes(header, rows)}, extras
+    return {"trajectory.csv": _csv_bytes(header, rows)}, extras
 
 
-@main.command("simulate")
-@_common_options
-def cmd_simulate(config_path, seed, replicates, threads, out_dir):
-    """One trajectory of the resampling chain, written as CSV."""
-    _dispatch("simulate", _run_simulate, config_path, seed, replicates,
-              threads, out_dir)
-
-
-# ----------------------------------------------------------------------
-# extinction
-# ----------------------------------------------------------------------
-
-def _run_extinction(cfg: dict, threads: int):
-    spec = ExperimentSpec.from_config(cfg)
-    result = run_experiment(spec, threads=threads)
+@_command("extinction")
+def _run_extinction(cfg: dict, rule, threads: int):
+    """Stopped or absorbed trial ensembles (outcome tables + histogram)."""
+    result = run_experiment(ExperimentSpec(cfg), threads=threads)
     outputs = {
         "summary.json": _json_bytes(result.summary_dict()),
         "trials.csv": _csv_bytes(result.TRIAL_COLUMNS, result.trial_rows()),
@@ -232,35 +198,16 @@ def _run_extinction(cfg: dict, threads: int):
                                 result.histogram_counts)],
         ),
     }
-    return spec.to_config(), outputs, {"censored_total": int(result.censored.sum())}
+    return outputs, {"censored_total": int(result.censored.sum())}
 
 
-@main.command("extinction")
-@_common_options
-def cmd_extinction(config_path, seed, replicates, threads, out_dir):
-    """Stopped or absorbed trial ensembles (outcome tables + histogram)."""
-    _dispatch("extinction", _run_extinction, config_path, seed, replicates,
-              threads, out_dir)
-
-
-# ----------------------------------------------------------------------
-# qsd
-# ----------------------------------------------------------------------
-
-def _run_qsd(cfg: dict, threads: int):
-    check_fields(cfg, required=("N",),
-                 optional=("include_weights", "tol", "seed", "replicates"))
-    params = rule_params(cfg)
-    rule = make_rule(**params)
-    n_values = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
-    n_values = [int(v) for v in n_values]
-    tol = float(cfg.get("tol", 1e-12))
-    include_weights = bool(cfg.get("include_weights", False))
-
+@_command("qsd")
+def _run_qsd(cfg: dict, rule, threads: int):
+    """Quasi-stationary distribution of the interior restriction."""
     results = []
-    for n in n_values:
+    for n in cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]:
         chain = build_exact_chain(rule, n)
-        res = interior_qsd(chain, tol=tol)
+        res = interior_qsd(chain, tol=cfg["tol"])
         entry = {
             "N": n,
             "eigenvalue": res.eigenvalue,
@@ -268,59 +215,32 @@ def _run_qsd(cfg: dict, threads: int):
             "iterations": res.iterations,
             "interior_states": int(res.weights.size),
         }
-        if include_weights:
+        if cfg["include_weights"]:
             entry["states"] = res.states.tolist()
             entry["weights"] = res.weights.tolist()
         results.append(entry)
-
-    resolved = dict(params)
-    resolved.update({"N": n_values if isinstance(cfg["N"], list) else n_values[0],
-                     "tol": tol, "include_weights": include_weights})
-    return resolved, {"qsd.json": _json_bytes({"results": results})}, None
+    return {"qsd.json": _json_bytes({"results": results})}, None
 
 
-@main.command("qsd")
-@_common_options
-def cmd_qsd(config_path, seed, replicates, threads, out_dir):
-    """Quasi-stationary distribution of the interior restriction."""
-    _dispatch("qsd", _run_qsd, config_path, seed, replicates, threads, out_dir)
-
-
-# ----------------------------------------------------------------------
-# bounds
-# ----------------------------------------------------------------------
-
-def _run_bounds(cfg: dict, threads: int):
-    check_fields(cfg, required=("N", "epsilons", "horizon", "replicates", "seed"),
-                 optional=("initial", "lipschitz_samples", "safety"))
-    params = rule_params(cfg)
-    rule = make_rule(**params)
-    if "initial" in cfg:
-        start = start_vector(cfg["initial"], rule.m)
-    else:
-        start = solve_interior_equilibrium(params["matrix"]).vector
+@_command("bounds")
+def _run_bounds(cfg: dict, rule, threads: int):
+    """Decoupling-time tail bounds versus empirical frequencies."""
+    if "initial" not in cfg:
+        # the default start, recorded in the manifest: the interior equilibrium
+        cfg["initial"] = solve_interior_equilibrium(cfg["matrix"]).vector.tolist()
     n_values = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
-    n_values = [int(v) for v in n_values]
-    epsilons = [float(e) for e in cfg["epsilons"]]
-    horizon = int(cfg["horizon"])
-    replicates = int(cfg["replicates"])
-    seed = int(cfg["seed"])
-    samples = int(cfg.get("lipschitz_samples", 300))
-    safety = float(cfg.get("safety", 1.2))
-
-    master = np.random.SeedSequence(seed)
-    streams = master.spawn(len(n_values) + 1)
-    lip = estimate_lipschitz(rule, samples,
+    streams = np.random.SeedSequence(cfg["seed"]).spawn(len(n_values) + 1)
+    lip = estimate_lipschitz(rule, cfg["lipschitz_samples"],
                              np.random.Generator(np.random.PCG64(streams[0])))
-    rho = safety * lip.value
+    rho = cfg["safety"] * lip.value
 
     rows = []
     expectation = []
     for idx, n in enumerate(n_values):
-        x0 = round_to_lattice(start, n)
+        x0 = round_to_lattice(cfg["initial"], n)
         rng = np.random.Generator(np.random.PCG64(streams[idx + 1]))
-        ens = simulate_deviations(rule, x0, horizon, replicates, rng)
-        for eps in epsilons:
+        ens = simulate_deviations(rule, x0, cfg["horizon"], cfg["replicates"], rng)
+        for eps in cfg["epsilons"]:
             for row in bound_table(ens, eps, rho, rule.m):
                 rows.append((row.n, row.epsilon, row.horizon, row.exceed_count,
                              row.replicates, repr(row.empirical),
@@ -336,12 +256,6 @@ def _run_bounds(cfg: dict, threads: int):
                 entry.update({"expectation_bound": None, "applicable": False})
             expectation.append(entry)
 
-    resolved = dict(params)
-    resolved.update({"N": n_values if isinstance(cfg["N"], list) else n_values[0],
-                     "epsilons": epsilons, "horizon": horizon,
-                     "replicates": replicates, "seed": seed,
-                     "initial": start.tolist(),
-                     "lipschitz_samples": samples, "safety": safety})
     header = ["N", "epsilon", "K", "exceed_count", "replicates",
               "empirical_prob", "wilson_upper_99", "bound", "consistent"]
     summary = {"lipschitz_estimate": lip.value, "rho_used": rho,
@@ -349,15 +263,7 @@ def _run_bounds(cfg: dict, threads: int):
                "expectation": expectation}
     outputs = {"bounds.csv": _csv_bytes(header, rows),
                "bounds_summary.json": _json_bytes(summary)}
-    return resolved, outputs, None
-
-
-@main.command("bounds")
-@_common_options
-def cmd_bounds(config_path, seed, replicates, threads, out_dir):
-    """Decoupling-time tail bounds versus empirical frequencies."""
-    _dispatch("bounds", _run_bounds, config_path, seed, replicates, threads,
-              out_dir)
+    return outputs, None
 
 
 if __name__ == "__main__":

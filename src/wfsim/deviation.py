@@ -68,7 +68,11 @@ def contraction_coefficient(rho: float, horizon: int) -> float:
         return 1.0 / horizon
     # 1 - rho^K via expm1 keeps precision when rho is close to 1; the
     # exact value never exceeds 1 (equality at K = 1), so clamp rounding
-    den = -math.expm1(horizon * math.log(rho))
+    try:
+        den = -math.expm1(horizon * math.log(rho))
+    except OverflowError:
+        # rho^K > 1e308 with K >= 2 puts the factor below rho^(1 - K) < 1e-154
+        return 0.0
     return min(1.0, (1.0 - rho) / den)
 
 

@@ -20,15 +20,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .config import resolve, rule_keywords
 from .errors import ConfigError, DomainError, NoInteriorEquilibrium, PreconditionError
-from .fitness import (
-    UpdateRule,
-    check_fields,
-    make_rule,
-    rule_params,
-    sampling_probs,
-    start_vector,
-)
+from .fitness import UpdateRule, make_rule, sampling_probs
 from .meanfield import solve_interior_equilibrium
 from .simplex import LatticePoint, SimplexPoint, SupportSet, round_to_lattice
 
@@ -233,83 +227,28 @@ def run_trial_absorption(rule: UpdateRule, x0: LatticePoint,
 # ensembles
 # ----------------------------------------------------------------------
 
-@dataclass
 class ExperimentSpec:
-    """Plain-data description of a trial ensemble (JSON round-trippable)."""
+    """A trial ensemble: a resolved ``extinction`` config (see
+    :mod:`wfsim.config`) with its fields as attributes.  Build it with
+    :meth:`from_config`; the constructor takes an already resolved config."""
 
-    rule_params: dict
-    n: int
-    initials: list[list[float]]
-    replicates: int
-    seed: int
-    mode: str = "threshold"                      # or "absorption"
-    stop_threshold: float = 0.05
-    sample_window: tuple[int, int] = (1000, 5000)
-    max_steps: int = 1_000_000
-    bin_width: float = 0.01
-
-    def __post_init__(self):
-        if self.mode not in ("threshold", "absorption"):
-            raise ConfigError(f"unknown experiment mode {self.mode!r}")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be positive")
-        if self.n < 1:
-            raise ConfigError("population size must be positive")
-        if not self.initials:
-            raise ConfigError("at least one initial condition is required")
-        self.sample_window = (int(self.sample_window[0]), int(self.sample_window[1]))
-        self.initials = [start_vector(x0, self.m).tolist() for x0 in self.initials]
+    def __init__(self, config: dict):
+        self.config = config
+        self.rule_params = rule_keywords(config)
+        self.n, self.m, self.initials = config["N"], config["M"], config["initials"]
+        self.replicates, self.seed = config["replicates"], config["seed"]
+        self.mode, self.stop_threshold = config["mode"], config["stop_threshold"]
+        self.sample_window = tuple(config["sample_window"])
+        self.max_steps, self.bin_width = config["max_steps"], config["bin_width"]
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ExperimentSpec":
-        """Build from a config mapping with the documented field names."""
-        check_fields(cfg, required=("matrix", "N", "initials", "replicates", "seed"),
-                     optional=("M", "mode", "stop_threshold", "sample_window",
-                               "max_steps", "bin_width"))
-        m_declared = cfg.get("M")
-        spec = cls(
-            rule_params=rule_params(cfg),
-            n=int(cfg["N"]),
-            initials=cfg["initials"],
-            replicates=int(cfg["replicates"]),
-            seed=int(cfg["seed"]),
-            mode=cfg.get("mode", "threshold"),
-            stop_threshold=float(cfg.get("stop_threshold", 0.05)),
-            sample_window=tuple(cfg.get("sample_window", (1000, 5000))),
-            max_steps=int(cfg.get("max_steps", 1_000_000)),
-            bin_width=float(cfg.get("bin_width", 0.01)),
-        )
-        if m_declared is not None and int(m_declared) != spec.m:
-            raise ConfigError(
-                f"declared M={m_declared} but the matrix is {spec.m}x{spec.m}"
-            )
-        return spec
-
-    @property
-    def m(self) -> int:
-        return len(self.rule_params["matrix"])
+        """Check and resolve a config mapping with the documented field names."""
+        return cls(resolve("extinction", cfg))
 
     def to_config(self) -> dict:
         """Resolved config mapping; feeding it back reproduces this spec."""
-        out = {
-            "matrix": [list(map(float, row)) for row in self.rule_params["matrix"]],
-            "N": self.n,
-            "M": self.m,
-            "initials": [list(row) for row in self.initials],
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "mode": self.mode,
-            "stop_threshold": self.stop_threshold,
-            "sample_window": list(self.sample_window),
-            "max_steps": self.max_steps,
-            "bin_width": self.bin_width,
-            "fitness": self.rule_params.get("fitness", "linear_fractional"),
-        }
-        for key in ("b", "beta", "mutation", "omega"):
-            if self.rule_params.get(key) is not None:
-                val = self.rule_params[key]
-                out[key] = np.asarray(val).tolist() if key in ("b", "mutation") else val
-        return out
+        return dict(self.config)
 
     def build_rule(self) -> UpdateRule:
         return make_rule(**self.rule_params)
@@ -347,10 +286,9 @@ def _experiment_context(spec: ExperimentSpec):
     return rule, eq, fit_set
 
 
-def _run_chunk(cfg: dict, initial_idx: int, start: int,
+def _run_chunk(spec: ExperimentSpec, initial_idx: int, start: int,
                stop: int) -> list[tuple[int, int, TrialOutcome]]:
     """Worker: trials [start, stop) of one initial condition."""
-    spec = ExperimentSpec.from_config(cfg)
     rule, eq, fit_set = _experiment_context(spec)
     x0 = round_to_lattice(np.asarray(spec.initials[initial_idx]), spec.n)
     rows = []
@@ -433,7 +371,6 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     """
     if threads < 1:
         raise ConfigError("threads must be positive")
-    cfg = spec.to_config()
     _, eq, fit_set = _experiment_context(spec)
 
     n_initials = len(spec.initials)
@@ -445,10 +382,10 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     all_rows: list[tuple[int, int, TrialOutcome]] = []
     if threads == 1:
         for i, s, e in tasks:
-            all_rows.extend(_run_chunk(cfg, i, s, e))
+            all_rows.extend(_run_chunk(spec, i, s, e))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_chunk, cfg, i, s, e) for i, s, e in tasks]
+            futures = [pool.submit(_run_chunk, spec, i, s, e) for i, s, e in tasks]
             for fut in futures:
                 all_rows.extend(fut.result())
     all_rows.sort(key=lambda row: (row[0], row[1]))

@@ -6,9 +6,9 @@ the fitness-weighted renormalization of the current one; an optional
 row-stochastic mutation matrix is applied to the profile first.  Darwinian,
 reproductive, and average fitness notions are derived from the update map.
 Every sampler in the package draws from the multinomial cell
-probabilities of :func:`sampling_probs`, and every command reads the
-config fields that describe a rule through the helpers after
-:func:`make_rule`.
+probabilities of :func:`sampling_probs`, and every command builds its
+rule with :func:`make_rule`, which checks the parameters each fitness
+family takes.
 """
 
 from __future__ import annotations
@@ -365,11 +365,15 @@ def make_rule(matrix, *, omega: float | None = None,
     """Build an update rule from plain (JSON-friendly) parameters.
 
     The mixing weight may be given directly (``omega``) or in odds form
-    (``omega_ratio`` = omega / (1 - omega)), but not both.
+    (``omega_ratio`` = omega / (1 - omega)), but not both.  A parameter
+    of the other fitness family (``beta``; ``omega``, ``omega_ratio``,
+    ``b``) is a config error.
     """
     payoff = PayoffMatrix(matrix)
     mut = MutationMatrix(mutation) if mutation is not None else None
     if fitness == "linear_fractional":
+        if beta is not None:
+            raise ConfigError("beta does not apply to linear-fractional fitness")
         if (omega is None) == (omega_ratio is None):
             raise ConfigError(
                 "linear-fractional fitness needs exactly one of omega, omega_ratio"
@@ -388,69 +392,6 @@ def make_rule(matrix, *, omega: float | None = None,
     else:
         raise ConfigError(f"unknown fitness kind {fitness!r}")
     return UpdateRule(model, mut)
-
-
-# ----------------------------------------------------------------------
-# config fields shared by every command
-# ----------------------------------------------------------------------
-
-#: Config fields that describe the update rule: the keywords of
-#: :func:`make_rule`, plus ``omega_ratio``, the odds form of ``omega``.
-RULE_FIELDS = ("matrix", "omega", "omega_ratio", "b", "fitness", "beta", "mutation")
-
-#: A configured initial condition must sum to 1 within this tolerance.
-START_SUM_TOL = 1e-9
-
-
-def check_fields(cfg: dict, required=(), optional=()) -> None:
-    """Reject a config mapping that has a field which is neither a rule
-    field nor listed, or that lacks a required field."""
-    unknown = set(cfg) - set(RULE_FIELDS) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
-    missing = set(required) - set(cfg)
-    if missing:
-        raise ConfigError(f"config missing fields: {', '.join(sorted(missing))}")
-
-
-def rule_params(cfg: dict) -> dict:
-    """The :func:`make_rule` keywords of a config mapping.
-
-    Null fields are dropped and ``omega_ratio`` is resolved to ``omega``,
-    so a resolved config carries one canonical mixing weight.  Giving both
-    is a config error, as it is for :func:`make_rule`.
-    """
-    if cfg.get("matrix") is None:
-        raise ConfigError("config missing field: matrix")
-    params = {k: cfg[k] for k in RULE_FIELDS if cfg.get(k) is not None}
-    omega, ratio = params.pop("omega", None), params.pop("omega_ratio", None)
-    if omega is not None and ratio is not None:
-        raise ConfigError("give one of omega, omega_ratio, not both")
-    if ratio is not None:
-        omega = ratio / (1.0 + ratio)
-    if params.get("fitness", "linear_fractional") == "linear_fractional":
-        params["omega"] = omega
-    return params
-
-
-def start_vector(x, m: int) -> np.ndarray:
-    """A configured initial condition as a float array.
-
-    Raises :class:`ConfigError` unless it holds ``m`` finite, non-negative
-    entries summing to 1 within ``START_SUM_TOL``.
-    """
-    try:
-        arr = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != (m,):
-        raise ConfigError(f"initial condition {x!r} must be a list of {m} numbers")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ConfigError(f"initial condition {x!r} must be finite and non-negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > START_SUM_TOL:
-        raise ConfigError(f"initial condition {x!r} sums to {total!r}, not 1")
-    return arr
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wfsim
 from wfsim.chain import sample_path
 from wfsim.cli import main
+from wfsim.config import COMMANDS, FIELDS, resolve
 from wfsim.fitness import make_rule
 from wfsim.simplex import round_to_lattice
 
@@ -459,3 +464,172 @@ class TestPlumbing:
             assert cfg["replicates"] == 10_000
             assert cfg["N"] == 500
             assert len(cfg["initials"]) == 3
+
+
+# ----------------------------------------------------------------------
+# the config schema
+# ----------------------------------------------------------------------
+
+def small_config(command):
+    """A small valid config for any command."""
+    if command == "meanfield":
+        return {"matrix": A2, "omega": 0.5}
+    if command == "qsd":
+        return {"matrix": A2, "omega": 0.5, "N": [4]}
+    return start_config(command, [0.8, 0.1, 0.1])
+
+
+def invoke(command, cfg, out_dir, *args):
+    """Run a command on a config, catching any exception it lets escape."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = write_config(out_dir, "config.json", cfg)
+    return CliRunner().invoke(main, [command, "--config", path,
+                                     "--out", str(out_dir / "out"), *args],
+                              catch_exceptions=True)
+
+
+def assert_config_error(result, *names):
+    # an uncaught exception also exits 1; only a SystemExit means the
+    # command reported the error itself
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.exit_code == 1, result.stderr
+    assert "config error:" in result.stderr
+    for name in names:
+        assert name in result.stderr
+
+
+RAGGED = [[1, 20, 35], [20, 21], [35, 30, 1]]
+
+
+class TestConfigSchema:
+    """Malformed values exit 1 with a config error on every command."""
+
+    def check_malformed(self, tmp_path, command, update):
+        cfg = small_config(command)
+        cfg.update(update)
+        assert_config_error(invoke(command, cfg, tmp_path), *update)
+
+    @pytest.mark.parametrize("update", [
+        {"matrix": "abc"}, {"matrix": RAGGED}, {"matrix": []}, {"omega": "0.5"},
+        {"check_permanence": "no"}, {"check_permanence": None}, {"seed": 1},
+    ], ids=repr)
+    def test_meanfield(self, tmp_path, update):
+        self.check_malformed(tmp_path, "meanfield", update)
+
+    @pytest.mark.parametrize("update", [
+        {"N": "fifty"}, {"N": [50]}, {"N": True}, {"N": 50.7}, {"N": 0},
+        {"N": 2**62},
+        {"seed": 1.5}, {"seed": -1}, {"steps": "5"}, {"stride": 0},
+        {"stop_threshold": None}, {"stop_threshold": -0.1}, {"omega": 1.5},
+        {"replicates": 3},
+    ], ids=repr)
+    def test_simulate(self, tmp_path, update):
+        self.check_malformed(tmp_path, "simulate", update)
+
+    @pytest.mark.parametrize("update", [
+        {"N": "fifty"}, {"N": [50]}, {"matrix": RAGGED}, {"bin_width": 0},
+        {"bin_width": 1e300}, {"sample_window": [1]},
+        {"sample_window": [5, 1]}, {"stop_threshold": None}, {"initials": 5},
+        {"initials": []}, {"replicates": 0}, {"max_steps": -1},
+        {"mode": None}, {"M": "3"}, {"seed": 1.5},
+    ], ids=repr)
+    def test_extinction(self, tmp_path, update):
+        self.check_malformed(tmp_path, "extinction", update)
+
+    @pytest.mark.parametrize("update", [
+        {"tol": "x"}, {"tol": -1}, {"include_weights": "false"},
+        {"N": "fifty"}, {"N": [4, 0]}, {"N": []}, {"matrix": "abc"},
+        {"seed": 1},
+    ], ids=repr)
+    def test_qsd(self, tmp_path, update):
+        self.check_malformed(tmp_path, "qsd", update)
+
+    @pytest.mark.parametrize("update", [
+        {"epsilons": 0.1}, {"epsilons": []}, {"epsilons": [0.1, 0]},
+        {"horizon": 0}, {"replicates": 0}, {"lipschitz_samples": 0},
+        {"safety": -1}, {"N": 50.7}, {"N": ["50"]}, {"b": [1, 1]},
+    ], ids=repr)
+    def test_bounds(self, tmp_path, update):
+        self.check_malformed(tmp_path, "bounds", update)
+
+    @pytest.mark.parametrize("params", [
+        {"omega": 0.5, "beta": 3},
+        {"fitness": "exponential", "beta": 0.3, "omega": 0.5},
+        {"fitness": "exponential", "beta": 0.3, "omega_ratio": 1.0},
+    ], ids=["linear-fractional-beta", "exponential-omega",
+            "exponential-omega_ratio"])
+    @pytest.mark.parametrize("command", ["simulate", "extinction", "bounds"])
+    def test_parameter_of_the_other_fitness_family_exits_one(
+            self, tmp_path, command, params):
+        cfg = start_config(command, [0.8, 0.1, 0.1])
+        del cfg["omega"]
+        cfg.update(params)
+        assert_config_error(invoke(command, cfg, tmp_path), "apply to")
+
+    @pytest.mark.parametrize("command, flag", [
+        ("meanfield", "--seed"), ("qsd", "--seed"), ("meanfield", "--replicates"),
+        ("simulate", "--replicates"), ("qsd", "--replicates"),
+    ])
+    def test_flag_the_command_does_not_use_exits_one(self, tmp_path, command,
+                                                      flag):
+        result = invoke(command, small_config(command), tmp_path, flag, "3")
+        assert_config_error(result, flag)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_threads_below_one_exit_one(self, tmp_path, command):
+        result = invoke(command, small_config(command), tmp_path,
+                        "--threads", "0")
+        assert_config_error(result, "--threads")
+
+    def test_bounds_takes_both_overrides(self, tmp_path):
+        result = invoke("bounds", small_config("bounds"), tmp_path,
+                        "--seed", "4", "--replicates", "6", "--threads", "2")
+        assert result.exit_code == 0, result.stderr
+        manifest = load_json(tmp_path / "out", "manifest.json")
+        assert (manifest["seed"], manifest["config"]["replicates"]) == (4, 6)
+
+    def test_resolved_config_is_a_fixed_point(self):
+        for command in COMMANDS:
+            cfg = small_config(command)
+            cfg.pop("omega")
+            cfg["omega_ratio"] = 1.0
+            resolved = resolve(command, cfg)
+            assert resolved["omega"] == 0.5 and "omega_ratio" not in resolved
+            assert resolve(command, resolved) == resolved
+
+    def test_readme_table_lists_every_field(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### Config fields", 1)[1].split("\n\n")[2]
+        rows = [line.split("|") for line in table.splitlines()[2:]]
+        listed = {row[1].strip().strip("`"): {
+            c.strip() for c in row[4].split(",")} for row in rows}
+        assert set(listed) == set(FIELDS)
+        for name, commands in listed.items():
+            want = {c for c, fields in COMMANDS.items() if name in fields}
+            assert commands == ({"all"} if want == set(COMMANDS) else want), name
+
+
+#: Replacement values for the property test.  No integer in it is large,
+#: so no replacement makes a valid run long.
+POOL = ["x", "", True, False, None, [1, 2], [[0.5, 0.5]], 0, -1, 0.5, 1e300]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(COMMANDS)), data=st.data())
+def test_mutated_configs_exit_cleanly(command, data):
+    cfg = small_config(command)
+    mutations = data.draw(st.lists(st.sampled_from(["drop", "add", "replace"]),
+                                   min_size=1, max_size=2))
+    for kind in mutations:
+        if kind == "drop" and cfg:
+            del cfg[data.draw(st.sampled_from(sorted(cfg)))]
+        elif kind == "add":
+            cfg["bogus"] = data.draw(st.sampled_from(POOL))
+        else:
+            cfg[data.draw(st.sampled_from(COMMANDS[command]))] = \
+                data.draw(st.sampled_from(POOL))
+    with tempfile.TemporaryDirectory() as tmp:
+        result = invoke(command, cfg, Path(tmp))
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        "".join(traceback.format_exception(*result.exc_info))

@@ -90,6 +90,12 @@ class TestContractionCoefficient:
     def test_long_horizon_tends_to_one_minus_rho(self):
         assert contraction_coefficient(0.5, 10_000) == pytest.approx(0.5)
 
+    def test_expansive_map_past_float_range(self):
+        # 3^1000 overflows a float; the exact factor is 2 / (3^1000 - 1)
+        assert contraction_coefficient(3.0, 1000) == 0.0
+        assert hoeffding_bound(epsilon=0.1, horizon=1000, n=500, m=3,
+                               rho=3.0) == 1.0
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             contraction_coefficient(0.0, 5)

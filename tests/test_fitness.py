@@ -347,6 +347,10 @@ class TestMakeRule:
         with pytest.raises(ConfigError):
             make_rule(A_TWO, fitness="exponential", beta=1.0, omega=0.5)
 
+    def test_linear_fractional_rejects_beta(self):
+        with pytest.raises(ConfigError, match="beta"):
+            make_rule(A_TWO, omega=0.5, beta=3.0)
+
     def test_unknown_fitness_kind(self):
         with pytest.raises(ConfigError):
             make_rule(A_TWO, omega=0.5, fitness="quadratic")
