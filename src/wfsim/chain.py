@@ -156,16 +156,18 @@ def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
     """
     m = rule.m
     size = lattice_size(m, n)
+    # the entry cap binds first (at 3,163 states): raising the state cap
+    # cannot help past it
+    if size * size > PAIR_CAP:
+        raise ResourceLimitExceeded(
+            f"dense matrix would have {size * size} entries "
+            f"(cap {PAIR_CAP}); reduce N or M"
+        )
     cap = state_cap()
     if size > cap:
         raise ResourceLimitExceeded(
             f"{size} states exceeds the cap of {cap}; "
             f"set WF_MAX_STATES to raise it deliberately"
-        )
-    if size * size > PAIR_CAP:
-        raise ResourceLimitExceeded(
-            f"dense matrix would have {size * size} entries "
-            f"(cap {PAIR_CAP}); reduce N or M"
         )
     states = lattice_counts(m, n)
     log_fact_rows = gammaln(states + 1.0).sum(axis=1)

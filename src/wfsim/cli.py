@@ -24,7 +24,6 @@ import time
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .chain import build_exact_chain, interior_qsd, sample_path
@@ -37,7 +36,7 @@ from .deviation import (
 from .config import COMMANDS, resolve, rule_keywords
 from .errors import ConfigError, WfsimError
 from .extinction import ExperimentSpec, run_experiment
-from .fitness import make_rule
+from .fitness import make_rule, rng_stream
 from .meanfield import build_meanfield_report, solve_interior_equilibrium
 from .simplex import round_to_lattice
 
@@ -170,8 +169,7 @@ def _run_simulate(cfg: dict, rule, threads: int):
     if stop(x0.counts):
         path = x0.counts[None, :]
     else:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg["seed"])))
-        path = sample_path(rule, x0, cfg["steps"], rng, stop=stop)
+        path = sample_path(rule, x0, cfg["steps"], rng_stream(cfg["seed"]), stop=stop)
     last = len(path) - 1
     stopped_at = last if stop(path[last]) else None
     # every stride-th step, plus the last one (the stop step or ``steps``)
@@ -229,17 +227,15 @@ def _run_bounds(cfg: dict, rule, threads: int):
         # the default start, recorded in the manifest: the interior equilibrium
         cfg["initial"] = solve_interior_equilibrium(cfg["matrix"]).vector.tolist()
     n_values = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
-    streams = np.random.SeedSequence(cfg["seed"]).spawn(len(n_values) + 1)
-    lip = estimate_lipschitz(rule, cfg["lipschitz_samples"],
-                             np.random.Generator(np.random.PCG64(streams[0])))
+    lip = estimate_lipschitz(rule, cfg["lipschitz_samples"], rng_stream(cfg["seed"], 0))
     rho = cfg["safety"] * lip.value
 
     rows = []
     expectation = []
     for idx, n in enumerate(n_values):
         x0 = round_to_lattice(cfg["initial"], n)
-        rng = np.random.Generator(np.random.PCG64(streams[idx + 1]))
-        ens = simulate_deviations(rule, x0, cfg["horizon"], cfg["replicates"], rng)
+        ens = simulate_deviations(rule, x0, cfg["horizon"], cfg["replicates"],
+                                  rng_stream(cfg["seed"], idx + 1))
         for eps in cfg["epsilons"]:
             for row in bound_table(ens, eps, rho, rule.m):
                 rows.append((row.n, row.epsilon, row.horizon, row.exceed_count,

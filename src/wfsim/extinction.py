@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import resolve, rule_keywords
 from .errors import ConfigError, DomainError, NoInteriorEquilibrium, PreconditionError
-from .fitness import UpdateRule, make_rule, sampling_probs
+from .fitness import UpdateRule, make_rule, rng_stream, sampling_probs
 from .meanfield import solve_interior_equilibrium
 from .simplex import LatticePoint, SimplexPoint, SupportSet, round_to_lattice
 
@@ -255,10 +255,8 @@ class ExperimentSpec:
 
 
 def trial_rng(seed: int, initial_idx: int, trial: int) -> np.random.Generator:
-    """The canonical per-trial stream: results depend only on these three
-    integers, never on scheduling."""
-    ss = np.random.SeedSequence(seed, spawn_key=(initial_idx, trial))
-    return np.random.Generator(np.random.PCG64(ss))
+    """The canonical per-trial stream, spawn key (initial, trial)."""
+    return rng_stream(seed, initial_idx, trial)
 
 
 def _experiment_context(spec: ExperimentSpec):

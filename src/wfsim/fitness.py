@@ -6,9 +6,9 @@ the fitness-weighted renormalization of the current one; an optional
 row-stochastic mutation matrix is applied to the profile first.  Darwinian,
 reproductive, and average fitness notions are derived from the update map.
 Every sampler in the package draws from the multinomial cell
-probabilities of :func:`sampling_probs`, and every command builds its
-rule with :func:`make_rule`, which checks the parameters each fitness
-family takes.
+probabilities of :func:`sampling_probs`; every command seeds its random
+streams with :func:`rng_stream` and builds its rule with
+:func:`make_rule`, which checks the parameters each fitness family takes.
 """
 
 from __future__ import annotations
@@ -77,10 +77,11 @@ class PayoffMatrix:
     @property
     def is_invertible(self) -> bool:
         if "inv" not in self._flags:
-            scale = max(1.0, float(np.abs(self._entries).max())) ** self.m
-            self._flags["inv"] = bool(
-                abs(np.linalg.det(self._entries)) > DET_TOL * scale
-            )
+            # compared in log space: the determinant and the scale can
+            # leave the float range for large finite payoffs
+            sign, log_det = np.linalg.slogdet(self._entries)
+            log_scale = self.m * np.log(max(1.0, float(np.abs(self._entries).max())))
+            self._flags["inv"] = bool(sign != 0 and log_det > np.log(DET_TOL) + log_scale)
         return self._flags["inv"]
 
     def __repr__(self) -> str:
@@ -333,6 +334,13 @@ def sampling_probs(rule: UpdateRule, freqs: np.ndarray) -> np.ndarray:
     p = np.maximum(p, 0.0)
     p /= p.sum(axis=-1, keepdims=True)
     return p
+
+
+def rng_stream(seed: int, *key: int) -> np.random.Generator:
+    """The one random stream scheme: PCG64 seeded by ``seed`` with spawn
+    key ``key``, so results depend only on these integers, never on
+    scheduling.  ``SeedSequence(seed).spawn(k)[j]`` is ``rng_stream(seed, j)``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,

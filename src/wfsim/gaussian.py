@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, NumericRangeError, PreconditionError
 from .fitness import UpdateRule, sampling_probs
-from .meanfield import Orbit, iterate
+from .meanfield import Orbit, iterate, spectral_radius_on_sum_zero, sum_zero_basis
 from .simplex import SimplexPoint, round_to_lattice
 
 #: Eigenvalues of a noise covariance this far below zero are rounding
@@ -57,9 +58,23 @@ def sample_degenerate_gaussian(cov: np.ndarray, rng: np.random.Generator,
     """Centered Gaussian draw(s) with a possibly rank-deficient covariance."""
     root = _gaussian_root(cov)
     m = cov.shape[0]
-    if size is None:
-        return root @ rng.standard_normal(m)
-    return rng.standard_normal((size, m)) @ root.T
+    return rng.standard_normal(m if size is None else (size, m)) @ root.T
+
+
+def _ar1_coefficients(orbit: Orbit, stationary: bool,
+                      steps: Optional[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (D_k, Sigma_{k+1}) pair of each step of the linear recursion:
+    along the orbit, or frozen at its final point when ``stationary``."""
+    if steps is None:
+        steps = len(orbit) - 1
+    if stationary:
+        point = orbit.final
+        return [(orbit.rule.jacobian(point),
+                 noise_covariance(orbit.rule.update_probs(point)))] * steps
+    if steps > len(orbit) - 1:
+        raise PreconditionError("orbit is shorter than the requested horizon")
+    return [(orbit.rule.jacobian(orbit.states[k]), noise_covariance(orbit.states[k + 1]))
+            for k in range(steps)]
 
 
 def ar1_sample(orbit: Orbit, u0, rng: np.random.Generator,
@@ -87,34 +102,15 @@ def ar1_sample(orbit: Orbit, u0, rng: np.random.Generator,
         raise DimensionMismatch("initial deviation has the wrong shape")
     if float(np.abs(u0.sum(axis=-1)).max()) > 1e-10:
         raise PreconditionError("initial deviation must have zero coordinate sum")
-    if steps is None:
-        steps = len(orbit) - 1
-    if not stationary and steps > len(orbit) - 1:
-        raise PreconditionError("orbit is shorter than the requested path")
+    coeffs = _ar1_coefficients(orbit, stationary, steps)
 
-    if stationary:
-        point = orbit.final
-        coeffs = [(orbit.rule.jacobian(point),
-                   _gaussian_root(noise_covariance(orbit.rule.update_probs(point))))]
-        coeffs = coeffs * steps
-    else:
-        coeffs = [(orbit.rule.jacobian(orbit.states[k]),
-                   _gaussian_root(noise_covariance(orbit.states[k + 1])))
-                  for k in range(steps)]
-
-    if paths is None:
-        path = np.empty((steps + 1, m))
-        path[0] = u0
-        for k, (d, root) in enumerate(coeffs):
-            path[k + 1] = d @ path[k] + root @ rng.standard_normal(m)
-        return path
-
-    out = np.empty((paths, steps + 1, m))
+    # a single path is an ensemble of one with the leading axis dropped
+    out = np.empty((1 if paths is None else paths, len(coeffs) + 1, m))
     out[:, 0, :] = u0
-    for k, (d, root) in enumerate(coeffs):
-        noise = rng.standard_normal((paths, m)) @ root.T
+    for k, (d, sig) in enumerate(coeffs):
+        noise = rng.standard_normal((out.shape[0], m)) @ _gaussian_root(sig).T
         out[:, k + 1, :] = out[:, k, :] @ d.T + noise
-    return out
+    return out[0] if paths is None else out
 
 
 def ar1_covariance(orbit: Orbit, v0: Optional[np.ndarray] = None,
@@ -131,51 +127,39 @@ def ar1_covariance(orbit: Orbit, v0: Optional[np.ndarray] = None,
     v0 = np.asarray(v0, dtype=np.float64)
     if v0.shape != (m, m):
         raise DimensionMismatch("initial covariance has the wrong shape")
-    if steps is None:
-        steps = len(orbit) - 1
-    if not stationary and steps > len(orbit) - 1:
-        raise PreconditionError("orbit is shorter than the requested horizon")
-
-    out = np.empty((steps + 1, m, m))
+    coeffs = _ar1_coefficients(orbit, stationary, steps)
+    out = np.empty((len(coeffs) + 1, m, m))
     out[0] = v0
-    if stationary:
-        point = orbit.final
-        d = orbit.rule.jacobian(point)
-        sig = noise_covariance(orbit.rule.update_probs(point))
-        for k in range(steps):
-            out[k + 1] = d @ out[k] @ d.T + sig
-    else:
-        for k in range(steps):
-            d = orbit.rule.jacobian(orbit.states[k])
-            sig = noise_covariance(orbit.states[k + 1])
-            out[k + 1] = d @ out[k] @ d.T + sig
+    for k, (d, sig) in enumerate(coeffs):
+        out[k + 1] = d @ out[k] @ d.T + sig
     return out
 
 
-def stationary_covariance(d: np.ndarray, sigma: np.ndarray,
-                          tol: float = 1e-12, max_iter: int = 100_000,
-                          divergence_cap: float = 1e12) -> np.ndarray:
-    """Fixed point of V = D V D' + Sigma by iteration.
+def stationary_covariance(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Fixed point of V = D V D' + Sigma, solved directly.
 
-    Converges exactly when the derivative contracts the sum-zero subspace
-    (the noise lives there); raises when iterates blow past the
-    divergence cap, which is the expected behaviour for spectral radius
-    above one.
+    The noise lives on the sum-zero subspace with orthonormal basis B, so
+    V = B W B' where W solves the discrete Lyapunov equation of the pair
+    (B'DB, B'Sigma B).  Raises when D does not contract that subspace,
+    and when Sigma or D does not keep to it.
     """
     d = np.asarray(d, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    v = np.zeros_like(sigma)
-    for _ in range(max_iter):
-        nxt = d @ v @ d.T + sigma
-        if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > divergence_cap:
-            raise NumericRangeError(
-                "covariance recursion diverges (spectral radius >= 1 on the "
-                "noise subspace)"
-            )
-        if np.abs(nxt - v).max() < tol:
-            return nxt
-        v = nxt
-    raise NumericRangeError(f"covariance recursion did not settle in {max_iter} steps")
+    if spectral_radius_on_sum_zero(d) >= 1.0:
+        raise NumericRangeError(
+            "covariance recursion diverges (spectral radius >= 1 on the "
+            "noise subspace)"
+        )
+    basis = sum_zero_basis(d.shape[0])
+    ones = np.ones(d.shape[0])
+    if (np.abs(sigma @ ones).max() > 1e-10 * np.abs(sigma).max()
+            or np.abs(ones @ d @ basis).max() > 1e-10 * max(1.0, np.abs(d).max())):
+        raise PreconditionError(
+            "stationary covariance needs a noise covariance that annihilates "
+            "the all-ones vector and a derivative that keeps the sum-zero subspace"
+        )
+    w = scipy.linalg.solve_discrete_lyapunov(basis.T @ d @ basis, basis.T @ sigma @ basis)
+    return basis @ w @ basis.T
 
 
 # ----------------------------------------------------------------------

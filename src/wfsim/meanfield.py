@@ -487,34 +487,13 @@ class CoverResult:
     grid_resolution: int
 
 
-def _grid_nodes(m: int, resolution: int) -> np.ndarray:
-    return lattice_counts(m, resolution) / float(resolution)
+def _pseudo_orbit_levels(rule: UpdateRule, source, target, epsilon: float,
+                         grid_resolution: int) -> tuple[int, np.ndarray]:
+    """Backward breadth-first search from ``target`` over the grid graph.
 
-
-def _target_mask(nodes: np.ndarray, target) -> np.ndarray:
-    if callable(target):
-        return np.array([bool(target(v)) for v in nodes])
-    if isinstance(target, SimplexPoint):
-        points = [target.coords]
-    else:
-        arr = np.asarray(target, dtype=np.float64)
-        points = [arr] if arr.ndim == 1 else list(arr)
-    mask = np.zeros(nodes.shape[0], dtype=bool)
-    for p in points:
-        mask[int(np.argmin(np.max(np.abs(nodes - p), axis=1)))] = True
-    return mask
-
-
-def epsilon_chain_reachable(rule: UpdateRule, start, target, epsilon: float,
-                            grid_resolution: int = 60) -> ReachabilityResult:
-    """Breadth-first search for a pseudo-orbit from ``start`` to ``target``.
-
-    Grid nodes are the barycentric lattice at the given resolution; there
-    is a step from node ``u`` to node ``v`` whenever the image of ``u``
-    lies within ``epsilon`` (max-norm) of ``v``.  ``target`` may be a
-    predicate on frequency vectors, a single point, or a collection of
-    points (mapped to their nearest nodes).  Returns reachability and the
-    minimal number of steps.
+    Returns the node count and, for each node of ``source`` (every node
+    when None), the minimal pseudo-orbit length into ``target``, -1 where
+    no pseudo-orbit reaches it.
     """
     m = rule.m
     if m > 3:
@@ -523,82 +502,63 @@ def epsilon_chain_reachable(rule: UpdateRule, start, target, epsilon: float,
         raise ConfigError(
             f"epsilon {epsilon} must exceed the grid spacing {1.0 / grid_resolution}"
         )
-    nodes = _grid_nodes(m, grid_resolution)
-    start_vec = start.coords if isinstance(start, SimplexPoint) else np.asarray(start, dtype=np.float64)
-    start_idx = int(np.argmin(np.max(np.abs(nodes - start_vec), axis=1)))
-    target_mask = _target_mask(nodes, target)
+    nodes = lattice_counts(m, grid_resolution) / float(grid_resolution)
 
-    if target_mask[start_idx]:
-        return ReachabilityResult(True, 0, nodes.shape[0], grid_resolution)
+    def region_mask(region) -> np.ndarray:
+        if region is None:
+            return np.ones(nodes.shape[0], dtype=bool)
+        if callable(region):
+            return np.array([bool(region(v)) for v in nodes])
+        points = region.coords if isinstance(region, SimplexPoint) else np.asarray(region, dtype=np.float64)
+        nearest = np.abs(nodes - points.reshape(-1, 1, m)).max(axis=2).argmin(axis=1)
+        return np.isin(np.arange(nodes.shape[0]), nearest)
 
-    level = np.full(nodes.shape[0], -1, dtype=np.int64)
-    level[start_idx] = 0
-    frontier = [start_idx]
+    images = np.array([rule.update_probs(v) for v in nodes])
+    frontier = region_mask(target)
+    level = np.where(frontier, 0, -1)
     depth = 0
-    while frontier:
+    while np.any(frontier) and np.any(level < 0):
         depth += 1
-        next_frontier: list[int] = []
-        for u in frontier:
-            image = rule.update_probs(nodes[u])
-            reach = np.max(np.abs(nodes - image), axis=1) < epsilon
-            new = reach & (level < 0)
-            if np.any(new & target_mask):
-                return ReachabilityResult(True, depth, nodes.shape[0], grid_resolution)
-            idx = np.flatnonzero(new)
-            level[idx] = depth
-            next_frontier.extend(idx.tolist())
-        frontier = next_frontier
-    return ReachabilityResult(False, None, nodes.shape[0], grid_resolution)
+        unassigned = np.flatnonzero(level < 0)
+        dist = cdist(images[unassigned], nodes[frontier], metric="chebyshev")
+        level[unassigned[(dist < epsilon).any(axis=1)]] = depth
+        frontier = level == depth
+    return nodes.shape[0], level[region_mask(source)]
+
+
+def epsilon_chain_reachable(rule: UpdateRule, start, target, epsilon: float,
+                            grid_resolution: int = 60) -> ReachabilityResult:
+    """Whether a pseudo-orbit leads from ``start`` to ``target``.
+
+    Grid nodes are the barycentric lattice at the given resolution; there
+    is a step from node ``u`` to node ``v`` whenever the image of ``u``
+    lies within ``epsilon`` (max-norm) of ``v``.  ``target`` may be a
+    predicate on frequency vectors, a single point, or a collection of
+    points (mapped to their nearest nodes); ``start`` is mapped to its
+    nearest node.  Returns reachability and the minimal number of steps.
+    """
+    n_nodes, (length,) = _pseudo_orbit_levels(rule, start, target, epsilon,
+                                              grid_resolution)
+    return ReachabilityResult(bool(length >= 0), int(length) if length >= 0 else None,
+                              n_nodes, grid_resolution)
 
 
 def epsilon_chain_max_length(rule: UpdateRule, source, target, epsilon: float,
                              grid_resolution: int = 60) -> CoverResult:
     """Worst-case minimal pseudo-orbit length from a source region.
 
-    Computes, for every grid node in ``source`` (a predicate, or None for
-    all nodes), the minimal pseudo-orbit length into ``target``, and
-    returns the maximum.  This is an empirical surrogate for the abstract
-    pair (error threshold, horizon) guaranteed by the theory near an
-    attracting equilibrium; it is an estimate on a finite grid, not a
-    certified constant.
+    Computes, for every grid node in ``source`` (a region given like
+    ``target`` in :func:`epsilon_chain_reachable`, or None for all nodes),
+    the minimal pseudo-orbit length into ``target``, and returns the
+    maximum.  This is an empirical surrogate for the abstract pair (error
+    threshold, horizon) guaranteed by the theory near an attracting
+    equilibrium; it is an estimate on a finite grid, not a certified
+    constant.
     """
-    m = rule.m
-    if m > 3:
-        raise PreconditionError("grid search is limited to m <= 3")
-    if epsilon <= 1.0 / grid_resolution:
-        raise ConfigError(
-            f"epsilon {epsilon} must exceed the grid spacing {1.0 / grid_resolution}"
-        )
-    nodes = _grid_nodes(m, grid_resolution)
-    images = np.array([rule.update_probs(v) for v in nodes])
-    target_mask = _target_mask(nodes, target)
-    source_mask = (np.ones(nodes.shape[0], dtype=bool) if source is None
-                   else _target_mask(nodes, source))
-
-    level = np.full(nodes.shape[0], -1, dtype=np.int64)
-    level[target_mask] = 0
-    frontier_mask = target_mask.copy()
-    depth = 0
-    while True:
-        unassigned = level < 0
-        if not np.any(unassigned) or not np.any(frontier_mask):
-            break
-        depth += 1
-        dist = cdist(images[unassigned], nodes[frontier_mask], metric="chebyshev")
-        hits = (dist < epsilon).any(axis=1)
-        if not np.any(hits):
-            break
-        idx = np.flatnonzero(unassigned)[hits]
-        level[idx] = depth
-        frontier_mask = np.zeros_like(frontier_mask)
-        frontier_mask[idx] = True
-
-    source_levels = level[source_mask]
-    unreached = int(np.sum(source_levels < 0))
-    if unreached:
-        return CoverResult(None, unreached, int(source_mask.sum()), grid_resolution)
-    return CoverResult(int(source_levels.max()), 0, int(source_mask.sum()),
-                       grid_resolution)
+    _, levels = _pseudo_orbit_levels(rule, source, target, epsilon, grid_resolution)
+    unreached = int(np.sum(levels < 0))
+    return CoverResult(None if unreached else int(levels.max()), unreached,
+                       levels.size, grid_resolution)
 
 
 # ----------------------------------------------------------------------

@@ -165,6 +165,12 @@ class TestExactChain:
         with pytest.raises(ResourceLimitExceeded, match="WF_MAX_STATES"):
             build_exact_chain(rule_a2, 6)
 
+    def test_entry_cap_is_named_before_the_state_cap(self, rule_a2):
+        # 246,051 states: past both caps, but only the entry cap's advice helps
+        with pytest.raises(ResourceLimitExceeded, match="entries") as info:
+            build_exact_chain(rule_a2, 700)
+        assert "WF_MAX_STATES" not in str(info.value)
+
 
 class TestRecurrentClassFaces:
     def test_vertex_classes_are_singleton_faces(self, rule_a2):

@@ -103,6 +103,18 @@ class TestMeanfield:
         assert result.exit_code == 2
         assert "no interior equilibrium" in result.stderr
 
+    @pytest.mark.parametrize("update", [
+        {"matrix": [[1e300, 1], [1, 1e300]]},
+        {"matrix": [[1e300, 1, 1], [1, 1e300, 1], [1, 1, 1e300]]},
+        {"matrix": [[1e300, 1], [1, 1e300]], "check_permanence": True},
+    ], ids=["two-type", "three-type", "permanence"])
+    def test_huge_payoffs_exit_cleanly(self, tmp_path, update):
+        result = invoke("meanfield", {"omega": 0.5, **update}, tmp_path)
+        assert result.exit_code in (0, 2), result.stderr
+        # exit 0 leaves no exception; exit 2 must be the command's own
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            repr(result.exception)
+
     def test_unknown_field_exits_one(self, runner, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": A2, "omega": 0.5, "bogus": 1})

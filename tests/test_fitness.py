@@ -28,6 +28,7 @@ from wfsim.fitness import (
     finite_difference_jacobian,
     make_rule,
     reproductive_fitness,
+    rng_stream,
     sampling_probs,
 )
 from wfsim.simplex import SimplexPoint
@@ -54,6 +55,11 @@ class TestPayoffMatrix:
 
     def test_singular_detected(self):
         assert not PayoffMatrix([[1.0, 1.0], [1.0, 1.0]]).is_invertible
+
+    def test_invertibility_of_huge_payoffs(self):
+        # det and max(1, max|A|)^M both leave the float range here
+        assert PayoffMatrix([[1e300, 1.0], [1.0, 1e300]]).is_invertible
+        assert not PayoffMatrix([[1e300, 1e300], [1e300, 1e300]]).is_invertible
 
 
 # ----------------------------------------------------------------------
@@ -190,6 +196,22 @@ class TestSamplingProbs:
                                       [0.0, 1 / 3, 2 / 3])
         np.testing.assert_array_equal(sampling_probs(rule, np.zeros((2, 3))),
                                       [[0.0, 1 / 3, 2 / 3], [0.25, 0.25, 0.5]])
+
+
+class TestRngStream:
+    @pytest.mark.parametrize("seed", [0, 7, 2026])
+    def test_spelled_like_seed_sequence_spawning(self, seed):
+        def draws(seq):
+            return np.random.Generator(np.random.PCG64(seq)).integers(0, 2 ** 32, size=8)
+
+        np.testing.assert_array_equal(rng_stream(seed).integers(0, 2 ** 32, size=8),
+                                      draws(np.random.SeedSequence(seed)))
+        for j, child in enumerate(np.random.SeedSequence(seed).spawn(4)):
+            np.testing.assert_array_equal(
+                rng_stream(seed, j).integers(0, 2 ** 32, size=8), draws(child))
+        np.testing.assert_array_equal(
+            rng_stream(seed, 2, 5).integers(0, 2 ** 32, size=8),
+            draws(np.random.SeedSequence(seed, spawn_key=(2, 5))))
 
 
 class TestMutation:

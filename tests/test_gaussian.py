@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wfsim.errors import NumericRangeError, PreconditionError
+from wfsim.fitness import make_rule
 from wfsim.gaussian import (
     ar1_covariance,
     ar1_sample,
@@ -20,7 +21,7 @@ from wfsim.gaussian import (
 )
 from wfsim.meanfield import iterate, solve_interior_equilibrium
 
-from conftest import A2
+from conftest import A1, A2
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +164,25 @@ class TestAr1Covariance:
     def test_expanding_map_diverges(self):
         with pytest.raises(NumericRangeError):
             stationary_covariance(1.1 * np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("matrix", [A1, A2], ids=["A1", "A2"])
+    def test_weak_selection_fixed_point(self, matrix):
+        # sum-zero spectral radius ~0.9999: iterating the recursion to its
+        # fixed point takes longer than any practical step budget
+        rule = make_rule(matrix, omega_ratio=1e-4)
+        chi = solve_interior_equilibrium(matrix).vector
+        d = rule.jacobian(chi)
+        sig = noise_covariance(rule.update_probs(chi))
+        vstar = stationary_covariance(d, sig)
+        scale = np.abs(vstar).max()
+        np.testing.assert_allclose(vstar, vstar.T, rtol=0, atol=1e-12 * scale)
+        assert np.linalg.eigvalsh(vstar).min() > -1e-12 * scale
+        assert np.abs(vstar @ np.ones(3)).max() <= 1e-10 * scale
+        assert np.abs(d @ vstar @ d.T + sig - vstar).max() <= 1e-10 * scale
+
+    def test_noise_off_the_sum_zero_subspace_rejected(self):
+        with pytest.raises(PreconditionError):
+            stationary_covariance(0.5 * np.eye(3), np.eye(3))
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from wfsim.errors import (
     ConfigError,
@@ -27,7 +29,7 @@ from wfsim.meanfield import (
     spectral_radius_on_sum_zero,
     sum_zero_basis,
 )
-from wfsim.simplex import SimplexPoint
+from wfsim.simplex import SimplexPoint, lattice_counts
 
 from conftest import A1, A2, CHI1, CHI2, A_TWO
 
@@ -271,6 +273,32 @@ class TestEpsilonChains:
         assert res.max_length is not None
         gap = 0.8  # sup-distance between start and target
         assert res.max_length >= int(np.floor(gap / 0.2))
+
+    @pytest.mark.parametrize("matrix, target, epsilon, resolution", [
+        (A2, CHI2, 0.15, 20),
+        (A2, CHI2, 0.08, 30),
+        (np.ones((3, 3)), [0.1, 0.45, 0.45], 0.2, 15),
+        (A_TWO, [0.5, 0.5], 0.05, 40),
+    ], ids=["a2-coarse", "a2-fine", "neutral", "two-type"])
+    def test_lengths_match_graph_shortest_paths(self, matrix, target, epsilon,
+                                                resolution):
+        rule = make_rule(matrix, omega=0.5)
+        nodes = lattice_counts(rule.m, resolution) / resolution
+        images = np.array([rule.update_probs(v) for v in nodes])
+        adjacency = np.max(np.abs(images[:, None, :] - nodes[None, :, :]), axis=2) < epsilon
+        dist = shortest_path(csr_matrix(adjacency.astype(float)), unweighted=True)
+        nearest = int(np.argmin(np.max(np.abs(nodes - np.asarray(target)), axis=1)))
+        into_target = dist[:, nearest]
+        for start in (0, nodes.shape[0] // 3, nodes.shape[0] - 1):
+            res = epsilon_chain_reachable(rule, nodes[start], target, epsilon,
+                                          resolution)
+            expected = into_target[start]
+            assert res.reachable == np.isfinite(expected)
+            assert res.length == (int(expected) if np.isfinite(expected) else None)
+        cover = epsilon_chain_max_length(rule, None, target, epsilon, resolution)
+        assert cover.n_source == nodes.shape[0]
+        assert cover.unreached == int(np.sum(~np.isfinite(into_target)))
+        assert cover.max_length == (None if cover.unreached else int(into_target.max()))
 
     def test_epsilon_below_grid_spacing_rejected(self, rule_a2):
         with pytest.raises(ConfigError):
