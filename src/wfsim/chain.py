@@ -13,12 +13,11 @@ for scalar functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.special import gammaln
 
 from .errors import (
@@ -92,17 +91,15 @@ class ExactChain:
     recurrent_classes: list[np.ndarray]  # state indices, one array per class
     periods: list[int]                 # aligned with recurrent_classes
     transient: np.ndarray              # state indices
-    _index: dict = None
-
-    def __post_init__(self):
-        if self._index is None:
-            self._index = {tuple(row): i for i, row in enumerate(self.states)}
+    _index: dict = None                # counts -> index, built on first lookup
 
     @property
     def n_states(self) -> int:
         return self.states.shape[0]
 
     def state_index(self, counts) -> int:
+        if self._index is None:
+            self._index = {tuple(row): i for i, row in enumerate(self.states.tolist())}
         key = tuple(int(c) for c in np.asarray(counts).ravel())
         try:
             return self._index[key]
@@ -127,23 +124,9 @@ def _scc_period(adj: sp.csr_matrix, members: np.ndarray) -> int:
     """Period of one strongly connected class via breadth-first levels:
     the gcd of level[u] + 1 - level[v] over internal edges (u, v)."""
     sub = adj[members][:, members].tocsr()
-    k = members.size
-    level = np.full(k, -1, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sub.indices[sub.indptr[u]:sub.indptr[u + 1]]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
+    level = shortest_path(sub, unweighted=True, indices=0).astype(np.int64)
     rows, cols = sub.nonzero()
-    for u, v in zip(rows, cols):
-        g = gcd(g, int(level[u] + 1 - level[v]))
-    return abs(g) if g else 1
+    return int(np.gcd.reduce(level[rows] + 1 - level[cols])) or 1
 
 
 def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
@@ -170,33 +153,27 @@ def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
             f"set WF_MAX_STATES to raise it deliberately"
         )
     states = lattice_counts(m, n)
-    log_fact_rows = gammaln(states + 1.0).sum(axis=1)
-    log_n_fact = gammaln(n + 1.0)
-    matrix = np.empty((size, size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(size):
-            p = rule.update_probs(states[i] / n)
-            logp = np.log(p, out=np.full_like(p, -np.inf), where=p > 0)
-            terms = np.where(states > 0, states * logp[None, :], 0.0).sum(axis=1)
-            matrix[i] = np.exp(log_n_fact - log_fact_rows + terms)
+    # row i is the multinomial law of sampling_probs at state i:
+    # log N! - sum_k log s_jk! + sum_k s_jk log p_ik over destinations j.
+    # A finite stand-in for log 0 keeps 0 * log 0 at 0 (factor 1 where
+    # s_jk = 0) and still sends every s_jk > 0 entry to exactly 0.
+    p = sampling_probs(rule, states / n)
+    logp = np.log(p, out=np.full_like(p, -1e300), where=p > 0)
+    matrix = logp @ states.T.astype(np.float64)
+    matrix += gammaln(n + 1.0) - gammaln(states + 1.0).sum(axis=1)
+    np.exp(matrix, out=matrix)
     matrix /= matrix.sum(axis=1, keepdims=True)
 
     adj = sp.csr_matrix(matrix > 0)
-    _, labels = connected_components(adj, directed=True, connection="strong")
+    n_comp, labels = connected_components(adj, directed=True, connection="strong")
     rows, cols = adj.nonzero()
     cross = labels[rows] != labels[cols]
-    non_sink = set(labels[rows[cross]].tolist())
-    sink_ids = sorted(set(labels.tolist()) - non_sink)
-
-    recurrent_classes = []
-    periods = []
-    recurrent_mask = np.zeros(size, dtype=bool)
-    for cid in sink_ids:
-        members = np.flatnonzero(labels == cid)
-        recurrent_classes.append(members)
-        recurrent_mask[members] = True
-        periods.append(_scc_period(adj, members))
-    transient = np.flatnonzero(~recurrent_mask)
+    has_exit = np.zeros(n_comp, dtype=bool)
+    has_exit[labels[rows[cross]]] = True
+    recurrent_classes = [np.flatnonzero(labels == cid)
+                         for cid in np.flatnonzero(~has_exit)]
+    periods = [_scc_period(adj, members) for members in recurrent_classes]
+    transient = np.flatnonzero(has_exit[labels])
 
     return ExactChain(rule=rule, n=n, states=states, matrix=matrix,
                       scc_labels=labels, recurrent_classes=recurrent_classes,

@@ -174,10 +174,12 @@ def jacobian_at_equilibrium(a: MatrixLike, omega: float, chi: np.ndarray,
 
     For the unit-baseline affine fitness with mixing weight ``omega``, the
     derivative at the equilibrium acts on sum-zero perturbations as
-    ``I + diag(chi) B / (1 + r)`` where ``B = omega / (1 - omega) * A`` and
-    ``r`` is the common value of ``B chi``.  When ``cross_check`` is on,
-    the result is validated against central finite differences of the full
-    map along a sum-zero basis (agreement to 1e-5 required).
+    ``I + (diag(chi) B - chi chi' (B - B')) / (1 + r)`` where
+    ``B = omega / (1 - omega) * A`` and ``r`` is the common value of
+    ``B chi``; the ``B - B'`` term vanishes when A is symmetric.  When
+    ``cross_check`` is on, the result is validated against central finite
+    differences of the full map along a sum-zero basis (agreement to 1e-5
+    required).
     """
     payoff = _as_matrix(a)
     chi = np.asarray(chi, dtype=np.float64)
@@ -194,6 +196,7 @@ def jacobian_at_equilibrium(a: MatrixLike, omega: float, chi: np.ndarray,
             "chi is not an equal-payoff interior equilibrium of this matrix"
         )
     d = np.eye(payoff.m) + chi[:, None] * b_mat / (1.0 + r)
+    d -= np.outer(chi, chi @ (b_mat - b_mat.T)) / (1.0 + r)
     if cross_check:
         rule = UpdateRule(LinearFractionalFitness(payoff, omega))
         d_fd = finite_difference_jacobian(rule, chi, step=1e-6)

@@ -17,6 +17,9 @@ CHI2 = np.array([0.0246914, 0.7345679, 0.2407407])
 # Symmetric two-type matrix small enough for hand evaluation.
 A_TWO = [[1.0, 2.0], [2.0, 1.0]]
 
+# Non-symmetric three-type matrix with interior equilibrium (4, 5, 6) / 15.
+NON_SYMMETRIC = [[1.0, 3.0, 2.0], [2.0, 1.0, 3.0], [3.0, 2.0, 1.5]]
+
 
 @pytest.fixture(scope="session")
 def rule_a1():

@@ -22,7 +22,7 @@ from wfsim.errors import (
     ReducibleInterior,
     ResourceLimitExceeded,
 )
-from wfsim.fitness import MutationMatrix, UpdateRule, make_rule
+from wfsim.fitness import MutationMatrix, UpdateRule, make_rule, sampling_probs
 from wfsim.simplex import LatticePoint
 
 from conftest import A1, A2, A_TWO, neutral_rule
@@ -106,16 +106,22 @@ class TestTransitionProbs:
         assert row[chain.state_index([5, 1, 0])] == 0.0
         assert row[chain.state_index([6, 0, 0])] == 1.0
 
-    def test_rows_sum_to_one_exhaustively(self, rule_a1):
+    @pytest.mark.parametrize("rule", [
+        make_rule(A1, omega_ratio=1e-3),
+        make_rule(A2, omega=0.5, mutation=[[0.9, 0.1, 0.0], [0.0, 0.9, 0.1],
+                                           [0.1, 0.0, 0.9]]),
+        make_rule(A2, fitness="exponential", beta=0.3),
+    ], ids=["linear-fractional", "mutation", "exponential"])
+    def test_rows_sum_to_one_exhaustively(self, rule):
         # the chain renormalises its rows, so compare them with the exact
-        # multinomial law, whose sum over the lattice is 1 only when the
-        # lattice holds every composition
-        chain = build_exact_chain(rule_a1, 6)
-        for counts in ([0, 0, 6], [1, 2, 3], [6, 0, 0], [2, 2, 2]):
-            i = chain.state_index(counts)
-            pmf = multinomial.pmf(chain.states, 6, rule_a1.update_probs(chain.states[i] / 6))
+        # multinomial law of the sampler's cell probabilities, whose sum
+        # over the lattice is 1 only when the lattice holds every composition
+        chain = build_exact_chain(rule, 6)
+        for i, counts in enumerate(chain.states):
+            pmf = multinomial.pmf(chain.states, 6, sampling_probs(rule, counts / 6))
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(chain.matrix[i], pmf, rtol=1e-12, atol=1e-300)
+            np.testing.assert_array_equal(chain.matrix[i] > 0, pmf > 0)
 
     def test_absorbing_types_without_mutation(self, rule_a2):
         assert absorbing_types(rule_a2) == [1, 2, 3]
@@ -155,6 +161,15 @@ class TestExactChain:
         assert len(chain.recurrent_classes[0]) == chain.n_states
         assert chain.periods == [1]
         assert chain.transient.size == 0
+
+    def test_mutation_swap_gives_a_period_two_class(self):
+        # every individual switches type each generation: the two pure
+        # states swap forever and every mixed state leads into them
+        rule = make_rule([[1, 1], [1, 1]], omega=0.5, mutation=[[0, 1], [1, 0]])
+        chain = build_exact_chain(rule, 6)
+        assert [cls.tolist() for cls in chain.recurrent_classes] == [[0, 6]]
+        assert chain.periods == [2]
+        assert chain.transient.tolist() == [1, 2, 3, 4, 5]
 
     def test_rows_are_normalized(self, rule_a2):
         chain = build_exact_chain(rule_a2, 6)

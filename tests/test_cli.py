@@ -15,10 +15,12 @@ import wfsim
 from wfsim.chain import sample_path
 from wfsim.cli import main
 from wfsim.config import COMMANDS, FIELDS, resolve
-from wfsim.fitness import make_rule
+from wfsim.errors import WfsimError
+from wfsim.fitness import finite_difference_jacobian, make_rule
+from wfsim.meanfield import solve_interior_equilibrium, sum_zero_basis
 from wfsim.simplex import round_to_lattice
 
-from conftest import A1, A2, CHI1, CHI2
+from conftest import A1, A2, CHI1, CHI2, NON_SYMMETRIC
 
 CONFIG_DIR = Path(wfsim.__file__).parent / "configs"
 
@@ -94,6 +96,18 @@ class TestMeanfield:
         assert report["permanence"]["status"] == "permanent"
         np.testing.assert_allclose(report["permanence"]["witness"], CHI2,
                                    atol=1e-6)
+
+    def test_non_symmetric_matrix_report(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "mf.json",
+                           {"matrix": NON_SYMMETRIC, "omega": 0.5})
+        out = tmp_path / "out"
+        run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+        report = load_json(out, "report.json")
+        chi = np.array([4, 5, 6]) / 15
+        np.testing.assert_allclose(report["equilibrium"], chi, atol=1e-12)
+        d_fd = finite_difference_jacobian(make_rule(NON_SYMMETRIC, omega=0.5), chi)
+        np.testing.assert_allclose(np.array(report["jacobian"]) @ sum_zero_basis(3),
+                                   d_fd @ sum_zero_basis(3), atol=1e-8)
 
     def test_singular_matrix_exits_two(self, runner, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
@@ -645,3 +659,22 @@ def test_mutated_configs_exit_cleanly(command, data):
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         "".join(traceback.format_exception(*result.exc_info))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(m=st.integers(2, 4), data=st.data())
+def test_meanfield_on_random_positive_matrices(m, data):
+    # an interior equilibrium always gets a report; otherwise the command
+    # reports the boundary solution or exits 2, never with a traceback
+    matrix = [data.draw(st.lists(st.floats(0.01, 100.0), min_size=m, max_size=m))
+              for _ in range(m)]
+    omega = data.draw(st.floats(0.01, 0.99))
+    with tempfile.TemporaryDirectory() as tmp:
+        result = invoke("meanfield", {"matrix": matrix, "omega": omega}, Path(tmp))
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        "".join(traceback.format_exception(*result.exc_info))
+    try:
+        interior = solve_interior_equilibrium(matrix).is_interior
+    except WfsimError:  # singular or ill-conditioned: no trusted equilibrium
+        interior = False
+    assert result.exit_code in ((0,) if interior else (0, 2)), result.stderr

@@ -31,7 +31,7 @@ from wfsim.meanfield import (
 )
 from wfsim.simplex import SimplexPoint, lattice_counts
 
-from conftest import A1, A2, CHI1, CHI2, A_TWO
+from conftest import A1, A2, CHI1, CHI2, A_TWO, NON_SYMMETRIC
 
 
 # ----------------------------------------------------------------------
@@ -118,13 +118,21 @@ class TestJacobianAtEquilibrium:
         d = jacobian_at_equilibrium(A_TWO, omega=0.5, chi=np.array([0.5, 0.5]))
         np.testing.assert_allclose(d, [[1.2, 0.4], [0.4, 1.2]], atol=1e-12)
 
-    def test_benchmark_matches_finite_differences(self):
-        chi = solve_interior_equilibrium(A2).vector
-        d = jacobian_at_equilibrium(A2, omega=0.5, chi=chi)
-        rule = make_rule(A2, omega=0.5)
-        d_fd = finite_difference_jacobian(rule, chi)
-        basis = sum_zero_basis(3)
-        assert np.max(np.abs((d - d_fd) @ basis)) < 1e-5
+    @pytest.mark.parametrize("a, omega", [
+        (A2, 0.5),
+        (A1, 1e-3 / (1 + 1e-3)),
+        ([[1, 3], [2, 1]], 0.5),
+        (NON_SYMMETRIC, 0.5),
+        (NON_SYMMETRIC, 0.9),
+        ([[1, 4, 2, 3], [3, 1, 4, 2], [2, 3, 1, 4], [4, 2, 3, 1.5]], 0.2),
+    ], ids=["A2", "A1", "two-type-non-symmetric", "non-symmetric",
+            "non-symmetric-strong", "four-type-non-symmetric"])
+    def test_benchmark_matches_finite_differences(self, a, omega):
+        chi = solve_interior_equilibrium(a).vector
+        d = jacobian_at_equilibrium(a, omega=omega, chi=chi, cross_check=False)
+        d_fd = finite_difference_jacobian(make_rule(a, omega=omega), chi)
+        basis = sum_zero_basis(chi.size)
+        assert np.max(np.abs((d - d_fd) @ basis)) < 1e-8
 
     def test_wrong_point_rejected(self):
         with pytest.raises(PreconditionError):
