@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, shortest_path
-from scipy.special import gammaln
 
 from .errors import (
     DimensionMismatch,
@@ -27,7 +24,7 @@ from .errors import (
     ReducibleInterior,
     ResourceLimitExceeded,
 )
-from .fitness import UpdateRule, sampling_probs
+from .fitness import PayoffMatrix, UpdateRule, sampling_probs
 from .simplex import (
     PAIR_CAP,
     LatticePoint,
@@ -120,15 +117,6 @@ class ExactChain:
         return np.flatnonzero(np.all(self.states > 0, axis=1))
 
 
-def _scc_period(adj: sp.csr_matrix, members: np.ndarray) -> int:
-    """Period of one strongly connected class via breadth-first levels:
-    the gcd of level[u] + 1 - level[v] over internal edges (u, v)."""
-    sub = adj[members][:, members].tocsr()
-    level = shortest_path(sub, unweighted=True, indices=0).astype(np.int64)
-    rows, cols = sub.nonzero()
-    return int(np.gcd.reduce(level[rows] + 1 - level[cols])) or 1
-
-
 def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
     """Enumerate every composition of size ``n`` and assemble the dense
     transition matrix, then sort its states into recurrent classes and
@@ -137,6 +125,9 @@ def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
     Refuses (rather than subsampling) when the state count exceeds the
     state cap or the matrix would exceed the entry cap.
     """
+    from scipy.sparse import csgraph, csr_matrix
+    from scipy.special import gammaln
+
     m = rule.m
     size = lattice_size(m, n)
     # the entry cap binds first (at 3,163 states): raising the state cap
@@ -164,15 +155,23 @@ def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
     np.exp(matrix, out=matrix)
     matrix /= matrix.sum(axis=1, keepdims=True)
 
-    adj = sp.csr_matrix(matrix > 0)
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
+    adj = csr_matrix(matrix > 0)
+    n_comp, labels = csgraph.connected_components(adj, directed=True, connection="strong")
     rows, cols = adj.nonzero()
     cross = labels[rows] != labels[cols]
     has_exit = np.zeros(n_comp, dtype=bool)
     has_exit[labels[rows[cross]]] = True
     recurrent_classes = [np.flatnonzero(labels == cid)
                          for cid in np.flatnonzero(~has_exit)]
-    periods = [_scc_period(adj, members) for members in recurrent_classes]
+
+    def period(members: np.ndarray) -> int:
+        # breadth-first levels; the gcd of level[u] + 1 - level[v] over internal edges
+        sub = adj[members][:, members].tocsr()
+        level = csgraph.shortest_path(sub, unweighted=True, indices=0).astype(np.int64)
+        rows, cols = sub.nonzero()
+        return int(np.gcd.reduce(level[rows] + 1 - level[cols])) or 1
+
+    periods = [period(members) for members in recurrent_classes]
     transient = np.flatnonzero(has_exit[labels])
 
     return ExactChain(rule=rule, n=n, states=states, matrix=matrix,
@@ -239,8 +238,10 @@ def qsd_power_iteration(sub_matrix: np.ndarray,
     s = sub.shape[0]
     if s == 0:
         raise PreconditionError("empty restriction has no quasi-stationary law")
-    n_comp, _ = connected_components(sp.csr_matrix(sub > 0), directed=True,
-                                     connection="strong")
+    from scipy.sparse import csgraph, csr_matrix
+
+    n_comp, _ = csgraph.connected_components(csr_matrix(sub > 0), directed=True,
+                                             connection="strong")
     if n_comp != 1:
         raise ReducibleInterior(
             f"restriction splits into {n_comp} strongly connected pieces; "
@@ -322,7 +323,6 @@ def quadratic_form_drift(rule: UpdateRule, a, n: int) -> tuple[float, float]:
     ``(min drift over all states, min drift over non-vertex states)``
     computed exactly from the enumerated transition matrix.
     """
-    from .fitness import PayoffMatrix
     from .meanfield import is_positive_definite_on_sum_zero
 
     payoff = a if isinstance(a, PayoffMatrix) else PayoffMatrix(a)

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import bdtr, bdtrc
 
 from .errors import DimensionMismatch, DomainError, PreconditionError
 from .fitness import UpdateRule, finite_difference_jacobian, sampling_probs
@@ -173,6 +171,8 @@ def estimate_lipschitz(rule: UpdateRule, samples: int,
     so the estimate has a deterministic component that captures boundary
     behavior and keeps repeated estimates stable across seeds.
     """
+    from scipy.spatial.distance import cdist
+
     if samples < 2:
         raise DomainError("need at least 2 sample points")
     pts = rng.dirichlet(np.ones(rule.m), size=samples)
@@ -229,6 +229,8 @@ def one_step_exceedance_upper(rule: UpdateRule, x0: LatticePoint,
     :func:`hoeffding_bound`, which it never exceeds at K = 1 (Hoeffding's
     inequality bounds each marginal tail).
     """
+    from scipy.special import bdtr, bdtrc
+
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     n = x0.n

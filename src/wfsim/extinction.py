@@ -129,98 +129,115 @@ class TrialOutcome(NamedTuple):
     censored: bool
     least_index: int               # 0-based argmin at the stop state
     tie: bool
-    sample_time: Optional[int]     # step at which d_eq was taken
-    early_sample: bool             # sampled before the window (stop came first)
-    d_eq: Optional[float]
-    support_size: Optional[int]    # absorption mode only
-    vanished: Optional[tuple[int, ...]]  # 0-based extinct indices
-    event: Optional[bool]          # exactly one extinct type, in the least-fit set
+    sample_time: Optional[int] = None     # step at which d_eq was taken
+    early_sample: bool = False            # sampled before the window (stop came first)
+    d_eq: Optional[float] = None
+    support_size: Optional[int] = None    # absorption mode only
+    vanished: Optional[tuple[int, ...]] = None  # 0-based extinct indices
+    event: Optional[bool] = None          # exactly one extinct type, in the least-fit set
+
+
+def _lockstep(rule: UpdateRule, x0: LatticePoint, rng, threshold: float,
+              max_steps: int, window: Optional[tuple[int, int]], finish):
+    """Run one trial per stream from ``x0``, all in lockstep, until its
+    least frequency is at most ``threshold`` (checked from step 0) or
+    ``max_steps`` pass.  Each generation the live trials share one batch
+    ``sampling_probs`` call, whose rows do not depend on the batch, and
+    draw from their own streams, so a trial's path is the same in any
+    block.  With a ``window`` each stream first draws the step whose state
+    is sampled; if the stop comes first, the state before it is (early).
+    ``finish(outcome, counts, sample, sample_time, early)`` completes it."""
+    gens = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    n, r = x0.n, len(gens)
+    t_star = np.array([int(g.integers(window[0], window[1] + 1)) for g in gens]
+                      if window else np.zeros(r), dtype=np.int64)
+    final = np.tile(x0.counts, (r, 1))
+    before, sampled = final.copy(), final.copy()
+    censored = final.min(axis=1) / n > threshold
+    stop = np.where(censored, max_steps, 0)
+    live = np.flatnonzero(censored)
+    gens, cur = [gens[j] for j in live], final[live]
+    prev, marks = cur, set(t_star.tolist())
+    for k in range(1, max_steps + 1):
+        if not live.size:
+            break
+        prev, cur = cur, np.array([g.multinomial(n, p) for g, p in
+                                   zip(gens, sampling_probs(rule, cur / n))])
+        if k in marks:
+            hit = t_star[live] == k
+            sampled[live[hit]] = cur[hit]
+        # x / n is monotone in x, so the block's least count decides
+        if cur.min() / n <= threshold:
+            done = cur.min(axis=1) / n <= threshold
+            ended = live[done]
+            stop[ended], final[ended], before[ended] = k, cur[done], prev[done]
+            censored[ended] = False
+            live, cur, prev = live[~done], cur[~done], prev[~done]
+            gens = [g for g, d in zip(gens, done) if not d]
+    final[live], before[live] = cur, prev
+    outs = []
+    for j, (k, t) in enumerate(zip(stop.tolist(), t_star.tolist())):
+        ties = np.flatnonzero(final[j] == final[j].min())
+        out = TrialOutcome(k, bool(censored[j]), int(ties[0]), ties.size > 1)
+        early = not 1 <= t <= k
+        outs.append(finish(out, final[j], before[j] if early else sampled[j],
+                           max(k - 1, 0) if early else t, early))
+    return outs[0] if isinstance(rng, np.random.Generator) else outs
 
 
 def run_trial_threshold(rule: UpdateRule, x0: LatticePoint,
-                        rng: np.random.Generator, *,
-                        stop_threshold: float = 0.05,
+                        rng: np.random.Generator | Sequence[np.random.Generator],
+                        *, stop_threshold: float = 0.05,
                         sample_window: tuple[int, int] = (1000, 5000),
                         max_steps: int = 1_000_000,
-                        equilibrium: Optional[np.ndarray] = None) -> TrialOutcome:
+                        equilibrium: Optional[np.ndarray] = None):
     """Simulate until some type's frequency drops to the stop threshold.
 
     Records the least-abundant type at the stop time (ties broken toward
     the lowest index and flagged) and the Euclidean distance to the
     equilibrium at a uniformly random step inside ``sample_window`` — or
     at the step before stopping when the trial ends sooner (flagged).
-    Hitting ``max_steps`` first marks the trial censored.
+    Hitting ``max_steps`` first marks the trial censored.  ``rng`` is one
+    stream (returns one outcome) or a sequence of streams, one trial
+    each, run in lockstep (returns their outcomes in order).
     """
     lo, hi = int(sample_window[0]), int(sample_window[1])
     if not 0 <= lo <= hi:
         raise ConfigError(f"bad sample window {sample_window}")
-    t_star = int(rng.integers(lo, hi + 1))
-    n = x0.n
-    counts = x0.counts.copy()
-    sampled: Optional[np.ndarray] = None
-    prev = counts
 
-    def outcome(k: int, censored: bool) -> TrialOutcome:
-        ties = np.flatnonzero(counts == counts.min())
-        if sampled is not None:
-            s_state, s_time, early = sampled, t_star, False
-        else:
-            s_state, s_time, early = prev, max(k - 1, 0), True
-        d = (float(np.linalg.norm(s_state / n - equilibrium))
+    def finish(out, counts, sample, sample_time, early):
+        d = (float(np.linalg.norm(sample / x0.n - equilibrium))
              if equilibrium is not None else None)
-        return TrialOutcome(stop_time=k, censored=censored,
-                            least_index=int(ties[0]), tie=ties.size > 1,
-                            sample_time=s_time, early_sample=early, d_eq=d,
-                            support_size=None, vanished=None, event=None)
+        return out._replace(sample_time=sample_time, early_sample=early, d_eq=d)
 
-    if counts.min() / n <= stop_threshold:
-        return outcome(0, censored=False)
-    for k in range(1, max_steps + 1):
-        prev = counts
-        counts = rng.multinomial(n, sampling_probs(rule, counts / n))
-        if k == t_star:
-            sampled = counts.copy()
-        if counts.min() / n <= stop_threshold:
-            return outcome(k, censored=False)
-    return outcome(max_steps, censored=True)
+    return _lockstep(rule, x0, rng, stop_threshold, max_steps, (lo, hi), finish)
 
 
 def run_trial_absorption(rule: UpdateRule, x0: LatticePoint,
-                         rng: np.random.Generator, *,
-                         least_fit_set: SupportSet,
-                         max_steps: int = 1_000_000) -> TrialOutcome:
+                         rng: np.random.Generator | Sequence[np.random.Generator],
+                         *, least_fit_set: SupportSet,
+                         max_steps: int = 1_000_000):
     """Simulate until the first boundary hit (some type's count reaches 0)
     and label it: does exactly one type vanish, and is it least-fit?
 
     Requires a mutation-free rule (so the boundary is absorbing) and an
-    interior start.
+    interior start.  ``rng`` is one stream or a sequence of them, as in
+    :func:`run_trial_threshold`.
     """
     if rule.mutation is not None:
         raise PreconditionError("absorption trials require a mutation-free rule")
     if np.any(x0.counts == 0):
         raise PreconditionError("absorption trials require an interior start")
-    n = x0.n
-    counts = x0.counts.copy()
     fit_mask = least_fit_set.to_mask(x0.m)
-    for k in range(1, max_steps + 1):
-        counts = rng.multinomial(n, sampling_probs(rule, counts / n))
-        if counts.min() == 0:
-            zeros = np.flatnonzero(counts == 0)
-            ties = np.flatnonzero(counts == counts.min())
-            support_size = int(np.count_nonzero(counts))
-            event = support_size == x0.m - 1 and bool(fit_mask[zeros[0]])
-            return TrialOutcome(stop_time=k, censored=False,
-                                least_index=int(ties[0]), tie=ties.size > 1,
-                                sample_time=None, early_sample=False, d_eq=None,
-                                support_size=support_size,
-                                vanished=tuple(int(z) for z in zeros),
-                                event=event)
-    ties = np.flatnonzero(counts == counts.min())
-    return TrialOutcome(stop_time=max_steps, censored=True,
-                        least_index=int(ties[0]), tie=ties.size > 1,
-                        sample_time=None, early_sample=False, d_eq=None,
-                        support_size=int(np.count_nonzero(counts)),
-                        vanished=(), event=None)
+
+    def finish(out, counts, *_):
+        zeros = np.flatnonzero(counts == 0)
+        support_size = int(np.count_nonzero(counts))
+        event = None if out.censored else support_size == x0.m - 1 and bool(fit_mask[zeros[0]])
+        return out._replace(support_size=support_size, event=event,
+                            vanished=tuple(int(z) for z in zeros))
+
+    return _lockstep(rule, x0, rng, 0.0, max_steps, None, finish)
 
 
 # ----------------------------------------------------------------------
@@ -263,19 +280,13 @@ def _experiment_context(spec: ExperimentSpec):
     """Shared derived quantities: (rule, equilibrium or None, least-fit set
     or None)."""
     rule = spec.build_rule()
-    eq = None
-    fit_set = None
+    eq = fit_set = None
     try:
         result = solve_interior_equilibrium(spec.rule_params["matrix"])
-        if result.is_interior:
-            eq = result.vector
-    except NoInteriorEquilibrium:
-        eq = None
-    if eq is not None:
-        try:
-            fit_set = least_fit(rule, eq).least_fit
-        except DomainError:
-            fit_set = None
+        eq = result.vector if result.is_interior else None
+        fit_set = None if eq is None else least_fit(rule, eq).least_fit
+    except (NoInteriorEquilibrium, DomainError):
+        pass
     if spec.mode == "absorption" and fit_set is None:
         raise PreconditionError(
             "absorption experiments need an interior equilibrium with a "
@@ -286,22 +297,21 @@ def _experiment_context(spec: ExperimentSpec):
 
 def _run_chunk(spec: ExperimentSpec, initial_idx: int, start: int,
                stop: int) -> list[tuple[int, int, TrialOutcome]]:
-    """Worker: trials [start, stop) of one initial condition."""
+    """Worker: trials [start, stop) of one initial condition, as one
+    lockstep block."""
     rule, eq, fit_set = _experiment_context(spec)
     x0 = round_to_lattice(np.asarray(spec.initials[initial_idx]), spec.n)
-    rows = []
-    for trial in range(start, stop):
-        rng = trial_rng(spec.seed, initial_idx, trial)
-        if spec.mode == "threshold":
-            out = run_trial_threshold(
-                rule, x0, rng, stop_threshold=spec.stop_threshold,
-                sample_window=spec.sample_window, max_steps=spec.max_steps,
-                equilibrium=eq)
-        else:
-            out = run_trial_absorption(rule, x0, rng, least_fit_set=fit_set,
-                                       max_steps=spec.max_steps)
-        rows.append((initial_idx, trial, out))
-    return rows
+    trials = range(start, stop)
+    rngs = [trial_rng(spec.seed, initial_idx, trial) for trial in trials]
+    if spec.mode == "threshold":
+        outs = run_trial_threshold(
+            rule, x0, rngs, stop_threshold=spec.stop_threshold,
+            sample_window=spec.sample_window, max_steps=spec.max_steps,
+            equilibrium=eq)
+    else:
+        outs = run_trial_absorption(rule, x0, rngs, least_fit_set=fit_set,
+                                    max_steps=spec.max_steps)
+    return [(initial_idx, trial, out) for trial, out in zip(trials, outs)]
 
 
 @dataclass
@@ -362,38 +372,33 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     """Run the full ensemble: every initial condition times ``replicates``
-    trials, parallel over chunks, merged deterministically.
+    trials, one lockstep block per initial condition and worker, merged
+    deterministically.
 
-    Results are identical for any ``threads`` because each trial draws
-    from its own (seed, initial, trial) stream.
+    Results are identical for any ``threads`` and any split into blocks
+    because each trial draws from its own (seed, initial, trial) stream.
     """
     if threads < 1:
         raise ConfigError("threads must be positive")
     _, eq, fit_set = _experiment_context(spec)
 
     n_initials = len(spec.initials)
-    chunk = max(1, math.ceil(spec.replicates / max(threads * 4, 1)))
+    chunk = math.ceil(spec.replicates / threads)
     tasks = [(i, s, min(s + chunk, spec.replicates))
-             for i in range(n_initials)
-             for s in range(0, spec.replicates, chunk)]
+             for i in range(n_initials) for s in range(0, spec.replicates, chunk)]
 
-    all_rows: list[tuple[int, int, TrialOutcome]] = []
     if threads == 1:
-        for i, s, e in tasks:
-            all_rows.extend(_run_chunk(spec, i, s, e))
+        blocks = [_run_chunk(spec, *task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_chunk, spec, i, s, e) for i, s, e in tasks]
-            for fut in futures:
-                all_rows.extend(fut.result())
-    all_rows.sort(key=lambda row: (row[0], row[1]))
+            blocks = [f.result() for f in [pool.submit(_run_chunk, spec, *t) for t in tasks]]
+    # tasks run in (initial, trial) order, so the rows come out sorted
+    all_rows = [row for block in blocks for row in block]
 
-    m = spec.m
-    counts = np.zeros((n_initials, m), dtype=np.int64)
+    counts = np.zeros((n_initials, spec.m), dtype=np.int64)
     censored = np.zeros(n_initials, dtype=np.int64)
     event_counts = np.zeros(n_initials, dtype=np.int64)
     stop_sums = np.zeros(n_initials)
-    stop_nums = np.zeros(n_initials, dtype=np.int64)
     d_values = []
     for initial_idx, _, out in all_rows:
         if out.censored:
@@ -401,19 +406,16 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
             continue
         counts[initial_idx, out.least_index] += 1
         stop_sums[initial_idx] += out.stop_time
-        stop_nums[initial_idx] += 1
+        event_counts[initial_idx] += bool(out.event)
         if out.d_eq is not None:
             d_values.append(out.d_eq)
-        if out.event:
-            event_counts[initial_idx] += 1
 
     n_bins = int(round(1.5 / spec.bin_width))
     edges = np.linspace(0.0, n_bins * spec.bin_width, n_bins + 1)
     hist, _ = np.histogram(np.asarray(d_values), bins=edges)
 
-    with np.errstate(invalid="ignore"):
-        mean_stop = np.where(stop_nums > 0, stop_sums / np.maximum(stop_nums, 1),
-                             np.nan)
+    stopped = counts.sum(axis=1)
+    mean_stop = np.where(stopped > 0, stop_sums / np.maximum(stopped, 1), np.nan)
     return ExperimentResult(
         spec=spec, counts=counts, censored=censored, rows=all_rows,
         histogram_edges=edges, histogram_counts=hist,
@@ -448,18 +450,12 @@ def increasing_proportion_trend(counts: Sequence[tuple[int, int]],
     a ladder; ``counts`` holds (successes, trials) per rung."""
     if len(counts) < 2:
         raise DomainError("need at least two ladder points")
-    props = []
+    if any(trials < 1 or not 0 <= successes <= trials for successes, trials in counts):
+        raise DomainError("bad (successes, trials) pair")
     zs = []
-    for successes, trials in counts:
-        if trials < 1 or not 0 <= successes <= trials:
-            raise DomainError("bad (successes, trials) pair")
-        props.append(successes / trials)
-    ok = True
     for (s1, t1), (s2, t2) in zip(counts, counts[1:]):
         pool = (s1 + s2) / (t1 + t2)
         se = math.sqrt(max(pool * (1.0 - pool), 1e-300) * (1.0 / t1 + 1.0 / t2))
-        z = (s1 / t1 - s2 / t2) / se
-        zs.append(z)
-        if z > z_crit:
-            ok = False
-    return TrendReport(ok=ok, z_values=tuple(zs), proportions=tuple(props))
+        zs.append((s1 / t1 - s2 / t2) / se)
+    return TrendReport(ok=not any(z > z_crit for z in zs), z_values=tuple(zs),
+                       proportions=tuple(s / t for s, t in counts))

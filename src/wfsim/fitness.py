@@ -159,7 +159,9 @@ class LinearFractionalFitness(FitnessModel):
         return self._b_part + self._wa @ x
 
     def scaled_weights_batch(self, xs: np.ndarray) -> np.ndarray:
-        return self._b_part + xs @ self._wa.T
+        # einsum sums each row in a fixed order, so a row's bits do not depend
+        # on its batch; BLAS matmul runs gemv at one row and gemm at several
+        return self._b_part + np.einsum("rk,ik->ri", xs, self._wa)
 
     def fitness_gradient(self, x: np.ndarray) -> np.ndarray:
         return self._wa
@@ -192,7 +194,7 @@ class ExponentialFitness(FitnessModel):
         return np.exp(z - z.max())
 
     def scaled_weights_batch(self, xs: np.ndarray) -> np.ndarray:
-        z = self.beta * (xs @ self.payoff.entries.T)
+        z = self.beta * np.einsum("rk,ik->ri", xs, self.payoff.entries)
         return np.exp(z - z.max(axis=1, keepdims=True))
 
     def fitness_gradient(self, x: np.ndarray) -> np.ndarray:
@@ -273,9 +275,9 @@ class UpdateRule:
         return self._replicator_probs(x)
 
     def update_probs_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Row-wise update for a (R, M) batch of frequency vectors."""
+        """Row-wise update for a (R, M) batch; a row's bits do not depend on the batch."""
         if self.mutation is not None:
-            xs = xs @ self.mutation.entries
+            xs = np.einsum("rk,kj->rj", xs, self.mutation.entries)
         w = self.fitness.scaled_weights_batch(xs)
         num = xs * w
         totals = num.sum(axis=1, keepdims=True)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     ConfigError,
@@ -152,7 +151,8 @@ def solve_interior_equilibrium(a: MatrixLike) -> EquilibriumResult:
             "no interior equilibrium: payoff matrix is singular"
         ) from exc
     total = float(v.sum())
-    if total == 0 or not np.isfinite(total):
+    # a sum lost in rounding (|sum v| <= 1e-12 sum |v|) counts as zero
+    if not np.isfinite(total) or abs(total) <= 1e-12 * float(np.abs(v).sum()):
         raise NoInteriorEquilibrium("equal-payoff solution has zero total mass")
     chi = v / total
     c = 1.0 / total
@@ -498,6 +498,8 @@ def _pseudo_orbit_levels(rule: UpdateRule, source, target, epsilon: float,
     when None), the minimal pseudo-orbit length into ``target``, -1 where
     no pseudo-orbit reaches it.
     """
+    from scipy.spatial.distance import cdist
+
     m = rule.m
     if m > 3:
         raise PreconditionError("grid search is limited to m <= 3")

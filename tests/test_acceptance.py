@@ -349,9 +349,9 @@ def test_note_extinction_trend_ladder(rule_a2):
     mean_times = []
     for n in (25, 50, 100):
         x0 = round_to_lattice(CHI2, n)
-        outs = [run_trial_absorption(rule_a2, x0, trial_rng(500 + n, 0, t),
-                                     least_fit_set=report.least_fit)
-                for t in range(2000)]
+        outs = run_trial_absorption(rule_a2, x0,
+                                    [trial_rng(500 + n, 0, t) for t in range(2000)],
+                                    least_fit_set=report.least_fit)
         assert not any(o.censored for o in outs)
         ladder.append((sum(o.event for o in outs), 2000))
         mean_times.append(float(np.mean([o.stop_time for o in outs])))

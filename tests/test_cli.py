@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import traceback
 from pathlib import Path
@@ -128,6 +131,14 @@ class TestMeanfield:
         # exit 0 leaves no exception; exit 2 must be the command's own
         assert result.exception is None or isinstance(result.exception, SystemExit), \
             repr(result.exception)
+
+    def test_zero_mass_equilibrium_exits_two(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "mf.json",
+                           {"matrix": [[89, 57], [53, 21]], "omega": 0.5})
+        result = runner.invoke(main, ["meanfield", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "zero total mass" in result.stderr
 
     def test_unknown_field_exits_one(self, runner, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
@@ -473,6 +484,24 @@ class TestPlumbing:
                    if line.startswith(("import ", "from "))]
         assert imports
         exec("\n".join(imports), {})
+
+    def test_cli_and_an_ensemble_load_no_scipy(self):
+        # scipy is imported inside the functions that need it, so `wf`
+        # start-up and `wf extinction` never pay for it
+        code = (
+            "import sys, wfsim.cli\n"
+            "from wfsim.extinction import ExperimentSpec, run_experiment\n"
+            "cfg = {'matrix': [[1, 20, 35], [20, 21, 30], [35, 30, 1]], 'omega': 0.5,\n"
+            "       'N': 50, 'initials': [[0.8, 0.1, 0.1]], 'replicates': 4, 'seed': 1,\n"
+            "       'sample_window': [1, 5]}\n"
+            "run_experiment(ExperimentSpec.from_config(cfg))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(wfsim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert run.stdout.strip() == "[]"
 
     def test_shipped_configs_parse(self):
         from wfsim.extinction import ExperimentSpec

@@ -9,6 +9,7 @@ import pytest
 from wfsim.errors import ConfigError, DomainError, PreconditionError
 from wfsim.extinction import (
     ExperimentSpec,
+    _run_chunk,
     check_thresholds,
     increasing_proportion_trend,
     least_fit,
@@ -206,6 +207,65 @@ class TestRunTrialAbsorption:
         with pytest.raises(PreconditionError, match="interior"):
             run_trial_absorption(rule_a2, x0, trial_rng(16, 0, 0),
                                  least_fit_set=SupportSet((1,)))
+
+
+# ----------------------------------------------------------------------
+# lockstep blocks: one call, one stream per trial
+# ----------------------------------------------------------------------
+
+def streams(seed, count):
+    return [trial_rng(seed, 0, t) for t in range(count)]
+
+
+class TestLockstepBlocks:
+    @pytest.mark.parametrize("start, kwargs", [
+        ([0.05, 0.15, 0.8], {"equilibrium": CHI2}),               # stop at step 0
+        ([0.8, 0.1, 0.1], {"sample_window": (5, 40), "max_steps": 30,
+                           "equilibrium": CHI2}),                 # some censored
+        ([0.8, 0.1, 0.1], {"sample_window": (1, 1), "equilibrium": CHI2}),
+        ([0.4, 0.3, 0.3], {"sample_window": (5, 40)}),           # no equilibrium
+    ], ids=["stop-at-zero", "censored", "window-1-1", "no-equilibrium"])
+    def test_threshold_block_matches_one_stream_calls(self, rule_a2, start, kwargs):
+        x0 = round_to_lattice(start, 100)
+        block = run_trial_threshold(rule_a2, x0, streams(31, 40), **kwargs)
+        alone = [run_trial_threshold(rule_a2, x0, rng, **kwargs) for rng in streams(31, 40)]
+        assert isinstance(block, list) and len(block) == 40
+        assert block == alone
+
+    def test_blocks_mix_every_kind_of_trial(self, rule_a2):
+        x0 = round_to_lattice([0.8, 0.1, 0.1], 100)
+        block = run_trial_threshold(rule_a2, x0, streams(31, 40), sample_window=(5, 40),
+                                    max_steps=30, equilibrium=CHI2)
+        kinds = {(o.censored, o.early_sample) for o in block}
+        # (censored, early): censored, stopped before and after the sample step
+        assert {(True, False), (False, True), (False, False)} <= kinds
+
+    @pytest.mark.parametrize("case", ["neutral-two-type", "a2-n25"])
+    def test_absorption_block_matches_one_stream_calls(self, rule_a2, case):
+        if case == "neutral-two-type":
+            rule, x0, fit = neutral_rule(2), round_to_lattice([0.5, 0.5], 20), SupportSet((1,))
+        else:
+            rule, x0 = rule_a2, round_to_lattice(CHI2, 25)
+            fit = least_fit(rule_a2, CHI2).least_fit
+        block = run_trial_absorption(rule, x0, streams(13, 30), least_fit_set=fit)
+        alone = [run_trial_absorption(rule, x0, rng, least_fit_set=fit)
+                 for rng in streams(13, 30)]
+        assert block == alone
+
+    def test_one_stream_gives_one_outcome(self, rule_a2):
+        x0 = round_to_lattice([0.8, 0.1, 0.1], 100)
+        out = run_trial_threshold(rule_a2, x0, trial_rng(31, 0, 0), equilibrium=CHI2)
+        assert out == run_trial_threshold(rule_a2, x0, [trial_rng(31, 0, 0)],
+                                          equilibrium=CHI2)[0]
+        assert not isinstance(out, list)
+
+    def test_rows_do_not_depend_on_block_split_or_threads(self, small_spec):
+        whole = [row for i in range(2) for row in _run_chunk(small_spec, i, 0, 12)]
+        split = [row for i in range(2)
+                 for row in _run_chunk(small_spec, i, 0, 5) + _run_chunk(small_spec, i, 5, 12)]
+        assert whole == split
+        assert run_experiment(small_spec, threads=1).rows == whole
+        assert run_experiment(small_spec, threads=3).rows == whole
 
 
 # ----------------------------------------------------------------------

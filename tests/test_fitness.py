@@ -31,7 +31,7 @@ from wfsim.fitness import (
     rng_stream,
     sampling_probs,
 )
-from wfsim.simplex import SimplexPoint
+from wfsim.simplex import SimplexPoint, lattice_counts
 
 from conftest import A1, A2, CHI1, A_TWO
 
@@ -196,6 +196,20 @@ class TestSamplingProbs:
                                       [0.0, 1 / 3, 2 / 3])
         np.testing.assert_array_equal(sampling_probs(rule, np.zeros((2, 3))),
                                       [[0.0, 1 / 3, 2 / 3], [0.25, 0.25, 0.5]])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 17, 1000])
+    @pytest.mark.parametrize("kind", ["linear-fractional", "exponential", "mutation"])
+    def test_batch_rows_do_not_depend_on_the_batch(self, kind, rows):
+        # a lockstep block must give each trial the bits of a one-row call
+        rule = {"linear-fractional": make_rule(A2, omega=0.5),
+                "exponential": make_rule(A2, fitness="exponential", beta=0.3),
+                "mutation": make_rule(A2, omega=0.5, mutation=np.full((3, 3), 0.01)
+                                      + 0.97 * np.eye(3))}[kind]
+        lattice = lattice_counts(3, 60) / 60
+        for start in (0, 450, len(lattice) - rows):
+            xs = lattice[start:start + rows]
+            alone = [sampling_probs(rule, xs[j:j + 1])[0] for j in range(rows)]
+            np.testing.assert_array_equal(sampling_probs(rule, xs), np.array(alone))
 
 
 class TestRngStream:

@@ -95,6 +95,11 @@ class TestEquilibrium:
         with pytest.raises(NoInteriorEquilibrium, match="no interior equilibrium"):
             solve_interior_equilibrium([[1.0, 1.0], [1.0, 1.0]])
 
+    def test_sum_lost_in_rounding_is_zero_mass(self):
+        # v = (1/32, -1/32); its float sum is 3.5e-18, not 0
+        with pytest.raises(NoInteriorEquilibrium, match="zero total mass"):
+            solve_interior_equilibrium([[89.0, 57.0], [53.0, 21.0]])
+
     def test_boundary_solution_flagged(self):
         eq = solve_interior_equilibrium([[2.0, 2.0], [2.0, 1.0]])
         assert not eq.is_interior
