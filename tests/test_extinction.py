@@ -252,13 +252,6 @@ class TestLockstepBlocks:
                  for rng in streams(13, 30)]
         assert block == alone
 
-    def test_one_stream_gives_one_outcome(self, rule_a2):
-        x0 = round_to_lattice([0.8, 0.1, 0.1], 100)
-        out = run_trial_threshold(rule_a2, x0, trial_rng(31, 0, 0), equilibrium=CHI2)
-        assert out == run_trial_threshold(rule_a2, x0, [trial_rng(31, 0, 0)],
-                                          equilibrium=CHI2)[0]
-        assert not isinstance(out, list)
-
     def test_rows_do_not_depend_on_block_split_or_threads(self, small_spec):
         whole = [row for i in range(2) for row in _run_chunk(small_spec, i, 0, 12)]
         split = [row for i in range(2)
