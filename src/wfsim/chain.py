@@ -35,23 +35,34 @@ from .simplex import (
 )
 
 
+#: Distinct states whose law one sample_path call keeps (~250 B each at M=3).
+LAW_MEMO = 1 << 16
+
+
 def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
                 rng: np.random.Generator,
                 stop: Optional[Callable[[np.ndarray], bool]] = None) -> np.ndarray:
     """Sample a trajectory of counts, optionally stopping early.
 
     Returns an integer array of shape (k+1, M) where k <= steps; the last
-    row is the first state satisfying ``stop`` if that happens earlier.
+    row is the first state satisfying ``stop`` (row 0 when ``x0`` does).
+    Each distinct state's law ``sampling_probs(rule, counts / n)`` is
+    computed once (for up to ``LAW_MEMO`` states), so ``rule`` must be a
+    pure function of the profile: every ``make_rule`` rule is, and a
+    ``TabulatedFitness`` callback runs once per distinct state.
     """
-    n = x0.n
+    n, laws = x0.n, {}                 # counts.tobytes() -> law
     path = np.empty((steps + 1, x0.m), dtype=np.int64)
-    path[0] = x0.counts
-    counts = x0.counts
-    for k in range(1, steps + 1):
-        counts = rng.multinomial(n, sampling_probs(rule, counts / n))
-        path[k] = counts
+    path[0] = counts = x0.counts
+    for k in range(steps):
         if stop is not None and stop(counts):
             return path[: k + 1]
+        law = laws.get(key := counts.tobytes())
+        if law is None:
+            law = sampling_probs(rule, counts / n)
+            if len(laws) < LAW_MEMO:
+                laws[key] = law
+        path[k + 1] = counts = rng.multinomial(n, law)
     return path
 
 

@@ -123,8 +123,8 @@ def _dispatch(command: str, runner, config_path, seed, replicates, threads,
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
-    except WfsimError as exc:
-        click.echo(f"error: {exc}", err=True)
+    except (WfsimError, MemoryError) as exc:
+        click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
         sys.exit(2)
 
 
@@ -166,10 +166,7 @@ def _run_simulate(cfg: dict, rule, threads: int):
     def stop(counts):
         return threshold is not None and counts.min() / n <= threshold
 
-    if stop(x0.counts):
-        path = x0.counts[None, :]
-    else:
-        path = sample_path(rule, x0, cfg["steps"], rng_stream(cfg["seed"]), stop=stop)
+    path = sample_path(rule, x0, cfg["steps"], rng_stream(cfg["seed"]), stop=stop)
     last = len(path) - 1
     stopped_at = last if stop(path[last]) else None
     # every stride-th step, plus the last one (the stop step or ``steps``)

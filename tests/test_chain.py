@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import multinomial
 
+from wfsim import chain
 from wfsim.chain import (
     absorbing_types,
     build_exact_chain,
@@ -22,7 +23,13 @@ from wfsim.errors import (
     ReducibleInterior,
     ResourceLimitExceeded,
 )
-from wfsim.fitness import MutationMatrix, UpdateRule, make_rule, sampling_probs
+from wfsim.fitness import (
+    MutationMatrix,
+    TabulatedFitness,
+    UpdateRule,
+    make_rule,
+    sampling_probs,
+)
 from wfsim.simplex import LatticePoint
 
 from conftest import A1, A2, A_TWO, neutral_rule
@@ -85,6 +92,34 @@ class TestStepSample:
         )
         assert path[-1].min() == 0
         assert np.all(path[:-1].min(axis=1) > 0)
+
+    def test_law_memo_cap_does_not_change_the_path(self, rule_a2, monkeypatch):
+        rule, x0, steps = mixing_rule(rule_a2), LatticePoint([40, 30, 30], 100), 2000
+        full = sample_path(rule, x0, steps, np.random.default_rng(5))
+        monkeypatch.setattr(chain, "LAW_MEMO", 2)
+        capped = sample_path(rule, x0, steps, np.random.default_rng(5))
+        rng, counts, reference = np.random.default_rng(5), x0.counts, [x0.counts]
+        for _ in range(steps):
+            counts = rng.multinomial(100, sampling_probs(rule, counts / 100))
+            reference.append(counts)
+        # the path revisits states and visits more than the capped memo holds
+        assert 2 < len(np.unique(full, axis=0)) < steps
+        np.testing.assert_array_equal(full, capped)
+        np.testing.assert_array_equal(full, np.array(reference))
+
+    def test_law_is_computed_once_per_distinct_state(self):
+        calls = []
+        fitness = TabulatedFitness(lambda x: calls.append(x.copy()) or np.ones(3), 3)
+        rule = UpdateRule(fitness, MutationMatrix(np.full((3, 3), 1 / 3)))
+        path = sample_path(rule, LatticePoint([2, 2, 2], 6), 500,
+                           np.random.default_rng(3))
+        assert len(calls) == len(np.unique(path[:-1], axis=0)) < 500
+
+    def test_start_that_already_stops_is_one_row(self, rule_a2):
+        path = sample_path(rule_a2, LatticePoint([480, 10, 10], 500), 100,
+                           np.random.default_rng(1),
+                           stop=lambda c: c.min() / 500 <= 0.05)
+        np.testing.assert_array_equal(path, [[480, 10, 10]])
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -253,6 +254,54 @@ class TestSimulate:
         manifest = load_json(out, "manifest.json")
         assert manifest["stopped_at"] == 0 and manifest["censored"] is False
 
+    # SHA-256 of trajectory.csv for configs that together reach the
+    # linear-fractional, exponential and mutation rules, strides above 1
+    # and a threshold stop: a change to the sampler that moves one draw or
+    # one written row breaks a digest
+    PINNED = {
+        "linear-fractional": (
+            {"matrix": A2, "omega": 0.5, "N": 500, "initial": [0.8, 0.1, 0.1],
+             "steps": 2000, "stride": 1, "seed": 3},
+            "ed5aeb815c71dd6d3b9cccbdc244409030fe7973b760b203116c8f1b4aa23a96"),
+        "exponential": (
+            {"matrix": A1, "fitness": "exponential", "beta": 0.3, "N": 200,
+             "initial": [0.4, 0.3, 0.3], "steps": 3000, "seed": 5},
+            "4592519336a7674ad4e10311804519e22a167e9a1d4366f75b0c0514941d2c16"),
+        "mutation-stride-3": (
+            {"matrix": A2, "omega": 0.5,
+             "mutation": [[0.98, 0.01, 0.01], [0.01, 0.98, 0.01],
+                          [0.01, 0.01, 0.98]],
+             "N": 300, "initial": [0.2, 0.5, 0.3], "steps": 5000, "stride": 3,
+             "seed": 9},
+            "cb1f705a5b341e82c6448e5f12fe76b1fc4c8c535fe6e71800f30b0606e9a33e"),
+        "threshold-stride-7": (
+            {"matrix": A1, "omega": 0.5, "N": 300, "initial": [0.25, 0.4, 0.35],
+             "steps": 5000, "stride": 7, "stop_threshold": 0.05, "seed": 13},
+            "d41043826b999ee5c3f412331aac905ecde80a8774df71bff1d0a264174dab0a"),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_trajectory_bytes_are_pinned(self, runner, tmp_path, name):
+        cfg, digest = self.PINNED[name]
+        path = write_config(tmp_path, "sim.json", cfg)
+        out = tmp_path / "out"
+        run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
+        blob = (out / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert load_json(out, "manifest.json")["outputs"]["trajectory.csv"] == digest
+
+    def test_path_past_the_address_space_exits_two(self, runner, tmp_path):
+        # numpy refuses a (10**13 + 1, 3) int64 path at once, allocating nothing
+        cfg = self.base_config()
+        cfg["steps"] = 10**13
+        path = write_config(tmp_path, "sim.json", cfg)
+        result = runner.invoke(main, ["simulate", "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_unknown_field_exits_one(self, runner, tmp_path):
         cfg = self.base_config()
         cfg["stop_treshold"] = 0.05
@@ -419,6 +468,17 @@ class TestBounds:
                         "--out", str(out2)])
         for name in ("bounds.csv", "bounds_summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_ensemble_past_the_address_space_exits_two(self, runner, tmp_path):
+        cfg = self.base_config()
+        cfg.update({"replicates": 10**13, "lipschitz_samples": 10})
+        path = write_config(tmp_path, "b.json", cfg)
+        result = runner.invoke(main, ["bounds", "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
 
     def test_missing_fields_exit_one(self, runner, tmp_path):
         cfg = write_config(tmp_path, "b.json", {"matrix": A2, "omega": 0.5})
