@@ -49,10 +49,14 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
     Each distinct state's law ``sampling_probs(rule, counts / n)`` is
     computed once (for up to ``LAW_MEMO`` states), so ``rule`` must be a
     pure function of the profile: every ``make_rule`` rule is, and a
-    ``TabulatedFitness`` callback runs once per distinct state.
+    ``TabulatedFitness`` callback runs once per distinct state.  Without
+    ``stop`` every row is written, so the path is allocated at once; with
+    ``stop`` it grows geometrically, so a run that stops early costs only
+    the rows it reached.
     """
     n, laws = x0.n, {}                 # counts.tobytes() -> law
-    path = np.empty((steps + 1, x0.m), dtype=np.int64)
+    rows = steps + 1 if stop is None else min(steps + 1, 1024)
+    path = np.empty((rows, x0.m), dtype=np.int64)
     path[0] = counts = x0.counts
     for k in range(steps):
         if stop is not None and stop(counts):
@@ -62,6 +66,10 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
             law = sampling_probs(rule, counts / n)
             if len(laws) < LAW_MEMO:
                 laws[key] = law
+        if k + 1 == len(path):
+            grown = np.empty((min(2 * len(path), steps + 1), x0.m), dtype=np.int64)
+            grown[: k + 1] = path
+            path = grown
         path[k + 1] = counts = rng.multinomial(n, law)
     return path
 
@@ -69,13 +77,9 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
 def absorbing_types(rule: UpdateRule, tol: float = 1e-12) -> list[int]:
     """1-based labels of types whose pure composition is a fixed point of
     the update map."""
-    out = []
-    for j in range(rule.m):
-        e = np.zeros(rule.m)
-        e[j] = 1.0
-        if float(np.max(np.abs(rule.update_probs(e) - e))) <= tol:
-            out.append(j + 1)
-    return out
+    vertices = np.eye(rule.m)
+    gaps = np.abs(rule.update_probs(vertices) - vertices).max(axis=1)
+    return (np.flatnonzero(gaps <= tol) + 1).tolist()
 
 
 # ----------------------------------------------------------------------

@@ -163,12 +163,11 @@ def _run_simulate(cfg: dict, rule, threads: int):
     n, stride, threshold = cfg["N"], cfg["stride"], cfg.get("stop_threshold")
     x0 = round_to_lattice(cfg["initial"], n)
 
-    def stop(counts):
-        return threshold is not None and counts.min() / n <= threshold
-
+    # without a threshold every row is written, so sample_path allocates them at once
+    stop = None if threshold is None else (lambda counts: counts.min() / n <= threshold)
     path = sample_path(rule, x0, cfg["steps"], rng_stream(cfg["seed"]), stop=stop)
     last = len(path) - 1
-    stopped_at = last if stop(path[last]) else None
+    stopped_at = last if stop is not None and stop(path[last]) else None
     # every stride-th step, plus the last one (the stop step or ``steps``)
     kept = itertools.chain(range(0, last + 1, stride), [last] if last % stride else [])
     rows = ((k, *path[k].tolist()) for k in kept)

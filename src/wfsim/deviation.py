@@ -234,8 +234,7 @@ def one_step_exceedance_upper(rule: UpdateRule, x0: LatticePoint,
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     n = x0.n
-    # a batch of one: the vectorised map, which simulate_deviations uses
-    p = sampling_probs(rule, x0.counts[None, :] / n)[0]
+    p = sampling_probs(rule, x0.counts / n)
     o = iterate(rule, x0.as_frequencies(), 1).states[1]
     # X_i <= lo or X_i >= hi  <=>  |X_i/N - o_i| >= epsilon (up to tol)
     tol = 1e-9

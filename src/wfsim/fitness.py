@@ -97,22 +97,17 @@ class FitnessModel:
         """Raw fitness vector at profile ``x`` (may overflow; see subclasses)."""
         raise NotImplementedError
 
-    def scaled_weights(self, x: np.ndarray) -> np.ndarray:
+    def scaled_weights(self, xs: np.ndarray) -> np.ndarray:
         """Range-guarded substitute used inside the update map.
 
-        Returns a vector ``w`` with ``w = c * values(x)`` for some positive
-        scalar ``c``; the update map is invariant under such scaling, so
-        subclasses may shift into a safe numeric range here.
+        Takes a profile ``(M,)`` or a batch ``(R, M)`` and returns, per
+        profile, ``w = c * values(x)`` for some positive scalar ``c``; the
+        update map is invariant under such scaling, so subclasses may shift
+        into a safe numeric range here.  This base version calls ``values``
+        once per profile (the ``TabulatedFitness`` path); the closed-form
+        models override it with one array expression.
         """
-        return self.values(x)
-
-    def scaled_weights_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Row-wise ``scaled_weights`` for a (R, M) batch of profiles.
-
-        Subclasses override with a vectorized path; the base implementation
-        just loops.
-        """
-        return np.array([self.scaled_weights(row) for row in xs])
+        return np.apply_along_axis(self.values, -1, xs)
 
     def fitness_gradient(self, x: np.ndarray) -> Optional[np.ndarray]:
         """Matrix of partial derivatives d(fitness_i)/d(x_j), or None if the
@@ -158,10 +153,10 @@ class LinearFractionalFitness(FitnessModel):
     def values(self, x: np.ndarray) -> np.ndarray:
         return self._b_part + self._wa @ x
 
-    def scaled_weights_batch(self, xs: np.ndarray) -> np.ndarray:
-        # einsum sums each row in a fixed order, so a row's bits do not depend
-        # on its batch; BLAS matmul runs gemv at one row and gemm at several
-        return self._b_part + np.einsum("rk,ik->ri", xs, self._wa)
+    def scaled_weights(self, xs: np.ndarray) -> np.ndarray:
+        # einsum sums each row in a fixed order, so a profile and a batch row
+        # get the same bits; BLAS matmul runs gemv at one row and gemm at several
+        return self._b_part + np.einsum("...k,ik->...i", xs, self._wa)
 
     def fitness_gradient(self, x: np.ndarray) -> np.ndarray:
         return self._wa
@@ -187,15 +182,11 @@ class ExponentialFitness(FitnessModel):
             )
         return out
 
-    def scaled_weights(self, x: np.ndarray) -> np.ndarray:
-        # shift the exponent by its maximum; the update map is invariant
+    def scaled_weights(self, xs: np.ndarray) -> np.ndarray:
+        # shift each exponent by its maximum; the update map is invariant
         # under positive scalar rescaling of fitness
-        z = self.beta * (self.payoff.entries @ x)
-        return np.exp(z - z.max())
-
-    def scaled_weights_batch(self, xs: np.ndarray) -> np.ndarray:
-        z = self.beta * np.einsum("rk,ik->ri", xs, self.payoff.entries)
-        return np.exp(z - z.max(axis=1, keepdims=True))
+        z = self.beta * np.einsum("...k,ik->...i", xs, self.payoff.entries)
+        return np.exp(z - z.max(axis=-1, keepdims=True))
 
     def fitness_gradient(self, x: np.ndarray) -> np.ndarray:
         phi = self.values(x)
@@ -245,10 +236,6 @@ class MutationMatrix:
     def m(self) -> int:
         return self._entries.shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Post-mutation profile: row vector times the matrix."""
-        return x @ self._entries
-
 
 class UpdateRule:
     """Expected next-generation profile map.
@@ -266,24 +253,18 @@ class UpdateRule:
         self.m = fitness.m
 
     # -- hot path -----------------------------------------------------
-    def update_probs(self, x) -> np.ndarray:
-        """Expected next profile for a frequency vector (returned raw)."""
-        if isinstance(x, SimplexPoint):
-            x = x.coords
+    def update_probs(self, xs) -> np.ndarray:
+        """Expected next profile of a profile ``(M,)`` or of each row of a
+        batch ``(R, M)`` (returned raw).  A profile and a batch row get the
+        same bits, whatever the batch."""
+        if isinstance(xs, SimplexPoint):
+            xs = xs.coords
         if self.mutation is not None:
-            x = x @ self.mutation.entries
-        return self._replicator_probs(x)
+            xs = np.einsum("...k,kj->...j", xs, self.mutation.entries)
+        return self._replicator_probs(xs)
 
-    def update_probs_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Row-wise update for a (R, M) batch; a row's bits do not depend on the batch."""
-        if self.mutation is not None:
-            xs = np.einsum("rk,kj->rj", xs, self.mutation.entries)
-        w = self.fitness.scaled_weights_batch(xs)
-        num = xs * w
-        totals = num.sum(axis=1, keepdims=True)
-        if not np.all(totals > 0):
-            raise DegenerateFitness("total fitness is zero at some profile")
-        return num / totals
+    #: The same map; the name is kept for callers that take batches.
+    update_probs_batch = update_probs
 
     def jacobian(self, x: np.ndarray, fd_step: float = 1e-7) -> np.ndarray:
         """Derivative matrix of the update map at ``x``.
@@ -300,7 +281,7 @@ class UpdateRule:
     def _replicator_jacobian(self, x: np.ndarray, fd_step: float) -> np.ndarray:
         dphi = self.fitness.fitness_gradient(x)
         if dphi is None:
-            return _fd_jacobian(lambda v: self._replicator_probs(v), x, fd_step)
+            return _fd_jacobian(self._replicator_probs, x, fd_step)
         phi = self.fitness.values(x)
         s = float(np.dot(x, phi))
         if not s > 0:
@@ -311,13 +292,12 @@ class UpdateRule:
         jac -= np.outer(gamma, grad_s) / s
         return jac
 
-    def _replicator_probs(self, x: np.ndarray) -> np.ndarray:
-        w = self.fitness.scaled_weights(x)
-        num = x * w
-        total = num.sum()
-        if not total > 0:
-            raise DegenerateFitness("total fitness is zero at this profile")
-        return num / total
+    def _replicator_probs(self, xs: np.ndarray) -> np.ndarray:
+        num = xs * self.fitness.scaled_weights(xs)
+        totals = num.sum(axis=-1, keepdims=True)
+        if not totals.min(initial=np.inf) > 0:        # NaN fails too
+            raise DegenerateFitness("total fitness is zero at some profile")
+        return num / totals
 
 
 def sampling_probs(rule: UpdateRule, freqs: np.ndarray) -> np.ndarray:
@@ -326,14 +306,9 @@ def sampling_probs(rule: UpdateRule, freqs: np.ndarray) -> np.ndarray:
     The update-map image of a profile ``(M,)``, or of each row of a batch
     ``(R, M)``, with rounding negatives clamped to 0 and each row
     renormalised, so the multinomial sampler never rejects it.  A profile
-    goes through the scalar map and a batch through the vectorised one:
-    each is the faster at its size.
+    and a batch row get the same bits.
     """
-    if freqs.ndim == 1:
-        p = rule.update_probs(freqs)
-    else:
-        p = rule.update_probs_batch(freqs)
-    p = np.maximum(p, 0.0)
+    p = np.maximum(rule.update_probs(freqs), 0.0)
     p /= p.sum(axis=-1, keepdims=True)
     return p
 
@@ -347,15 +322,10 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
 def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                  step: float) -> np.ndarray:
-    m = x.size
-    out = np.empty((m, m))
-    for j in range(m):
-        hi = x.copy()
-        lo = x.copy()
-        hi[j] += step
-        lo[j] -= step
-        out[:, j] = (f(hi) - f(lo)) / (2.0 * step)
-    return out
+    # rows j and m + j of the batch are x moved by +step and -step along e_j
+    shift = step * np.eye(x.size)
+    images = f(np.concatenate([x + shift, x - shift]))
+    return ((images[: x.size] - images[x.size:]) / (2.0 * step)).T.copy()
 
 
 def finite_difference_jacobian(rule: UpdateRule, x: np.ndarray,

@@ -518,7 +518,7 @@ def _pseudo_orbit_levels(rule: UpdateRule, source, target, epsilon: float,
         nearest = np.abs(nodes - points.reshape(-1, 1, m)).max(axis=2).argmin(axis=1)
         return np.isin(np.arange(nodes.shape[0]), nearest)
 
-    images = np.array([rule.update_probs(v) for v in nodes])
+    images = rule.update_probs(nodes)
     frontier = region_mask(target)
     level = np.where(frontier, 0, -1)
     depth = 0

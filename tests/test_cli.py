@@ -290,6 +290,19 @@ class TestSimulate:
         assert hashlib.sha256(blob).hexdigest() == digest
         assert load_json(out, "manifest.json")["outputs"]["trajectory.csv"] == digest
 
+    def test_stopped_run_allocates_only_the_rows_it_reaches(self, runner, tmp_path):
+        # this run stops at step 2188: a 10**10-step budget must not
+        # allocate 10**10 rows up front
+        cfg, _ = self.PINNED["threshold-stride-7"]
+        outputs = []
+        for steps in (5000, 10**10):
+            path = write_config(tmp_path, f"sim{steps}.json", {**cfg, "steps": steps})
+            out = tmp_path / f"out{steps}"
+            run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
+            assert load_json(out, "manifest.json")["stopped_at"] == 2188
+            outputs.append((out / "trajectory.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_path_past_the_address_space_exits_two(self, runner, tmp_path):
         # numpy refuses a (10**13 + 1, 3) int64 path at once, allocating nothing
         cfg = self.base_config()

@@ -40,6 +40,17 @@ def random_interior(m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.dirichlet(np.ones(m))
 
 
+def rule_of_kind(kind: str) -> UpdateRule:
+    """One rule per code path of the update map, on the A2 payoffs."""
+    if kind == "tabulated":
+        return UpdateRule(TabulatedFitness(
+            lambda x: 1.0 + np.sin(3.0 * x) + x @ np.asarray(A2) / 50, m=3))
+    return {"linear-fractional": make_rule(A2, omega=0.5),
+            "exponential": make_rule(A2, fitness="exponential", beta=0.3),
+            "mutation": make_rule(A2, omega=0.5, mutation=np.full((3, 3), 0.01)
+                                  + 0.97 * np.eye(3))}[kind]
+
+
 # ----------------------------------------------------------------------
 # payoff matrices
 # ----------------------------------------------------------------------
@@ -167,16 +178,15 @@ class TestUpdateMap:
         xs = rng.dirichlet(np.ones(3), size=40)
         batch = rule_a2.update_probs_batch(xs)
         loop = np.array([rule_a2.update_probs(x) for x in xs])
-        np.testing.assert_allclose(batch, loop, atol=1e-14)
+        np.testing.assert_array_equal(batch, loop)
 
     def test_batch_matches_loop_exponential(self):
         rule = make_rule(A2, fitness="exponential", beta=0.4)
         rng = np.random.default_rng(7)
         xs = rng.dirichlet(np.ones(3), size=20)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             rule.update_probs_batch(xs),
             np.array([rule.update_probs(x) for x in xs]),
-            atol=1e-14,
         )
 
 
@@ -190,8 +200,7 @@ class TestSamplingProbs:
 
     def test_rounding_negatives_clamped_and_rows_renormalised(self):
         image = np.array([[-1e-17, 0.25, 0.5], [0.5, 0.5, 1.0]])
-        rule = SimpleNamespace(update_probs=lambda x: image[0],
-                               update_probs_batch=lambda xs: image)
+        rule = SimpleNamespace(update_probs=lambda xs: image[0] if xs.ndim == 1 else image)
         np.testing.assert_array_equal(sampling_probs(rule, np.zeros(3)),
                                       [0.0, 1 / 3, 2 / 3])
         np.testing.assert_array_equal(sampling_probs(rule, np.zeros((2, 3))),
@@ -200,16 +209,16 @@ class TestSamplingProbs:
     @pytest.mark.parametrize("rows", [1, 2, 3, 17, 1000])
     @pytest.mark.parametrize("kind", ["linear-fractional", "exponential", "mutation"])
     def test_batch_rows_do_not_depend_on_the_batch(self, kind, rows):
-        # a lockstep block must give each trial the bits of a one-row call
-        rule = {"linear-fractional": make_rule(A2, omega=0.5),
-                "exponential": make_rule(A2, fitness="exponential", beta=0.3),
-                "mutation": make_rule(A2, omega=0.5, mutation=np.full((3, 3), 0.01)
-                                      + 0.97 * np.eye(3))}[kind]
+        # a lockstep block must give each trial the bits of a one-row call,
+        # and a one-row call the bits of the profile call sample_path makes
+        rule = rule_of_kind(kind)
         lattice = lattice_counts(3, 60) / 60
         for start in (0, 450, len(lattice) - rows):
             xs = lattice[start:start + rows]
             alone = [sampling_probs(rule, xs[j:j + 1])[0] for j in range(rows)]
             np.testing.assert_array_equal(sampling_probs(rule, xs), np.array(alone))
+            profiles = [sampling_probs(rule, x) for x in xs]
+            np.testing.assert_array_equal(sampling_probs(rule, xs), np.array(profiles))
 
 
 class TestRngStream:
@@ -292,6 +301,24 @@ class TestJacobian:
             d = rule.jacobian(x)
             d_fd = finite_difference_jacobian(rule, x)
             assert np.max(np.abs(d - d_fd)) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["linear-fractional", "exponential", "mutation",
+                                      "tabulated"])
+    def test_batched_differences_match_a_column_loop(self, kind):
+        # the 2M perturbed points go through the map as one batch; each
+        # column must keep the bits of two profile calls
+        rule = rule_of_kind(kind)
+        rng = np.random.default_rng(12)
+        step = 1e-6
+        for _ in range(10):
+            x = 0.9 * random_interior(3, rng) + 0.1 / 3
+            reference = np.empty((3, 3))
+            for j in range(3):
+                hi, lo = x.copy(), x.copy()
+                hi[j] += step
+                lo[j] -= step
+                reference[:, j] = (rule.update_probs(hi) - rule.update_probs(lo)) / (2.0 * step)
+            np.testing.assert_array_equal(finite_difference_jacobian(rule, x, step), reference)
 
     def test_columns_of_jacobian_sum_preserving(self, rule_a2):
         # the update maps the simplex to itself, so derivative columns sum to 0
