@@ -31,7 +31,6 @@ from .simplex import (
     SupportSet,
     lattice_counts,
     lattice_size,
-    state_cap,
 )
 
 
@@ -118,9 +117,6 @@ class ExactChain:
         except KeyError:
             raise DomainError(f"{key} is not a composition of size {self.n}") from None
 
-    def lattice_point(self, i: int) -> LatticePoint:
-        return LatticePoint(self.states[i], self.n)
-
     @property
     def absorbing(self) -> np.ndarray:
         """Indices of singleton recurrent classes with a self-loop of mass 1."""
@@ -151,12 +147,6 @@ def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
         raise ResourceLimitExceeded(
             f"dense matrix would have {size * size} entries "
             f"(cap {PAIR_CAP}); reduce N or M"
-        )
-    cap = state_cap()
-    if size > cap:
-        raise ResourceLimitExceeded(
-            f"{size} states exceeds the cap of {cap}; "
-            f"set WF_MAX_STATES to raise it deliberately"
         )
     states = lattice_counts(m, n)
     # row i is the multinomial law of sampling_probs at state i:

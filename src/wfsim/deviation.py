@@ -147,8 +147,9 @@ _PROBE_RESOLUTION = 12
 _PROBE_SHRINK = 1e-4
 
 
-def _sum_zero_operator_norm(jac: np.ndarray) -> float:
-    """Induced max-norm of a derivative matrix over sum-zero displacements.
+def _sum_zero_operator_norm(jac: np.ndarray) -> np.ndarray:
+    """Induced max-norm of a derivative matrix, or of each matrix of a
+    stack, over sum-zero displacements.
 
     Displacements between simplex points always sum to zero, so the
     relevant operator norm is sup ||J w||_inf over sum-zero w with
@@ -156,8 +157,8 @@ def _sum_zero_operator_norm(jac: np.ndarray) -> float:
     constraints equals min_t ||r - t 1||_1 (linear-programming duality),
     attained at the row median.
     """
-    centered = jac - np.median(jac, axis=1, keepdims=True)
-    return float(np.abs(centered).sum(axis=1).max())
+    centered = jac - np.median(jac, axis=-1, keepdims=True)
+    return np.abs(centered).sum(axis=-1).max(axis=-1)
 
 
 def estimate_lipschitz(rule: UpdateRule, samples: int,
@@ -186,10 +187,7 @@ def estimate_lipschitz(rule: UpdateRule, samples: int,
     num, den = d_img[iu], d_pts[iu]
     keep = den > 1e-12
     pair_max = float((num[keep] / den[keep]).max()) if keep.any() else 0.0
-    jac_max = 0.0
-    for x in pts:
-        jac = finite_difference_jacobian(rule, x)
-        jac_max = max(jac_max, _sum_zero_operator_norm(jac))
+    jac_max = float(_sum_zero_operator_norm(finite_difference_jacobian(rule, pts)).max())
     return LipschitzEstimate(value=max(pair_max, jac_max),
                              pair_max=pair_max, jacobian_max=jac_max,
                              samples=samples)

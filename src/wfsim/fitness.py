@@ -266,7 +266,7 @@ class UpdateRule:
     #: The same map; the name is kept for callers that take batches.
     update_probs_batch = update_probs
 
-    def jacobian(self, x: np.ndarray, fd_step: float = 1e-7) -> np.ndarray:
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Derivative matrix of the update map at ``x``.
 
         Analytic whenever the fitness model has a gradient; otherwise falls
@@ -275,13 +275,13 @@ class UpdateRule:
         x = np.asarray(x, dtype=np.float64)
         if self.mutation is not None:
             inner = x @ self.mutation.entries
-            return self._replicator_jacobian(inner, fd_step) @ self.mutation.entries.T
-        return self._replicator_jacobian(x, fd_step)
+            return self._replicator_jacobian(inner) @ self.mutation.entries.T
+        return self._replicator_jacobian(x)
 
-    def _replicator_jacobian(self, x: np.ndarray, fd_step: float) -> np.ndarray:
+    def _replicator_jacobian(self, x: np.ndarray) -> np.ndarray:
         dphi = self.fitness.fitness_gradient(x)
         if dphi is None:
-            return _fd_jacobian(self._replicator_probs, x, fd_step)
+            return _fd_jacobian(self._replicator_probs, x, 1e-7)
         phi = self.fitness.values(x)
         s = float(np.dot(x, phi))
         if not s > 0:
@@ -320,22 +320,27 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
                  step: float) -> np.ndarray:
-    # rows j and m + j of the batch are x moved by +step and -step along e_j
-    shift = step * np.eye(x.size)
-    images = f(np.concatenate([x + shift, x - shift]))
-    return ((images[: x.size] - images[x.size:]) / (2.0 * step)).T.copy()
+    # rows j and m + j of each profile's block are it moved by +step and
+    # -step along e_j; the blocks of a whole stack go through one map call
+    m = xs.shape[-1]
+    shift = step * np.eye(m)
+    pts = np.concatenate([xs[..., None, :] + shift, xs[..., None, :] - shift], axis=-2)
+    images = f(pts.reshape(-1, m)).reshape(pts.shape)
+    return ((images[..., :m, :] - images[..., m:, :]) / (2.0 * step)).swapaxes(-1, -2).copy()
 
 
-def finite_difference_jacobian(rule: UpdateRule, x: np.ndarray,
+def finite_difference_jacobian(rule: UpdateRule, xs: np.ndarray,
                                step: float = 1e-6) -> np.ndarray:
-    """Central-difference derivative matrix of the update map at ``x``.
+    """Central-difference derivative matrix of the update map at a profile
+    ``(M,)``, or ``(R, M, M)`` at each profile of a stack ``(R, M)`` with
+    the bits of its own profile call.
 
     The map extends smoothly to a neighborhood of the simplex, so the
     perturbed points are evaluated without renormalizing the input.
     """
-    return _fd_jacobian(rule.update_probs, np.asarray(x, dtype=np.float64), step)
+    return _fd_jacobian(rule.update_probs, np.asarray(xs, dtype=np.float64), step)
 
 
 def make_rule(matrix, *, omega: float | None = None,

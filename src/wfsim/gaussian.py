@@ -180,14 +180,6 @@ class ResidualSample:
     n: int
     step: int
 
-    @property
-    def empirical_mean(self) -> np.ndarray:
-        return self.residuals.mean(axis=0)
-
-    @property
-    def empirical_cov(self) -> np.ndarray:
-        return np.cov(self.residuals, rowvar=False, bias=False)
-
 
 def rescaled_residuals(rule: UpdateRule, n: int, start, step: int,
                        replicates: int, rng: np.random.Generator) -> ResidualSample:

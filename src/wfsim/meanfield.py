@@ -167,8 +167,7 @@ def solve_interior_equilibrium(a: MatrixLike) -> EquilibriumResult:
                              residual=residual)
 
 
-def jacobian_at_equilibrium(a: MatrixLike, omega: float, chi: np.ndarray,
-                            cross_check: bool = True) -> np.ndarray:
+def jacobian_at_equilibrium(a: MatrixLike, omega: float, chi: np.ndarray) -> np.ndarray:
     """Derivative matrix of the affine-fitness update map at its interior
     equilibrium.
 
@@ -176,10 +175,9 @@ def jacobian_at_equilibrium(a: MatrixLike, omega: float, chi: np.ndarray,
     derivative at the equilibrium acts on sum-zero perturbations as
     ``I + (diag(chi) B - chi chi' (B - B')) / (1 + r)`` where
     ``B = omega / (1 - omega) * A`` and ``r`` is the common value of
-    ``B chi``; the ``B - B'`` term vanishes when A is symmetric.  When
-    ``cross_check`` is on, the result is validated against central finite
-    differences of the full map along a sum-zero basis (agreement to 1e-5
-    required).
+    ``B chi``; the ``B - B'`` term vanishes when A is symmetric.  The
+    result is validated against central finite differences of the full map
+    along a sum-zero basis (agreement to 1e-5 required).
     """
     payoff = _as_matrix(a)
     chi = np.asarray(chi, dtype=np.float64)
@@ -197,16 +195,13 @@ def jacobian_at_equilibrium(a: MatrixLike, omega: float, chi: np.ndarray,
         )
     d = np.eye(payoff.m) + chi[:, None] * b_mat / (1.0 + r)
     d -= np.outer(chi, chi @ (b_mat - b_mat.T)) / (1.0 + r)
-    if cross_check:
-        rule = UpdateRule(LinearFractionalFitness(payoff, omega))
-        d_fd = finite_difference_jacobian(rule, chi, step=1e-6)
-        basis = sum_zero_basis(payoff.m)
-        err = float(np.max(np.abs((d - d_fd) @ basis)))
-        if err > 1e-5:
-            raise NumericRangeError(
-                f"analytic derivative disagrees with finite differences on "
-                f"sum-zero directions by {err:.3e}"
-            )
+    d_fd = finite_difference_jacobian(UpdateRule(LinearFractionalFitness(payoff, omega)), chi)
+    err = float(np.max(np.abs((d - d_fd) @ sum_zero_basis(payoff.m))))
+    if err > 1e-5:
+        raise NumericRangeError(
+            f"analytic derivative disagrees with finite differences on "
+            f"sum-zero directions by {err:.3e}"
+        )
     return d
 
 
@@ -381,9 +376,9 @@ def check_permanence(a: MatrixLike, rule: UpdateRule,
                         candidates.append(z)
                 except NoInteriorEquilibrium:
                     # singular face submatrix: scan the face densely
-                    for z in _face_grid(m, idx, 40):
-                        if np.max(np.abs(rule.update_probs(z) - z)) < fixed_point_residual:
-                            candidates.append(z)
+                    grid = _face_grid(m, idx, 40)
+                    gaps = np.abs(rule.update_probs(grid) - grid).max(axis=-1)
+                    candidates.extend(grid[gaps < fixed_point_residual])
             for z in candidates:
                 try:
                     ok = np.max(np.abs(rule.update_probs(z) - z)) < fixed_point_residual

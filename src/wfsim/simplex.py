@@ -74,9 +74,6 @@ class SupportSet:
         """Sorted 0-based indices."""
         return np.array(sorted(label - 1 for label in self.labels), dtype=np.intp)
 
-    def issubset(self, other: "SupportSet") -> bool:
-        return self.labels <= other.labels
-
     def __contains__(self, label: int) -> bool:
         return label in self.labels
 

@@ -101,6 +101,22 @@ class TestMeanfield:
         np.testing.assert_allclose(report["permanence"]["witness"], CHI2,
                                    atol=1e-6)
 
+    def test_singular_face_scan_is_pinned(self, runner, tmp_path):
+        # the {1,2} face submatrix [[1, 1], [1, 1]] is singular, so the
+        # permanence check scans that face's grid for fixed points; SHA-256
+        # recorded before the scan became one map call
+        cfg = write_config(tmp_path, "mf.json",
+                           {"matrix": [[1, 1, 2], [1, 1, 3], [2, 3, 1]],
+                            "omega": 0.5, "check_permanence": True})
+        out = tmp_path / "out"
+        run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+        perm = load_json(out, "report.json")["permanence"]
+        assert perm["n_boundary_fixed_points"] == 44
+        assert perm["status"] == "not-verified"
+        assert perm["min_margin"] == pytest.approx(-1 / 24, abs=1e-12)
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == (
+            "9f5990df1dd5dc68e632e14fd9acf67fde615ea175990573f1676b597fb16356")
+
     def test_non_symmetric_matrix_report(self, runner, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": NON_SYMMETRIC, "omega": 0.5})
@@ -492,6 +508,22 @@ class TestBounds:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
+
+    def test_outputs_are_pinned(self, runner, tmp_path):
+        # SHA-256 recorded before the finite differences were stacked: a
+        # moved probe derivative or draw changes the Lipschitz estimate or
+        # a count, and with it a digest
+        cfg = {"matrix": A2, "omega": 0.5, "N": [200, 800], "epsilons": [0.05, 0.1],
+               "horizon": 20, "replicates": 500, "seed": 7, "lipschitz_samples": 50}
+        path = write_config(tmp_path, "b.json", cfg)
+        out = tmp_path / "out"
+        run_ok(runner, ["bounds", "--config", path, "--out", str(out)])
+        for name, digest in {
+            "bounds.csv": "a650ddb817e39e7d4510381574c1bac929cb789e379bdfed73e8a9327c48a4fe",
+            "bounds_summary.json":
+                "eda7ad6acbae97476af7d382ff39da8213ff1da8f59f7dfe46af0f610613d6cd",
+        }.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_missing_fields_exit_one(self, runner, tmp_path):
         cfg = write_config(tmp_path, "b.json", {"matrix": A2, "omega": 0.5})

@@ -11,6 +11,8 @@ from scipy.stats import multinomial
 from hypothesis import strategies as st
 
 from wfsim.deviation import (
+    _PROBE_RESOLUTION,
+    _PROBE_SHRINK,
     DeviationEnsemble,
     bound_table,
     contraction_coefficient,
@@ -23,11 +25,11 @@ from wfsim.deviation import (
     wilson_upper,
 )
 from wfsim.errors import DomainError, PreconditionError
-from wfsim.fitness import MutationMatrix, UpdateRule
+from wfsim.fitness import MutationMatrix, UpdateRule, finite_difference_jacobian, make_rule
 from wfsim.meanfield import iterate
 from wfsim.simplex import LatticePoint, lattice_counts, round_to_lattice
 
-from conftest import CHI2, neutral_rule
+from conftest import A2, CHI2, neutral_rule
 
 
 def constant_vertex_rule(m: int):
@@ -188,6 +190,32 @@ class TestLipschitz:
         ]
         assert vals[0] == pytest.approx(vals[1], rel=0.05)
         assert vals[0] > 1.0  # the benchmark map genuinely expands somewhere
+
+    @pytest.mark.parametrize("rule", [
+        make_rule(A2, omega=0.5),
+        make_rule(A2, fitness="exponential", beta=0.3),
+    ], ids=["linear-fractional", "exponential"])
+    def test_jacobian_max_matches_a_probe_loop(self, rule, monkeypatch):
+        # every probe's derivative comes from one stacked map call; the
+        # result must keep the bits of one profile call per probe, and the
+        # probe count seen through update_probs_batch must stay one call
+        samples = 200
+        rows = []
+        batch = rule.update_probs_batch
+        monkeypatch.setattr(rule, "update_probs_batch",
+                            lambda xs: (rows.append(len(xs)), batch(xs))[1])
+        est = estimate_lipschitz(rule, samples, np.random.default_rng(57))
+        assert rows == [samples + 91]
+
+        grid = lattice_counts(3, _PROBE_RESOLUTION) / _PROBE_RESOLUTION
+        grid = (1.0 - _PROBE_SHRINK) * grid + _PROBE_SHRINK / 3
+        pts = np.random.default_rng(57).dirichlet(np.ones(3), size=samples)
+        reference = 0.0
+        for x in np.vstack([grid, pts]):
+            jac = finite_difference_jacobian(rule, x)
+            norm = float(np.abs(jac - np.median(jac, axis=1, keepdims=True)).sum(axis=1).max())
+            reference = max(reference, norm)
+        assert est.jacobian_max == reference
 
 
 # ----------------------------------------------------------------------

@@ -306,19 +306,25 @@ class TestJacobian:
                                       "tabulated"])
     def test_batched_differences_match_a_column_loop(self, kind):
         # the 2M perturbed points go through the map as one batch; each
-        # column must keep the bits of two profile calls
+        # column must keep the bits of two profile calls, and each matrix
+        # of a stack the bits of its own profile call
         rule = rule_of_kind(kind)
         rng = np.random.default_rng(12)
         step = 1e-6
-        for _ in range(10):
-            x = 0.9 * random_interior(3, rng) + 0.1 / 3
+        xs = 0.9 * np.array([random_interior(3, rng) for _ in range(10)]) + 0.1 / 3
+        singles = []
+        for x in xs:
             reference = np.empty((3, 3))
             for j in range(3):
                 hi, lo = x.copy(), x.copy()
                 hi[j] += step
                 lo[j] -= step
                 reference[:, j] = (rule.update_probs(hi) - rule.update_probs(lo)) / (2.0 * step)
-            np.testing.assert_array_equal(finite_difference_jacobian(rule, x, step), reference)
+            singles.append(finite_difference_jacobian(rule, x, step))
+            np.testing.assert_array_equal(singles[-1], reference)
+        stacked = finite_difference_jacobian(rule, xs, step)
+        assert stacked.shape == (10, 3, 3) and stacked.flags.c_contiguous
+        np.testing.assert_array_equal(stacked, np.array(singles))
 
     def test_columns_of_jacobian_sum_preserving(self, rule_a2):
         # the update maps the simplex to itself, so derivative columns sum to 0

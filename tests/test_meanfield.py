@@ -113,10 +113,7 @@ class TestEquilibrium:
 
 class TestJacobianAtEquilibrium:
     def test_zero_interaction_probe_gives_identity(self):
-        d = jacobian_at_equilibrium(
-            np.zeros((3, 3)), omega=0.5, chi=np.full(3, 1 / 3),
-            cross_check=False,
-        )
+        d = jacobian_at_equilibrium(np.zeros((3, 3)), omega=0.5, chi=np.full(3, 1 / 3))
         np.testing.assert_allclose(d, np.eye(3), atol=1e-14)
 
     def test_two_type_hand_value(self):
@@ -134,7 +131,7 @@ class TestJacobianAtEquilibrium:
             "non-symmetric-strong", "four-type-non-symmetric"])
     def test_benchmark_matches_finite_differences(self, a, omega):
         chi = solve_interior_equilibrium(a).vector
-        d = jacobian_at_equilibrium(a, omega=omega, chi=chi, cross_check=False)
+        d = jacobian_at_equilibrium(a, omega=omega, chi=chi)
         d_fd = finite_difference_jacobian(make_rule(a, omega=omega), chi)
         basis = sum_zero_basis(chi.size)
         assert np.max(np.abs((d - d_fd) @ basis)) < 1e-8
