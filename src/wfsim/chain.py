@@ -91,7 +91,9 @@ class ExactChain:
 
     States are ordered ascending-lexicographically by their count vectors;
     ``matrix[i, j]`` is the probability of moving from state i to state j
-    in one generation.
+    in one generation.  ``scc_labels`` gives the partition into strongly
+    connected components, numbered (like ``recurrent_classes``) ascending by
+    smallest member, not scipy's component ids.
     """
 
     rule: UpdateRule
@@ -136,7 +138,6 @@ def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
     Refuses (rather than subsampling) when the state count exceeds the
     state cap or the matrix would exceed the entry cap.
     """
-    from scipy.sparse import csgraph, csr_matrix
     from scipy.special import gammaln
 
     m = rule.m
@@ -160,28 +161,48 @@ def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
     np.exp(matrix, out=matrix)
     matrix /= matrix.sum(axis=1, keepdims=True)
 
-    adj = csr_matrix(matrix > 0)
-    n_comp, labels = csgraph.connected_components(adj, directed=True, connection="strong")
-    rows, cols = adj.nonzero()
-    cross = labels[rows] != labels[cols]
-    has_exit = np.zeros(n_comp, dtype=bool)
-    has_exit[labels[rows[cross]]] = True
-    recurrent_classes = [np.flatnonzero(labels == cid)
-                         for cid in np.flatnonzero(~has_exit)]
+    return ExactChain(rule, n, states, matrix, *classify_states(matrix > 0))
 
-    def period(members: np.ndarray) -> int:
+
+def classify_states(positive: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
+    """SCC labels of the digraph with boolean adjacency ``positive`` (S, S),
+    its sink classes with their periods, and its transient states.
+
+    Runs on a hub graph: the S states plus one hub per distinct row, with
+    edges i -> hub(row i) -> every j in that row (none for an empty row),
+    so S + nnz(distinct rows) edges.  Reachability between states is that
+    of ``positive``, and every cycle doubles, so periods are halved.
+    """
+    from scipy.sparse import csgraph, csr_matrix
+
+    s = positive.shape[0]
+    packed = np.packbits(positive, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, hub = np.unique(keys, return_index=True, return_inverse=True)
+    patterns, live = positive[first], positive.any(axis=1)
+    indices = np.concatenate([s + hub[live], np.nonzero(patterns)[1]])
+    indptr = np.cumsum(np.concatenate([[0], live, patterns.sum(axis=1)]))
+    size = s + first.size
+    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(size, size))
+    n_comp, node_labels = csgraph.connected_components(graph, connection="strong")
+    src = node_labels[np.repeat(np.arange(size), np.diff(indptr))]
+    has_exit = np.zeros(n_comp, dtype=bool)
+    has_exit[src[src != node_labels[indices]]] = True
+    _, smallest, comp = np.unique(node_labels[:s], return_index=True, return_inverse=True)
+    _, labels = np.unique(smallest[comp], return_inverse=True)   # ascending by smallest member
+    sink = ~has_exit[node_labels[:s]]
+
+    def period(node_label: int) -> int:
         # breadth-first levels; the gcd of level[u] + 1 - level[v] over internal edges
-        sub = adj[members][:, members].tocsr()
+        nodes = np.flatnonzero(node_labels == node_label)
+        sub = graph[nodes][:, nodes]
         level = csgraph.shortest_path(sub, unweighted=True, indices=0).astype(np.int64)
         rows, cols = sub.nonzero()
-        return int(np.gcd.reduce(level[rows] + 1 - level[cols])) or 1
+        return int(np.gcd.reduce(level[rows] + 1 - level[cols])) // 2 or 1
 
-    periods = [period(members) for members in recurrent_classes]
-    transient = np.flatnonzero(has_exit[labels])
-
-    return ExactChain(rule=rule, n=n, states=states, matrix=matrix,
-                      scc_labels=labels, recurrent_classes=recurrent_classes,
-                      periods=periods, transient=transient)
+    classes = [np.flatnonzero(labels == cid) for cid in np.unique(labels[sink])]
+    periods = [period(node_labels[members[0]]) for members in classes]
+    return labels, classes, periods, np.flatnonzero(~sink)
 
 
 def recurrent_class_faces(chain: ExactChain,
@@ -190,18 +211,13 @@ def recurrent_class_faces(chain: ExactChain,
     class is exactly the union of the full compositions on those supports
     (every composition whose support fits inside a maximal support)."""
     members = chain.recurrent_classes[class_index]
-    supports = {frozenset(np.flatnonzero(chain.states[i] > 0).tolist())
-                for i in members}
-    maximal = [s for s in supports
-               if not any(s < other for other in supports)]
-    member_set = set(members.tolist())
-    predicted = set()
-    for i in range(chain.n_states):
-        supp = frozenset(np.flatnonzero(chain.states[i] > 0).tolist())
-        if any(supp <= mx for mx in maximal):
-            predicted.add(i)
-    is_union = predicted == member_set
-    labels = [SupportSet(frozenset(j + 1 for j in s)) for s in maximal]
+    support = chain.states > 0                                  # (S, M)
+    supports = np.unique(support[members], axis=0)              # (K, M)
+    inside = (supports[:, None] <= supports[None]).all(axis=-1)  # [a, b]: a within b
+    maximal = supports[inside.sum(axis=1) == 1]                 # within only itself
+    fits = (support[:, None] <= maximal[None]).all(axis=-1).any(axis=1)
+    is_union = np.array_equal(np.flatnonzero(fits), np.sort(members))
+    labels = [SupportSet.from_mask(row) for row in maximal]
     labels.sort(key=lambda s: sorted(s.labels))
     return labels, is_union
 
@@ -243,10 +259,7 @@ def qsd_power_iteration(sub_matrix: np.ndarray,
     s = sub.shape[0]
     if s == 0:
         raise PreconditionError("empty restriction has no quasi-stationary law")
-    from scipy.sparse import csgraph, csr_matrix
-
-    n_comp, _ = csgraph.connected_components(csr_matrix(sub > 0), directed=True,
-                                             connection="strong")
+    n_comp = int(classify_states(sub > 0)[0].max()) + 1
     if n_comp != 1:
         raise ReducibleInterior(
             f"restriction splits into {n_comp} strongly connected pieces; "

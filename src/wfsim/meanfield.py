@@ -375,10 +375,12 @@ def check_permanence(a: MatrixLike, rule: UpdateRule,
                         z[idx] = eq.vector
                         candidates.append(z)
                 except NoInteriorEquilibrium:
-                    # singular face submatrix: scan the face densely
+                    # singular face submatrix: scan the face densely; a batch
+                    # row has its profile's bits, so the hits need no re-check
                     grid = _face_grid(m, idx, 40)
                     gaps = np.abs(rule.update_probs(grid) - grid).max(axis=-1)
-                    candidates.extend(grid[gaps < fixed_point_residual])
+                    fixed.extend((SupportSet.from_mask(z > 0), z)
+                                 for z in grid[gaps < fixed_point_residual])
             for z in candidates:
                 try:
                     ok = np.max(np.abs(rule.update_probs(z) - z)) < fixed_point_residual

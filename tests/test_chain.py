@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csgraph, csr_matrix
 from scipy.stats import multinomial
 
 from wfsim import chain
 from wfsim.chain import (
     absorbing_types,
     build_exact_chain,
+    classify_states,
     interior_qsd,
     qsd_power_iteration,
     quadratic_form_drift,
@@ -30,7 +34,7 @@ from wfsim.fitness import (
     make_rule,
     sampling_probs,
 )
-from wfsim.simplex import LatticePoint
+from wfsim.simplex import LatticePoint, SupportSet
 
 from conftest import A1, A2, A_TWO, neutral_rule
 
@@ -222,6 +226,115 @@ class TestExactChain:
         assert "WF_MAX_STATES" not in str(info.value)
 
 
+def direct_classification(positive: np.ndarray):
+    """SCC partition, sink classes with their periods, and transient states,
+    from scipy.sparse.csgraph run on the full mask."""
+    adj = csr_matrix(positive)
+    n_comp, labels = csgraph.connected_components(adj, directed=True,
+                                                  connection="strong")
+    rows, cols = adj.nonzero()
+    has_exit = np.zeros(n_comp, dtype=bool)
+    has_exit[labels[rows[labels[rows] != labels[cols]]]] = True
+    partition = {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)}
+    sinks = {}
+    for c in np.flatnonzero(~has_exit):
+        members = np.flatnonzero(labels == c)
+        sub = adj[members][:, members]
+        level = csgraph.shortest_path(sub, unweighted=True, indices=0).astype(np.int64)
+        r, k = sub.nonzero()
+        sinks[frozenset(members.tolist())] = int(np.gcd.reduce(level[r] + 1 - level[k])) or 1
+    return partition, sinks, set(np.flatnonzero(has_exit[labels]).tolist())
+
+
+def assert_matches_direct(positive, labels, classes, periods, transient):
+    partition, sinks, direct_transient = direct_classification(positive)
+    assert {frozenset(np.flatnonzero(labels == c).tolist())
+            for c in np.unique(labels)} == partition
+    # component ids are 0..k-1, ascending by smallest member; so are the classes
+    assert np.array_equal(np.unique(labels), np.arange(len(partition)))
+    assert np.all(np.diff(np.unique(labels, return_index=True)[1]) > 0)
+    assert [cls[0] for cls in classes] == sorted(min(c) for c in sinks)
+    assert all(np.all(np.diff(cls) > 0) for cls in classes)
+    assert {frozenset(cls.tolist()): p for cls, p in zip(classes, periods)} == sinks
+    assert transient.tolist() == sorted(direct_transient)
+
+
+@st.composite
+def masks(draw):
+    """Boolean adjacency masks of a few kinds, drawn from a seeded stream."""
+    s = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "cycles", "shared", "distinct"]))
+    mask = rng.random((s, s)) < draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+    if kind == "cycles":
+        # disjoint directed cycles of length 1-4 (a self-loop at length 1)
+        # on a shuffled order, so periods above 1 occur
+        order, start = rng.permutation(s), 0
+        while start < s:
+            cycle = order[start: start + rng.integers(2, 5)]
+            mask[cycle, np.roll(cycle, -1)] = True
+            start += cycle.size
+    elif kind == "shared":
+        # few distinct rows: every row is one of at most three patterns
+        mask = mask[rng.integers(0, 3, size=s) % s]
+    elif kind == "distinct":
+        while np.unique(mask, axis=0).shape[0] < s:
+            mask = rng.random((s, s)) < 0.5
+    return mask
+
+
+class TestClassifyStates:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(masks())
+    def test_matches_csgraph_on_the_full_mask(self, mask):
+        assert_matches_direct(mask, *classify_states(mask))
+
+    def test_distinct_rows_and_long_cycles(self):
+        # every row distinct, a 3-cycle and a 2-cycle as sink classes
+        mask = np.zeros((7, 7), dtype=bool)
+        mask[[0, 1, 2], [1, 2, 0]] = True
+        mask[[3, 4], [4, 3]] = True
+        mask[5, [0, 5]] = True
+        mask[6, [3, 5]] = True
+        labels, classes, periods, transient = classify_states(mask)
+        assert [cls.tolist() for cls in classes] == [[0, 1, 2], [3, 4]]
+        assert periods == [3, 2]
+        assert transient.tolist() == [5, 6]
+        assert_matches_direct(mask, labels, classes, periods, transient)
+
+    @pytest.mark.parametrize("rule,n", [
+        (make_rule(A2, omega=0.5), 6),
+        (make_rule(A2, omega=0.5), 30),
+        (make_rule(A2, omega=0.5), 70),
+        (mixing_rule(make_rule(A2, omega=0.5)), 30),
+        (make_rule(A2, omega=0.5, mutation=[[0.9, 0.1, 0.0], [0.1, 0.9, 0.0],
+                                            [0.0, 0.0, 1.0]]), 30),
+        (make_rule([[1, 1], [1, 1]], omega=0.5, mutation=[[0, 1], [1, 0]]), 6),
+        (make_rule(A2, omega=0.5, mutation=[[0, 1, 0], [0, 0, 1], [1, 0, 0]]), 30),
+    ], ids=["A2-6", "A2-30", "A2-70", "mixing-30", "block-mutation-30",
+            "swap-6", "cyclic-mutation-30"])
+    def test_exact_chain_matches_csgraph(self, rule, n):
+        chain = build_exact_chain(rule, n)
+        assert_matches_direct(chain.matrix > 0, chain.scc_labels,
+                              chain.recurrent_classes, chain.periods, chain.transient)
+
+    def test_cyclic_mutation_has_period_three(self):
+        rule = make_rule(A2, omega=0.5, mutation=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        chain = build_exact_chain(rule, 30)
+        assert [tuple(map(tuple, chain.states[cls])) for cls in chain.recurrent_classes] == [
+            ((0, 0, 30), (0, 30, 0), (30, 0, 0))]
+        assert chain.periods == [3]
+
+    def test_exponential_chain_with_mostly_distinct_rows(self):
+        # exp underflow at beta = 8 leaves 1,570 distinct rows of 1,891:
+        # a hub graph about as large as the full one
+        chain = build_exact_chain(make_rule(A2, fitness="exponential", beta=8.0), 60)
+        positive = chain.matrix > 0
+        assert np.unique(positive, axis=0).shape[0] == 1570
+        assert_matches_direct(positive, chain.scc_labels, chain.recurrent_classes,
+                              chain.periods, chain.transient)
+
+
 class TestRecurrentClassFaces:
     def test_vertex_classes_are_singleton_faces(self, rule_a2):
         chain = build_exact_chain(rule_a2, 5)
@@ -247,6 +360,20 @@ class TestRecurrentClassFaces:
             assert is_union
             face_sets.add(frozenset(tuple(sorted(s)) for s in supports))
         assert face_sets == {frozenset({(1, 2)}), frozenset({(3,)})}
+
+    def test_masks_match_a_per_state_loop(self, rule_a2):
+        theta = np.array([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.0, 1.0]])
+        chain = build_exact_chain(UpdateRule(rule_a2.fitness, MutationMatrix(theta)), 30)
+        for k, members in enumerate(chain.recurrent_classes):
+            supports = {frozenset(np.flatnonzero(chain.states[i] > 0).tolist())
+                        for i in members}
+            maximal = [s for s in supports if not any(s < o for o in supports)]
+            predicted = {i for i in range(chain.n_states)
+                         if any(frozenset(np.flatnonzero(chain.states[i] > 0).tolist()) <= mx
+                                for mx in maximal)}
+            labels = sorted((SupportSet(frozenset(j + 1 for j in s)) for s in maximal),
+                            key=lambda s: sorted(s.labels))
+            assert recurrent_class_faces(chain, k) == (labels, predicted == set(members.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +411,20 @@ class TestQsd:
         chain = build_exact_chain(constant_vertex_rule(2), 3)
         with pytest.raises(ReducibleInterior):
             interior_qsd(chain)
+
+    def test_two_positive_blocks_are_reducible(self):
+        # two row patterns only, yet two closed pieces
+        sub = scipy.linalg.block_diag(np.full((3, 3), 0.2), np.full((4, 4), 0.1))
+        with pytest.raises(ReducibleInterior, match="2 strongly connected"):
+            qsd_power_iteration(sub)
+
+    def test_irreducible_restriction_with_distinct_rows(self):
+        # a cyclic permutation plus the diagonal: every row distinct, one piece
+        s = 7
+        sub = 0.4 * np.eye(s) + 0.5 * np.roll(np.eye(s), 1, axis=1)
+        res = qsd_power_iteration(sub)
+        assert res.eigenvalue == pytest.approx(0.9, abs=1e-12)
+        np.testing.assert_allclose(res.weights, np.full(s, 1 / s), atol=1e-12)
 
     def test_no_interior_states(self, rule_a2):
         chain = build_exact_chain(rule_a2, 2)

@@ -224,6 +224,21 @@ class TestPermanence:
         assert rep.permanent
         np.testing.assert_allclose(rep.witness, CHI1, atol=1e-6)
 
+    def test_face_scan_hits_are_mapped_once(self, monkeypatch):
+        # the singular {1,2} face is scanned in one batched call; its 39 grid
+        # hits are kept as they are, and only the 3 vertices and the 2 face
+        # equilibria are re-checked one profile at a time
+        matrix = [[1, 1, 2], [1, 1, 3], [2, 3, 1]]
+        rule = make_rule(matrix, omega=0.5)
+        shapes = []
+        update = rule.update_probs
+        monkeypatch.setattr(rule, "update_probs",
+                            lambda x: (shapes.append(np.shape(x)), update(x))[1])
+        rep = check_permanence(matrix, rule)
+        assert len(rep.fixed_points) == 44
+        assert sum(len(s) == 2 for s in shapes) == 1
+        assert sum(len(s) == 1 for s in shapes) == 5
+
     def test_asymmetric_matrix_rejected(self, rule_two):
         with pytest.raises(PreconditionError):
             check_permanence([[2.0, 2.0], [1.0, 1.0]], rule_two)
