@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, PreconditionError
 from .fitness import UpdateRule, finite_difference_jacobian, sampling_probs
 from .meanfield import Orbit, iterate
-from .simplex import LatticePoint, lattice_counts
+from .simplex import LatticePoint, lattice_counts, linf_distances
 
 #: One-sided 99% normal quantile used for Wilson upper confidence limits.
 Z_99 = 2.3263478740408408
@@ -135,6 +135,7 @@ class LipschitzEstimate:
     pair_max: float
     jacobian_max: float
     samples: int
+    probes: int     # points the map was evaluated at: samples plus the grid
 
     def with_safety(self, factor: float = 1.2) -> float:
         return factor * self.value
@@ -172,8 +173,6 @@ def estimate_lipschitz(rule: UpdateRule, samples: int,
     so the estimate has a deterministic component that captures boundary
     behavior and keeps repeated estimates stable across seeds.
     """
-    from scipy.spatial.distance import cdist
-
     if samples < 2:
         raise DomainError("need at least 2 sample points")
     pts = rng.dirichlet(np.ones(rule.m), size=samples)
@@ -181,16 +180,15 @@ def estimate_lipschitz(rule: UpdateRule, samples: int,
     grid = (1.0 - _PROBE_SHRINK) * grid + _PROBE_SHRINK / rule.m
     pts = np.vstack([grid, pts])
     images = rule.update_probs_batch(pts)
-    d_pts = cdist(pts, pts, metric="chebyshev")
-    d_img = cdist(images, images, metric="chebyshev")
-    iu = np.triu_indices(pts.shape[0], k=1)
-    num, den = d_img[iu], d_pts[iu]
+    # both orders of every pair: the quotients are equal, so is the maximum
+    den = linf_distances(pts, pts)
     keep = den > 1e-12
-    pair_max = float((num[keep] / den[keep]).max()) if keep.any() else 0.0
+    quotients = linf_distances(images, images)[keep] / den[keep]
+    pair_max = float(quotients.max()) if quotients.size else 0.0
     jac_max = float(_sum_zero_operator_norm(finite_difference_jacobian(rule, pts)).max())
     return LipschitzEstimate(value=max(pair_max, jac_max),
                              pair_max=pair_max, jacobian_max=jac_max,
-                             samples=samples)
+                             samples=samples, probes=pts.shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +247,9 @@ class DeviationEnsemble:
 
     ``deviations[r, k-1]`` is the distance of replicate ``r`` from the
     orbit at step ``k`` (steps 1..horizon; step 0 is exactly zero by
-    construction).
+    construction).  :func:`simulate_deviations` stores it step-major: the
+    array is the transpose of a C-ordered (horizon, replicates) buffer, so
+    one step's deviations are contiguous and one replicate's are strided.
     """
 
     deviations: np.ndarray     # (replicates, horizon)
@@ -292,12 +292,16 @@ def simulate_deviations(rule: UpdateRule, x0: LatticePoint, horizon: int,
     the same point and record max-norm deviations at each step."""
     n = x0.n
     orbit = iterate(rule, x0.as_frequencies(), horizon)
-    counts = np.tile(x0.counts, (replicates, 1))
-    devs = np.empty((replicates, horizon))
+    freqs = np.tile(x0.counts / n, (replicates, 1))
+    # step-major: step k fills the contiguous row k - 1, a running maximum
+    # over the M columns of its gaps
+    devs = np.zeros((horizon, replicates))
     for k in range(1, horizon + 1):
-        counts = rng.multinomial(n, sampling_probs(rule, counts / n))
-        devs[:, k - 1] = np.max(np.abs(counts / n - orbit.states[k]), axis=1)
-    return DeviationEnsemble(deviations=devs, orbit=orbit, n=n, horizon=horizon)
+        freqs = rng.multinomial(n, sampling_probs(rule, freqs)) / n
+        gap = np.abs(freqs - orbit.states[k])
+        for j in range(x0.m):
+            np.maximum(devs[k - 1], gap[:, j], out=devs[k - 1])
+    return DeviationEnsemble(deviations=devs.T, orbit=orbit, n=n, horizon=horizon)
 
 
 @dataclass(frozen=True)

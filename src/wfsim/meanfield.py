@@ -30,7 +30,7 @@ from .fitness import (
     UpdateRule,
     finite_difference_jacobian,
 )
-from .simplex import SimplexPoint, SupportSet, lattice_counts
+from .simplex import SimplexPoint, SupportSet, lattice_counts, linf_distances
 
 #: Orbit convergence: this many consecutive steps below the gap tolerance.
 CONVERGENCE_RUN = 3
@@ -495,8 +495,6 @@ def _pseudo_orbit_levels(rule: UpdateRule, source, target, epsilon: float,
     when None), the minimal pseudo-orbit length into ``target``, -1 where
     no pseudo-orbit reaches it.
     """
-    from scipy.spatial.distance import cdist
-
     m = rule.m
     if m > 3:
         raise PreconditionError("grid search is limited to m <= 3")
@@ -512,7 +510,7 @@ def _pseudo_orbit_levels(rule: UpdateRule, source, target, epsilon: float,
         if callable(region):
             return np.array([bool(region(v)) for v in nodes])
         points = region.coords if isinstance(region, SimplexPoint) else np.asarray(region, dtype=np.float64)
-        nearest = np.abs(nodes - points.reshape(-1, 1, m)).max(axis=2).argmin(axis=1)
+        nearest = linf_distances(points.reshape(-1, m), nodes).argmin(axis=1)
         return np.isin(np.arange(nodes.shape[0]), nearest)
 
     images = rule.update_probs(nodes)
@@ -522,7 +520,7 @@ def _pseudo_orbit_levels(rule: UpdateRule, source, target, epsilon: float,
     while np.any(frontier) and np.any(level < 0):
         depth += 1
         unassigned = np.flatnonzero(level < 0)
-        dist = cdist(images[unassigned], nodes[frontier], metric="chebyshev")
+        dist = linf_distances(images[unassigned], nodes[frontier])
         level[unassigned[(dist < epsilon).any(axis=1)]] = depth
         frontier = level == depth
     return nodes.shape[0], level[region_mask(source)]

@@ -208,6 +208,27 @@ def linf_distance(x: PointLike, y: PointLike) -> float:
     return float(np.max(np.abs(xa - ya)))
 
 
+def linf_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (P, Q) max-norm distance matrix between the rows of ``a``
+    (P, M) and ``b`` (Q, M).
+
+    Built one coordinate at a time in one reused (P, Q) buffer with an
+    in-place running maximum, so no (P, Q, M) temporary is formed.
+    Subtraction, absolute value and maximum are exact, so the entries
+    equal those of any other exact max-norm routine bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise DimensionMismatch(f"cannot pair rows of shapes {a.shape} and {b.shape}")
+    out = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(out)
+    for j in range(a.shape[1]):
+        np.subtract(a[:, None, j], b[None, :, j], out=diff)
+        np.maximum(out, np.abs(diff, out=diff), out=out)
+    return out
+
+
 def lattice_size(m: int, n: int) -> int:
     """Number of count vectors of M non-negative integers summing to N."""
     return math.comb(n + m - 1, m - 1)

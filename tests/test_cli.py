@@ -590,6 +590,17 @@ class TestPlumbing:
         assert imports
         exec("\n".join(imports), {})
 
+    @staticmethod
+    def scipy_modules_after(code: str) -> str:
+        """The scipy modules a fresh interpreter holds after running ``code``."""
+        code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        src = str(Path(wfsim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        return run.stdout.strip().splitlines()[-1]
+
     def test_cli_and_an_ensemble_load_no_scipy(self):
         # scipy is imported inside the functions that need it, so `wf`
         # start-up and `wf extinction` never pay for it
@@ -599,14 +610,30 @@ class TestPlumbing:
             "cfg = {'matrix': [[1, 20, 35], [20, 21, 30], [35, 30, 1]], 'omega': 0.5,\n"
             "       'N': 50, 'initials': [[0.8, 0.1, 0.1]], 'replicates': 4, 'seed': 1,\n"
             "       'sample_window': [1, 5]}\n"
-            "run_experiment(ExperimentSpec.from_config(cfg))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        src = str(Path(wfsim.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True)
-        assert run.stdout.strip() == "[]"
+            "run_experiment(ExperimentSpec.from_config(cfg))\n")
+        assert self.scipy_modules_after(code) == "[]"
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("bounds", {"matrix": A2, "omega": 0.5, "N": [50, 200], "epsilons": [0.1],
+                    "horizon": 5, "replicates": 20, "seed": 1,
+                    "lipschitz_samples": 20}),
+        ("simulate", {"matrix": A2, "omega": 0.5, "N": 50, "initial": [0.8, 0.1, 0.1],
+                      "steps": 20, "seed": 1}),
+    ])
+    def test_bounds_and_simulate_load_no_scipy(self, tmp_path, command, cfg):
+        # the Lipschitz probe and the pseudo-orbit search measure max-norm
+        # distances with numpy alone, so `wf bounds` runs without scipy
+        path = write_config(tmp_path, "c.json", cfg)
+        code = (
+            "import sys\n"
+            "from wfsim.cli import main\n"
+            f"sys.argv = ['wf', {command!r}, '--config', {path!r},\n"
+            f"            '--out', {str(tmp_path / 'out')!r}]\n"
+            "try:\n"
+            "    main()\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code in (0, None), exc.code\n")
+        assert self.scipy_modules_after(code) == "[]"
 
     def test_shipped_configs_parse(self):
         from wfsim.extinction import ExperimentSpec

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy.spatial.distance import cdist
 from scipy.stats import multinomial
 from hypothesis import strategies as st
 
@@ -25,7 +26,13 @@ from wfsim.deviation import (
     wilson_upper,
 )
 from wfsim.errors import DomainError, PreconditionError
-from wfsim.fitness import MutationMatrix, UpdateRule, finite_difference_jacobian, make_rule
+from wfsim.fitness import (
+    MutationMatrix,
+    UpdateRule,
+    finite_difference_jacobian,
+    make_rule,
+    sampling_probs,
+)
 from wfsim.meanfield import iterate
 from wfsim.simplex import LatticePoint, lattice_counts, round_to_lattice
 
@@ -198,7 +205,8 @@ class TestLipschitz:
     def test_jacobian_max_matches_a_probe_loop(self, rule, monkeypatch):
         # every probe's derivative comes from one stacked map call; the
         # result must keep the bits of one profile call per probe, and the
-        # probe count seen through update_probs_batch must stay one call
+        # probe count seen through update_probs_batch must stay one call,
+        # the samples plus the 91 grid nodes, as ``probes`` reports
         samples = 200
         rows = []
         batch = rule.update_probs_batch
@@ -206,6 +214,7 @@ class TestLipschitz:
                             lambda xs: (rows.append(len(xs)), batch(xs))[1])
         est = estimate_lipschitz(rule, samples, np.random.default_rng(57))
         assert rows == [samples + 91]
+        assert est.probes == sum(rows)
 
         grid = lattice_counts(3, _PROBE_RESOLUTION) / _PROBE_RESOLUTION
         grid = (1.0 - _PROBE_SHRINK) * grid + _PROBE_SHRINK / 3
@@ -216,6 +225,25 @@ class TestLipschitz:
             norm = float(np.abs(jac - np.median(jac, axis=1, keepdims=True)).sum(axis=1).max())
             reference = max(reference, norm)
         assert est.jacobian_max == reference
+
+    @pytest.mark.parametrize("rule", [
+        make_rule(A2, omega=0.5),
+        make_rule(A2, fitness="exponential", beta=0.3),
+        neutral_rule(3),
+    ], ids=["linear-fractional", "exponential", "neutral"])
+    def test_pair_max_matches_the_upper_triangle(self, rule):
+        # both orders of each pair give the same quotient, so the maximum
+        # over the full matrices is the one over i < j
+        est = estimate_lipschitz(rule, 300, np.random.default_rng(59))
+        grid = lattice_counts(3, _PROBE_RESOLUTION) / _PROBE_RESOLUTION
+        grid = (1.0 - _PROBE_SHRINK) * grid + _PROBE_SHRINK / 3
+        pts = np.vstack([grid, np.random.default_rng(59).dirichlet(np.ones(3), size=300)])
+        images = rule.update_probs(pts)
+        iu = np.triu_indices(pts.shape[0], k=1)
+        num = cdist(images, images, metric="chebyshev")[iu]
+        den = cdist(pts, pts, metric="chebyshev")[iu]
+        keep = den > 1e-12
+        assert est.pair_max == float((num[keep] / den[keep]).max())
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +354,26 @@ class TestEnsembles:
             rng=np.random.default_rng(55),
         )
         np.testing.assert_array_equal(ensemble.deviations, again.deviations)
+
+    @pytest.mark.parametrize("n", [50, 2000])
+    def test_matches_a_replicate_major_loop(self, rule_a2, n):
+        # the loop as it stood before deviations were stored step-major
+        def reference(rule, x0, horizon, replicates, rng):
+            orbit = iterate(rule, x0.as_frequencies(), horizon)
+            counts = np.tile(x0.counts, (replicates, 1))
+            devs = np.empty((replicates, horizon))
+            for k in range(1, horizon + 1):
+                counts = rng.multinomial(n, sampling_probs(rule, counts / n))
+                devs[:, k - 1] = np.max(np.abs(counts / n - orbit.states[k]), axis=1)
+            return devs
+
+        x0 = round_to_lattice(CHI2, n)
+        ens = simulate_deviations(rule_a2, x0, horizon=40, replicates=300,
+                                  rng=np.random.default_rng(61))
+        assert ens.deviations.shape == (300, 40)
+        np.testing.assert_array_equal(
+            ens.deviations,
+            reference(rule_a2, x0, 40, 300, np.random.default_rng(61)))
 
     @pytest.mark.parametrize("epsilon", [0.05, 0.1])
     def test_bound_table_is_consistent_at_moderate_population(

@@ -325,6 +325,16 @@ class TestEpsilonChains:
         assert cover.unreached == int(np.sum(~np.isfinite(into_target)))
         assert cover.max_length == (None if cover.unreached else int(into_target.max()))
 
+    def test_equidistant_point_maps_to_the_lowest_node(self, rule_neutral3):
+        # (1/8, 3/8, 1/2) lies exactly 1/8 from the nodes (0, 2, 2)/4 and
+        # (1, 1, 2)/4; the first in lattice order is its nearest node
+        tie = [0.125, 0.375, 0.5]
+        first = epsilon_chain_reachable(rule_neutral3, [0.0, 0.5, 0.5], tie,
+                                        epsilon=0.3, grid_resolution=4)
+        second = epsilon_chain_reachable(rule_neutral3, [0.25, 0.25, 0.5], tie,
+                                         epsilon=0.3, grid_resolution=4)
+        assert (first.length, second.length) == (0, 1)
+
     def test_epsilon_below_grid_spacing_rejected(self, rule_a2):
         with pytest.raises(ConfigError):
             epsilon_chain_reachable(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from wfsim.errors import (
     DimensionMismatch,
@@ -22,6 +23,7 @@ from wfsim.simplex import (
     lattice_counts,
     lattice_size,
     linf_distance,
+    linf_distances,
     round_to_lattice,
 )
 
@@ -102,6 +104,32 @@ class TestLinfDistance:
         d = linf_distance(x, y)
         assert 0.0 <= d <= 1.0
         assert d == pytest.approx(linf_distance(y, x))
+
+
+class TestLinfDistances:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("p,q", [(0, 4), (4, 0), (1, 1), (7, 11), (60, 45)])
+    def test_matches_cdist_bit_for_bit(self, m, p, q):
+        rng = np.random.default_rng(1000 * m + 10 * p + q)
+        a = rng.dirichlet(np.ones(m), size=p)
+        # rows shared with ``a`` put exact zeros in the matrix
+        b = np.vstack([a[: q // 2], rng.normal(size=(q - min(q // 2, p), m))])
+        got = linf_distances(a, b)
+        assert got.shape == (p, q)
+        np.testing.assert_array_equal(got, cdist(a, b, metric="chebyshev"))
+
+    def test_lattice_nodes_against_themselves(self):
+        nodes = lattice_counts(3, 30) / 30.0
+        np.testing.assert_array_equal(linf_distances(nodes, nodes),
+                                      cdist(nodes, nodes, metric="chebyshev"))
+
+    @pytest.mark.parametrize("a,b", [
+        (np.zeros((2, 3)), np.zeros((2, 2))),
+        (np.zeros(3), np.zeros((2, 3))),
+    ])
+    def test_shape_mismatch(self, a, b):
+        with pytest.raises(DimensionMismatch):
+            linf_distances(a, b)
 
 
 # ----------------------------------------------------------------------
