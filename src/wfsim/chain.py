@@ -25,6 +25,7 @@ from .errors import (
     ResourceLimitExceeded,
 )
 from .fitness import PayoffMatrix, UpdateRule, sampling_probs
+from .meanfield import DriftReport, batch_values, is_positive_definite_on_sum_zero
 from .simplex import (
     PAIR_CAP,
     LatticePoint,
@@ -306,29 +307,13 @@ def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
 # exhaustive drift check
 # ----------------------------------------------------------------------
 
-@dataclass
-class DriftReport:
-    n_states: int
-    min_drift: float
-    violations: list[tuple[np.ndarray, float]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_submartingale(chain: ExactChain, h: Callable[[np.ndarray], float],
+def verify_submartingale(chain: ExactChain, h: Callable[[np.ndarray], np.ndarray],
                          tol: float = 1e-10) -> DriftReport:
     """Check ``E[h(next) | x] >= h(x) - tol`` at every state of an exact
-    chain, reporting all violations."""
-    freqs = chain.states / chain.n
-    hv = np.array([float(h(f)) for f in freqs])
-    drift = chain.matrix @ hv - hv
-    violations = [(chain.states[i].copy(), float(drift[i]))
-                  for i in np.flatnonzero(drift < -tol)]
-    return DriftReport(n_states=chain.n_states,
-                       min_drift=float(drift.min()),
-                       violations=violations)
+    chain.  ``h`` maps a batch of frequency profiles ``(S, M)`` to ``(S,)``;
+    the report's points are the chain's compositions."""
+    hv = batch_values(h, chain.states / chain.n)
+    return DriftReport(points=chain.states, drift=chain.matrix @ hv - hv, tol=tol)
 
 
 def quadratic_form_drift(rule: UpdateRule, a, n: int) -> tuple[float, float]:
@@ -341,8 +326,6 @@ def quadratic_form_drift(rule: UpdateRule, a, n: int) -> tuple[float, float]:
     ``(min drift over all states, min drift over non-vertex states)``
     computed exactly from the enumerated transition matrix.
     """
-    from .meanfield import is_positive_definite_on_sum_zero
-
     payoff = a if isinstance(a, PayoffMatrix) else PayoffMatrix(a)
     if not (payoff.is_symmetric and payoff.is_invertible
             and payoff.has_positive_entries):
@@ -355,11 +338,8 @@ def quadratic_form_drift(rule: UpdateRule, a, n: int) -> tuple[float, float]:
         )
     chain = build_exact_chain(rule, n)
     entries = payoff.entries
-    freqs = chain.states / n
-    hv = np.einsum("ij,jk,ik->i", freqs, entries, freqs)
-    drift = chain.matrix @ hv - hv
-    vertex = (chain.states == n).any(axis=1)
-    off_vertex = drift[~vertex]
+    rep = verify_submartingale(chain, lambda f: np.einsum("ij,jk,ik->i", f, entries, f))
+    off_vertex = rep.drift[~(chain.states == n).any(axis=1)]
     # at n = 1 every lattice state is a vertex: the off-vertex clause is vacuous
     off_min = float(off_vertex.min()) if off_vertex.size else float("inf")
-    return float(drift.min()), off_min
+    return rep.min_drift, off_min

@@ -108,7 +108,7 @@ def ar1_sample(orbit: Orbit, u0, rng: np.random.Generator,
     out = np.empty((1 if paths is None else paths, len(coeffs) + 1, m))
     out[:, 0, :] = u0
     for k, (d, sig) in enumerate(coeffs):
-        noise = rng.standard_normal((out.shape[0], m)) @ _gaussian_root(sig).T
+        noise = sample_degenerate_gaussian(sig, rng, out.shape[0])
         out[:, k + 1, :] = out[:, k, :] @ d.T + noise
     return out[0] if paths is None else out
 

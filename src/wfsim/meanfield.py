@@ -13,23 +13,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     ConfigError,
     DegenerateFitness,
+    DimensionMismatch,
     NoInteriorEquilibrium,
     NumericRangeError,
     PreconditionError,
 )
-from .fitness import (
-    LinearFractionalFitness,
-    PayoffMatrix,
-    UpdateRule,
-    finite_difference_jacobian,
-)
+from .fitness import PayoffMatrix, UpdateRule
 from .simplex import SimplexPoint, SupportSet, lattice_counts, linf_distances
 
 #: Orbit convergence: this many consecutive steps below the gap tolerance.
@@ -175,9 +171,10 @@ def jacobian_at_equilibrium(a: MatrixLike, omega: float, chi: np.ndarray) -> np.
     derivative at the equilibrium acts on sum-zero perturbations as
     ``I + (diag(chi) B - chi chi' (B - B')) / (1 + r)`` where
     ``B = omega / (1 - omega) * A`` and ``r`` is the common value of
-    ``B chi``; the ``B - B'`` term vanishes when A is symmetric.  The
-    result is validated against central finite differences of the full map
-    along a sum-zero basis (agreement to 1e-5 required).
+    ``B chi``; the ``B - B'`` term vanishes when A is symmetric.  It agrees
+    with ``rule.jacobian`` on sum-zero directions only: the full derivative
+    of the map also sends the equilibrium itself to zero, which this closed
+    form does not.
     """
     payoff = _as_matrix(a)
     chi = np.asarray(chi, dtype=np.float64)
@@ -195,13 +192,6 @@ def jacobian_at_equilibrium(a: MatrixLike, omega: float, chi: np.ndarray) -> np.
         )
     d = np.eye(payoff.m) + chi[:, None] * b_mat / (1.0 + r)
     d -= np.outer(chi, chi @ (b_mat - b_mat.T)) / (1.0 + r)
-    d_fd = finite_difference_jacobian(UpdateRule(LinearFractionalFitness(payoff, omega)), chi)
-    err = float(np.max(np.abs((d - d_fd) @ sum_zero_basis(payoff.m))))
-    if err > 1e-5:
-        raise NumericRangeError(
-            f"analytic derivative disagrees with finite differences on "
-            f"sum-zero directions by {err:.3e}"
-        )
     return d
 
 
@@ -432,37 +422,56 @@ def check_permanence(a: MatrixLike, rule: UpdateRule,
 
 
 # ----------------------------------------------------------------------
-# monotone-average check
+# one-step drift of a function (the maximization principle)
 # ----------------------------------------------------------------------
 
-@dataclass
-class LyapunovReport:
-    n_checked: int
-    min_delta: float
-    violations: list[tuple[np.ndarray, float]]
+def batch_values(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """``fn`` evaluated once on a batch ``(R, M)``; it must return ``(R,)``."""
+    values = np.asarray(fn(points))
+    if values.shape != points.shape[:1]:
+        raise DimensionMismatch(
+            f"function on a batch of {points.shape[0]} points returned shape "
+            f"{values.shape}, expected ({points.shape[0]},)"
+        )
+    return values
+
+
+@dataclass(frozen=True)
+class DriftReport:
+    """Expected one-step change of a function h at each of a set of points.
+
+    ``points`` are the states the drift was taken at (frequency profiles for
+    the update map, compositions for an exact chain); a drift below
+    ``-tol`` is a violation of the monotonicity being checked.
+    """
+
+    points: np.ndarray   # (R, M)
+    drift: np.ndarray    # (R,)
+    tol: float
+
+    @property
+    def min_drift(self) -> float:
+        """Least drift, 0.0 for an empty sample."""
+        return float(self.drift.min()) if self.drift.size else 0.0
+
+    @property
+    def violations(self) -> list[tuple[np.ndarray, float]]:
+        return [(self.points[i], float(self.drift[i]))
+                for i in np.flatnonzero(self.drift < -self.tol)]
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not np.any(self.drift < -self.tol)
 
 
-def lyapunov_check(rule: UpdateRule, h: Callable[[np.ndarray], float],
-                   sample: Iterable, tol: float = 1e-10) -> LyapunovReport:
-    """Evaluate ``h(update(x)) - h(x)`` over a sample and report any
-    decrease beyond ``tol``."""
-    min_delta = np.inf
-    violations: list[tuple[np.ndarray, float]] = []
-    n = 0
-    for point in sample:
-        x = point.coords if isinstance(point, SimplexPoint) else np.asarray(point, dtype=np.float64)
-        delta = float(h(rule.update_probs(x)) - h(x))
-        min_delta = min(min_delta, delta)
-        if delta < -tol:
-            violations.append((x, delta))
-        n += 1
-    if n == 0:
-        min_delta = 0.0
-    return LyapunovReport(n_checked=n, min_delta=min_delta, violations=violations)
+def lyapunov_check(rule: UpdateRule, h: Callable[[np.ndarray], np.ndarray],
+                   sample, tol: float = 1e-10) -> DriftReport:
+    """Evaluate ``h(update(x)) - h(x)`` over a sample ``(R, M)`` of profiles
+    and report any decrease beyond ``tol``.  ``h`` maps a batch ``(R, M)``
+    to ``(R,)``."""
+    x = np.asarray(sample, dtype=np.float64).reshape(-1, rule.m)
+    drift = batch_values(h, rule.update_probs(x)) - batch_values(h, x)
+    return DriftReport(points=x, drift=drift, tol=tol)
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +517,7 @@ def _pseudo_orbit_levels(rule: UpdateRule, source, target, epsilon: float,
         if region is None:
             return np.ones(nodes.shape[0], dtype=bool)
         if callable(region):
-            return np.array([bool(region(v)) for v in nodes])
+            return batch_values(region, nodes).astype(bool)
         points = region.coords if isinstance(region, SimplexPoint) else np.asarray(region, dtype=np.float64)
         nearest = linf_distances(points.reshape(-1, m), nodes).argmin(axis=1)
         return np.isin(np.arange(nodes.shape[0]), nearest)
@@ -533,9 +542,10 @@ def epsilon_chain_reachable(rule: UpdateRule, start, target, epsilon: float,
     Grid nodes are the barycentric lattice at the given resolution; there
     is a step from node ``u`` to node ``v`` whenever the image of ``u``
     lies within ``epsilon`` (max-norm) of ``v``.  ``target`` may be a
-    predicate on frequency vectors, a single point, or a collection of
-    points (mapped to their nearest nodes); ``start`` is mapped to its
-    nearest node.  Returns reachability and the minimal number of steps.
+    predicate mapping a batch of frequency vectors ``(K, M)`` to booleans
+    ``(K,)``, a single point, or a collection of points (mapped to their
+    nearest nodes); ``start`` is mapped to its nearest node.  Returns
+    reachability and the minimal number of steps.
     """
     n_nodes, (length,) = _pseudo_orbit_levels(rule, start, target, epsilon,
                                               grid_resolution)
@@ -642,10 +652,8 @@ def build_meanfield_report(rule: UpdateRule,
     """Equilibrium + derivative + flags for a payoff-driven update rule.
 
     Interior equilibria of fitness-monotone payoff responses all solve the
-    same equal-payoff system.  The derivative at the equilibrium uses the
-    closed form (with its finite-difference cross-check) for the
-    unit-baseline affine model, and the generic analytic derivative
-    otherwise.
+    same equal-payoff system.  The derivative at the equilibrium is the
+    full derivative of the update map, ``rule.jacobian``, for every rule.
     """
     payoff = getattr(rule.fitness, "payoff", None)
     if payoff is None:
@@ -655,13 +663,7 @@ def build_meanfield_report(rule: UpdateRule,
     jac = None
     radius = None
     if eq.is_interior:
-        closed_form = (isinstance(rule.fitness, LinearFractionalFitness)
-                       and rule.mutation is None
-                       and np.all(rule.fitness.b == 1.0))
-        if closed_form:
-            jac = jacobian_at_equilibrium(payoff, rule.fitness.omega, eq.vector)
-        else:
-            jac = rule.jacobian(eq.vector)
+        jac = rule.jacobian(eq.vector)
         radius = spectral_radius_on_sum_zero(jac)
     perm = None
     if check_perm:

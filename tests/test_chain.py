@@ -449,13 +449,15 @@ class TestDrift:
         a = np.array([[3.0, 1.0], [1.0, 3.0]])
         rule = make_rule(a, omega=0.3)
         chain = build_exact_chain(rule, 6)
-        rep = verify_submartingale(chain, lambda f: float(f @ a @ f))
+        rep = verify_submartingale(chain, lambda f: np.einsum("ij,jk,ik->i", f, a, f))
         assert rep.ok
         drifts = {
             tuple(chain.states[i]): None for i in range(chain.n_states)
         }
+        # reference: h one state at a time
         hv = np.array([float(f @ a @ f) for f in chain.states / 6])
         drift = chain.matrix @ hv - hv
+        np.testing.assert_allclose(rep.drift, drift, rtol=0, atol=1e-15)
         for i, s in enumerate(map(tuple, chain.states)):
             if max(s) == 6:
                 assert abs(drift[i]) < 1e-12

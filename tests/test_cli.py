@@ -87,6 +87,9 @@ class TestMeanfield:
         report = load_json(out, "report.json")
         np.testing.assert_allclose(report["equilibrium"], [0.5, 0.5],
                                    atol=1e-12)
+        # the full derivative of the map: it sends the equilibrium to zero
+        np.testing.assert_allclose(report["jacobian"], [[0.4, -0.4], [-0.4, 0.4]],
+                                   atol=1e-12)
         assert report["spectral_radius_sum_zero"] == pytest.approx(0.8,
                                                                    abs=1e-12)
 

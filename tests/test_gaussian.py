@@ -103,6 +103,30 @@ class TestAr1Sample:
         for k in range(13):
             np.testing.assert_allclose(vk[k], k * sig, atol=1e-9)
 
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"paths": 500}, {"stationary": True, "steps": 60}, {"paths": 7},
+    ], ids=["single", "ensemble", "stationary", "per-path-start"])
+    def test_draws_are_pinned(self, rule_a2, kwargs):
+        # reference: the recursion with explicit standard-normal draws
+        orbit = iterate(rule_a2, [0.6, 0.2, 0.2], steps=40)
+        paths = kwargs.get("paths")
+        u0 = np.array([0.1, -0.05, -0.05])
+        if paths == 7:
+            u0 = np.random.default_rng(3).dirichlet(np.ones(3), paths) - 1 / 3
+        got = ar1_sample(orbit, u0, np.random.default_rng(39), **kwargs)
+        rng = np.random.default_rng(39)
+        rows = np.broadcast_to(u0, (paths or 1, 3))
+        expected = [rows]
+        for k in range(kwargs.get("steps", len(orbit) - 1)):
+            point = orbit.final if kwargs.get("stationary") else orbit.states[k]
+            cov = noise_covariance(rule_a2.update_probs(point))
+            evals, evecs = np.linalg.eigh(cov)
+            root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+            rows = rows @ rule_a2.jacobian(point).T + rng.standard_normal(rows.shape) @ root.T
+            expected.append(rows)
+        expected = np.stack(expected, axis=1)
+        np.testing.assert_array_equal(got, expected if paths else expected[0])
+
     def test_nonzero_sum_start_rejected(self, eq_orbit):
         with pytest.raises(PreconditionError):
             ar1_sample(eq_orbit, [0.1, 0.0, 0.0], np.random.default_rng(35))

@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from wfsim.errors import (
     ConfigError,
+    DimensionMismatch,
     NoInteriorEquilibrium,
     PreconditionError,
 )
@@ -248,26 +249,48 @@ class TestPermanence:
 # monotone quantity along orbits
 # ----------------------------------------------------------------------
 
+def average_payoff(a):
+    """The batch function x -> x'Ax, (R, M) -> (R,)."""
+    a = np.asarray(a, dtype=np.float64)
+    return lambda x: np.einsum("ij,jk,ik->i", x, a, x)
+
+
 class TestLyapunov:
     def test_average_payoff_never_decreases(self, rule_a1):
-        a = np.asarray(A1)
+        h = average_payoff(A1)
         rng = np.random.default_rng(17)
         sample = rng.dirichlet(np.ones(3), size=10_000)
-        rep = lyapunov_check(rule_a1, lambda x: float(x @ a @ x), sample)
+        rep = lyapunov_check(rule_a1, h, sample)
         assert rep.ok
         assert rep.violations == []
+        # reference: one point at a time through the same batch function
+        loop = [h(rule_a1.update_probs(x)[None])[0] - h(x[None])[0] for x in sample]
+        np.testing.assert_array_equal(rep.drift, loop)
 
     def test_neutral_rule_has_zero_increments(self, rule_neutral3):
         rng = np.random.default_rng(18)
         sample = rng.dirichlet(np.ones(3), size=50)
-        rep = lyapunov_check(rule_neutral3, lambda x: float(x[0]), sample)
-        assert rep.min_delta == pytest.approx(0.0, abs=1e-12)
+        rep = lyapunov_check(rule_neutral3, lambda x: x[:, 0], sample)
+        assert rep.min_drift == pytest.approx(0.0, abs=1e-12)
 
     def test_fixed_point_has_zero_increment(self, rule_a2):
-        a = np.asarray(A2)
         chi = solve_interior_equilibrium(A2).vector
-        rep = lyapunov_check(rule_a2, lambda x: float(x @ a @ x), [chi])
-        assert rep.ok and abs(rep.min_delta) < 1e-9
+        rep = lyapunov_check(rule_a2, average_payoff(A2), [chi])
+        assert rep.ok and abs(rep.min_drift) < 1e-9
+
+    def test_empty_sample_and_violations(self, rule_a2):
+        empty = lyapunov_check(rule_a2, average_payoff(A2), np.empty((0, 3)))
+        assert empty.ok and empty.min_drift == 0.0 and empty.violations == []
+        # -x'Ax decreases off the equilibrium, so every such point violates
+        sample = np.array([[0.8, 0.1, 0.1], [0.2, 0.3, 0.5]])
+        rep = lyapunov_check(rule_a2, lambda x: -average_payoff(A2)(x), sample)
+        assert not rep.ok
+        assert [tuple(x) for x, _ in rep.violations] == [tuple(x) for x in sample]
+        assert rep.min_drift == min(d for _, d in rep.violations) < 0
+
+    def test_scalar_function_rejected(self, rule_a2):
+        with pytest.raises(DimensionMismatch):
+            lyapunov_check(rule_a2, lambda x: float(x[0, 0]), [[0.2, 0.3, 0.5]])
 
 
 # ----------------------------------------------------------------------
@@ -299,14 +322,15 @@ class TestEpsilonChains:
         gap = 0.8  # sup-distance between start and target
         assert res.max_length >= int(np.floor(gap / 0.2))
 
-    @pytest.mark.parametrize("matrix, target, epsilon, resolution", [
-        (A2, CHI2, 0.15, 20),
-        (A2, CHI2, 0.08, 30),
-        (np.ones((3, 3)), [0.1, 0.45, 0.45], 0.2, 15),
-        (A_TWO, [0.5, 0.5], 0.05, 40),
-    ], ids=["a2-coarse", "a2-fine", "neutral", "two-type"])
+    @pytest.mark.parametrize("matrix, target, epsilon, resolution, as_predicate", [
+        (A2, CHI2, 0.15, 20, False),
+        (A2, CHI2, 0.15, 20, True),
+        (A2, CHI2, 0.08, 30, False),
+        (np.ones((3, 3)), [0.1, 0.45, 0.45], 0.2, 15, False),
+        (A_TWO, [0.5, 0.5], 0.05, 40, False),
+    ], ids=["a2-coarse", "a2-predicate", "a2-fine", "neutral", "two-type"])
     def test_lengths_match_graph_shortest_paths(self, matrix, target, epsilon,
-                                                resolution):
+                                                resolution, as_predicate):
         rule = make_rule(matrix, omega=0.5)
         nodes = lattice_counts(rule.m, resolution) / resolution
         images = np.array([rule.update_probs(v) for v in nodes])
@@ -314,6 +338,9 @@ class TestEpsilonChains:
         dist = shortest_path(csr_matrix(adjacency.astype(float)), unweighted=True)
         nearest = int(np.argmin(np.max(np.abs(nodes - np.asarray(target)), axis=1)))
         into_target = dist[:, nearest]
+        if as_predicate:
+            # a batch predicate true at the point target's node only
+            target = lambda v: np.all(v == nodes[nearest], axis=1)  # noqa: E731
         for start in (0, nodes.shape[0] // 3, nodes.shape[0] - 1):
             res = epsilon_chain_reachable(rule, nodes[start], target, epsilon,
                                           resolution)
@@ -392,3 +419,14 @@ class TestReport:
         # equal-payoff profile is a fixed point for this landscape as well
         np.testing.assert_allclose(rep.equilibrium, CHI2, atol=1e-6)
         assert rep.spectral_radius < 1.0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"omega": 0.5},
+        {"omega": 0.5, "b": [1.0, 2.0, 1.5]},
+        {"fitness": "exponential", "beta": 0.3},
+        {"omega": 0.5, "mutation": np.full((3, 3), 0.05) + 0.85 * np.eye(3)},
+    ], ids=["unit-baseline", "baseline", "exponential", "mutation"])
+    def test_jacobian_is_the_rule_derivative(self, kwargs):
+        rule = make_rule(A2, **kwargs)
+        rep = build_meanfield_report(rule)
+        np.testing.assert_array_equal(rep.jacobian, rule.jacobian(rep.equilibrium))
