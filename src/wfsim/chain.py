@@ -24,8 +24,9 @@ from .errors import (
     ReducibleInterior,
     ResourceLimitExceeded,
 )
-from .fitness import PayoffMatrix, UpdateRule, sampling_probs
-from .meanfield import DriftReport, batch_values, is_positive_definite_on_sum_zero
+from .fitness import UpdateRule, sampling_probs
+from .meanfield import (DriftReport, batch_values, is_positive_definite_on_sum_zero,
+                        rule_payoff)
 from .simplex import (
     PAIR_CAP,
     LatticePoint,
@@ -37,6 +38,9 @@ from .simplex import (
 
 #: Distinct states whose law one sample_path call keeps (~250 B each at M=3).
 LAW_MEMO = 1 << 16
+
+#: Power-iteration steps a QSD solve may take before it gives up.
+QSD_MAX_ITER = 200_000
 
 
 def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
@@ -74,12 +78,12 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
     return path
 
 
-def absorbing_types(rule: UpdateRule, tol: float = 1e-12) -> list[int]:
+def absorbing_types(rule: UpdateRule) -> list[int]:
     """1-based labels of types whose pure composition is a fixed point of
-    the update map."""
+    the update map (moved at most 1e-12 in max-norm)."""
     vertices = np.eye(rule.m)
     gaps = np.abs(rule.update_probs(vertices) - vertices).max(axis=1)
-    return (np.flatnonzero(gaps <= tol) + 1).tolist()
+    return (np.flatnonzero(gaps <= 1e-12) + 1).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -246,10 +250,10 @@ class QsdResult:
 
 def qsd_power_iteration(sub_matrix: np.ndarray,
                         states: Optional[np.ndarray] = None,
-                        tol: float = 1e-12,
-                        max_iter: int = 200_000) -> QsdResult:
+                        tol: float = 1e-12) -> QsdResult:
     """Left Perron vector of a substochastic matrix by power iteration
-    with L1 renormalization.
+    with L1 renormalization, stopped when an L1 step falls below ``tol``;
+    gives up after ``QSD_MAX_ITER`` steps.
 
     The restriction must be irreducible (one strongly connected component)
     so the quasi-stationary distribution is unique and strictly positive.
@@ -269,7 +273,7 @@ def qsd_power_iteration(sub_matrix: np.ndarray,
     mu = np.full(s, 1.0 / s)
     lam = 0.0
     its = 0
-    for its in range(1, max_iter + 1):
+    for its in range(1, QSD_MAX_ITER + 1):
         nxt = mu @ sub
         lam = float(nxt.sum())
         if lam <= 0:
@@ -281,7 +285,7 @@ def qsd_power_iteration(sub_matrix: np.ndarray,
             break
     else:
         raise PreconditionError(
-            f"power iteration did not converge in {max_iter} iterations"
+            f"power iteration did not converge in {QSD_MAX_ITER} iterations"
         )
     leak = 1.0 - sub.sum(axis=1)
     residual = abs((1.0 - lam) - float(mu @ leak))
@@ -307,17 +311,19 @@ def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
 # exhaustive drift check
 # ----------------------------------------------------------------------
 
-def verify_submartingale(chain: ExactChain, h: Callable[[np.ndarray], np.ndarray],
-                         tol: float = 1e-10) -> DriftReport:
-    """Check ``E[h(next) | x] >= h(x) - tol`` at every state of an exact
-    chain.  ``h`` maps a batch of frequency profiles ``(S, M)`` to ``(S,)``;
-    the report's points are the chain's compositions."""
+def verify_submartingale(chain: ExactChain,
+                         h: Callable[[np.ndarray], np.ndarray]) -> DriftReport:
+    """Check ``E[h(next) | x] >= h(x) - DRIFT_TOL`` at every state of an
+    exact chain (``meanfield.DRIFT_TOL``).  ``h`` maps a batch of frequency
+    profiles ``(S, M)`` to ``(S,)``; the report's points are the chain's
+    compositions."""
     hv = batch_values(h, chain.states / chain.n)
-    return DriftReport(points=chain.states, drift=chain.matrix @ hv - hv, tol=tol)
+    return DriftReport(points=chain.states, drift=chain.matrix @ hv - hv)
 
 
-def quadratic_form_drift(rule: UpdateRule, a, n: int) -> tuple[float, float]:
-    """Exhaustive conditional drift of the average-score function x'Ax.
+def quadratic_form_drift(rule: UpdateRule, n: int) -> tuple[float, float]:
+    """Exhaustive conditional drift of the average-score function x'Ax,
+    with A the payoff matrix of the payoff-driven ``rule``.
 
     Requires a symmetric, invertible, positive-entry matrix whose
     quadratic form is positive definite on sum-zero vectors; under that
@@ -326,7 +332,7 @@ def quadratic_form_drift(rule: UpdateRule, a, n: int) -> tuple[float, float]:
     ``(min drift over all states, min drift over non-vertex states)``
     computed exactly from the enumerated transition matrix.
     """
-    payoff = a if isinstance(a, PayoffMatrix) else PayoffMatrix(a)
+    payoff = rule_payoff(rule)
     if not (payoff.is_symmetric and payoff.is_invertible
             and payoff.has_positive_entries):
         raise PreconditionError(

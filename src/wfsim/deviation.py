@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,22 +29,20 @@ from .simplex import LatticePoint, lattice_counts, linf_distances
 Z_99 = 2.3263478740408408
 
 
-def decoupling_time(path: np.ndarray, orbit: Orbit, epsilon: float,
-                    n: Optional[int] = None) -> Optional[int]:
+def decoupling_time(path: np.ndarray, orbit: Orbit,
+                    epsilon: float) -> Optional[int]:
     """First step where a trajectory deviates from the orbit by more than
     ``epsilon`` in max-norm; None if it never does within the horizon.
 
-    ``path`` holds one state per row, either integer counts (``n``
-    inferred from the row sum) or frequencies.  The trajectory and orbit
+    ``path`` holds one state per row, either integer counts (divided by
+    the first row's sum, N) or frequencies.  The trajectory and orbit
     must start at the same state.
     """
     path = np.asarray(path)
     if path.ndim != 2 or path.shape[1] != orbit.m:
         raise DimensionMismatch("trajectory and orbit dimensions differ")
     if np.issubdtype(path.dtype, np.integer):
-        if n is None:
-            n = int(path[0].sum())
-        freqs = path / n
+        freqs = path / int(path[0].sum())
     else:
         freqs = path.astype(np.float64)
     if float(np.max(np.abs(freqs[0] - orbit.states[0]))) > 1e-9:
@@ -137,9 +135,6 @@ class LipschitzEstimate:
     samples: int
     probes: int     # points the map was evaluated at: samples plus the grid
 
-    def with_safety(self, factor: float = 1.2) -> float:
-        return factor * self.value
-
 
 #: Resolution of the deterministic lattice probe grid; probe nodes are
 #: pulled marginally toward the barycenter so finite differencing stays
@@ -195,13 +190,14 @@ def estimate_lipschitz(rule: UpdateRule, samples: int,
 # empirical ensembles
 # ----------------------------------------------------------------------
 
-def wilson_upper(successes: int, trials: int, z: float = Z_99) -> float:
-    """One-sided Wilson score upper confidence limit for a binomial
+def wilson_upper(successes: int, trials: int) -> float:
+    """One-sided 99% Wilson score upper confidence limit for a binomial
     proportion."""
     if trials < 1:
         raise DomainError("trials must be positive")
     if not 0 <= successes <= trials:
         raise DomainError("successes must lie in [0, trials]")
+    z = Z_99
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2.0 * trials)) / denom
@@ -323,22 +319,16 @@ class BoundRow:
 
 
 def bound_table(ensemble: DeviationEnsemble, epsilon: float, rho: float,
-                m: int, horizons: Optional[Sequence[int]] = None) -> list[BoundRow]:
+                m: int) -> list[BoundRow]:
     """Empirical exceedance frequencies with Wilson upper limits next to
-    the closed-form tail bound, one row per horizon."""
-    if horizons is None:
-        horizons = range(1, ensemble.horizon + 1)
-    counts = ensemble.exceed_counts(epsilon)
+    the closed-form tail bound, one row per horizon 1..ensemble.horizon."""
     r = ensemble.replicates
     rows = []
-    for k in horizons:
-        if not 1 <= k <= ensemble.horizon:
-            raise DomainError(f"horizon {k} outside the simulated range")
-        c = int(counts[k - 1])
+    for k, c in enumerate(ensemble.exceed_counts(epsilon).tolist(), start=1):
         rows.append(BoundRow(
-            horizon=int(k), epsilon=epsilon, n=ensemble.n,
+            horizon=k, epsilon=epsilon, n=ensemble.n,
             exceed_count=c, replicates=r, empirical=c / r,
             wilson_upper=wilson_upper(c, r),
-            bound=hoeffding_bound(epsilon, int(k), ensemble.n, m, rho),
+            bound=hoeffding_bound(epsilon, k, ensemble.n, m, rho),
         ))
     return rows

@@ -444,8 +444,7 @@ class TrendReport:
     proportions: tuple[float, ...]
 
 
-def increasing_proportion_trend(counts: Sequence[tuple[int, int]],
-                                z_crit: float = Z_95) -> TrendReport:
+def increasing_proportion_trend(counts: Sequence[tuple[int, int]]) -> TrendReport:
     """Check that binomial proportions do not significantly decrease along
     a ladder; ``counts`` holds (successes, trials) per rung."""
     if len(counts) < 2:
@@ -457,5 +456,5 @@ def increasing_proportion_trend(counts: Sequence[tuple[int, int]],
         pool = (s1 + s2) / (t1 + t2)
         se = math.sqrt(max(pool * (1.0 - pool), 1e-300) * (1.0 / t1 + 1.0 / t2))
         zs.append((s1 / t1 - s2 / t2) / se)
-    return TrendReport(ok=not any(z > z_crit for z in zs), z_values=tuple(zs),
+    return TrendReport(ok=not any(z > Z_95 for z in zs), z_values=tuple(zs),
                        proportions=tuple(s / t for s, t in counts))

@@ -109,9 +109,11 @@ class FitnessModel:
         """
         return np.apply_along_axis(self.values, -1, xs)
 
-    def fitness_gradient(self, x: np.ndarray) -> Optional[np.ndarray]:
-        """Matrix of partial derivatives d(fitness_i)/d(x_j), or None if the
-        model has no analytic derivative (tabulated models)."""
+    def weights_gradient(self, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Weights ``w = c * values(x)`` at a profile ``(M,)`` and their
+        derivative matrix dw_i/dx_j, both at one positive scale ``c``, or
+        None if the model has no analytic derivative (tabulated models).
+        The derivative of the update map is invariant under that scale."""
         return None
 
 
@@ -158,8 +160,8 @@ class LinearFractionalFitness(FitnessModel):
         # get the same bits; BLAS matmul runs gemv at one row and gemm at several
         return self._b_part + np.einsum("...k,ik->...i", xs, self._wa)
 
-    def fitness_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._wa
+    def weights_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.values(x), self._wa
 
 
 class ExponentialFitness(FitnessModel):
@@ -188,9 +190,10 @@ class ExponentialFitness(FitnessModel):
         z = self.beta * np.einsum("...k,ik->...i", xs, self.payoff.entries)
         return np.exp(z - z.max(axis=-1, keepdims=True))
 
-    def fitness_gradient(self, x: np.ndarray) -> np.ndarray:
-        phi = self.values(x)
-        return self.beta * phi[:, None] * self.payoff.entries
+    def weights_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the shifted weights stay finite where the raw values overflow
+        w = self.scaled_weights(x)
+        return w, self.beta * w[:, None] * self.payoff.entries
 
 
 class TabulatedFitness(FitnessModel):
@@ -279,10 +282,10 @@ class UpdateRule:
         return self._replicator_jacobian(x)
 
     def _replicator_jacobian(self, x: np.ndarray) -> np.ndarray:
-        dphi = self.fitness.fitness_gradient(x)
-        if dphi is None:
+        grad = self.fitness.weights_gradient(x)
+        if grad is None:
             return _fd_jacobian(self._replicator_probs, x, 1e-7)
-        phi = self.fitness.values(x)
+        phi, dphi = grad
         s = float(np.dot(x, phi))
         if not s > 0:
             raise DegenerateFitness("total fitness is zero at this profile")

@@ -113,23 +113,16 @@ def ar1_sample(orbit: Orbit, u0, rng: np.random.Generator,
     return out[0] if paths is None else out
 
 
-def ar1_covariance(orbit: Orbit, v0: Optional[np.ndarray] = None,
-                   stationary: bool = False,
+def ar1_covariance(orbit: Orbit, stationary: bool = False,
                    steps: Optional[int] = None) -> np.ndarray:
-    """Exact second moments of the linear recursion: V_{k+1} = D V_k D' + S_k.
-
-    ``v0`` defaults to the zero matrix (deterministic start).  Returns an
-    array of shape (steps+1, M, M).
+    """Exact second moments of the linear recursion: V_{k+1} = D V_k D' + S_k,
+    from V_0 = 0 (a deterministic start).  Returns an array of shape
+    (steps+1, M, M).
     """
     m = orbit.m
-    if v0 is None:
-        v0 = np.zeros((m, m))
-    v0 = np.asarray(v0, dtype=np.float64)
-    if v0.shape != (m, m):
-        raise DimensionMismatch("initial covariance has the wrong shape")
     coeffs = _ar1_coefficients(orbit, stationary, steps)
     out = np.empty((len(coeffs) + 1, m, m))
-    out[0] = v0
+    out[0] = 0.0
     for k, (d, sig) in enumerate(coeffs):
         out[k + 1] = d @ out[k] @ d.T + sig
     return out

@@ -28,14 +28,37 @@ from .errors import (
 from .fitness import PayoffMatrix, UpdateRule
 from .simplex import SimplexPoint, SupportSet, lattice_counts, linf_distances
 
-#: Orbit convergence: this many consecutive steps below the gap tolerance.
+#: Orbit convergence: this many consecutive max-norm steps below GAP_TOL.
 CONVERGENCE_RUN = 3
+GAP_TOL = 1e-12
+
+#: A drift below -DRIFT_TOL violates the monotonicity a drift check tests.
+DRIFT_TOL = 1e-10
+
+#: Permanence: interior candidates lie on the barycentric grid of this
+#: resolution; the update map moves a boundary fixed point less than this.
+CANDIDATE_RESOLUTION = 12
+FIXED_POINT_RESIDUAL = 1e-8
+
+#: Draws a random test-matrix sampler makes before giving up.
+SAMPLE_TRIES = 200
 
 MatrixLike = Union[PayoffMatrix, np.ndarray, Sequence[Sequence[float]]]
 
 
 def _as_matrix(a: MatrixLike) -> PayoffMatrix:
     return a if isinstance(a, PayoffMatrix) else PayoffMatrix(a)
+
+
+def rule_payoff(rule: UpdateRule) -> PayoffMatrix:
+    """The payoff matrix a payoff-driven rule's fitness is built on."""
+    payoff = getattr(rule.fitness, "payoff", None)
+    if payoff is None:
+        raise PreconditionError(
+            f"{type(rule.fitness).__name__} has no payoff matrix; this needs "
+            "a payoff-driven fitness model"
+        )
+    return payoff
 
 
 def sum_zero_basis(m: int) -> np.ndarray:
@@ -63,7 +86,6 @@ class Orbit:
     states: np.ndarray            # (K+1, M)
     rule: UpdateRule
     converged_at: Optional[int]   # first index with 3 consecutive tiny gaps
-    gap_tol: float
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -80,12 +102,12 @@ class Orbit:
         return self.states[-1]
 
 
-def iterate(rule: UpdateRule, x0, steps: int, gap_tol: float = 1e-12,
+def iterate(rule: UpdateRule, x0, steps: int,
             stop_on_convergence: bool = False) -> Orbit:
     """Iterate the update map ``steps`` times from ``x0``.
 
     Records the first index at which the max-norm gap between consecutive
-    states has stayed below ``gap_tol`` for three steps in a row.  With
+    states has stayed below ``GAP_TOL`` for three steps in a row.  With
     ``stop_on_convergence`` the orbit is truncated at that index.
     """
     if steps < 0:
@@ -99,14 +121,13 @@ def iterate(rule: UpdateRule, x0, steps: int, gap_tol: float = 1e-12,
     for k in range(1, steps + 1):
         states[k] = rule.update_probs(states[k - 1])
         gap = float(np.max(np.abs(states[k] - states[k - 1])))
-        run = run + 1 if gap < gap_tol else 0
+        run = run + 1 if gap < GAP_TOL else 0
         if run >= CONVERGENCE_RUN and converged_at is None:
             converged_at = k
             if stop_on_convergence:
                 last = k
                 break
-    return Orbit(states=states[: last + 1], rule=rule,
-                 converged_at=converged_at, gap_tol=gap_tol)
+    return Orbit(states=states[: last + 1], rule=rule, converged_at=converged_at)
 
 
 # ----------------------------------------------------------------------
@@ -328,10 +349,9 @@ def _face_grid(m: int, indices: np.ndarray, resolution: int) -> np.ndarray:
     return pts
 
 
-def check_permanence(a: MatrixLike, rule: UpdateRule,
-                     candidate_resolution: int = 12,
-                     fixed_point_residual: float = 1e-8) -> PermanenceReport:
-    """Test the interior-dominance sufficient condition for permanence.
+def check_permanence(rule: UpdateRule) -> PermanenceReport:
+    """Test the interior-dominance sufficient condition for permanence of
+    a payoff-driven rule, on its own payoff matrix.
 
     Enumerates the fixed points of the update map on every proper face
     (equal-payoff solutions of the face submatrix, vertices, and a dense
@@ -339,7 +359,7 @@ def check_permanence(a: MatrixLike, rule: UpdateRule,
     interior profile ``y`` whose payoff against each boundary fixed point
     ``z`` strictly exceeds ``z``'s payoff against itself.
     """
-    payoff = _as_matrix(a)
+    payoff = rule_payoff(rule)
     if not payoff.is_symmetric:
         raise PreconditionError("permanence test requires a symmetric payoff matrix")
     m = payoff.m
@@ -370,10 +390,10 @@ def check_permanence(a: MatrixLike, rule: UpdateRule,
                     grid = _face_grid(m, idx, 40)
                     gaps = np.abs(rule.update_probs(grid) - grid).max(axis=-1)
                     fixed.extend((SupportSet.from_mask(z > 0), z)
-                                 for z in grid[gaps < fixed_point_residual])
+                                 for z in grid[gaps < FIXED_POINT_RESIDUAL])
             for z in candidates:
                 try:
-                    ok = np.max(np.abs(rule.update_probs(z) - z)) < fixed_point_residual
+                    ok = np.max(np.abs(rule.update_probs(z) - z)) < FIXED_POINT_RESIDUAL
                 except DegenerateFitness:
                     ok = False
                 if ok:
@@ -392,9 +412,9 @@ def check_permanence(a: MatrixLike, rule: UpdateRule,
             candidates_y.append(eq.vector)
     except NoInteriorEquilibrium:
         pass
-    interior_counts = lattice_counts(m, candidate_resolution)
+    interior_counts = lattice_counts(m, CANDIDATE_RESOLUTION)
     interior_counts = interior_counts[np.all(interior_counts > 0, axis=1)]
-    candidates_y.extend(interior_counts / candidate_resolution)
+    candidates_y.extend(interior_counts / CANDIDATE_RESOLUTION)
 
     if not candidates_y:
         report.notes.append("no interior candidate available")
@@ -442,12 +462,11 @@ class DriftReport:
 
     ``points`` are the states the drift was taken at (frequency profiles for
     the update map, compositions for an exact chain); a drift below
-    ``-tol`` is a violation of the monotonicity being checked.
+    ``-DRIFT_TOL`` is a violation of the monotonicity being checked.
     """
 
     points: np.ndarray   # (R, M)
     drift: np.ndarray    # (R,)
-    tol: float
 
     @property
     def min_drift(self) -> float:
@@ -457,21 +476,21 @@ class DriftReport:
     @property
     def violations(self) -> list[tuple[np.ndarray, float]]:
         return [(self.points[i], float(self.drift[i]))
-                for i in np.flatnonzero(self.drift < -self.tol)]
+                for i in np.flatnonzero(self.drift < -DRIFT_TOL)]
 
     @property
     def ok(self) -> bool:
-        return not np.any(self.drift < -self.tol)
+        return not np.any(self.drift < -DRIFT_TOL)
 
 
 def lyapunov_check(rule: UpdateRule, h: Callable[[np.ndarray], np.ndarray],
-                   sample, tol: float = 1e-10) -> DriftReport:
+                   sample) -> DriftReport:
     """Evaluate ``h(update(x)) - h(x)`` over a sample ``(R, M)`` of profiles
-    and report any decrease beyond ``tol``.  ``h`` maps a batch ``(R, M)``
+    and report any decrease beyond ``DRIFT_TOL``.  ``h`` maps a batch ``(R, M)``
     to ``(R,)``."""
     x = np.asarray(sample, dtype=np.float64).reshape(-1, rule.m)
     drift = batch_values(h, rule.update_probs(x)) - batch_values(h, x)
-    return DriftReport(points=x, drift=drift, tol=tol)
+    return DriftReport(points=x, drift=drift)
 
 
 # ----------------------------------------------------------------------
@@ -544,11 +563,16 @@ def epsilon_chain_reachable(rule: UpdateRule, start, target, epsilon: float,
     lies within ``epsilon`` (max-norm) of ``v``.  ``target`` may be a
     predicate mapping a batch of frequency vectors ``(K, M)`` to booleans
     ``(K,)``, a single point, or a collection of points (mapped to their
-    nearest nodes); ``start`` is mapped to its nearest node.  Returns
-    reachability and the minimal number of steps.
+    nearest nodes); ``start``, given the same way, must pick out exactly
+    one node.  Returns reachability and the minimal number of steps.
     """
-    n_nodes, (length,) = _pseudo_orbit_levels(rule, start, target, epsilon,
-                                              grid_resolution)
+    n_nodes, levels = _pseudo_orbit_levels(rule, start, target, epsilon,
+                                           grid_resolution)
+    if levels.size != 1:
+        raise PreconditionError(
+            f"start must map to exactly one grid node, not {levels.size}"
+        )
+    length = levels[0]
     return ReachabilityResult(bool(length >= 0), int(length) if length >= 0 else None,
                               n_nodes, grid_resolution)
 
@@ -575,8 +599,7 @@ def epsilon_chain_max_length(rule: UpdateRule, source, target, epsilon: float,
 # random test matrices
 # ----------------------------------------------------------------------
 
-def random_stability_matrix(m: int, rng: np.random.Generator,
-                            max_tries: int = 200) -> PayoffMatrix:
+def random_stability_matrix(m: int, rng: np.random.Generator) -> PayoffMatrix:
     """Sample a symmetric positive-entry matrix that is negative definite
     on sum-zero vectors and has an interior equilibrium.
 
@@ -585,7 +608,7 @@ def random_stability_matrix(m: int, rng: np.random.Generator,
     form on sum-zero vectors is then ``-w' Q w < 0`` automatically, and
     the remaining flags are enforced by rejection.
     """
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         g = rng.normal(size=(m, m))
         q = g @ g.T + 0.05 * np.eye(m)
         c = float(q.max()) + rng.uniform(0.1, 2.0) * max(1.0, float(np.abs(q).max()))
@@ -595,11 +618,10 @@ def random_stability_matrix(m: int, rng: np.random.Generator,
     raise NumericRangeError("failed to sample a conforming matrix")
 
 
-def random_pd_on_sum_zero_matrix(m: int, rng: np.random.Generator,
-                                 max_tries: int = 200) -> PayoffMatrix:
+def random_pd_on_sum_zero_matrix(m: int, rng: np.random.Generator) -> PayoffMatrix:
     """Sample a symmetric positive-entry matrix whose quadratic form is
     positive definite on sum-zero vectors (``A = Q + c * ones``, Q SPD)."""
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         g = rng.normal(size=(m, m))
         q = g @ g.T + 0.05 * np.eye(m)
         c = max(0.0, -float(q.min())) + rng.uniform(0.1, 2.0) * max(1.0, float(np.abs(q).max()))
@@ -655,9 +677,7 @@ def build_meanfield_report(rule: UpdateRule,
     same equal-payoff system.  The derivative at the equilibrium is the
     full derivative of the update map, ``rule.jacobian``, for every rule.
     """
-    payoff = getattr(rule.fitness, "payoff", None)
-    if payoff is None:
-        raise PreconditionError("report needs a payoff-driven fitness model")
+    payoff = rule_payoff(rule)
     stability = check_stability_assumptions(payoff)
     eq = solve_interior_equilibrium(payoff)
     jac = None
@@ -667,7 +687,7 @@ def build_meanfield_report(rule: UpdateRule,
         radius = spectral_radius_on_sum_zero(jac)
     perm = None
     if check_perm:
-        perm = check_permanence(payoff, rule)
+        perm = check_permanence(rule)
     return MeanFieldReport(equilibrium=eq.vector, c=eq.c, interior=eq.is_interior,
                            stability=stability, jacobian=jac,
                            spectral_radius=radius, permanence=perm)

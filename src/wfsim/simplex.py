@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -23,28 +22,12 @@ from .errors import DimensionMismatch, InvalidNormalization, ResourceLimitExceed
 #: Sum tolerance for accepting a real vector as a probability vector.
 SUM_TOL = 1e-12
 
-#: Default cap on the number of lattice states an exhaustive operation may
-#: enumerate.  Override with the WF_MAX_STATES environment variable.
-DEFAULT_STATE_CAP = 200_000
+#: Cap on the number of lattice states an exhaustive operation may
+#: enumerate.
+STATE_CAP = 200_000
 
 #: Cap on (state x successor) pairs for dense exhaustive computations.
 PAIR_CAP = 10_000_000
-
-
-def state_cap() -> int:
-    """Current lattice-state cap, honoring the WF_MAX_STATES override."""
-    raw = os.environ.get("WF_MAX_STATES")
-    if raw is None:
-        return DEFAULT_STATE_CAP
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ResourceLimitExceeded(
-            f"WF_MAX_STATES must be an integer, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ResourceLimitExceeded("WF_MAX_STATES must be positive")
-    return value
 
 
 @dataclass(frozen=True)
@@ -126,8 +109,8 @@ class SimplexPoint:
     def m(self) -> int:
         return self._coords.size
 
-    def support(self, tol: float = 0.0) -> SupportSet:
-        return SupportSet.from_mask(self._coords > tol)
+    def support(self) -> SupportSet:
+        return SupportSet.from_mask(self._coords > 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplexPoint) and np.array_equal(
@@ -234,29 +217,23 @@ def lattice_size(m: int, n: int) -> int:
     return math.comb(n + m - 1, m - 1)
 
 
-def _check_lattice_cap(m: int, n: int, cap: int | None) -> int:
-    size = lattice_size(m, n)
-    limit = state_cap() if cap is None else cap
-    if size > limit:
-        raise ResourceLimitExceeded(
-            f"lattice for M={m}, N={n} has {size} states, exceeding the cap "
-            f"of {limit} (set WF_MAX_STATES to raise it)"
-        )
-    return size
-
-
-def lattice_counts(m: int, n: int, cap: int | None = None) -> np.ndarray:
+def lattice_counts(m: int, n: int) -> np.ndarray:
     """Every count vector of M non-negative integers summing to N, as one
     (S, M) int64 array in ascending lexicographic order.
 
     Built by stars and bars: each vector is a choice of M-1 bar positions
     among N+M-1 slots, and ``itertools.combinations`` lists the choices in
     the lexicographic order of the count vectors.  Refuses up front when
-    the state count exceeds the cap.
+    the state count exceeds ``STATE_CAP``.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    size = _check_lattice_cap(m, n, cap)
+    size = lattice_size(m, n)
+    if size > STATE_CAP:
+        raise ResourceLimitExceeded(
+            f"lattice for M={m}, N={n} has {size} states, exceeding the cap "
+            f"of {STATE_CAP}"
+        )
     slots = n + m - 1
     bars = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(slots), m - 1)),
@@ -277,15 +254,23 @@ def round_to_lattice(x: Iterable[float], n: int) -> LatticePoint:
     to the lowest index).  Deterministic.
     """
     arr = np.asarray(x, dtype=np.float64)
-    scaled = arr * n
-    base = np.floor(scaled).astype(np.int64)
-    leftover = int(n - base.sum())
-    if leftover < 0:
-        raise ValueError("input does not look like a probability vector")
+    return LatticePoint(_apportion(arr * n, n), n)
+
+
+def _apportion(quota: np.ndarray, total: int) -> np.ndarray:
+    """Largest-remainder counts for non-negative quotas: floor each, then
+    hand the leftover units to the largest fractional parts, ties to the
+    lowest index.  Floors that overshoot ``total`` (a start summing to
+    just above 1, at large N) give the excess back in proportion to
+    themselves by the same rule, so no count goes below zero.
+    """
+    base = np.floor(quota).astype(np.int64)
+    leftover = int(total - base.sum())
     if leftover > 0:
-        remainders = scaled - base
         # stable sort on (-remainder, index): largest remainders first,
         # lowest index wins ties
-        order = np.lexsort((np.arange(arr.size), -remainders))
+        order = np.lexsort((np.arange(quota.size), -(quota - base)))
         base[order[:leftover]] += 1
-    return LatticePoint(base, n)
+    elif leftover < 0:
+        base -= _apportion(base * (-leftover / base.sum()), -leftover)
+    return base

@@ -167,7 +167,7 @@ def test_criterion_05_average_score_submartingale():
     for idx, (m, payoff) in enumerate(cases):
         rule = make_rule(payoff.entries, omega=omegas[idx % 3])
         for n in range(1, 9):
-            low, low_off = quadratic_form_drift(rule, payoff.entries, n)
+            low, low_off = quadratic_form_drift(rule, n)
             assert low >= -1e-12, (
                 f"matrix #{idx} (M={m}), N={n}: min drift {low:.3e}"
             )

@@ -36,7 +36,7 @@ from wfsim.fitness import (
 )
 from wfsim.simplex import LatticePoint, SupportSet
 
-from conftest import A1, A2, A_TWO, neutral_rule
+from conftest import A1, A2, neutral_rule
 
 
 def constant_vertex_rule(m: int):
@@ -213,11 +213,6 @@ class TestExactChain:
     def test_rows_are_normalized(self, rule_a2):
         chain = build_exact_chain(rule_a2, 6)
         np.testing.assert_allclose(chain.matrix.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_state_cap(self, rule_a2, monkeypatch):
-        monkeypatch.setenv("WF_MAX_STATES", "10")
-        with pytest.raises(ResourceLimitExceeded, match="WF_MAX_STATES"):
-            build_exact_chain(rule_a2, 6)
 
     def test_entry_cap_is_named_before_the_state_cap(self, rule_a2):
         # 246,051 states: past both caps, but only the entry cap's advice helps
@@ -441,7 +436,7 @@ class TestDrift:
         a = np.array([[3.0, 1.0], [1.0, 3.0]])
         rule = make_rule(a, omega=0.3)
         for n in (2, 5, 10):
-            low, low_off = quadratic_form_drift(rule, a, n)
+            low, low_off = quadratic_form_drift(rule, n)
             assert low >= -1e-12
             assert low_off > 0
 
@@ -465,4 +460,9 @@ class TestDrift:
 
     def test_indefinite_form_rejected(self, rule_two):
         with pytest.raises(PreconditionError):
-            quadratic_form_drift(rule_two, A_TWO, 4)
+            quadratic_form_drift(rule_two, 4)
+
+    def test_rule_without_a_payoff_matrix_rejected(self):
+        rule = UpdateRule(TabulatedFitness(lambda x: 1.0 + x, m=2))
+        with pytest.raises(PreconditionError, match="payoff-driven"):
+            quadratic_form_drift(rule, 4)

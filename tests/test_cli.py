@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -131,6 +132,22 @@ class TestMeanfield:
         d_fd = finite_difference_jacobian(make_rule(NON_SYMMETRIC, omega=0.5), chi)
         np.testing.assert_allclose(np.array(report["jacobian"]) @ sum_zero_basis(3),
                                    d_fd @ sum_zero_basis(3), atol=1e-8)
+
+    @pytest.mark.parametrize("beta", [0.3, 40.0])
+    def test_exponential_report_at_any_beta(self, runner, tmp_path, beta):
+        # at beta = 40 the raw fitness exp(beta * (A2 chi)_i) overflows; the
+        # derivative is taken at the scale of the shifted weights
+        cfg = write_config(tmp_path, "mf.json",
+                           {"matrix": A2, "fitness": "exponential", "beta": beta})
+        out = tmp_path / "out"
+        run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+        report = load_json(out, "report.json")
+        rule = make_rule(A2, fitness="exponential", beta=beta)
+        basis = sum_zero_basis(3)
+        d = np.array(report["jacobian"]) @ basis
+        d_fd = finite_difference_jacobian(rule, np.array(report["equilibrium"])) @ basis
+        assert np.all(np.isfinite(d))
+        assert np.abs(d - d_fd).max() <= 1e-7 * np.abs(d).max()
 
     def test_singular_matrix_exits_two(self, runner, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
@@ -334,6 +351,19 @@ class TestSimulate:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("n", [2**40, 2**53])
+    def test_start_whose_floors_overshoot_runs(self, runner, tmp_path, n):
+        # the start sums to 1 + 8e-10, which the schema accepts; its floors
+        # at N add up to more than N
+        cfg = write_config(tmp_path, "sim.json", {
+            "matrix": [[1, 2], [2, 1]], "omega": 0.5, "N": n,
+            "initial": [0.5000000004, 0.5000000004], "steps": 3, "seed": 1})
+        out = tmp_path / "out"
+        run_ok(runner, ["simulate", "--config", cfg, "--out", str(out)])
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert rows[0] == f"0,{n // 2},{n // 2}"
+        assert all(sum(map(int, row.split(",")[1:])) == n for row in rows)
+
     def test_unknown_field_exits_one(self, runner, tmp_path):
         cfg = self.base_config()
         cfg["stop_treshold"] = 0.05
@@ -433,10 +463,23 @@ class TestQsd:
         cfg = write_config(tmp_path, "qsd.json",
                            {"matrix": A2, "omega": 0.5, "N": 200})
         result = runner.invoke(main, ["qsd", "--config", cfg,
-                                      "--out", str(tmp_path / "out")],
-                               env={"WF_MAX_STATES": "100"})
+                                      "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "error:" in result.stderr
+
+    def test_environment_does_not_change_the_result(self, runner, tmp_path):
+        # the library reads no environment variable; WF_MAX_STATES once
+        # lowered the lattice cap
+        cfg = write_config(tmp_path, "qsd.json", {
+            "matrix": A2, "omega": 0.5, "N": [6, 8], "include_weights": True})
+        blobs = []
+        for env in ({}, {"WF_MAX_STATES": "1"}):
+            out = tmp_path / f"out{len(blobs)}"
+            result = runner.invoke(main, ["qsd", "--config", cfg, "--out", str(out)],
+                                   env=env, catch_exceptions=False)
+            assert result.exit_code == 0, result.stderr
+            blobs.append((out / "qsd.json").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_reducible_interior_exits_two(self, runner, tmp_path):
         cfg = write_config(tmp_path, "qsd.json", {
@@ -592,6 +635,23 @@ class TestPlumbing:
                    if line.startswith(("import ", "from "))]
         assert imports
         exec("\n".join(imports), {})
+
+    def test_readme_examples_run(self, runner, tmp_path):
+        # every JSON config under a "### `wf <command>`" heading runs as is
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        ran = []
+        for section in re.split(r"^#+ ", readme, flags=re.M):
+            heading = re.match(r"`wf (\w+)`", section)
+            if heading is None:
+                continue
+            command = heading.group(1)
+            for i, block in enumerate(re.findall(r"```json\n(.*?)```", section, re.S)):
+                cfg = tmp_path / f"{command}{i}.json"
+                cfg.write_text(block)
+                run_ok(runner, [command, "--config", str(cfg),
+                                "--out", str(tmp_path / cfg.stem)])
+                ran.append(command)
+        assert ran == ["meanfield", "simulate", "qsd", "bounds"]
 
     @staticmethod
     def scipy_modules_after(code: str) -> str:

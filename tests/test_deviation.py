@@ -380,7 +380,7 @@ class TestEnsembles:
         self, ensemble, rule_a2, epsilon
     ):
         est = estimate_lipschitz(rule_a2, 300, np.random.default_rng(56))
-        rows = bound_table(ensemble, epsilon, est.with_safety(), m=3)
+        rows = bound_table(ensemble, epsilon, 1.2 * est.value, m=3)
         assert len(rows) == 50
         for row in rows:
             assert row.wilson_upper <= row.bound or row.bound == 1.0

@@ -31,6 +31,7 @@ from wfsim.fitness import (
     rng_stream,
     sampling_probs,
 )
+from wfsim.meanfield import solve_interior_equilibrium
 from wfsim.simplex import SimplexPoint, lattice_counts
 
 from conftest import A1, A2, CHI1, A_TWO
@@ -325,6 +326,19 @@ class TestJacobian:
         stacked = finite_difference_jacobian(rule, xs, step)
         assert stacked.shape == (10, 3, 3) and stacked.flags.c_contiguous
         np.testing.assert_array_equal(stacked, np.array(singles))
+
+    def test_exponential_derivative_matches_the_raw_value_formula(self):
+        # the derivative is taken at the shifted weights' scale; where the
+        # raw values exp(beta * A x) are finite it equals their formula
+        a, beta = np.asarray(A2), 0.3
+        x = solve_interior_equilibrium(A2).vector
+        phi = np.exp(beta * (a @ x))
+        dphi = beta * phi[:, None] * a
+        s = x @ phi
+        raw = (np.diag(phi) + x[:, None] * dphi) / s
+        raw -= np.outer(x * phi / s, phi + dphi.T @ x) / s
+        rule = make_rule(A2, fitness="exponential", beta=beta)
+        np.testing.assert_allclose(rule.jacobian(x), raw, rtol=0, atol=1e-14)
 
     def test_columns_of_jacobian_sum_preserving(self, rule_a2):
         # the update maps the simplex to itself, so derivative columns sum to 0

@@ -13,7 +13,12 @@ from wfsim.errors import (
     NoInteriorEquilibrium,
     PreconditionError,
 )
-from wfsim.fitness import finite_difference_jacobian, make_rule
+from wfsim.fitness import (
+    TabulatedFitness,
+    UpdateRule,
+    finite_difference_jacobian,
+    make_rule,
+)
 from wfsim.meanfield import (
     build_meanfield_report,
     check_permanence,
@@ -214,14 +219,14 @@ class TestPositiveDefiniteOnSumZero:
 
 class TestPermanence:
     def test_two_type_hand_case(self, rule_two):
-        rep = check_permanence(A_TWO, rule_two)
+        rep = check_permanence(rule_two)
         assert rep.permanent
         supports = {tuple(sorted(fp.support)) for fp in rep.fixed_points}
         assert supports == {(1,), (2,)}
         assert all(fp.margin > 0 for fp in rep.fixed_points)
 
     def test_first_benchmark_with_equilibrium_witness(self, rule_a1):
-        rep = check_permanence(A1, rule_a1)
+        rep = check_permanence(rule_a1)
         assert rep.permanent
         np.testing.assert_allclose(rep.witness, CHI1, atol=1e-6)
 
@@ -235,14 +240,19 @@ class TestPermanence:
         update = rule.update_probs
         monkeypatch.setattr(rule, "update_probs",
                             lambda x: (shapes.append(np.shape(x)), update(x))[1])
-        rep = check_permanence(matrix, rule)
+        rep = check_permanence(rule)
         assert len(rep.fixed_points) == 44
         assert sum(len(s) == 2 for s in shapes) == 1
         assert sum(len(s) == 1 for s in shapes) == 5
 
     def test_asymmetric_matrix_rejected(self, rule_two):
         with pytest.raises(PreconditionError):
-            check_permanence([[2.0, 2.0], [1.0, 1.0]], rule_two)
+            check_permanence(make_rule([[2.0, 2.0], [1.0, 1.0]], omega=0.5))
+
+    def test_rule_without_a_payoff_matrix_rejected(self):
+        rule = UpdateRule(TabulatedFitness(lambda x: 1.0 + x, m=2))
+        with pytest.raises(PreconditionError, match="payoff-driven"):
+            check_permanence(rule)
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +371,22 @@ class TestEpsilonChains:
         second = epsilon_chain_reachable(rule_neutral3, [0.25, 0.25, 0.5], tie,
                                          epsilon=0.3, grid_resolution=4)
         assert (first.length, second.length) == (0, 1)
+
+    def test_start_on_several_nodes_rejected(self, rule_a2):
+        with pytest.raises(PreconditionError, match="exactly one grid node, not 2"):
+            epsilon_chain_reachable(rule_a2, [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1]],
+                                    CHI2, epsilon=0.15, grid_resolution=20)
+
+    @pytest.mark.parametrize("predicate, count", [
+        (lambda v: np.zeros(len(v), dtype=bool), 0),
+        (lambda v: v[:, 0] > 0.9, 3),
+    ], ids=["no-node", "three-nodes"])
+    def test_start_predicate_must_match_one_node(self, rule_a2, predicate, count):
+        # at resolution 20 the nodes with x_1 > 0.9 are (19, 1, 0), (19, 0, 1)
+        # and (20, 0, 0), over 20
+        with pytest.raises(PreconditionError, match=f"not {count}"):
+            epsilon_chain_reachable(rule_a2, predicate, CHI2, epsilon=0.15,
+                                    grid_resolution=20)
 
     def test_epsilon_below_grid_spacing_rejected(self, rule_a2):
         with pytest.raises(ConfigError):

@@ -194,12 +194,7 @@ class TestLattice:
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitExceeded):
-            lattice_counts(4, 2000, cap=1000)
-
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("WF_MAX_STATES", "5")
-        with pytest.raises(ResourceLimitExceeded):
-            lattice_counts(3, 4)
+            lattice_counts(4, 2000)
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +211,43 @@ class TestRoundToLattice:
         p = round_to_lattice([0.45, 0.35, 0.2], 10)
         assert tuple(p.counts) == (5, 3, 2)
         assert p.n == 10
+
+    @pytest.mark.parametrize("start", [[0.5000000004, 0.5000000004],
+                                       [0.5000000008, 0.0, 0.5]])
+    @pytest.mark.parametrize("n", [2**40, 2**53])
+    def test_floors_that_overshoot_give_units_back(self, start, n):
+        # each start sums to within 1e-9 of 1, as a config start may, and
+        # its floors add up to more than n
+        quota = np.multiply(start, n)
+        assert int(np.floor(quota).sum()) > n
+        p = round_to_lattice(start, n)
+        assert int(p.counts.sum()) == n
+        assert p.counts.min() >= 0
+        assert np.all(p.counts[np.asarray(start) == 0] == 0)
+        # off by at most the excess mass plus one unit
+        assert np.max(np.abs(p.counts - quota)) <= n * (sum(start) - 1.0) + 1.0
+
+    def test_starts_whose_floors_fit_keep_their_counts(self):
+        # reference: floor, then one unit to each of the largest remainders
+        def reference(x, n):
+            scaled = np.asarray(x, dtype=np.float64) * n
+            base = np.floor(scaled).astype(np.int64)
+            leftover = n - int(base.sum())
+            order = np.lexsort((np.arange(scaled.size), -(scaled - base)))
+            base[order[:leftover]] += 1
+            return base, leftover
+
+        rng = np.random.default_rng(21)
+        checked = 0
+        for m in (2, 3, 5):
+            for n in (7, 500, 10**6, 2**40, 2**53):
+                for x in rng.dirichlet(np.ones(m), size=40):
+                    counts, leftover = reference(x, n)
+                    if leftover >= 0:
+                        np.testing.assert_array_equal(round_to_lattice(x, n).counts,
+                                                      counts)
+                        checked += 1
+        assert checked > 500
 
     @settings(max_examples=200)
     @given(simplex_points(4), st.integers(min_value=1, max_value=2000))
