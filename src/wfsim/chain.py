@@ -12,7 +12,9 @@ for scalar functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,33 +98,57 @@ class ExactChain:
 
     States are ordered ascending-lexicographically by their count vectors;
     ``matrix[i, j]`` is the probability of moving from state i to state j
-    in one generation.  ``scc_labels`` gives the partition into strongly
-    connected components, numbered (like ``recurrent_classes``) ascending by
-    smallest member, not scipy's component ids.
+    in one generation.  The structural classification (``scc_labels``,
+    ``recurrent_classes``, ``periods``, ``transient``) is computed by
+    ``classify_states(matrix > 0)`` when one of them is first read, and
+    kept.  ``scc_labels`` numbers the strongly connected components (like
+    ``recurrent_classes``) ascending by smallest member, not scipy's
+    component ids.
     """
 
     rule: UpdateRule
     n: int
     states: np.ndarray                 # (S, M) int64
     matrix: np.ndarray                 # (S, S) float64, row-stochastic
-    scc_labels: np.ndarray             # (S,) strongly-connected component ids
-    recurrent_classes: list[np.ndarray]  # state indices, one array per class
-    periods: list[int]                 # aligned with recurrent_classes
-    transient: np.ndarray              # state indices
-    _index: dict = None                # counts -> index, built on first lookup
 
     @property
     def n_states(self) -> int:
         return self.states.shape[0]
 
+    @cached_property
+    def _index(self) -> dict:
+        return {tuple(row): i for i, row in enumerate(self.states.tolist())}
+
     def state_index(self, counts) -> int:
-        if self._index is None:
-            self._index = {tuple(row): i for i, row in enumerate(self.states.tolist())}
         key = tuple(int(c) for c in np.asarray(counts).ravel())
         try:
             return self._index[key]
         except KeyError:
             raise DomainError(f"{key} is not a composition of size {self.n}") from None
+
+    @cached_property
+    def _classification(self) -> tuple[np.ndarray, list, list, np.ndarray]:
+        return classify_states(self.matrix > 0)
+
+    @property
+    def scc_labels(self) -> np.ndarray:
+        """(S,) strongly connected component ids."""
+        return self._classification[0]
+
+    @property
+    def recurrent_classes(self) -> list[np.ndarray]:
+        """State indices, one ascending array per sink class."""
+        return self._classification[1]
+
+    @property
+    def periods(self) -> list[int]:
+        """Periods aligned with ``recurrent_classes``."""
+        return self._classification[2]
+
+    @property
+    def transient(self) -> np.ndarray:
+        """Indices of the states outside every recurrent class."""
+        return self._classification[3]
 
     @property
     def absorbing(self) -> np.ndarray:
@@ -137,14 +163,11 @@ class ExactChain:
 
 def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
     """Enumerate every composition of size ``n`` and assemble the dense
-    transition matrix, then sort its states into recurrent classes and
-    transient states.
+    transition matrix.
 
     Refuses (rather than subsampling) when the state count exceeds the
     state cap or the matrix would exceed the entry cap.
     """
-    from scipy.special import gammaln
-
     m = rule.m
     size = lattice_size(m, n)
     # the entry cap binds first (at 3,163 states): raising the state cap
@@ -162,11 +185,11 @@ def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
     p = sampling_probs(rule, states / n)
     logp = np.log(p, out=np.full_like(p, -1e300), where=p > 0)
     matrix = logp @ states.T.astype(np.float64)
-    matrix += gammaln(n + 1.0) - gammaln(states + 1.0).sum(axis=1)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    matrix += log_factorial[n] - log_factorial[states].sum(axis=1)
     np.exp(matrix, out=matrix)
     matrix /= matrix.sum(axis=1, keepdims=True)
-
-    return ExactChain(rule, n, states, matrix, *classify_states(matrix > 0))
+    return ExactChain(rule, n, states, matrix)
 
 
 def classify_states(positive: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
@@ -208,6 +231,26 @@ def classify_states(positive: np.ndarray) -> tuple[np.ndarray, list, list, np.nd
     classes = [np.flatnonzero(labels == cid) for cid in np.unique(labels[sink])]
     periods = [period(node_labels[members[0]]) for members in classes]
     return labels, classes, periods, np.flatnonzero(~sink)
+
+
+def _reached_from_first(positive: np.ndarray) -> np.ndarray:
+    """States reachable from state 0 along the edges of ``positive``,
+    found one breadth-first level at a time."""
+    seen = np.zeros(positive.shape[0], dtype=bool)
+    frontier = seen.copy()
+    frontier[0] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = positive[frontier].any(axis=0) & ~seen
+    return seen
+
+
+def is_irreducible(positive: np.ndarray) -> bool:
+    """Whether the digraph with boolean adjacency ``positive`` (S, S), S >= 1,
+    is one strongly connected component: state 0 reaches every state, and
+    every state reaches state 0."""
+    return bool(_reached_from_first(positive).all()
+                and _reached_from_first(positive.T).all())
 
 
 def recurrent_class_faces(chain: ExactChain,
@@ -264,8 +307,9 @@ def qsd_power_iteration(sub_matrix: np.ndarray,
     s = sub.shape[0]
     if s == 0:
         raise PreconditionError("empty restriction has no quasi-stationary law")
-    n_comp = int(classify_states(sub > 0)[0].max()) + 1
-    if n_comp != 1:
+    positive = sub > 0
+    if not is_irreducible(positive):
+        n_comp = int(classify_states(positive)[0].max()) + 1
         raise ReducibleInterior(
             f"restriction splits into {n_comp} strongly connected pieces; "
             "the quasi-stationary law is not unique"

@@ -259,11 +259,20 @@ class DeviationEnsemble:
 
     def decoupling_times(self, epsilon: float) -> np.ndarray:
         """Per-replicate decoupling time for one threshold; -1 = censored
-        (never exceeded within the horizon)."""
-        exceeded = self.deviations > epsilon
-        any_hit = exceeded.any(axis=1)
-        taus = np.where(any_hit, exceeded.argmax(axis=1) + 1, -1)
-        return taus.astype(np.int64)
+        (never exceeded within the horizon).
+
+        A first-passage scan down the step rows, which are contiguous in
+        the buffer ``simulate_deviations`` fills: step k sets the time of
+        the replicates that exceed ``epsilon`` there for the first time.
+        """
+        taus = np.full(self.replicates, -1, dtype=np.int64)
+        live = np.ones(self.replicates, dtype=bool)
+        for k, row in enumerate(self.deviations.T, start=1):
+            first = row > epsilon
+            first &= live
+            taus[first] = k
+            live &= ~first
+        return taus
 
     def exceed_counts(self, epsilon: float) -> np.ndarray:
         """Number of replicates with decoupling time <= K, for K = 1..horizon."""

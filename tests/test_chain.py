@@ -16,6 +16,7 @@ from wfsim.chain import (
     build_exact_chain,
     classify_states,
     interior_qsd,
+    is_irreducible,
     qsd_power_iteration,
     quadratic_form_drift,
     recurrent_class_faces,
@@ -39,6 +40,16 @@ from wfsim.simplex import LatticePoint, SupportSet
 from conftest import A1, A2, neutral_rule
 
 
+#: Rules whose exact-chain rows are compared with scipy's multinomial law.
+KERNEL_RULES = [
+    make_rule(A1, omega_ratio=1e-3),
+    make_rule(A2, omega=0.5, mutation=[[0.9, 0.1, 0.0], [0.0, 0.9, 0.1],
+                                       [0.1, 0.0, 0.9]]),
+    make_rule(A2, fitness="exponential", beta=0.3),
+]
+KERNEL_RULE_IDS = ["linear-fractional", "mutation", "exponential"]
+
+
 def constant_vertex_rule(m: int):
     """Rule whose update image is always the first vertex."""
     theta = np.zeros((m, m))
@@ -51,6 +62,19 @@ def mixing_rule(base, u: float = 0.05):
     m = base.fitness.m
     theta = (1 - u) * np.eye(m) + u / m
     return UpdateRule(base.fitness, MutationMatrix(theta))
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """The mask shape of every ``chain.classify_states`` call, in order."""
+    calls = []
+
+    def counted(positive):
+        calls.append(positive.shape)
+        return classify_states(positive)
+
+    monkeypatch.setattr(chain, "classify_states", counted)
+    return calls
 
 
 # ----------------------------------------------------------------------
@@ -145,12 +169,7 @@ class TestTransitionProbs:
         assert row[chain.state_index([5, 1, 0])] == 0.0
         assert row[chain.state_index([6, 0, 0])] == 1.0
 
-    @pytest.mark.parametrize("rule", [
-        make_rule(A1, omega_ratio=1e-3),
-        make_rule(A2, omega=0.5, mutation=[[0.9, 0.1, 0.0], [0.0, 0.9, 0.1],
-                                           [0.1, 0.0, 0.9]]),
-        make_rule(A2, fitness="exponential", beta=0.3),
-    ], ids=["linear-fractional", "mutation", "exponential"])
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=KERNEL_RULE_IDS)
     def test_rows_sum_to_one_exhaustively(self, rule):
         # the chain renormalises its rows, so compare them with the exact
         # multinomial law of the sampler's cell probabilities, whose sum
@@ -160,6 +179,19 @@ class TestTransitionProbs:
             pmf = multinomial.pmf(chain.states, 6, sampling_probs(rule, counts / 6))
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(chain.matrix[i], pmf, rtol=1e-12, atol=1e-300)
+            np.testing.assert_array_equal(chain.matrix[i] > 0, pmf > 0)
+
+    @pytest.mark.parametrize("n", [30, 70])
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=KERNEL_RULE_IDS)
+    def test_rows_match_the_multinomial_law_at_larger_n(self, rule, n):
+        # the log-factorial table (math.lgamma) against scipy's pmf on about
+        # 100 evenly spaced rows, every nonzero entry to rtol 1e-12 (the
+        # largest relative gap measured is 2.0e-13, on entries down to 1e-186)
+        chain = build_exact_chain(rule, n)
+        for i in range(0, chain.n_states, max(1, chain.n_states // 100)):
+            pmf = multinomial.pmf(chain.states, n, sampling_probs(rule, chain.states[i] / n))
+            assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(chain.matrix[i], pmf, rtol=1e-12, atol=0)
             np.testing.assert_array_equal(chain.matrix[i] > 0, pmf > 0)
 
     def test_absorbing_types_without_mutation(self, rule_a2):
@@ -218,7 +250,27 @@ class TestExactChain:
         # 246,051 states: past both caps, but only the entry cap's advice helps
         with pytest.raises(ResourceLimitExceeded, match="entries") as info:
             build_exact_chain(rule_a2, 700)
-        assert "WF_MAX_STATES" not in str(info.value)
+        message = str(info.value)
+        assert "60541094601 entries" in message          # 246,051 squared
+        assert "cap 10000000" in message
+        assert "exceeding the cap of 200000" not in message
+
+    def test_states_are_classified_once_and_only_when_read(self, rule_a2, classify_calls):
+        exact = build_exact_chain(mixing_rule(rule_a2), 12)
+        res = interior_qsd(exact)
+        assert res.leak_residual < 1e-12
+        assert classify_calls == []         # an irreducible interior needs no classes
+        assert len(exact.recurrent_classes) == 1
+        assert exact.recurrent_classes[0].size == exact.n_states
+        assert (exact.periods, exact.transient.size) == ([1], 0)
+        np.testing.assert_array_equal(exact.scc_labels, 0)
+        assert classify_calls == [(exact.n_states, exact.n_states)]
+
+    def test_reducible_interior_is_classified_to_count_its_pieces(self, classify_calls):
+        sub = scipy.linalg.block_diag(np.full((3, 3), 0.2), np.full((4, 4), 0.1))
+        with pytest.raises(ReducibleInterior, match="2 strongly connected"):
+            qsd_power_iteration(sub)
+        assert classify_calls == [(7, 7)]
 
 
 def direct_classification(positive: np.ndarray):
@@ -283,6 +335,26 @@ class TestClassifyStates:
     @given(masks())
     def test_matches_csgraph_on_the_full_mask(self, mask):
         assert_matches_direct(mask, *classify_states(mask))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(masks())
+    def test_two_sweeps_decide_irreducibility_like_csgraph(self, mask):
+        n_comp = csgraph.connected_components(csr_matrix(mask), directed=True,
+                                              connection="strong")[0]
+        assert is_irreducible(mask) == (n_comp == 1)
+
+    @pytest.mark.parametrize("mask,verdict", [
+        # one state and no edge; a 5-cycle (period 5); the same cycle with
+        # row 2 emptied; paths along which 0 reaches every state but none
+        # reaches 0, and the reverse
+        (np.zeros((1, 1), dtype=bool), True),
+        (np.roll(np.eye(5, dtype=bool), 1, axis=1), True),
+        (np.roll(np.eye(5, dtype=bool), 1, axis=1) & (np.arange(5) != 2)[:, None], False),
+        (np.eye(3, k=1, dtype=bool), False),
+        (np.eye(3, k=-1, dtype=bool), False),
+    ], ids=["single", "cycle", "empty-row", "forward-path", "backward-path"])
+    def test_two_sweeps_on_hand_masks(self, mask, verdict):
+        assert is_irreducible(mask) is verdict
 
     def test_distinct_rows_and_long_cycles(self):
         # every row distinct, a 3-cycle and a 2-cycle as sink classes
@@ -425,6 +497,19 @@ class TestQsd:
         chain = build_exact_chain(rule_a2, 2)
         with pytest.raises(PreconditionError):
             interior_qsd(chain)
+
+    @pytest.mark.parametrize("n,eigenvalue", [
+        (30, 0.9078479866108942),
+        (45, 0.9240319445077303),
+        (60, 0.9343082939550209),
+        (70, 0.9393747677012545),
+    ])
+    def test_ladder_survival_factors_hold_their_bits(self, rule_a2, n, eigenvalue):
+        # the A2 ladder values written by the kernel built with
+        # scipy.special.gammaln, before the log-factorial table
+        res = interior_qsd(build_exact_chain(rule_a2, n))
+        assert abs(res.eigenvalue - eigenvalue) <= 1e-14
+        assert res.leak_residual < 1e-13
 
 
 # ----------------------------------------------------------------------

@@ -686,8 +686,23 @@ class TestPlumbing:
     def test_bounds_and_simulate_load_no_scipy(self, tmp_path, command, cfg):
         # the Lipschitz probe and the pseudo-orbit search measure max-norm
         # distances with numpy alone, so `wf bounds` runs without scipy
+        assert self.scipy_modules_after(self.command_code(tmp_path, command, cfg)) == "[]"
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("qsd", {"matrix": A2, "omega": 0.5, "N": [6, 12], "include_weights": True}),
+        ("meanfield", {"matrix": A2, "omega": 0.5, "check_permanence": True}),
+    ])
+    def test_qsd_and_meanfield_load_no_scipy(self, tmp_path, command, cfg):
+        # the exact chain takes its log-factorials from math.lgamma, checks
+        # interior irreducibility by two numpy sweeps and classifies its
+        # states only when they are read, which `wf qsd` never does
+        assert self.scipy_modules_after(self.command_code(tmp_path, command, cfg)) == "[]"
+
+    @staticmethod
+    def command_code(tmp_path, command: str, cfg: dict) -> str:
+        """Source that runs ``wf <command>`` on ``cfg`` and requires exit 0."""
         path = write_config(tmp_path, "c.json", cfg)
-        code = (
+        return (
             "import sys\n"
             "from wfsim.cli import main\n"
             f"sys.argv = ['wf', {command!r}, '--config', {path!r},\n"
@@ -696,7 +711,6 @@ class TestPlumbing:
             "    main()\n"
             "except SystemExit as exc:\n"
             "    assert exc.code in (0, None), exc.code\n")
-        assert self.scipy_modules_after(code) == "[]"
 
     def test_shipped_configs_parse(self):
         from wfsim.extinction import ExperimentSpec

@@ -337,6 +337,15 @@ class TestEnsembles:
         assert taus.shape == (400,)
         assert np.all((taus == -1) | (taus >= 1))
 
+    @pytest.mark.parametrize("eps", [0.0, 0.02, 0.05, 0.1, 1.0])
+    def test_decoupling_times_are_first_exceedances(self, ensemble, eps):
+        # the first-passage scan against each replicate's first exceeding step
+        exceeded = ensemble.deviations > eps
+        want = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1) + 1, -1)
+        taus = ensemble.decoupling_times(eps)
+        assert taus.dtype == np.int64
+        np.testing.assert_array_equal(taus, want)
+
     def test_exceed_counts_are_cumulative(self, ensemble):
         counts = ensemble.exceed_counts(0.05)
         assert counts.shape == (50,)
