@@ -44,6 +44,9 @@ LAW_MEMO = 1 << 16
 #: Power-iteration steps a QSD solve may take before it gives up.
 QSD_MAX_ITER = 200_000
 
+#: Kernel rows assembled at a time: one (KERNEL_BLOCK, S) float64 buffer.
+KERNEL_BLOCK = 256
+
 
 def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
                 rng: np.random.Generator,
@@ -80,14 +83,6 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
     return path
 
 
-def absorbing_types(rule: UpdateRule) -> list[int]:
-    """1-based labels of types whose pure composition is a fixed point of
-    the update map (moved at most 1e-12 in max-norm)."""
-    vertices = np.eye(rule.m)
-    gaps = np.abs(rule.update_probs(vertices) - vertices).max(axis=1)
-    return (np.flatnonzero(gaps <= 1e-12) + 1).tolist()
-
-
 # ----------------------------------------------------------------------
 # exact chains
 # ----------------------------------------------------------------------
@@ -98,10 +93,11 @@ class ExactChain:
 
     States are ordered ascending-lexicographically by their count vectors;
     ``matrix[i, j]`` is the probability of moving from state i to state j
-    in one generation.  The structural classification (``scc_labels``,
-    ``recurrent_classes``, ``periods``, ``transient``) is computed by
-    ``classify_states(matrix > 0)`` when one of them is first read, and
-    kept.  ``scc_labels`` numbers the strongly connected components (like
+    in one generation.  ``matrix`` is ``kernel_block`` on every row and
+    column, assembled when first read, and kept; so is the structural
+    classification (``scc_labels``, ``recurrent_classes``, ``periods``,
+    ``transient``), computed by ``classify_states(matrix > 0)``.
+    ``scc_labels`` numbers the strongly connected components (like
     ``recurrent_classes``) ascending by smallest member, not scipy's
     component ids.
     """
@@ -109,11 +105,15 @@ class ExactChain:
     rule: UpdateRule
     n: int
     states: np.ndarray                 # (S, M) int64
-    matrix: np.ndarray                 # (S, S) float64, row-stochastic
 
     @property
     def n_states(self) -> int:
         return self.states.shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:    # (S, S) float64, row-stochastic
+        every = np.arange(self.n_states)
+        return kernel_block(self, every, every)
 
     @cached_property
     def _index(self) -> dict:
@@ -162,8 +162,8 @@ class ExactChain:
 
 
 def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
-    """Enumerate every composition of size ``n`` and assemble the dense
-    transition matrix.
+    """Enumerate every composition of size ``n``; the dense transition
+    matrix is assembled when ``matrix`` is first read.
 
     Refuses (rather than subsampling) when the state count exceeds the
     state cap or the matrix would exceed the entry cap.
@@ -177,19 +177,31 @@ def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
             f"dense matrix would have {size * size} entries "
             f"(cap {PAIR_CAP}); reduce N or M"
         )
-    states = lattice_counts(m, n)
-    # row i is the multinomial law of sampling_probs at state i:
-    # log N! - sum_k log s_jk! + sum_k s_jk log p_ik over destinations j.
-    # A finite stand-in for log 0 keeps 0 * log 0 at 0 (factor 1 where
-    # s_jk = 0) and still sends every s_jk > 0 entry to exactly 0.
-    p = sampling_probs(rule, states / n)
-    logp = np.log(p, out=np.full_like(p, -1e300), where=p > 0)
-    matrix = logp @ states.T.astype(np.float64)
+    return ExactChain(rule, n, lattice_counts(m, n))
+
+
+def kernel_block(chain: ExactChain, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Transition probabilities from the states ``rows`` to the states
+    ``cols`` (index arrays), assembled ``KERNEL_BLOCK`` rows at a time.
+
+    Row i is the multinomial law of sampling_probs at state i, normalised
+    over all S destinations j before the columns are kept:
+    log N! - sum_k log s_jk! + sum_k s_jk log p_ik.  A finite stand-in for
+    log 0 keeps 0 * log 0 at 0 and sends every s_jk > 0 entry to exactly 0.
+    """
+    states, n = chain.states, chain.n
+    dest = states.T.astype(np.float64)
     log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    matrix += log_factorial[n] - log_factorial[states].sum(axis=1)
-    np.exp(matrix, out=matrix)
-    matrix /= matrix.sum(axis=1, keepdims=True)
-    return ExactChain(rule, n, states, matrix)
+    log_count = log_factorial[n] - log_factorial[states].sum(axis=1)
+    out = np.empty((rows.size, cols.size))
+    for lo in range(0, rows.size, KERNEL_BLOCK):
+        p = sampling_probs(chain.rule, states[rows[lo: lo + KERNEL_BLOCK]] / n)
+        law = np.log(p, out=np.full_like(p, -1e300), where=p > 0) @ dest
+        law += log_count
+        np.exp(law, out=law)
+        block = np.take(law, cols, axis=1, out=out[lo: lo + KERNEL_BLOCK])
+        block /= law.sum(axis=1, keepdims=True)
+    return out
 
 
 def classify_states(positive: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
@@ -340,15 +352,15 @@ def qsd_power_iteration(sub_matrix: np.ndarray,
 
 
 def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
-    """Quasi-stationary distribution of the chain restricted to the
-    strictly interior compositions (every type present)."""
+    """Quasi-stationary distribution of the chain restricted to the strictly
+    interior compositions (every type present): only that block is built."""
     idx = chain.interior_indices()
     if idx.size == 0:
         raise PreconditionError(
             f"no interior compositions at N={chain.n} with M={chain.states.shape[1]}"
         )
-    sub = chain.matrix[np.ix_(idx, idx)]
-    return qsd_power_iteration(sub, states=chain.states[idx], tol=tol)
+    return qsd_power_iteration(kernel_block(chain, idx, idx),
+                               states=chain.states[idx], tol=tol)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,11 +14,11 @@ from scipy.stats import multinomial
 
 from wfsim import chain
 from wfsim.chain import (
-    absorbing_types,
     build_exact_chain,
     classify_states,
     interior_qsd,
     is_irreducible,
+    kernel_block,
     qsd_power_iteration,
     quadratic_form_drift,
     recurrent_class_faces,
@@ -194,11 +196,54 @@ class TestTransitionProbs:
             np.testing.assert_allclose(chain.matrix[i], pmf, rtol=1e-12, atol=0)
             np.testing.assert_array_equal(chain.matrix[i] > 0, pmf > 0)
 
-    def test_absorbing_types_without_mutation(self, rule_a2):
-        assert absorbing_types(rule_a2) == [1, 2, 3]
 
-    def test_no_absorbing_types_under_mixing(self, rule_a2):
-        assert absorbing_types(mixing_rule(rule_a2)) == []
+def whole_kernel(exact, monkeypatch) -> np.ndarray:
+    """The transition matrix built as one block of every row, the single
+    (S, M) @ (M, S) product the chain was assembled with before blocks."""
+    every = np.arange(exact.n_states)
+    with monkeypatch.context() as patch:
+        patch.setattr(chain, "KERNEL_BLOCK", exact.n_states + 1)
+        return kernel_block(exact, every, every)
+
+
+class TestKernelBlock:
+    """Row blocks of the kernel against the whole-matrix build."""
+
+    @pytest.mark.parametrize("n", [6, 30, 70])
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=KERNEL_RULE_IDS)
+    def test_shipped_blocks_are_bit_identical(self, rule, n, monkeypatch):
+        exact = build_exact_chain(rule, n)
+        whole = whole_kernel(exact, monkeypatch)
+        idx = exact.interior_indices()
+        np.testing.assert_array_equal(exact.matrix, whole)
+        np.testing.assert_array_equal(kernel_block(exact, idx, idx),
+                                      whole[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("n", [6, 30, 70])
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=KERNEL_RULE_IDS)
+    def test_thin_blocks_agree_to_rounding(self, rule, n, block, monkeypatch):
+        """Thin blocks are not bit-exact: BLAS multiplies a block of one or
+        a few rows on another kernel (a matrix-vector product at one row,
+        another accumulation order for thin panels), so a log-law may move
+        by an ulp, and exp turns that into a relative error of about
+        |log-law| ulps (up to 1.2e-13 measured at N=70)."""
+        exact = build_exact_chain(rule, n)
+        whole = whole_kernel(exact, monkeypatch)
+        idx = exact.interior_indices()
+        monkeypatch.setattr(chain, "KERNEL_BLOCK", block)
+        for got, want in [(exact.matrix, whole),
+                          (kernel_block(exact, idx, idx), whole[np.ix_(idx, idx)])]:
+            np.testing.assert_array_equal(got > 0, want > 0)
+            # rtol 1e-12, written out: assert_allclose takes 0.5 s per N=70 matrix
+            gap = np.abs(got - want)
+            assert np.all(gap <= 1e-12 * want), (gap / np.maximum(want, 1e-300)).max()
+
+    def test_rows_and_columns_in_any_order(self, rule_a2):
+        exact = build_exact_chain(rule_a2, 12)
+        rows, cols = np.array([40, 3, 77, 3]), np.array([90, 0, 12])
+        np.testing.assert_array_equal(kernel_block(exact, rows, cols),
+                                      exact.matrix[np.ix_(rows, cols)])
 
 
 # ----------------------------------------------------------------------
@@ -492,6 +537,21 @@ class TestQsd:
         res = qsd_power_iteration(sub)
         assert res.eigenvalue == pytest.approx(0.9, abs=1e-12)
         np.testing.assert_allclose(res.weights, np.full(s, 1 / s), atol=1e-12)
+
+    def test_solve_holds_only_the_interior_block(self, rule_a2):
+        # tracemalloc peak over build plus solve at N=70, against the T^2
+        # float64 interior block: 1.25x when the block is assembled on its
+        # own, 2.44x when it was copied out of the full (S, S) matrix
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            exact = build_exact_chain(rule_a2, 70)
+            res = interior_qsd(exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "matrix" not in vars(exact)
+        assert peak < 1.5 * res.weights.size ** 2 * 8
 
     def test_no_interior_states(self, rule_a2):
         chain = build_exact_chain(rule_a2, 2)

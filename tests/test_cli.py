@@ -490,6 +490,16 @@ class TestQsd:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
 
+    def test_outputs_are_pinned(self, runner, tmp_path):
+        # SHA-256 recorded before the kernel was assembled in row blocks: a
+        # moved bit in the interior block moves a weight, and the digest
+        cfg = write_config(tmp_path, "qsd.json", {
+            "matrix": A2, "omega": 0.5, "N": [30, 45], "include_weights": True})
+        out = tmp_path / "out"
+        run_ok(runner, ["qsd", "--config", cfg, "--out", str(out)])
+        assert hashlib.sha256((out / "qsd.json").read_bytes()).hexdigest() == (
+            "d028e785a1b87c8869b428d1d05cdeafdca95b9bae2f35926eeb525d513528cc")
+
     def test_weights_included_on_request(self, runner, tmp_path):
         cfg = write_config(tmp_path, "qsd.json", {
             "matrix": A2, "omega": 0.5, "N": 6, "include_weights": True,
