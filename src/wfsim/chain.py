@@ -4,7 +4,7 @@ One generation draws the next composition from a multinomial whose cell
 probabilities are the expected-update image of the current composition.
 This module provides trajectory sampling, fully enumerated transition
 matrices for small populations (with state/entry caps), structural
-classification of states (absorbing, recurrent classes and their periods,
+classification of states (recurrent classes and their periods,
 transient), face-closure checks for recurrent classes, quasi-stationary
 distributions of the interior restriction, and an exhaustive drift check
 for scalar functions.
@@ -149,13 +149,6 @@ class ExactChain:
     def transient(self) -> np.ndarray:
         """Indices of the states outside every recurrent class."""
         return self._classification[3]
-
-    @property
-    def absorbing(self) -> np.ndarray:
-        """Indices of singleton recurrent classes with a self-loop of mass 1."""
-        out = [cls[0] for cls in self.recurrent_classes
-               if cls.size == 1 and self.matrix[cls[0], cls[0]] >= 1.0 - 1e-12]
-        return np.array(sorted(out), dtype=np.int64)
 
     def interior_indices(self) -> np.ndarray:
         return np.flatnonzero(np.all(self.states > 0, axis=1))

@@ -16,41 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, PreconditionError
+from .errors import DomainError
 from .fitness import UpdateRule, finite_difference_jacobian, sampling_probs
 from .meanfield import Orbit, iterate
 from .simplex import LatticePoint, lattice_counts, linf_distances
 
 #: One-sided 99% normal quantile used for Wilson upper confidence limits.
 Z_99 = 2.3263478740408408
-
-
-def decoupling_time(path: np.ndarray, orbit: Orbit,
-                    epsilon: float) -> Optional[int]:
-    """First step where a trajectory deviates from the orbit by more than
-    ``epsilon`` in max-norm; None if it never does within the horizon.
-
-    ``path`` holds one state per row, either integer counts (divided by
-    the first row's sum, N) or frequencies.  The trajectory and orbit
-    must start at the same state.
-    """
-    path = np.asarray(path)
-    if path.ndim != 2 or path.shape[1] != orbit.m:
-        raise DimensionMismatch("trajectory and orbit dimensions differ")
-    if np.issubdtype(path.dtype, np.integer):
-        freqs = path / int(path[0].sum())
-    else:
-        freqs = path.astype(np.float64)
-    if float(np.max(np.abs(freqs[0] - orbit.states[0]))) > 1e-9:
-        raise PreconditionError("trajectory and orbit have different initial states")
-    k_max = min(freqs.shape[0], len(orbit))
-    devs = np.max(np.abs(freqs[:k_max] - orbit.states[:k_max]), axis=1)
-    hits = np.flatnonzero(devs > epsilon)
-    return int(hits[0]) if hits.size else None
 
 
 def contraction_coefficient(rho: float, horizon: int) -> float:

@@ -4,8 +4,7 @@ Near an interior equilibrium the finite population lingers for a long
 time, then a large fluctuation pushes one type below a threshold or all
 the way to extinction — and the theory predicts which type: one whose
 expected next-generation share at the equilibrium is smallest.  This
-module identifies that least-fit set, checks the threshold conditions
-under which the prediction holds, runs stopped and absorbed trial
+module identifies that least-fit set, runs stopped and absorbed trial
 ensembles with reproducible parallelism, and aggregates them into
 per-initial-condition outcome counts plus a histogram of distances from
 the equilibrium at a random intermediate time.
@@ -48,10 +47,6 @@ class LeastFitReport:
     least_fit: SupportSet
     image: np.ndarray
 
-    @property
-    def separation(self) -> float:
-        return self.beta - self.alpha
-
 
 def least_fit(rule: UpdateRule, point) -> LeastFitReport:
     """Identify the types with the minimal expected next-generation share.
@@ -70,52 +65,6 @@ def least_fit(rule: UpdateRule, point) -> LeastFitReport:
     beta = float(image[~mask].min())
     return LeastFitReport(alpha=alpha, beta=beta,
                           least_fit=SupportSet.from_mask(mask), image=image)
-
-
-@dataclass(frozen=True)
-class ThresholdCheck:
-    """Evaluation of the tube-width conditions at given (theta, eta)."""
-
-    theta: float
-    eta: float
-    epsilon_theta: float
-    epsilon_source: str            # "user" or "grid-estimate"
-    eta_admissible_max: float
-    separation_ok: bool            # 1-a-t > (1-b+t)^(1-eta)
-    concentration_ok: bool         # 1-a-t > exp(-eps^2/2)
-
-
-def check_thresholds(report: LeastFitReport, theta: float, eta: float,
-                     epsilon_theta: float,
-                     epsilon_source: str = "user") -> ThresholdCheck:
-    """Check the admissibility of (theta, eta) and evaluate both
-    threshold inequalities for the given tube width.
-
-    ``theta`` must leave room between the least-fit level and the rest;
-    ``eta`` must lie below the exponent ratio ceiling.  Out-of-range
-    values raise with the admissible interval in the message.
-    """
-    alpha, beta = report.alpha, report.beta
-    theta_max = (beta - alpha) / 2.0
-    if not 0.0 < theta < theta_max:
-        raise DomainError(
-            f"theta={theta} outside the admissible interval (0, {theta_max})"
-        )
-    survive = 1.0 - alpha - theta       # in (0, 1): alpha + theta < 1
-    drop = 1.0 - beta + theta           # in (0, 1) and > survive is impossible:
-    # theta < (beta - alpha)/2 gives drop < survive
-    eta_max = 1.0 - math.log(survive) / math.log(drop)
-    if not 0.0 < eta < eta_max:
-        raise DomainError(
-            f"eta={eta} outside the admissible interval (0, {eta_max})"
-        )
-    separation_ok = survive > drop ** (1.0 - eta)
-    concentration_ok = survive > math.exp(-(epsilon_theta ** 2) / 2.0)
-    return ThresholdCheck(theta=theta, eta=eta, epsilon_theta=epsilon_theta,
-                          epsilon_source=epsilon_source,
-                          eta_admissible_max=eta_max,
-                          separation_ok=separation_ok,
-                          concentration_ok=concentration_ok)
 
 
 # ----------------------------------------------------------------------
@@ -410,8 +359,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         if out.d_eq is not None:
             d_values.append(out.d_eq)
 
-    n_bins = int(round(1.5 / spec.bin_width))
-    edges = np.linspace(0.0, n_bins * spec.bin_width, n_bins + 1)
+    # the last edge reaches sqrt(2), the largest distance between two simplex
+    # points, so np.histogram drops no distance
+    width = spec.bin_width
+    n_bins = max(int(round(1.5 / width)), math.ceil(math.sqrt(2) / width))
+    edges = np.linspace(0.0, n_bins * width, n_bins + 1)
     hist, _ = np.histogram(np.asarray(d_values), bins=edges)
 
     stopped = counts.sum(axis=1)

@@ -3,12 +3,11 @@
 A fitness model assigns every type a non-negative reproductive weight as a
 function of the current profile.  The expected next-generation profile is
 the fitness-weighted renormalization of the current one; an optional
-row-stochastic mutation matrix is applied to the profile first.  Darwinian,
-reproductive, and average fitness notions are derived from the update map.
-Every sampler in the package draws from the multinomial cell
-probabilities of :func:`sampling_probs`; every command seeds its random
-streams with :func:`rng_stream` and builds its rule with
-:func:`make_rule`, which checks the parameters each fitness family takes.
+row-stochastic mutation matrix is applied to the profile first.  Every
+sampler in the package draws from the multinomial cell probabilities of
+:func:`sampling_probs`; every command seeds its random streams with
+:func:`rng_stream` and builds its rule with :func:`make_rule`, which
+checks the parameters each fitness family takes.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ from .errors import (
     ConfigError,
     DegenerateFitness,
     DimensionMismatch,
-    InvalidNormalization,
     NumericRangeError,
-    PreconditionError,
 )
 from .simplex import SimplexPoint
 
@@ -380,57 +377,3 @@ def make_rule(matrix, *, omega: float | None = None,
     else:
         raise ConfigError(f"unknown fitness kind {fitness!r}")
     return UpdateRule(model, mut)
-
-
-# ----------------------------------------------------------------------
-# module-level operations
-# ----------------------------------------------------------------------
-
-def darwinian_fitness(rule: UpdateRule, x: SimplexPoint) -> np.ndarray:
-    """Per-type growth factors: expected next share over current share.
-
-    Entries for types with zero current share are undefined and returned
-    as NaN.  The share-weighted average over present types is identically
-    1 for mutation-free rules.
-    """
-    gamma = rule.update_probs(x.coords)
-    out = np.full(x.m, np.nan)
-    mask = x.coords > 0
-    out[mask] = gamma[mask] / x.coords[mask]
-    return out
-
-
-def reproductive_fitness(rule: UpdateRule, h: Callable[[np.ndarray], float],
-                         x: SimplexPoint) -> np.ndarray:
-    """Growth factors rescaled by a positive average ``h``.
-
-    Returns ``f_i * h(x)`` where ``f`` is the Darwinian fitness; entries
-    off the support are NaN.  Requires the rule to conserve mass on the
-    support of ``x`` (no mutation inflow), and checks the defining identity
-    that the share-weighted average equals ``h(x)``.
-    """
-    gamma = rule.update_probs(x.coords)
-    mask = x.coords > 0
-    on_support = float(gamma[mask].sum())
-    if abs(on_support - 1.0) > 1e-9:
-        raise PreconditionError(
-            "rule moves mass off the support of x; rescaled growth factors "
-            "are not defined here"
-        )
-    hx = float(h(x.coords))
-    if not hx > 0:
-        raise InvalidNormalization(f"average must be positive, got {hx}")
-    out = np.full(x.m, np.nan)
-    out[mask] = gamma[mask] / x.coords[mask] * hx
-    agreement = float(np.dot(x.coords[mask], out[mask]))
-    if abs(agreement - hx) > 1e-12 * max(1.0, abs(hx)):
-        raise NumericRangeError(
-            "share-weighted average of rescaled growth factors drifted from h(x)"
-        )
-    return out
-
-
-def average_fitness(rule: UpdateRule, x: SimplexPoint) -> float:
-    """Share-weighted mean fitness at the profile (the update normalizer)."""
-    phi = rule.fitness.values(x.coords)
-    return float(np.dot(x.coords, phi))

@@ -5,9 +5,9 @@ Rescaled deviations of the finite population from the orbit approach a
 time-inhomogeneous Gaussian linear recursion driven by multinomial noise:
 the next deviation is the update-map derivative applied to the current
 one plus a centered Gaussian with the multinomial covariance of the
-current image.  This module builds those covariances, samples the linear
-recursion, propagates second moments exactly, and rescales simulated
-trajectories for empirical comparison.
+current image.  This module builds those covariances, propagates the
+recursion's second moments exactly, solves for their stationary value, and
+rescales simulated trajectories for empirical comparison.
 """
 
 from __future__ import annotations
@@ -18,14 +18,10 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NumericRangeError, PreconditionError
+from .errors import NumericRangeError, PreconditionError
 from .fitness import UpdateRule, sampling_probs
 from .meanfield import Orbit, iterate, spectral_radius_on_sum_zero, sum_zero_basis
 from .simplex import SimplexPoint, round_to_lattice
-
-#: Eigenvalues of a noise covariance this far below zero are rounding
-#: noise and get clamped; anything lower is a genuine failure.
-EIG_CLAMP = -1e-12
 
 
 def noise_covariance(p) -> np.ndarray:
@@ -41,87 +37,26 @@ def noise_covariance(p) -> np.ndarray:
     return np.diag(vec) - np.outer(vec, vec)
 
 
-def _gaussian_root(cov: np.ndarray) -> np.ndarray:
-    """Square-root factor of a PSD matrix via eigendecomposition, clamping
-    eigenvalues in [EIG_CLAMP, 0) to zero."""
-    evals, evecs = np.linalg.eigh(cov)
-    if evals.min() < EIG_CLAMP:
-        raise NumericRangeError(
-            f"covariance has eigenvalue {evals.min():.3e} below the PSD tolerance"
-        )
-    evals = np.clip(evals, 0.0, None)
-    return evecs * np.sqrt(evals)
-
-
-def sample_degenerate_gaussian(cov: np.ndarray, rng: np.random.Generator,
-                               size: Optional[int] = None) -> np.ndarray:
-    """Centered Gaussian draw(s) with a possibly rank-deficient covariance."""
-    root = _gaussian_root(cov)
-    m = cov.shape[0]
-    return rng.standard_normal(m if size is None else (size, m)) @ root.T
-
-
-def _ar1_coefficients(orbit: Orbit, stationary: bool,
-                      steps: Optional[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (D_k, Sigma_{k+1}) pair of each step of the linear recursion:
-    along the orbit, or frozen at its final point when ``stationary``."""
+def ar1_covariance(orbit: Orbit, stationary: bool = False,
+                   steps: Optional[int] = None) -> np.ndarray:
+    """Exact second moments of the linear recursion: V_{k+1} = D V_k D' + S_k,
+    from V_0 = 0 (a deterministic start), with D the update-map derivative
+    at orbit point k and S the noise covariance of orbit point k+1.  With
+    ``stationary`` both are frozen at the final orbit point, and ``steps``
+    may exceed the orbit length.  Returns an array of shape (steps+1, M, M).
+    """
+    rule, m = orbit.rule, orbit.m
     if steps is None:
         steps = len(orbit) - 1
     if stationary:
         point = orbit.final
-        return [(orbit.rule.jacobian(point),
-                 noise_covariance(orbit.rule.update_probs(point)))] * steps
-    if steps > len(orbit) - 1:
+        coeffs = [(rule.jacobian(point), noise_covariance(rule.update_probs(point)))] * steps
+    elif steps > len(orbit) - 1:
         raise PreconditionError("orbit is shorter than the requested horizon")
-    return [(orbit.rule.jacobian(orbit.states[k]), noise_covariance(orbit.states[k + 1]))
-            for k in range(steps)]
-
-
-def ar1_sample(orbit: Orbit, u0, rng: np.random.Generator,
-               stationary: bool = False,
-               steps: Optional[int] = None,
-               paths: Optional[int] = None) -> np.ndarray:
-    """Sample the linear Gaussian recursion along an orbit.
-
-    Starting from ``u0`` (which must be sum-zero), each step applies the
-    update-map derivative at the current orbit point and adds a Gaussian
-    with the multinomial covariance of the next orbit point.  With
-    ``stationary`` the derivative and covariance are frozen at the final
-    orbit point (useful once the orbit has converged), and ``steps`` may
-    exceed the orbit length.  With ``paths`` an ensemble of independent
-    trajectories is drawn; the result then has shape (paths, steps+1, M)
-    instead of (steps+1, M), and ``u0`` may be a single deviation shared by
-    every path or an array of per-path deviations with shape (paths, M).
-    """
-    u0 = np.asarray(u0, dtype=np.float64)
-    m = orbit.m
-    if u0.ndim == 2 and paths is None:
-        paths = u0.shape[0]
-    expected = (m,) if paths is None or u0.ndim == 1 else (paths, m)
-    if u0.shape != expected:
-        raise DimensionMismatch("initial deviation has the wrong shape")
-    if float(np.abs(u0.sum(axis=-1)).max()) > 1e-10:
-        raise PreconditionError("initial deviation must have zero coordinate sum")
-    coeffs = _ar1_coefficients(orbit, stationary, steps)
-
-    # a single path is an ensemble of one with the leading axis dropped
-    out = np.empty((1 if paths is None else paths, len(coeffs) + 1, m))
-    out[:, 0, :] = u0
-    for k, (d, sig) in enumerate(coeffs):
-        noise = sample_degenerate_gaussian(sig, rng, out.shape[0])
-        out[:, k + 1, :] = out[:, k, :] @ d.T + noise
-    return out[0] if paths is None else out
-
-
-def ar1_covariance(orbit: Orbit, stationary: bool = False,
-                   steps: Optional[int] = None) -> np.ndarray:
-    """Exact second moments of the linear recursion: V_{k+1} = D V_k D' + S_k,
-    from V_0 = 0 (a deterministic start).  Returns an array of shape
-    (steps+1, M, M).
-    """
-    m = orbit.m
-    coeffs = _ar1_coefficients(orbit, stationary, steps)
-    out = np.empty((len(coeffs) + 1, m, m))
+    else:
+        coeffs = [(rule.jacobian(orbit.states[k]), noise_covariance(orbit.states[k + 1]))
+                  for k in range(steps)]
+    out = np.empty((steps + 1, m, m))
     out[0] = 0.0
     for k, (d, sig) in enumerate(coeffs):
         out[k + 1] = d @ out[k] @ d.T + sig

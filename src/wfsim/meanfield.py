@@ -5,8 +5,8 @@ module computes orbits, interior equilibria of partnership payoff
 matrices, the derivative of the update map at equilibrium together with
 its spectral radius on the sum-zero subspace, diagnostic checks of the
 stability hypotheses (symmetry, definiteness on sum-zero directions,
-permanence, monotone averages), and reachability by pseudo-orbits with
-bounded per-step error on a barycentric grid.
+permanence), and the drift report that the exact chain's check of the
+maximization principle fills.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DegenerateFitness,
     DimensionMismatch,
     NoInteriorEquilibrium,
@@ -26,11 +25,7 @@ from .errors import (
     PreconditionError,
 )
 from .fitness import PayoffMatrix, UpdateRule
-from .simplex import SimplexPoint, SupportSet, lattice_counts, linf_distances
-
-#: Orbit convergence: this many consecutive max-norm steps below GAP_TOL.
-CONVERGENCE_RUN = 3
-GAP_TOL = 1e-12
+from .simplex import SimplexPoint, SupportSet, lattice_counts
 
 #: A drift below -DRIFT_TOL violates the monotonicity a drift check tests.
 DRIFT_TOL = 1e-10
@@ -85,7 +80,6 @@ class Orbit:
 
     states: np.ndarray            # (K+1, M)
     rule: UpdateRule
-    converged_at: Optional[int]   # first index with 3 consecutive tiny gaps
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -94,40 +88,21 @@ class Orbit:
     def m(self) -> int:
         return self.states.shape[1]
 
-    def point(self, k: int) -> SimplexPoint:
-        return SimplexPoint(self.states[k], normalize=True)
-
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
 
 
-def iterate(rule: UpdateRule, x0, steps: int,
-            stop_on_convergence: bool = False) -> Orbit:
-    """Iterate the update map ``steps`` times from ``x0``.
-
-    Records the first index at which the max-norm gap between consecutive
-    states has stayed below ``GAP_TOL`` for three steps in a row.  With
-    ``stop_on_convergence`` the orbit is truncated at that index.
-    """
+def iterate(rule: UpdateRule, x0, steps: int) -> Orbit:
+    """Iterate the update map ``steps`` times from ``x0``."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     x = x0.coords if isinstance(x0, SimplexPoint) else np.asarray(x0, dtype=np.float64)
     states = np.empty((steps + 1, x.size))
     states[0] = x
-    converged_at = None
-    run = 0
-    last = steps
     for k in range(1, steps + 1):
         states[k] = rule.update_probs(states[k - 1])
-        gap = float(np.max(np.abs(states[k] - states[k - 1])))
-        run = run + 1 if gap < GAP_TOL else 0
-        if run >= CONVERGENCE_RUN and converged_at is None:
-            converged_at = k
-            if stop_on_convergence:
-                last = k
-                break
-    return Orbit(states=states[: last + 1], rule=rule, converged_at=converged_at)
+    return Orbit(states=states, rule=rule)
 
 
 # ----------------------------------------------------------------------
@@ -142,12 +117,6 @@ class EquilibriumResult:
     c: float
     is_interior: bool
     residual: float
-
-    @property
-    def point(self) -> SimplexPoint:
-        if not self.is_interior:
-            raise NoInteriorEquilibrium("equilibrium is not interior")
-        return SimplexPoint(self.vector, normalize=True)
 
 
 def solve_interior_equilibrium(a: MatrixLike) -> EquilibriumResult:
@@ -333,10 +302,6 @@ class PermanenceReport:
     fixed_points: list[BoundaryFixedPoint] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def permanent(self) -> bool:
-        return self.status == "permanent"
-
 
 def _face_grid(m: int, indices: np.ndarray, resolution: int) -> np.ndarray:
     """Strictly positive barycentric grid points of one closed face,
@@ -460,9 +425,9 @@ def batch_values(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> 
 class DriftReport:
     """Expected one-step change of a function h at each of a set of points.
 
-    ``points`` are the states the drift was taken at (frequency profiles for
-    the update map, compositions for an exact chain); a drift below
-    ``-DRIFT_TOL`` is a violation of the monotonicity being checked.
+    ``points`` are the states the drift was taken at (the compositions of
+    an exact chain); a drift below ``-DRIFT_TOL`` is a violation of the
+    monotonicity being checked.
     """
 
     points: np.ndarray   # (R, M)
@@ -481,118 +446,6 @@ class DriftReport:
     @property
     def ok(self) -> bool:
         return not np.any(self.drift < -DRIFT_TOL)
-
-
-def lyapunov_check(rule: UpdateRule, h: Callable[[np.ndarray], np.ndarray],
-                   sample) -> DriftReport:
-    """Evaluate ``h(update(x)) - h(x)`` over a sample ``(R, M)`` of profiles
-    and report any decrease beyond ``DRIFT_TOL``.  ``h`` maps a batch ``(R, M)``
-    to ``(R,)``."""
-    x = np.asarray(sample, dtype=np.float64).reshape(-1, rule.m)
-    drift = batch_values(h, rule.update_probs(x)) - batch_values(h, x)
-    return DriftReport(points=x, drift=drift)
-
-
-# ----------------------------------------------------------------------
-# pseudo-orbit reachability on a barycentric grid
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReachabilityResult:
-    reachable: bool
-    length: Optional[int]
-    n_nodes: int
-    grid_resolution: int
-
-
-@dataclass(frozen=True)
-class CoverResult:
-    """Worst-case pseudo-orbit length from a source region to a target."""
-
-    max_length: Optional[int]   # None when some source node cannot reach
-    unreached: int
-    n_source: int
-    grid_resolution: int
-
-
-def _pseudo_orbit_levels(rule: UpdateRule, source, target, epsilon: float,
-                         grid_resolution: int) -> tuple[int, np.ndarray]:
-    """Backward breadth-first search from ``target`` over the grid graph.
-
-    Returns the node count and, for each node of ``source`` (every node
-    when None), the minimal pseudo-orbit length into ``target``, -1 where
-    no pseudo-orbit reaches it.
-    """
-    m = rule.m
-    if m > 3:
-        raise PreconditionError("grid search is limited to m <= 3")
-    if epsilon <= 1.0 / grid_resolution:
-        raise ConfigError(
-            f"epsilon {epsilon} must exceed the grid spacing {1.0 / grid_resolution}"
-        )
-    nodes = lattice_counts(m, grid_resolution) / float(grid_resolution)
-
-    def region_mask(region) -> np.ndarray:
-        if region is None:
-            return np.ones(nodes.shape[0], dtype=bool)
-        if callable(region):
-            return batch_values(region, nodes).astype(bool)
-        points = region.coords if isinstance(region, SimplexPoint) else np.asarray(region, dtype=np.float64)
-        nearest = linf_distances(points.reshape(-1, m), nodes).argmin(axis=1)
-        return np.isin(np.arange(nodes.shape[0]), nearest)
-
-    images = rule.update_probs(nodes)
-    frontier = region_mask(target)
-    level = np.where(frontier, 0, -1)
-    depth = 0
-    while np.any(frontier) and np.any(level < 0):
-        depth += 1
-        unassigned = np.flatnonzero(level < 0)
-        dist = linf_distances(images[unassigned], nodes[frontier])
-        level[unassigned[(dist < epsilon).any(axis=1)]] = depth
-        frontier = level == depth
-    return nodes.shape[0], level[region_mask(source)]
-
-
-def epsilon_chain_reachable(rule: UpdateRule, start, target, epsilon: float,
-                            grid_resolution: int = 60) -> ReachabilityResult:
-    """Whether a pseudo-orbit leads from ``start`` to ``target``.
-
-    Grid nodes are the barycentric lattice at the given resolution; there
-    is a step from node ``u`` to node ``v`` whenever the image of ``u``
-    lies within ``epsilon`` (max-norm) of ``v``.  ``target`` may be a
-    predicate mapping a batch of frequency vectors ``(K, M)`` to booleans
-    ``(K,)``, a single point, or a collection of points (mapped to their
-    nearest nodes); ``start``, given the same way, must pick out exactly
-    one node.  Returns reachability and the minimal number of steps.
-    """
-    n_nodes, levels = _pseudo_orbit_levels(rule, start, target, epsilon,
-                                           grid_resolution)
-    if levels.size != 1:
-        raise PreconditionError(
-            f"start must map to exactly one grid node, not {levels.size}"
-        )
-    length = levels[0]
-    return ReachabilityResult(bool(length >= 0), int(length) if length >= 0 else None,
-                              n_nodes, grid_resolution)
-
-
-def epsilon_chain_max_length(rule: UpdateRule, source, target, epsilon: float,
-                             grid_resolution: int = 60) -> CoverResult:
-    """Worst-case minimal pseudo-orbit length from a source region.
-
-    Computes, for every grid node in ``source`` (a region given like
-    ``target`` in :func:`epsilon_chain_reachable`, or None for all nodes),
-    the minimal pseudo-orbit length into ``target``, and returns the
-    maximum.  This is an empirical surrogate for the abstract pair (error
-    threshold, horizon) guaranteed by the theory near an attracting
-    equilibrium; it is an estimate on a finite grid, not a certified
-    constant.
-    """
-    _, levels = _pseudo_orbit_levels(rule, source, target, epsilon, grid_resolution)
-    unreached = int(np.sum(levels < 0))
-    return CoverResult(None if unreached else int(levels.max()), unreached,
-                       levels.size, grid_resolution)
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@
 A population profile over M types is a point of the (M-1)-dimensional
 probability simplex.  A finite population of size N lives on the lattice
 slice of integer count vectors summing to N.  This module provides the two
-point types and their supports, lattice enumeration with resource caps,
-rounding onto the lattice, and the max-norm distance used throughout the
-package.
+point types, support sets of type labels, lattice enumeration with
+resource caps, rounding onto the lattice, and the max-norm distance matrix
+used throughout the package.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -52,10 +52,6 @@ class SupportSet:
                 raise DimensionMismatch(f"label {label} out of range 1..{m}")
             mask[label - 1] = True
         return mask
-
-    def indices(self) -> np.ndarray:
-        """Sorted 0-based indices."""
-        return np.array(sorted(label - 1 for label in self.labels), dtype=np.intp)
 
     def __contains__(self, label: int) -> bool:
         return label in self.labels
@@ -109,9 +105,6 @@ class SimplexPoint:
     def m(self) -> int:
         return self._coords.size
 
-    def support(self) -> SupportSet:
-        return SupportSet.from_mask(self._coords > 0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplexPoint) and np.array_equal(
             self._coords, other._coords
@@ -162,9 +155,6 @@ class LatticePoint:
     def as_frequencies(self) -> SimplexPoint:
         return SimplexPoint(self._counts / self._n)
 
-    def support(self) -> SupportSet:
-        return SupportSet.from_mask(self._counts > 0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LatticePoint)
@@ -177,18 +167,6 @@ class LatticePoint:
 
     def __repr__(self) -> str:
         return f"LatticePoint({self._counts.tolist()!r}, n={self._n})"
-
-
-PointLike = Union[SimplexPoint, LatticePoint]
-
-
-def linf_distance(x: PointLike, y: PointLike) -> float:
-    """Max-norm distance between two profiles of equal dimension."""
-    xa = x.as_frequencies().coords if isinstance(x, LatticePoint) else x.coords
-    ya = y.as_frequencies().coords if isinstance(y, LatticePoint) else y.coords
-    if xa.size != ya.size:
-        raise DimensionMismatch(f"dimension mismatch: {xa.size} vs {ya.size}")
-    return float(np.max(np.abs(xa - ya)))
 
 
 def linf_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

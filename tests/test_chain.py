@@ -261,7 +261,10 @@ class TestExactChain:
         assert recurrent_states == {(6, 0, 0), (0, 6, 0), (0, 0, 6)}
         assert all(p == 1 for p in chain.periods)
         assert len(chain.transient) == 25
-        assert chain.state_index((6, 0, 0)) in chain.absorbing
+        # each vertex is absorbing: a singleton class that keeps all its mass
+        vertex = chain.state_index((6, 0, 0))
+        assert any(cls.tolist() == [vertex] for cls in chain.recurrent_classes)
+        assert chain.matrix[vertex, vertex] == 1.0
 
     def test_neutral_two_type_absorption(self):
         chain = build_exact_chain(neutral_rule(2), 2)

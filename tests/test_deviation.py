@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 from wfsim.deviation import (
     _PROBE_RESOLUTION,
     _PROBE_SHRINK,
-    DeviationEnsemble,
     bound_table,
     contraction_coefficient,
-    decoupling_time,
     estimate_lipschitz,
     expected_decoupling_lower_bound,
     hoeffding_bound,
@@ -25,7 +23,7 @@ from wfsim.deviation import (
     simulate_deviations,
     wilson_upper,
 )
-from wfsim.errors import DomainError, PreconditionError
+from wfsim.errors import DomainError
 from wfsim.fitness import (
     MutationMatrix,
     UpdateRule,
@@ -34,7 +32,7 @@ from wfsim.fitness import (
     sampling_probs,
 )
 from wfsim.meanfield import iterate
-from wfsim.simplex import LatticePoint, lattice_counts, round_to_lattice
+from wfsim.simplex import lattice_counts, round_to_lattice
 
 from conftest import A2, CHI2, neutral_rule
 
@@ -43,45 +41,6 @@ def constant_vertex_rule(m: int):
     theta = np.zeros((m, m))
     theta[:, 0] = 1.0
     return UpdateRule(neutral_rule(m).fitness, MutationMatrix(theta))
-
-
-# ----------------------------------------------------------------------
-# decoupling time of a single path
-# ----------------------------------------------------------------------
-
-class TestDecouplingTime:
-    def test_degenerate_rule_never_decouples(self):
-        rule = constant_vertex_rule(3)
-        x0 = np.array([1.0, 0.0, 0.0])
-        orbit = iterate(rule, x0, steps=10)
-        path = np.tile(x0, (11, 1))
-        assert decoupling_time(path, orbit, epsilon=0.01) is None
-
-    def test_epsilon_at_least_one_never_decouples(self, rule_a2):
-        orbit = iterate(rule_a2, [0.8, 0.1, 0.1], steps=5)
-        path = np.tile(orbit.states[0], (6, 1))
-        path[1:] = [0.0, 0.0, 1.0]  # as far away as the simplex allows
-        assert decoupling_time(path, orbit, epsilon=1.0) is None
-        assert decoupling_time(path, orbit, epsilon=0.5) == 1
-
-    def test_first_exceedance_is_reported(self, rule_a2):
-        orbit = iterate(rule_a2, [0.3, 0.4, 0.3], steps=8)
-        path = orbit.states.copy()
-        path[5:] = path[5:] + np.array([0.2, -0.1, -0.1])
-        assert decoupling_time(path, orbit, epsilon=0.15) == 5
-        assert decoupling_time(path, orbit, epsilon=0.25) is None
-
-    def test_integer_counts_are_normalized(self, rule_a2):
-        orbit = iterate(rule_a2, [0.5, 0.25, 0.25], steps=2)
-        path = np.array([[2, 1, 1], [4, 0, 0], [4, 0, 0]], dtype=np.int64)
-        t = decoupling_time(path, orbit, epsilon=0.3)
-        assert t == 1
-
-    def test_mismatched_start_rejected(self, rule_a2):
-        orbit = iterate(rule_a2, [0.5, 0.25, 0.25], steps=2)
-        path = np.tile([0.4, 0.3, 0.3], (3, 1))
-        with pytest.raises(PreconditionError):
-            decoupling_time(path, orbit, epsilon=0.1)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from wfsim.errors import ConfigError, DomainError, PreconditionError
 from wfsim.extinction import (
     ExperimentSpec,
     _run_chunk,
-    check_thresholds,
     increasing_proportion_trend,
     least_fit,
     run_experiment,
@@ -57,61 +56,10 @@ class TestLeastFit:
         assert np.all(rep.image[mask] == rep.alpha)
         assert np.all(rep.image[~mask] > rep.alpha)
         assert rep.beta > rep.alpha
-        assert rep.separation == pytest.approx(rep.beta - rep.alpha)
 
     def test_accepts_simplex_point(self, rule_a2):
         rep = least_fit(rule_a2, SimplexPoint(CHI2))
         assert rep.least_fit.labels == {1}
-
-
-# ----------------------------------------------------------------------
-# threshold admissibility conditions
-# ----------------------------------------------------------------------
-
-class TestCheckThresholds:
-    @pytest.fixture()
-    def report_a2(self, rule_a2):
-        return least_fit(rule_a2, CHI2)
-
-    def test_benchmark_hand_values(self, report_a2):
-        check = check_thresholds(report_a2, theta=0.05, eta=0.5,
-                                 epsilon_theta=0.5)
-        survive = 1.0 - report_a2.alpha - 0.05
-        assert survive == pytest.approx(0.9253, abs=1e-4)
-        assert math.exp(-0.5 ** 2 / 2) == pytest.approx(0.8825, abs=1e-4)
-        assert check.concentration_ok
-        assert check.separation_ok
-        assert check.epsilon_source == "user"
-
-    def test_theta_boundary_rejected(self, report_a2):
-        theta_max = (report_a2.beta - report_a2.alpha) / 2.0
-        with pytest.raises(DomainError, match="admissible interval"):
-            check_thresholds(report_a2, theta=theta_max, eta=0.5,
-                             epsilon_theta=0.5)
-        with pytest.raises(DomainError, match="admissible interval"):
-            check_thresholds(report_a2, theta=0.0, eta=0.5, epsilon_theta=0.5)
-
-    def test_eta_ceiling_rejected(self, report_a2):
-        survive = 1.0 - report_a2.alpha - 0.05
-        drop = 1.0 - report_a2.beta + 0.05
-        eta_max = 1.0 - math.log(survive) / math.log(drop)
-        with pytest.raises(DomainError, match="admissible interval"):
-            check_thresholds(report_a2, theta=0.05, eta=eta_max + 1e-9,
-                             epsilon_theta=0.5)
-        ok = check_thresholds(report_a2, theta=0.05, eta=eta_max - 1e-9,
-                              epsilon_theta=0.5)
-        assert ok.eta_admissible_max == pytest.approx(eta_max, rel=1e-12)
-
-    def test_vanishing_tube_width_fails_concentration(self, report_a2):
-        check = check_thresholds(report_a2, theta=0.05, eta=0.5,
-                                 epsilon_theta=1e-6)
-        assert not check.concentration_ok
-
-    def test_epsilon_provenance_recorded(self, report_a2):
-        check = check_thresholds(report_a2, theta=0.05, eta=0.5,
-                                 epsilon_theta=0.3,
-                                 epsilon_source="grid-estimate")
-        assert check.epsilon_source == "grid-estimate"
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +347,20 @@ class TestRunExperiment:
         assert near / hist.sum() >= 0.95
         peak_edge = edges[np.argmax(hist)]
         assert peak_edge < 0.2
+
+    @pytest.mark.parametrize("bin_width", [0.01, 0.35, 0.6, 0.7, 1.5])
+    def test_histogram_counts_every_distance(self, bin_width):
+        # from (0.98, 0.01, 0.01) every trial stops at step 0 and is sampled
+        # there, 1.22 from the equilibrium: past 1.2, the last edge that
+        # round(1.5 / 0.6) bins of width 0.6 would reach
+        spec = ExperimentSpec.from_config(minimal_config(
+            replicates=20, initials=[[0.98, 0.01, 0.01]], bin_width=bin_width))
+        result = run_experiment(spec, threads=1)
+        d_eq = [out.d_eq for _, _, out in result.rows
+                if not out.censored and out.d_eq is not None]
+        assert len(d_eq) == 20 and min(d_eq) > 1.2
+        assert result.histogram_counts.sum() == len(d_eq)
+        assert result.histogram_edges[-1] >= math.sqrt(2)
 
     def test_trial_rows_align_with_columns(self, small_spec):
         result = run_experiment(small_spec, threads=1)

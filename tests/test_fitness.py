@@ -6,15 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wfsim.errors import (
     ConfigError,
     DegenerateFitness,
     DimensionMismatch,
     NumericRangeError,
-    PreconditionError,
 )
 from wfsim.fitness import (
     ExponentialFitness,
@@ -23,11 +20,8 @@ from wfsim.fitness import (
     PayoffMatrix,
     TabulatedFitness,
     UpdateRule,
-    average_fitness,
-    darwinian_fitness,
     finite_difference_jacobian,
     make_rule,
-    reproductive_fitness,
     rng_stream,
     sampling_probs,
 )
@@ -347,66 +341,6 @@ class TestJacobian:
         d = rule_a2.jacobian(x)
         w = np.array([1.0, -1.0, 0.0])
         assert abs((d @ w).sum()) < 1e-9
-
-
-# ----------------------------------------------------------------------
-# derived quantities
-# ----------------------------------------------------------------------
-
-class TestGrowthFactors:
-    def test_neutral_growth_is_one(self, rule_neutral3):
-        f = darwinian_fitness(rule_neutral3, SimplexPoint([0.2, 0.3, 0.5]))
-        np.testing.assert_allclose(f, np.ones(3), atol=1e-14)
-
-    def test_off_support_entries_are_nan(self, rule_a2):
-        f = darwinian_fitness(rule_a2, SimplexPoint([0.5, 0.5, 0.0]))
-        assert np.isnan(f[2]) and np.all(np.isfinite(f[:2]))
-
-    def test_equilibrium_growth_is_one(self, rule_a1):
-        chi = SimplexPoint(CHI1, normalize=True)
-        np.testing.assert_allclose(
-            darwinian_fitness(rule_a1, chi), np.ones(3), atol=1e-5
-        )
-
-    @settings(max_examples=60)
-    @given(raw=st.lists(st.floats(min_value=0.01, max_value=1.0),
-                        min_size=3, max_size=3))
-    def test_share_weighted_average_is_one(self, rule_a2, raw):
-        x = SimplexPoint(np.asarray(raw) / np.sum(raw), normalize=True)
-        f = darwinian_fitness(rule_a2, x)
-        assert float(x.coords @ f) == pytest.approx(1.0, abs=1e-10)
-
-    def test_rescaled_by_unit_average_equals_plain(self, rule_a2):
-        x = SimplexPoint([0.2, 0.5, 0.3])
-        np.testing.assert_allclose(
-            reproductive_fitness(rule_a2, lambda _: 1.0, x),
-            darwinian_fitness(rule_a2, x),
-            atol=1e-14,
-        )
-
-    def test_rescaled_average_recovers_h(self, rule_a2):
-        a = np.asarray(A2)
-        h = lambda x: float(x @ a @ x)  # noqa: E731
-        x = SimplexPoint([0.25, 0.45, 0.3])
-        f = reproductive_fitness(rule_a2, h, x)
-        assert float(x.coords @ f) == pytest.approx(h(x.coords), rel=1e-12)
-
-    def test_rescaling_requires_mass_conservation(self):
-        rule = make_rule(A_TWO, omega=0.5, mutation=[[0.9, 0.1], [0.2, 0.8]])
-        with pytest.raises(PreconditionError):
-            reproductive_fitness(rule, lambda _: 1.0, SimplexPoint([1.0, 0.0]))
-
-    def test_average_fitness_hand_value(self, rule_two):
-        assert average_fitness(
-            rule_two, SimplexPoint([0.5, 0.5])
-        ) == pytest.approx(1.25)
-
-    def test_average_fitness_constant_at_equilibrium(self, rule_a1):
-        # at the equal-payoff profile every type has the same fitness value
-        chi = SimplexPoint(CHI1, normalize=True)
-        phi = rule_a1.fitness.values(chi.coords)
-        assert np.max(phi) - np.min(phi) < 1e-6
-        assert average_fitness(rule_a1, chi) == pytest.approx(phi[0], rel=1e-6)
 
 
 # ----------------------------------------------------------------------

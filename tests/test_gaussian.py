@@ -12,11 +12,9 @@ from wfsim.errors import NumericRangeError, PreconditionError
 from wfsim.fitness import make_rule
 from wfsim.gaussian import (
     ar1_covariance,
-    ar1_sample,
     compare_residual_moments,
     noise_covariance,
     rescaled_residuals,
-    sample_degenerate_gaussian,
     stationary_covariance,
 )
 from wfsim.meanfield import iterate, solve_interior_equilibrium
@@ -56,41 +54,15 @@ class TestNoiseCovariance:
         assert np.min(np.linalg.eigvalsh(sig)) > -1e-12
 
 
-class TestDegenerateGaussian:
-    def test_samples_live_on_the_sum_zero_subspace(self):
-        cov = noise_covariance([0.2, 0.5, 0.3])
-        rng = np.random.default_rng(31)
-        draws = sample_degenerate_gaussian(cov, rng, size=2000)
-        assert np.max(np.abs(draws.sum(axis=1))) < 1e-10
-
-    def test_covariance_matches(self):
-        cov = noise_covariance([0.2, 0.5, 0.3])
-        rng = np.random.default_rng(32)
-        draws = sample_degenerate_gaussian(cov, rng, size=200_000)
-        emp = np.cov(draws, rowvar=False)
-        assert np.max(np.abs(emp - cov)) < 5e-3
-
-    def test_indefinite_matrix_rejected(self):
-        with pytest.raises(NumericRangeError):
-            sample_degenerate_gaussian(
-                np.array([[1.0, 0.0], [0.0, -0.5]]), np.random.default_rng(33)
-            )
-
-
 # ----------------------------------------------------------------------
 # the linear Gaussian recursion
 # ----------------------------------------------------------------------
 
-class TestAr1Sample:
-    def test_vertex_orbit_is_deterministic(self, rule_a2):
-        orbit = iterate(rule_a2, [1.0, 0.0, 0.0], steps=6)
-        d = rule_a2.jacobian(np.array([1.0, 0.0, 0.0]))
-        u0 = np.array([0.5, -0.25, -0.25])
-        path = ar1_sample(orbit, u0, np.random.default_rng(34))
-        expected = u0
-        for k in range(1, 7):
-            expected = d @ expected
-            np.testing.assert_allclose(path[k], expected, atol=1e-12)
+class TestAr1Covariance:
+    def test_noise_free_orbit_stays_at_zero(self, rule_a2):
+        orbit = iterate(rule_a2, [0.0, 1.0, 0.0], steps=8)
+        vk = ar1_covariance(orbit)
+        np.testing.assert_allclose(vk, 0.0, atol=1e-15)
 
     def test_neutral_rule_gives_a_random_walk(self, rule_neutral3):
         orbit = iterate(rule_neutral3, [0.2, 0.5, 0.3], steps=12)
@@ -103,69 +75,9 @@ class TestAr1Sample:
         for k in range(13):
             np.testing.assert_allclose(vk[k], k * sig, atol=1e-9)
 
-    @pytest.mark.parametrize("kwargs", [
-        {}, {"paths": 500}, {"stationary": True, "steps": 60}, {"paths": 7},
-    ], ids=["single", "ensemble", "stationary", "per-path-start"])
-    def test_draws_are_pinned(self, rule_a2, kwargs):
-        # reference: the recursion with explicit standard-normal draws
-        orbit = iterate(rule_a2, [0.6, 0.2, 0.2], steps=40)
-        paths = kwargs.get("paths")
-        u0 = np.array([0.1, -0.05, -0.05])
-        if paths == 7:
-            u0 = np.random.default_rng(3).dirichlet(np.ones(3), paths) - 1 / 3
-        got = ar1_sample(orbit, u0, np.random.default_rng(39), **kwargs)
-        rng = np.random.default_rng(39)
-        rows = np.broadcast_to(u0, (paths or 1, 3))
-        expected = [rows]
-        for k in range(kwargs.get("steps", len(orbit) - 1)):
-            point = orbit.final if kwargs.get("stationary") else orbit.states[k]
-            cov = noise_covariance(rule_a2.update_probs(point))
-            evals, evecs = np.linalg.eigh(cov)
-            root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-            rows = rows @ rule_a2.jacobian(point).T + rng.standard_normal(rows.shape) @ root.T
-            expected.append(rows)
-        expected = np.stack(expected, axis=1)
-        np.testing.assert_array_equal(got, expected if paths else expected[0])
-
-    def test_nonzero_sum_start_rejected(self, eq_orbit):
-        with pytest.raises(PreconditionError):
-            ar1_sample(eq_orbit, [0.1, 0.0, 0.0], np.random.default_rng(35))
-
     def test_path_longer_than_orbit_rejected(self, eq_orbit):
         with pytest.raises(PreconditionError):
-            ar1_sample(eq_orbit, np.zeros(3), np.random.default_rng(36),
-                       steps=len(eq_orbit) + 5)
-
-    def test_stationary_ensemble_matches_fixed_point(self, rule_a2, eq_orbit):
-        chi = eq_orbit.final
-        d = rule_a2.jacobian(chi)
-        sig = noise_covariance(rule_a2.update_probs(chi))
-        vstar = stationary_covariance(d, sig)
-        rng = np.random.default_rng(37)
-        u0 = sample_degenerate_gaussian(vstar, rng, size=100_000)
-        u0 -= u0.mean(axis=1, keepdims=True)  # strip eigen-root round-off
-        ens = ar1_sample(eq_orbit, u0, rng, stationary=True, steps=50)
-        emp = np.cov(ens[:, 50, :], rowvar=False)
-        rel = np.abs(emp - vstar) / np.abs(vstar)
-        assert rel.max() < 0.03
-
-    def test_ensemble_covariance_tracks_the_recursion(self, rule_a2, eq_orbit):
-        rng = np.random.default_rng(38)
-        ens = ar1_sample(eq_orbit, np.zeros(3), rng, steps=10, paths=40_000)
-        vk = ar1_covariance(eq_orbit, steps=10)
-        for k in (1, 5, 10):
-            emp = np.cov(ens[:, k, :], rowvar=False)
-            se = np.sqrt(
-                (np.outer(np.diag(vk[k]), np.diag(vk[k])) + vk[k] ** 2) / 40_000
-            )
-            assert np.all(np.abs(emp - vk[k]) < 4 * se)
-
-
-class TestAr1Covariance:
-    def test_noise_free_orbit_stays_at_zero(self, rule_a2):
-        orbit = iterate(rule_a2, [0.0, 1.0, 0.0], steps=8)
-        vk = ar1_covariance(orbit)
-        np.testing.assert_allclose(vk, 0.0, atol=1e-15)
+            ar1_covariance(eq_orbit, steps=len(eq_orbit) + 5)
 
     def test_convergence_to_the_stationary_solution(self, rule_a2, eq_orbit):
         chi = eq_orbit.final
@@ -260,7 +172,7 @@ class TestMomentComparison:
     def test_accepts_its_own_distribution(self):
         cov = noise_covariance([0.3, 0.45, 0.25])
         rng = np.random.default_rng(44)
-        draws = sample_degenerate_gaussian(cov, rng, size=30_000)
+        draws = rng.multivariate_normal(np.zeros(3), cov, size=30_000, method="eigh")
         comp = compare_residual_moments(draws, cov)
         assert comp.ok
         assert comp.max_mean_z < 3.0
@@ -268,6 +180,6 @@ class TestMomentComparison:
     def test_rejects_a_misscaled_prediction(self):
         cov = noise_covariance([0.3, 0.45, 0.25])
         rng = np.random.default_rng(45)
-        draws = sample_degenerate_gaussian(cov, rng, size=30_000)
+        draws = rng.multivariate_normal(np.zeros(3), cov, size=30_000, method="eigh")
         comp = compare_residual_moments(draws, 2.0 * cov)
         assert not comp.cov_ok

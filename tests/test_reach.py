@@ -1,0 +1,58 @@
+"""Every module-level function and class of the package is reached.
+
+The roots are what a user or a release check runs: every definition in
+``wfsim/cli.py``, the names the acceptance criteria and the benchmark
+(``perfbench/*.py``) reference, the README's code spans, and the package's
+own module-level statements (constants, aliases, re-exports).  A definition
+is reached when a root, or the body of a reached definition, names it as
+a variable, an attribute or an import.  Docstrings and comments do not
+count.  Code that only its own unit tests call fails this test: give it a
+caller or delete it.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "wfsim"
+
+
+def referenced(tree: ast.AST) -> set[str]:
+    """Variable, attribute and imported names anywhere in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_definition_is_reached():
+    definitions: dict[str, list[tuple[str, ast.AST]]] = {}
+    roots = set(re.findall(r"\w+", " ".join(
+        re.findall(r"`([^`]*)`", (ROOT / "README.md").read_text()))))
+    for path in [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]:
+        roots |= referenced(ast.parse(path.read_text()))
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append((path.stem, node))
+                if path.stem == "cli":
+                    roots.add(node.name)
+            else:
+                roots |= referenced(node)
+    reached, todo = set(roots), list(roots)
+    while todo:
+        for _, node in definitions.get(todo.pop(), []):
+            new = referenced(node) - reached
+            reached |= new
+            todo.extend(new)
+    unreached = sorted(f"{module}.{name}" for name, defs in definitions.items()
+                       for module, _ in defs if name not in reached)
+    assert not unreached, f"reached by no command, criterion or workload: {unreached}"

@@ -22,7 +22,6 @@ from wfsim.simplex import (
     SupportSet,
     lattice_counts,
     lattice_size,
-    linf_distance,
     linf_distances,
     round_to_lattice,
 )
@@ -40,71 +39,32 @@ def simplex_points(m: int):
 # ----------------------------------------------------------------------
 
 class TestSupport:
+    """The open face containing a point is the one spanned by its support."""
+
     def test_mixed_five_type_profile(self):
-        got = SimplexPoint([0.0, 1 / 2, 1 / 3, 1 / 6, 0.0]).support()
+        got = SupportSet.from_mask(np.array([0.0, 1 / 2, 1 / 3, 1 / 6, 0.0]) > 0)
         assert got == SupportSet(labels=frozenset({2, 3, 4}))
 
     def test_vertex(self):
-        assert set(SimplexPoint([1.0, 0.0, 0.0]).support()) == {1}
+        assert set(SupportSet.from_mask(np.array([1.0, 0.0, 0.0]) > 0)) == {1}
 
     def test_interior(self):
-        assert set(SimplexPoint([1 / 3, 1 / 3, 1 / 3]).support()) == {1, 2, 3}
+        assert len(SupportSet.from_mask(np.full(3, 1 / 3) > 0)) == 3
 
     def test_lattice_point_support(self):
-        assert set(LatticePoint([0, 3, 2], 5).support()) == {2, 3}
+        assert set(SupportSet.from_mask(LatticePoint([0, 3, 2], 5).counts > 0)) == {2, 3}
 
-    @given(simplex_points(4))
-    def test_support_indices_sorted_zero_based(self, x):
-        idx = x.support().indices()
-        assert np.all(np.diff(idx) > 0)
-        assert np.all(x.coords[idx] > 0)
-
-
-class TestClassify:
-    """The open face containing a point is the one spanned by its support."""
-
-    def test_interior_point(self):
-        x = SimplexPoint([1 / 3, 1 / 3, 1 / 3])
-        assert len(x.support()) == x.m
-
-    def test_proper_face(self):
-        x = SimplexPoint([0.5, 0.5, 0.0])
-        assert set(x.support()) == {1, 2}
-        assert 1 < len(x.support()) < x.m
-
-    def test_vertex(self):
-        assert set(SimplexPoint([0.0, 1.0, 0.0]).support()) == {2}
+    @given(st.lists(st.booleans(), min_size=1, max_size=6))
+    def test_mask_round_trip(self, mask):
+        mask = np.array(mask)
+        support = SupportSet.from_mask(mask)
+        np.testing.assert_array_equal(support.to_mask(mask.size), mask)
+        assert list(support) == [int(i) + 1 for i in np.flatnonzero(mask)]
 
 
 # ----------------------------------------------------------------------
 # distances
 # ----------------------------------------------------------------------
-
-class TestLinfDistance:
-    def test_zero_at_equal_points(self):
-        x = SimplexPoint([0.2, 0.3, 0.5])
-        assert linf_distance(x, x) == 0.0
-
-    def test_opposite_vertices(self):
-        assert linf_distance(SimplexPoint([1.0, 0.0]), SimplexPoint([0.0, 1.0])) == 1.0
-
-    def test_profile_to_equilibrium(self):
-        d = linf_distance(
-            SimplexPoint([0.8, 0.1, 0.1]),
-            SimplexPoint([0.2477, 0.4112, 0.3411]),
-        )
-        assert d == pytest.approx(0.5523, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linf_distance(SimplexPoint([1.0, 0.0]), SimplexPoint([1.0, 0.0, 0.0]))
-
-    @given(simplex_points(3), simplex_points(3))
-    def test_metric_bounds(self, x, y):
-        d = linf_distance(x, y)
-        assert 0.0 <= d <= 1.0
-        assert d == pytest.approx(linf_distance(y, x))
-
 
 class TestLinfDistances:
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
