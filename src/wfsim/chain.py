@@ -12,6 +12,7 @@ for scalar functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,7 @@ from .errors import (
     PreconditionError,
     ReducibleInterior,
     ResourceLimitExceeded,
+    WfsimError,
 )
 from .fitness import UpdateRule, sampling_probs
 from .meanfield import (DriftReport, batch_values, is_positive_definite_on_sum_zero,
@@ -38,14 +40,31 @@ from .simplex import (
 )
 
 
-#: Distinct states whose law one sample_path call keeps (~250 B each at M=3).
+#: Distinct states whose law one sample_path call keeps (~250 B each at M=3);
+#: the box that fills it may overshoot by less than LAW_BOX.
 LAW_MEMO = 1 << 16
+
+#: States a sample_path memo miss may compute at once: the box around the
+#: missed state has half-width r, the largest with (2r+1)^(M-1) <= LAW_BOX
+#: (r=7 at M=3, r=0 from M=7 on).
+LAW_BOX = 256
 
 #: Power-iteration steps a QSD solve may take before it gives up.
 QSD_MAX_ITER = 200_000
 
 #: Kernel rows assembled at a time: one (KERNEL_BLOCK, S) float64 buffer.
 KERNEL_BLOCK = 256
+
+
+def _box_offsets(m: int) -> np.ndarray:
+    """Sum-zero integer offsets (K, M): every first M-1 coordinates in
+    [-r, r], the last balancing them, with r the LAW_BOX half-width."""
+    r = 0
+    while m > 1 and (2 * r + 3) ** (m - 1) <= LAW_BOX:
+        r += 1
+    grid = np.array(list(itertools.product(range(-r, r + 1), repeat=m - 1)),
+                    dtype=np.int64).reshape((2 * r + 1) ** (m - 1), m - 1)
+    return np.column_stack([grid, -grid.sum(axis=1)])
 
 
 def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
@@ -55,32 +74,61 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
 
     Returns an integer array of shape (k+1, M) where k <= steps; the last
     row is the first state satisfying ``stop`` (row 0 when ``x0`` does).
-    Each distinct state's law ``sampling_probs(rule, counts / n)`` is
-    computed once (for up to ``LAW_MEMO`` states), so ``rule`` must be a
-    pure function of the profile: every ``make_rule`` rule is, and a
-    ``TabulatedFitness`` callback runs once per distinct state.  Without
-    ``stop`` every row is written, so the path is allocated at once; with
-    ``stop`` it grows geometrically, so a run that stops early costs only
-    the rows it reached.
+    Laws ``sampling_probs(rule, counts / n)`` are memoised per state.  A
+    miss at counts c computes, in one batched call, the law of every
+    lattice state c + d not yet memoised (``_box_offsets``, clipped to
+    counts >= 0) and keeps them all; a batch row has the bits of the
+    profile call, so the path is that of a per-state loop.  If that call
+    raises a ``WfsimError`` (the box reached a state where the map is
+    undefined), or once the memo holds ``LAW_MEMO`` states, the miss
+    computes c alone, so the path raises exactly where a per-state loop
+    would.  ``rule`` must therefore be a pure function of the profile:
+    every ``make_rule`` rule is.  A ``TabulatedFitness`` callback also runs
+    on unvisited states of the boxes the path enters (it may raise a
+    ``WfsimError`` there); it runs once per state while the memo has room
+    and no box raises, then once per miss.  Without ``stop`` every row is written, so the path is
+    allocated at once; with ``stop`` it grows geometrically, so a run that
+    stops early costs only the rows it reached.
     """
     n, laws = x0.n, {}                 # counts.tobytes() -> law
+    offsets = _box_offsets(x0.m)
     rows = steps + 1 if stop is None else min(steps + 1, 1024)
     path = np.empty((rows, x0.m), dtype=np.int64)
     path[0] = counts = x0.counts
     for k in range(steps):
         if stop is not None and stop(counts):
             return path[: k + 1]
-        law = laws.get(key := counts.tobytes())
+        law = laws.get(counts.tobytes())
         if law is None:
-            law = sampling_probs(rule, counts / n)
-            if len(laws) < LAW_MEMO:
-                laws[key] = law
+            law = _memo_miss(rule, counts, n, offsets, laws)
         if k + 1 == len(path):
             grown = np.empty((min(2 * len(path), steps + 1), x0.m), dtype=np.int64)
             grown[: k + 1] = path
             path = grown
         path[k + 1] = counts = rng.multinomial(n, law)
     return path
+
+
+def _memo_miss(rule: UpdateRule, counts: np.ndarray, n: int,
+               offsets: np.ndarray, laws: dict) -> np.ndarray:
+    """The law at ``counts``, after memoising the laws of its box in
+    ``laws`` (only ``counts`` when the memo is full or the box raises)."""
+    if len(laws) < LAW_MEMO:
+        box = counts + offsets
+        box = box[box.min(axis=1) >= 0]
+        keys = [row.tobytes() for row in box]
+        fresh = [i for i, key in enumerate(keys) if key not in laws]
+        try:
+            probs = sampling_probs(rule, box[fresh] / n)
+        except WfsimError:
+            pass
+        else:
+            laws.update(zip([keys[i] for i in fresh], probs))
+            return laws[counts.tobytes()]
+    law = sampling_probs(rule, counts / n)
+    if len(laws) < LAW_MEMO:
+        laws[counts.tobytes()] = law
+    return law
 
 
 # ----------------------------------------------------------------------
@@ -112,8 +160,7 @@ class ExactChain:
 
     @cached_property
     def matrix(self) -> np.ndarray:    # (S, S) float64, row-stochastic
-        every = np.arange(self.n_states)
-        return kernel_block(self, every, every)
+        return kernel_block(self, np.arange(self.n_states))
 
     @cached_property
     def _index(self) -> dict:
@@ -173,9 +220,11 @@ def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
     return ExactChain(rule, n, lattice_counts(m, n))
 
 
-def kernel_block(chain: ExactChain, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def kernel_block(chain: ExactChain, rows: np.ndarray,
+                 cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Transition probabilities from the states ``rows`` to the states
-    ``cols`` (index arrays), assembled ``KERNEL_BLOCK`` rows at a time.
+    ``cols`` (index arrays; None for every state, in order, without a
+    column copy), assembled ``KERNEL_BLOCK`` rows at a time.
 
     Row i is the multinomial law of sampling_probs at state i, normalised
     over all S destinations j before the columns are kept:
@@ -186,14 +235,18 @@ def kernel_block(chain: ExactChain, rows: np.ndarray, cols: np.ndarray) -> np.nd
     dest = states.T.astype(np.float64)
     log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
     log_count = log_factorial[n] - log_factorial[states].sum(axis=1)
-    out = np.empty((rows.size, cols.size))
+    out = np.empty((rows.size, len(states) if cols is None else cols.size))
     for lo in range(0, rows.size, KERNEL_BLOCK):
         p = sampling_probs(chain.rule, states[rows[lo: lo + KERNEL_BLOCK]] / n)
         law = np.log(p, out=np.full_like(p, -1e300), where=p > 0) @ dest
         law += log_count
         np.exp(law, out=law)
-        block = np.take(law, cols, axis=1, out=out[lo: lo + KERNEL_BLOCK])
-        block /= law.sum(axis=1, keepdims=True)
+        total = law.sum(axis=1, keepdims=True)
+        if cols is None:
+            np.divide(law, total, out=out[lo: lo + KERNEL_BLOCK])
+        else:
+            block = np.take(law, cols, axis=1, out=out[lo: lo + KERNEL_BLOCK])
+            block /= total
     return out
 
 
@@ -238,24 +291,26 @@ def classify_states(positive: np.ndarray) -> tuple[np.ndarray, list, list, np.nd
     return labels, classes, periods, np.flatnonzero(~sink)
 
 
-def _reached_from_first(positive: np.ndarray) -> np.ndarray:
-    """States reachable from state 0 along the edges of ``positive``,
-    found one breadth-first level at a time."""
-    seen = np.zeros(positive.shape[0], dtype=bool)
+def _reached_from_zero(step: Callable[[np.ndarray], np.ndarray], s: int) -> np.ndarray:
+    """States reached from state 0 of S, one breadth-first level at a time:
+    ``step(frontier)`` is the (S,) mask one edge away from a frontier mask."""
+    seen = np.zeros(s, dtype=bool)
     frontier = seen.copy()
     frontier[0] = True
     while frontier.any():
         seen |= frontier
-        frontier = positive[frontier].any(axis=0) & ~seen
+        frontier = step(frontier) & ~seen
     return seen
 
 
-def is_irreducible(positive: np.ndarray) -> bool:
-    """Whether the digraph with boolean adjacency ``positive`` (S, S), S >= 1,
-    is one strongly connected component: state 0 reaches every state, and
-    every state reaches state 0."""
-    return bool(_reached_from_first(positive).all()
-                and _reached_from_first(positive.T).all())
+def is_irreducible(weights: np.ndarray) -> bool:
+    """Whether the digraph with an edge i -> j where ``weights[i, j] > 0``
+    ((S, S), S >= 1, non-negative or boolean) is one strongly connected
+    component: state 0 reaches every state, and every state reaches state
+    0.  Each level is one vector-matrix product, so no (S, S) mask is made."""
+    s = weights.shape[0]
+    return bool(_reached_from_zero(lambda f: f @ weights > 0, s).all()
+                and _reached_from_zero(lambda f: weights @ f > 0, s).all())
 
 
 def recurrent_class_faces(chain: ExactChain,
@@ -312,9 +367,10 @@ def qsd_power_iteration(sub_matrix: np.ndarray,
     s = sub.shape[0]
     if s == 0:
         raise PreconditionError("empty restriction has no quasi-stationary law")
-    positive = sub > 0
-    if not is_irreducible(positive):
-        n_comp = int(classify_states(positive)[0].max()) + 1
+    if not (sub.min() >= 0 and np.isfinite(sub.max())):
+        raise PreconditionError("restriction entries must be finite and non-negative")
+    if not is_irreducible(sub):
+        n_comp = int(classify_states(sub > 0)[0].max()) + 1
         raise ReducibleInterior(
             f"restriction splits into {n_comp} strongly connected pieces; "
             "the quasi-stationary law is not unique"

@@ -13,7 +13,6 @@ the equilibrium at a random intermediate time.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -339,6 +338,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     if threads == 1:
         blocks = [_run_chunk(spec, *task) for task in tasks]
     else:
+        # imported here, so runs that never start a pool skip its import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             blocks = [f.result() for f in [pool.submit(_run_chunk, spec, *t) for t in tasks]]
     # tasks run in (initial, trial) order, so the rows come out sorted

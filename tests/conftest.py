@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wfsim.fitness import make_rule
+from wfsim.fitness import TabulatedFitness, UpdateRule, make_rule
 
 # Three-type payoff matrices used throughout the experiments, with their
 # equal-payoff interior equilibria (coordinates reproduced to 8 digits).
@@ -44,3 +44,14 @@ def neutral_rule(m: int):
 @pytest.fixture(scope="session")
 def rule_neutral3():
     return neutral_rule(3)
+
+
+def rule_of_kind(kind: str) -> UpdateRule:
+    """One rule per code path of the update map, on the A2 payoffs."""
+    if kind == "tabulated":
+        return UpdateRule(TabulatedFitness(
+            lambda x: 1.0 + np.sin(3.0 * x) + x @ np.asarray(A2) / 50, m=3))
+    return {"linear-fractional": make_rule(A2, omega=0.5),
+            "exponential": make_rule(A2, fitness="exponential", beta=0.3),
+            "mutation": make_rule(A2, omega=0.5, mutation=np.full((3, 3), 0.01)
+                                  + 0.97 * np.eye(3))}[kind]

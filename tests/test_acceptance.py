@@ -21,7 +21,6 @@ import wfsim
 from wfsim.chain import (
     build_exact_chain,
     interior_qsd,
-    qsd_power_iteration,
     quadratic_form_drift,
 )
 from wfsim.cli import main as cli_main

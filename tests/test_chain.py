@@ -26,6 +26,7 @@ from wfsim.chain import (
     verify_submartingale,
 )
 from wfsim.errors import (
+    DegenerateFitness,
     PreconditionError,
     ReducibleInterior,
     ResourceLimitExceeded,
@@ -39,7 +40,7 @@ from wfsim.fitness import (
 )
 from wfsim.simplex import LatticePoint, SupportSet
 
-from conftest import A1, A2, neutral_rule
+from conftest import A1, A2, neutral_rule, rule_of_kind
 
 
 #: Rules whose exact-chain rows are compared with scipy's multinomial law.
@@ -138,12 +139,56 @@ class TestStepSample:
         np.testing.assert_array_equal(full, np.array(reference))
 
     def test_law_is_computed_once_per_distinct_state(self):
+        # neutral, no mutation: the callback sees each state's counts / 60;
+        # the 1,891-state lattice takes several boxes of at most 225 states
         calls = []
-        fitness = TabulatedFitness(lambda x: calls.append(x.copy()) or np.ones(3), 3)
-        rule = UpdateRule(fitness, MutationMatrix(np.full((3, 3), 1 / 3)))
-        path = sample_path(rule, LatticePoint([2, 2, 2], 6), 500,
+        rule = UpdateRule(TabulatedFitness(
+            lambda x: calls.append(tuple(np.rint(60 * x).astype(int))) or np.ones(3), 3))
+        path = sample_path(rule, LatticePoint([20, 20, 20], 60), 500,
                            np.random.default_rng(3))
-        assert len(calls) == len(np.unique(path[:-1], axis=0)) < 500
+        visited = {tuple(row) for row in path[:-1].tolist()}
+        assert len(calls) == len(set(calls))
+        assert visited <= set(calls)
+        assert 225 < len(calls) < 1891
+
+    @pytest.mark.parametrize("kind", ["linear-fractional", "exponential", "mutation"])
+    def test_box_path_is_the_per_state_path(self, kind):
+        rule, n, steps = rule_of_kind(kind), 60, 3000
+        x0 = LatticePoint([3, 50, 7], n)
+        assert (x0.counts + chain._box_offsets(3)).min() < 0     # the box is clipped
+        rng, counts, reference = np.random.default_rng(2), x0.counts, [x0.counts]
+        for _ in range(steps):
+            counts = rng.multinomial(n, sampling_probs(rule, counts / n))
+            reference.append(counts)
+        np.testing.assert_array_equal(
+            sample_path(rule, x0, steps, np.random.default_rng(2)), reference)
+
+    def test_box_through_an_undefined_state_falls_back(self):
+        # total fitness is zero at (50, 50), inside the start's box but
+        # never visited: the path is the per-state one and raises nothing
+        rule, x0 = make_rule([[1, -3], [-3, 1]], omega=0.9), LatticePoint([98, 2], 100)
+        with pytest.raises(DegenerateFitness):
+            sampling_probs(rule, np.array([0.5, 0.5]))
+        rng, counts, reference = np.random.default_rng(1), x0.counts, [x0.counts]
+        for _ in range(50):
+            counts = rng.multinomial(100, sampling_probs(rule, counts / 100))
+            reference.append(counts)
+        np.testing.assert_array_equal(
+            sample_path(rule, x0, 50, np.random.default_rng(1)), reference)
+
+    def test_full_memo_computes_one_state_per_miss(self, monkeypatch):
+        # the start's box fills the memo: every later miss outside that box
+        # calls the callback once, however often the state recurs
+        calls = []
+        rule = UpdateRule(TabulatedFitness(lambda x: calls.append(1) or np.ones(3), 3))
+        x0, steps = LatticePoint([20, 20, 20], 60), 500
+        monkeypatch.setattr(chain, "LAW_MEMO", 2)
+        path = sample_path(rule, x0, steps, np.random.default_rng(3))
+        box = {tuple(row) for row in (x0.counts + chain._box_offsets(3)).tolist()
+               if min(row) >= 0}
+        misses = [row for row in path[:-1].tolist() if tuple(row) not in box]
+        assert len(misses) > len({tuple(row) for row in misses})   # states recur
+        assert len(calls) == len(box) + len(misses)
 
     def test_start_that_already_stops_is_one_row(self, rule_a2):
         path = sample_path(rule_a2, LatticePoint([480, 10, 10], 500), 100,
@@ -390,6 +435,8 @@ class TestClassifyStates:
         n_comp = csgraph.connected_components(csr_matrix(mask), directed=True,
                                               connection="strong")[0]
         assert is_irreducible(mask) == (n_comp == 1)
+        # a weighted matrix decides on its positive entries, subnormal ones too
+        assert is_irreducible(np.where(mask, 5e-324, 0.0)) == (n_comp == 1)
 
     @pytest.mark.parametrize("mask,verdict", [
         # one state and no edge; a 5-cycle (period 5); the same cycle with
@@ -532,6 +579,25 @@ class TestQsd:
         sub = scipy.linalg.block_diag(np.full((3, 3), 0.2), np.full((4, 4), 0.1))
         with pytest.raises(ReducibleInterior, match="2 strongly connected"):
             qsd_power_iteration(sub)
+
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+    def test_entries_must_be_finite_and_non_negative(self, bad):
+        sub = np.full((3, 3), 0.2)
+        sub[1, 2] = bad
+        with pytest.raises(PreconditionError, match="finite and non-negative"):
+            qsd_power_iteration(sub)
+
+    def test_irreducibility_sweeps_make_no_square_mask(self, rule_a2):
+        exact = build_exact_chain(rule_a2, 70)
+        idx = exact.interior_indices()
+        sub = kernel_block(exact, idx, idx)
+        tracemalloc.start()
+        try:
+            assert is_irreducible(sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * idx.size         # a (T, T) bool mask is T^2 bytes
 
     def test_irreducible_restriction_with_distinct_rows(self):
         # a cyclic permutation plus the diagonal: every row distinct, one piece

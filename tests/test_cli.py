@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wfsim
+from wfsim import cli
 from wfsim.chain import sample_path
 from wfsim.cli import main
 from wfsim.config import COMMANDS, FIELDS, resolve
@@ -314,6 +315,12 @@ class TestSimulate:
             {"matrix": A1, "omega": 0.5, "N": 300, "initial": [0.25, 0.4, 0.35],
              "steps": 5000, "stride": 7, "stop_threshold": 0.05, "seed": 13},
             "d41043826b999ee5c3f412331aac905ecde80a8774df71bff1d0a264174dab0a"),
+        # the path fixes at (100, 0) after one step, but the box of laws
+        # around its start reaches (50, 50), where total fitness is zero
+        "degenerate-box": (
+            {"matrix": [[1, -3], [-3, 1]], "omega": 0.9, "N": 100,
+             "initial": [0.98, 0.02], "steps": 50, "stride": 1, "seed": 1},
+            "a7aa230a5aa8cae7783ec18c1ecf977683fd9a555c9fa90099e099d8c12b3265"),
     }
 
     @pytest.mark.parametrize("name", list(PINNED))
@@ -325,6 +332,15 @@ class TestSimulate:
         blob = (out / "trajectory.csv").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest
         assert load_json(out, "manifest.json")["outputs"]["trajectory.csv"] == digest
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_csv_chunks_leave_the_bytes(self, runner, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
+        cfg, digest = self.PINNED["threshold-stride-7"]
+        path = write_config(tmp_path, "sim.json", cfg)
+        out = tmp_path / "out"
+        run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
+        assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == digest
 
     def test_stopped_run_allocates_only_the_rows_it_reaches(self, runner, tmp_path):
         # this run stops at step 2188: a 10**10-step budget must not

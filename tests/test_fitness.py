@@ -28,22 +28,11 @@ from wfsim.fitness import (
 from wfsim.meanfield import solve_interior_equilibrium
 from wfsim.simplex import SimplexPoint, lattice_counts
 
-from conftest import A1, A2, CHI1, A_TWO
+from conftest import A1, A2, CHI1, A_TWO, rule_of_kind
 
 
 def random_interior(m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.dirichlet(np.ones(m))
-
-
-def rule_of_kind(kind: str) -> UpdateRule:
-    """One rule per code path of the update map, on the A2 payoffs."""
-    if kind == "tabulated":
-        return UpdateRule(TabulatedFitness(
-            lambda x: 1.0 + np.sin(3.0 * x) + x @ np.asarray(A2) / 50, m=3))
-    return {"linear-fractional": make_rule(A2, omega=0.5),
-            "exponential": make_rule(A2, fitness="exponential", beta=0.3),
-            "mutation": make_rule(A2, omega=0.5, mutation=np.full((3, 3), 0.01)
-                                  + 0.97 * np.eye(3))}[kind]
 
 
 # ----------------------------------------------------------------------
