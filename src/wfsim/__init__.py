@@ -36,7 +36,7 @@ from .fitness import (
     UpdateRule,
     make_rule,
 )
-from .simplex import LatticePoint, SimplexPoint, SupportSet, round_to_lattice
+from .simplex import LatticePoint, SupportSet, round_to_lattice
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,7 @@ __all__ = [
     "NoInteriorEquilibrium", "PreconditionError", "DomainError",
     "ReducibleInterior",
     # core types
-    "SimplexPoint", "LatticePoint", "SupportSet", "round_to_lattice",
+    "LatticePoint", "SupportSet", "round_to_lattice",
     "PayoffMatrix", "FitnessModel", "LinearFractionalFitness",
     "ExponentialFitness", "TabulatedFitness", "MutationMatrix", "UpdateRule",
     "make_rule",

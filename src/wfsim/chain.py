@@ -6,8 +6,9 @@ This module provides trajectory sampling, fully enumerated transition
 matrices for small populations (with state/entry caps), structural
 classification of states (recurrent classes and their periods,
 transient), face-closure checks for recurrent classes, quasi-stationary
-distributions of the interior restriction, and an exhaustive drift check
-for scalar functions.
+distributions of the interior restriction, and the exact one-step drift
+of a batch function at every state (the check of the maximization
+principle).
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .errors import (
     WfsimError,
 )
 from .fitness import UpdateRule, sampling_probs
-from .meanfield import (DriftReport, batch_values, is_positive_definite_on_sum_zero,
-                        rule_payoff)
+from .meanfield import is_positive_definite_on_sum_zero, rule_payoff
 from .simplex import (
     PAIR_CAP,
     LatticePoint,
@@ -413,17 +413,21 @@ def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
 
 
 # ----------------------------------------------------------------------
-# exhaustive drift check
+# exact one-step drift
 # ----------------------------------------------------------------------
 
 def verify_submartingale(chain: ExactChain,
-                         h: Callable[[np.ndarray], np.ndarray]) -> DriftReport:
-    """Check ``E[h(next) | x] >= h(x) - DRIFT_TOL`` at every state of an
-    exact chain (``meanfield.DRIFT_TOL``).  ``h`` maps a batch of frequency
-    profiles ``(S, M)`` to ``(S,)``; the report's points are the chain's
-    compositions."""
-    hv = batch_values(h, chain.states / chain.n)
-    return DriftReport(points=chain.states, drift=chain.matrix @ hv - hv)
+                         h: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Exact one-step drift ``E[h(next) | x] - h(x)`` at every state of an
+    exact chain, as an (S,) array aligned with ``chain.states``.  ``h``
+    maps a batch of frequency profiles ``(S, M)`` to ``(S,)``."""
+    hv = np.asarray(h(chain.states / chain.n))
+    if hv.shape != (chain.n_states,):
+        raise DimensionMismatch(
+            f"function on a batch of {chain.n_states} states returned shape "
+            f"{hv.shape}, expected ({chain.n_states},)"
+        )
+    return chain.matrix @ hv - hv
 
 
 def quadratic_form_drift(rule: UpdateRule, n: int) -> tuple[float, float]:
@@ -449,8 +453,8 @@ def quadratic_form_drift(rule: UpdateRule, n: int) -> tuple[float, float]:
         )
     chain = build_exact_chain(rule, n)
     entries = payoff.entries
-    rep = verify_submartingale(chain, lambda f: np.einsum("ij,jk,ik->i", f, entries, f))
-    off_vertex = rep.drift[~(chain.states == n).any(axis=1)]
+    drift = verify_submartingale(chain, lambda f: np.einsum("ij,jk,ik->i", f, entries, f))
+    off_vertex = drift[~(chain.states == n).any(axis=1)]
     # at n = 1 every lattice state is a vertex: the off-vertex clause is vacuous
     off_min = float(off_vertex.min()) if off_vertex.size else float("inf")
-    return rep.min_drift, off_min
+    return float(drift.min()), off_min

@@ -154,7 +154,9 @@ def _command(name: str):
         @click.option("--replicates", type=int, default=None,
                       help="override replicates (extinction, bounds)")
         @click.option("--threads", type=int, default=1,
-                      help="extinction's worker processes (never affect results)")
+                      help="extinction's trial blocks per start, run in at most "
+                           "this many worker processes, and no more than the "
+                           "blocks or the cores (never affect results)")
         @click.option("--out", "out_dir", type=str, default=".",
                       help="output directory")
         def command(config_path, seed, replicates, threads, out_dir):

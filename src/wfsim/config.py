@@ -168,9 +168,10 @@ VARIANTS = {
 def resolve(command: str, cfg: dict) -> dict:
     """Check a config mapping for ``command`` and resolve it.
 
-    Rejects unknown and missing fields, values of the wrong type or out
-    of range, and ``omega`` together with ``omega_ratio``; resolves
-    ``omega_ratio`` to ``omega`` and fills defaults.  Which parameters a
+    Rejects unknown and missing fields, a matrix of fewer than two types,
+    values of the wrong type or out of range, and ``omega`` together with
+    ``omega_ratio``; resolves ``omega_ratio`` to ``omega`` and fills
+    defaults.  Which parameters a
     fitness family takes is checked by :func:`wfsim.fitness.make_rule`.
     """
     unknown = set(cfg) - set(COMMANDS[command])
@@ -186,6 +187,8 @@ def resolve(command: str, cfg: dict) -> dict:
         raise ConfigError("give one of omega, omega_ratio, not both")
     # the number of types; the matrix check requires the matrix to be m x m
     m = len(cfg["matrix"]) if isinstance(cfg["matrix"], (list, tuple)) else None
+    if m is not None and m < 2:
+        raise ConfigError(f"matrix must have at least 2 types (rows), got {m}")
     out = {}
     for name, (check, default) in fields.items():
         if name in cfg:

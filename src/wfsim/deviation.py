@@ -202,7 +202,7 @@ def one_step_exceedance_upper(rule: UpdateRule, x0: LatticePoint,
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     n = x0.n
     p = sampling_probs(rule, x0.counts / n)
-    o = iterate(rule, x0.as_frequencies(), 1).states[1]
+    o = rule.update_probs(x0.counts / n)
     # X_i <= lo or X_i >= hi  <=>  |X_i/N - o_i| >= epsilon (up to tol)
     tol = 1e-9
     lo = np.floor(n * (o - epsilon) + tol)
@@ -271,7 +271,7 @@ def simulate_deviations(rule: UpdateRule, x0: LatticePoint, horizon: int,
     """Run ``replicates`` trajectories from ``x0`` alongside the orbit from
     the same point and record max-norm deviations at each step."""
     n = x0.n
-    orbit = iterate(rule, x0.as_frequencies(), horizon)
+    orbit = iterate(rule, x0.counts / n, horizon)
     freqs = np.tile(x0.counts / n, (replicates, 1))
     # step-major: step k fills the contiguous row k - 1, a running maximum
     # over the M columns of its gaps

@@ -13,6 +13,7 @@ the equilibrium at a random intermediate time.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -22,7 +23,7 @@ from .config import resolve, rule_keywords
 from .errors import ConfigError, DomainError, NoInteriorEquilibrium, PreconditionError
 from .fitness import UpdateRule, make_rule, rng_stream, sampling_probs
 from .meanfield import solve_interior_equilibrium
-from .simplex import LatticePoint, SimplexPoint, SupportSet, round_to_lattice
+from .simplex import LatticePoint, SupportSet, round_to_lattice
 
 #: One-sided 95% normal quantile for the trend checks.
 Z_95 = 1.6448536269514722
@@ -53,8 +54,7 @@ def least_fit(rule: UpdateRule, point) -> LeastFitReport:
     Ties are exact: every index attaining the minimum goes into the
     least-fit set.  A uniform image has no least-fit type and is rejected.
     """
-    x = point.coords if isinstance(point, SimplexPoint) else np.asarray(point, dtype=np.float64)
-    image = rule.update_probs(x)
+    image = rule.update_probs(np.asarray(point, dtype=np.float64))
     alpha = float(image.min())
     mask = image == alpha
     if mask.all():
@@ -320,7 +320,7 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     """Run the full ensemble: every initial condition times ``replicates``
-    trials, one lockstep block per initial condition and worker, merged
+    trials, ``threads`` lockstep blocks per initial condition, merged
     deterministically.
 
     Results are identical for any ``threads`` and any split into blocks
@@ -340,7 +340,10 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     else:
         # imported here, so runs that never start a pool skip its import
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a forked pool starts all its workers at once: never more than the
+        # tasks or the cores (the chunks, and so the results, follow threads)
+        workers = min(threads, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = [f.result() for f in [pool.submit(_run_chunk, spec, *t) for t in tasks]]
     # tasks run in (initial, trial) order, so the rows come out sorted
     all_rows = [row for block in blocks for row in block]

@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     NumericRangeError,
 )
-from .simplex import SimplexPoint
 
 #: |det A| must exceed this times max(1, max|A|)^M to count as invertible.
 DET_TOL = 1e-10
@@ -257,8 +256,6 @@ class UpdateRule:
         """Expected next profile of a profile ``(M,)`` or of each row of a
         batch ``(R, M)`` (returned raw).  A profile and a batch row get the
         same bits, whatever the batch."""
-        if isinstance(xs, SimplexPoint):
-            xs = xs.coords
         if self.mutation is not None:
             xs = np.einsum("...k,kj->...j", xs, self.mutation.entries)
         return self._replicator_probs(xs)

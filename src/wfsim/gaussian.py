@@ -21,7 +21,7 @@ import scipy.linalg
 from .errors import NumericRangeError, PreconditionError
 from .fitness import UpdateRule, sampling_probs
 from .meanfield import Orbit, iterate, spectral_radius_on_sum_zero, sum_zero_basis
-from .simplex import SimplexPoint, round_to_lattice
+from .simplex import round_to_lattice
 
 
 def noise_covariance(p) -> np.ndarray:
@@ -33,7 +33,7 @@ def noise_covariance(p) -> np.ndarray:
     is symmetric positive semidefinite and annihilates the all-ones
     vector, so it is supported on the sum-zero subspace.
     """
-    vec = p.coords if isinstance(p, SimplexPoint) else np.asarray(p, dtype=np.float64)
+    vec = np.asarray(p, dtype=np.float64)
     return np.diag(vec) - np.outer(vec, vec)
 
 
@@ -118,9 +118,8 @@ def rescaled_residuals(rule: UpdateRule, n: int, start, step: int,
     recomputed from the rounded point, so stochastic and deterministic
     paths share their initial state exactly.
     """
-    start_vec = start.coords if isinstance(start, SimplexPoint) else np.asarray(start, dtype=np.float64)
-    x0 = round_to_lattice(start_vec, n)
-    orbit = iterate(rule, x0.as_frequencies(), step)
+    x0 = round_to_lattice(start, n)
+    orbit = iterate(rule, x0.counts / n, step)
     counts = np.tile(x0.counts, (replicates, 1))
     for k in range(step):
         counts = rng.multinomial(n, sampling_probs(rule, counts / n))

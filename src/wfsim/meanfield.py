@@ -5,30 +5,25 @@ module computes orbits, interior equilibria of partnership payoff
 matrices, the derivative of the update map at equilibrium together with
 its spectral radius on the sum-zero subspace, diagnostic checks of the
 stability hypotheses (symmetry, definiteness on sum-zero directions,
-permanence), and the drift report that the exact chain's check of the
-maximization principle fills.
+permanence), and random test matrices that meet or break them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     DegenerateFitness,
-    DimensionMismatch,
     NoInteriorEquilibrium,
     NumericRangeError,
     PreconditionError,
 )
 from .fitness import PayoffMatrix, UpdateRule
-from .simplex import SimplexPoint, SupportSet, lattice_counts
-
-#: A drift below -DRIFT_TOL violates the monotonicity a drift check tests.
-DRIFT_TOL = 1e-10
+from .simplex import SupportSet, lattice_counts
 
 #: Permanence: interior candidates lie on the barycentric grid of this
 #: resolution; the update map moves a boundary fixed point less than this.
@@ -97,7 +92,7 @@ def iterate(rule: UpdateRule, x0, steps: int) -> Orbit:
     """Iterate the update map ``steps`` times from ``x0``."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    x = x0.coords if isinstance(x0, SimplexPoint) else np.asarray(x0, dtype=np.float64)
+    x = np.asarray(x0, dtype=np.float64)
     states = np.empty((steps + 1, x.size))
     states[0] = x
     for k in range(1, steps + 1):
@@ -404,48 +399,6 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
     ]
     report.status = "permanent" if best_margins.min() > 0 else "not-verified"
     return report
-
-
-# ----------------------------------------------------------------------
-# one-step drift of a function (the maximization principle)
-# ----------------------------------------------------------------------
-
-def batch_values(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
-    """``fn`` evaluated once on a batch ``(R, M)``; it must return ``(R,)``."""
-    values = np.asarray(fn(points))
-    if values.shape != points.shape[:1]:
-        raise DimensionMismatch(
-            f"function on a batch of {points.shape[0]} points returned shape "
-            f"{values.shape}, expected ({points.shape[0]},)"
-        )
-    return values
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    """Expected one-step change of a function h at each of a set of points.
-
-    ``points`` are the states the drift was taken at (the compositions of
-    an exact chain); a drift below ``-DRIFT_TOL`` is a violation of the
-    monotonicity being checked.
-    """
-
-    points: np.ndarray   # (R, M)
-    drift: np.ndarray    # (R,)
-
-    @property
-    def min_drift(self) -> float:
-        """Least drift, 0.0 for an empty sample."""
-        return float(self.drift.min()) if self.drift.size else 0.0
-
-    @property
-    def violations(self) -> list[tuple[np.ndarray, float]]:
-        return [(self.points[i], float(self.drift[i]))
-                for i in np.flatnonzero(self.drift < -DRIFT_TOL)]
-
-    @property
-    def ok(self) -> bool:
-        return not np.any(self.drift < -DRIFT_TOL)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Geometry of the probability simplex and its integer lattice.
 
 A population profile over M types is a point of the (M-1)-dimensional
-probability simplex.  A finite population of size N lives on the lattice
-slice of integer count vectors summing to N.  This module provides the two
-point types, support sets of type labels, lattice enumeration with
-resource caps, rounding onto the lattice, and the max-norm distance matrix
-used throughout the package.
+probability simplex, held as a plain float array of shape (M,) (or a
+batch of them, (R, M)).  A finite population of size N lives on the
+lattice slice of integer count vectors summing to N.  This module provides
+the lattice point type, support sets of type labels, lattice enumeration
+with resource caps, rounding onto the lattice, and the max-norm distance
+matrix used throughout the package.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidNormalization, ResourceLimitExceeded
-
-#: Sum tolerance for accepting a real vector as a probability vector.
-SUM_TOL = 1e-12
 
 #: Cap on the number of lattice states an exhaustive operation may
 #: enumerate.
@@ -63,60 +61,6 @@ class SupportSet:
         return len(self.labels)
 
 
-class SimplexPoint:
-    """An M-vector of non-negative frequencies summing to one.
-
-    Construction is strict by default: the input must already sum to 1
-    within ``SUM_TOL`` and have no negative coordinate.  With
-    ``normalize=True`` the vector is divided by its sum instead (tiny
-    negative round-off, at most ``SUM_TOL`` in magnitude, is clamped to 0).
-    Instances are immutable.
-    """
-
-    __slots__ = ("_coords",)
-
-    def __init__(self, coords: Iterable[float], normalize: bool = False):
-        arr = np.asarray(coords, dtype=np.float64).copy()
-        if arr.ndim != 1 or arr.size < 1:
-            raise DimensionMismatch("a simplex point must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidNormalization("coordinates must be finite")
-        if normalize:
-            arr[(arr < 0) & (arr >= -SUM_TOL)] = 0.0
-        if np.any(arr < 0):
-            raise InvalidNormalization("coordinates must be non-negative")
-        total = float(arr.sum())
-        if normalize:
-            if total <= 0:
-                raise InvalidNormalization("cannot normalize a vector with non-positive sum")
-            arr = arr / total
-        elif abs(total - 1.0) > SUM_TOL:
-            raise InvalidNormalization(
-                f"coordinates sum to {total!r}, not 1 within {SUM_TOL}"
-            )
-        arr.flags.writeable = False
-        self._coords = arr
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._coords
-
-    @property
-    def m(self) -> int:
-        return self._coords.size
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SimplexPoint) and np.array_equal(
-            self._coords, other._coords
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._coords.tobytes())
-
-    def __repr__(self) -> str:
-        return f"SimplexPoint({self._coords.tolist()!r})"
-
-
 class LatticePoint:
     """Integer count vector of a finite population: M counts summing to N."""
 
@@ -151,9 +95,6 @@ class LatticePoint:
     @property
     def m(self) -> int:
         return self._counts.size
-
-    def as_frequencies(self) -> SimplexPoint:
-        return SimplexPoint(self._counts / self._n)
 
     def __eq__(self, other) -> bool:
         return (

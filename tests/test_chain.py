@@ -27,6 +27,7 @@ from wfsim.chain import (
 )
 from wfsim.errors import (
     DegenerateFitness,
+    DimensionMismatch,
     PreconditionError,
     ReducibleInterior,
     ResourceLimitExceeded,
@@ -658,19 +659,20 @@ class TestDrift:
         a = np.array([[3.0, 1.0], [1.0, 3.0]])
         rule = make_rule(a, omega=0.3)
         chain = build_exact_chain(rule, 6)
-        rep = verify_submartingale(chain, lambda f: np.einsum("ij,jk,ik->i", f, a, f))
-        assert rep.ok
-        drifts = {
-            tuple(chain.states[i]): None for i in range(chain.n_states)
-        }
+        drift = verify_submartingale(chain, lambda f: np.einsum("ij,jk,ik->i", f, a, f))
+        assert drift.shape == (chain.n_states,)
+        assert drift.min() >= -1e-10
         # reference: h one state at a time
         hv = np.array([float(f @ a @ f) for f in chain.states / 6])
-        drift = chain.matrix @ hv - hv
-        np.testing.assert_allclose(rep.drift, drift, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(drift, chain.matrix @ hv - hv, rtol=0, atol=1e-15)
         for i, s in enumerate(map(tuple, chain.states)):
             if max(s) == 6:
                 assert abs(drift[i]) < 1e-12
-        assert drifts  # states enumerated
+
+    def test_scalar_function_rejected(self):
+        rule = make_rule(np.array([[3.0, 1.0], [1.0, 3.0]]), omega=0.3)
+        with pytest.raises(DimensionMismatch):
+            verify_submartingale(build_exact_chain(rule, 4), lambda f: float(f[0, 0]))
 
     def test_indefinite_form_rejected(self, rule_two):
         with pytest.raises(PreconditionError):

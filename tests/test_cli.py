@@ -446,6 +446,39 @@ class TestExtinction:
         assert (out1 / "trials.csv").read_bytes() != \
             (out2 / "trials.csv").read_bytes()
 
+    def test_outputs_are_pinned(self, runner, tmp_path):
+        # SHA-256 recorded before simplex points and drift reports became
+        # plain arrays: a moved draw, stop or distance changes a digest.
+        # The second case is the one absorption run through the command.
+        absorption = write_config(tmp_path, "absorption.json", {
+            "matrix": A2, "omega": 0.5, "N": 50, "initials": [CHI2.tolist()],
+            "replicates": 12, "seed": 3, "mode": "absorption"})
+        cases = [
+            ([str(CONFIG_DIR / "table2_smoke.json"), "--replicates", "20"], {
+                "summary.json":
+                    "e63d390a78d47b5e61bc52137ec2ef605e8545dc4c8591d083a75854db936e98",
+                "trials.csv":
+                    "941bc926f1d769b465d6c9cbddc19c273a800c9794674100b280564090777210",
+                "histogram.csv":
+                    "7995da062a6304a1122ee204c5e8ffa34271b7cc771d0a1a699eb42ba8c03e86",
+            }),
+            ([absorption], {
+                "summary.json":
+                    "18c428f4e80cb1794aa7333c8652a042cedee73ec7d3f6622157dccadd81fb64",
+                "trials.csv":
+                    "e43d592ae49cd711d31a2efb4d2c1a4b6ad0f6eefc29dc5ad8394d8a3aa8e127",
+                "histogram.csv":
+                    "21fd133f34f9bf80eb3e3f489f43cb39543bae258477571d489ab36a3f4052ee",
+            }),
+        ]
+        for k, (args, digests) in enumerate(cases):
+            out = tmp_path / f"out{k}"
+            run_ok(runner, ["extinction", "--config", *args, "--threads", "2",
+                            "--out", str(out)])
+            for name, digest in digests.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+                    digest, (k, name)
+
 
 # ----------------------------------------------------------------------
 # qsd
@@ -870,6 +903,15 @@ class TestConfigSchema:
         result = invoke(command, small_config(command), tmp_path,
                         "--threads", "0")
         assert_config_error(result, "--threads")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_type_matrix_exits_one(self, tmp_path, command):
+        cfg = (small_config(command) if command in ("meanfield", "qsd")
+               else start_config(command, [1.0]))
+        cfg["matrix"] = [[1.0]]
+        result = invoke(command, cfg, tmp_path)
+        assert_config_error(result, "matrix", "at least 2 types")
+        assert "Traceback" not in result.output
 
     def test_bounds_takes_both_overrides(self, tmp_path):
         result = invoke("bounds", small_config("bounds"), tmp_path,

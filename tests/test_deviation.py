@@ -235,7 +235,7 @@ def enumerated_one_step_exceedance(rule, x0, epsilon):
     p = rule.update_probs_batch(x0.counts[None, :] / n)[0]
     p = np.clip(p, 0.0, None)
     p /= p.sum()
-    o = iterate(rule, x0.as_frequencies(), 1).states[1]
+    o = iterate(rule, x0.counts / n, 1).states[1]
     counts = lattice_counts(rule.m, n)
     dev = np.max(np.abs(counts / n - o), axis=1)
     return float(multinomial.pmf(counts, n, p)[dev > epsilon].sum())
@@ -327,7 +327,7 @@ class TestEnsembles:
     def test_matches_a_replicate_major_loop(self, rule_a2, n):
         # the loop as it stood before deviations were stored step-major
         def reference(rule, x0, horizon, replicates, rng):
-            orbit = iterate(rule, x0.as_frequencies(), horizon)
+            orbit = iterate(rule, x0.counts / n, horizon)
             counts = np.tile(x0.counts, (replicates, 1))
             devs = np.empty((replicates, horizon))
             for k in range(1, horizon + 1):

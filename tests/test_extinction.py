@@ -1,7 +1,9 @@
 """Tests for metastability and route-to-extinction experiments."""
 
+import concurrent.futures
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from wfsim.extinction import (
     trial_rng,
 )
 from wfsim.fitness import make_rule
-from wfsim.simplex import SimplexPoint, SupportSet, round_to_lattice
+from wfsim.simplex import SupportSet, round_to_lattice
 
 from conftest import A1, A2, CHI1, CHI2, neutral_rule
 
@@ -56,10 +58,6 @@ class TestLeastFit:
         assert np.all(rep.image[mask] == rep.alpha)
         assert np.all(rep.image[~mask] > rep.alpha)
         assert rep.beta > rep.alpha
-
-    def test_accepts_simplex_point(self, rule_a2):
-        rep = least_fit(rule_a2, SimplexPoint(CHI2))
-        assert rep.least_fit.labels == {1}
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +313,31 @@ class TestRunExperiment:
         assert serial.rows == parallel.rows
         assert json.dumps(serial.summary_dict(), sort_keys=True) == \
             json.dumps(parallel.summary_dict(), sort_keys=True)
+
+    def test_pool_is_capped_by_tasks_and_cores(self, small_spec, monkeypatch):
+        # an inline stand-in for the pool, so no process starts at any threads
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        rows = run_experiment(small_spec, threads=10**6).rows
+        assert len(workers) == 1
+        assert workers[0] <= min(os.cpu_count() or 1, 2 * small_spec.replicates)
+        assert rows == run_experiment(small_spec, threads=1).rows
 
     def test_counts_partition_the_replicates(self, small_spec):
         result = run_experiment(small_spec, threads=1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wfsim.errors import DimensionMismatch, NoInteriorEquilibrium, PreconditionError
+from wfsim.errors import NoInteriorEquilibrium, PreconditionError
 from wfsim.fitness import (
     TabulatedFitness,
     UpdateRule,
@@ -13,9 +13,6 @@ from wfsim.fitness import (
     make_rule,
 )
 from wfsim.meanfield import (
-    DRIFT_TOL,
-    DriftReport,
-    batch_values,
     build_meanfield_report,
     check_permanence,
     check_stability_assumptions,
@@ -248,13 +245,13 @@ def average_payoff(a):
 class TestLyapunov:
     """The deterministic maximization principle: x'Ax does not decrease
     under the update map of a symmetric payoff matrix,
-    h(update(x)) - h(x) >= -DRIFT_TOL."""
+    h(update(x)) - h(x) >= -1e-10."""
 
     def test_average_payoff_never_decreases(self, rule_a1):
         h = average_payoff(A1)
         x = np.random.default_rng(17).dirichlet(np.ones(3), size=10_000)
         drift = h(rule_a1.update_probs(x)) - h(x)
-        assert drift.min() >= -DRIFT_TOL
+        assert drift.min() >= -1e-10
         # reference: one point at a time through the same batch function
         loop = [h(rule_a1.update_probs(p)[None])[0] - h(p[None])[0] for p in x]
         np.testing.assert_array_equal(drift, loop)
@@ -269,21 +266,6 @@ class TestLyapunov:
         chi = solve_interior_equilibrium(A2).vector[None]
         h = average_payoff(A2)
         assert abs(float(h(rule_a2.update_probs(chi))[0] - h(chi)[0])) < 1e-9
-
-    def test_empty_sample_and_violations(self, rule_a2):
-        empty = DriftReport(points=np.empty((0, 3)), drift=np.empty(0))
-        assert empty.ok and empty.min_drift == 0.0 and empty.violations == []
-        # -x'Ax decreases off the equilibrium, so every such point violates
-        sample = np.array([[0.8, 0.1, 0.1], [0.2, 0.3, 0.5]])
-        h = lambda x: -average_payoff(A2)(x)  # noqa: E731
-        rep = DriftReport(points=sample, drift=h(rule_a2.update_probs(sample)) - h(sample))
-        assert not rep.ok
-        assert [tuple(x) for x, _ in rep.violations] == [tuple(x) for x in sample]
-        assert rep.min_drift == min(d for _, d in rep.violations) < 0
-
-    def test_scalar_function_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            batch_values(lambda x: float(x[0, 0]), np.array([[0.2, 0.3, 0.5]]))
 
 
 # ----------------------------------------------------------------------
