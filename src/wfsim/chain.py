@@ -416,8 +416,8 @@ def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
 # exact one-step drift
 # ----------------------------------------------------------------------
 
-def verify_submartingale(chain: ExactChain,
-                         h: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def one_step_drift(chain: ExactChain,
+                   h: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Exact one-step drift ``E[h(next) | x] - h(x)`` at every state of an
     exact chain, as an (S,) array aligned with ``chain.states``.  ``h``
     maps a batch of frequency profiles ``(S, M)`` to ``(S,)``."""
@@ -453,7 +453,7 @@ def quadratic_form_drift(rule: UpdateRule, n: int) -> tuple[float, float]:
         )
     chain = build_exact_chain(rule, n)
     entries = payoff.entries
-    drift = verify_submartingale(chain, lambda f: np.einsum("ij,jk,ik->i", f, entries, f))
+    drift = one_step_drift(chain, lambda f: np.einsum("ij,jk,ik->i", f, entries, f))
     off_vertex = drift[~(chain.states == n).any(axis=1)]
     # at n = 1 every lattice state is a vertex: the off-vertex clause is vacuous
     off_min = float(off_vertex.min()) if off_vertex.size else float("inf")

@@ -154,9 +154,8 @@ def _command(name: str):
         @click.option("--replicates", type=int, default=None,
                       help="override replicates (extinction, bounds)")
         @click.option("--threads", type=int, default=1,
-                      help="extinction's trial blocks per start, run in at most "
-                           "this many worker processes, and no more than the "
-                           "blocks or the cores (never affect results)")
+                      help="extinction's worker processes, and trial blocks "
+                           "per start, at most the cores (never affect results)")
         @click.option("--out", "out_dir", type=str, default=".",
                       help="output directory")
         def command(config_path, seed, replicates, threads, out_dir):
@@ -265,6 +264,8 @@ def _run_bounds(cfg: dict, rule, threads: int):
             else:
                 entry.update({"expectation_bound": None, "applicable": False})
             expectation.append(entry)
+        # free this N's deviations before the next N's are simulated
+        del ens
 
     header = ["N", "epsilon", "K", "exceed_count", "replicates",
               "empirical_prob", "wilson_upper_99", "bound", "consistent"]

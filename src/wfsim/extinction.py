@@ -320,8 +320,9 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     """Run the full ensemble: every initial condition times ``replicates``
-    trials, ``threads`` lockstep blocks per initial condition, merged
-    deterministically.
+    trials, in lockstep blocks merged deterministically.  Each initial
+    condition gets one block per worker process, at most ``threads``, the
+    cores and the trials; with one worker the blocks run in this process.
 
     Results are identical for any ``threads`` and any split into blocks
     because each trial draws from its own (seed, initial, trial) stream.
@@ -331,18 +332,18 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     _, eq, fit_set = _experiment_context(spec)
 
     n_initials = len(spec.initials)
-    chunk = math.ceil(spec.replicates / threads)
+    # one block per worker that can run: more blocks would only shrink the
+    # lockstep batches, and a forked pool starts all its workers at once
+    workers = min(threads, os.cpu_count() or 1, spec.replicates)
+    chunk = math.ceil(spec.replicates / workers)
     tasks = [(i, s, min(s + chunk, spec.replicates))
              for i in range(n_initials) for s in range(0, spec.replicates, chunk)]
 
-    if threads == 1:
+    if workers == 1:
         blocks = [_run_chunk(spec, *task) for task in tasks]
     else:
         # imported here, so runs that never start a pool skip its import
         from concurrent.futures import ProcessPoolExecutor
-        # a forked pool starts all its workers at once: never more than the
-        # tasks or the cores (the chunks, and so the results, follow threads)
-        workers = min(threads, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = [f.result() for f in [pool.submit(_run_chunk, spec, *t) for t in tasks]]
     # tasks run in (initial, trial) order, so the rows come out sorted

@@ -19,11 +19,11 @@ from wfsim.chain import (
     interior_qsd,
     is_irreducible,
     kernel_block,
+    one_step_drift,
     qsd_power_iteration,
     quadratic_form_drift,
     recurrent_class_faces,
     sample_path,
-    verify_submartingale,
 )
 from wfsim.errors import (
     DegenerateFitness,
@@ -659,7 +659,7 @@ class TestDrift:
         a = np.array([[3.0, 1.0], [1.0, 3.0]])
         rule = make_rule(a, omega=0.3)
         chain = build_exact_chain(rule, 6)
-        drift = verify_submartingale(chain, lambda f: np.einsum("ij,jk,ik->i", f, a, f))
+        drift = one_step_drift(chain, lambda f: np.einsum("ij,jk,ik->i", f, a, f))
         assert drift.shape == (chain.n_states,)
         assert drift.min() >= -1e-10
         # reference: h one state at a time
@@ -672,7 +672,7 @@ class TestDrift:
     def test_scalar_function_rejected(self):
         rule = make_rule(np.array([[3.0, 1.0], [1.0, 3.0]]), omega=0.3)
         with pytest.raises(DimensionMismatch):
-            verify_submartingale(build_exact_chain(rule, 4), lambda f: float(f[0, 0]))
+            one_step_drift(build_exact_chain(rule, 4), lambda f: float(f[0, 0]))
 
     def test_indefinite_form_rejected(self, rule_two):
         with pytest.raises(PreconditionError):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import traceback
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import wfsim
 from wfsim import cli
 from wfsim.chain import sample_path
 from wfsim.cli import main
-from wfsim.config import COMMANDS, FIELDS, resolve
+from wfsim.config import COMMANDS, FIELDS, resolve, rule_keywords
 from wfsim.errors import WfsimError
 from wfsim.fitness import finite_difference_jacobian, make_rule
 from wfsim.meanfield import solve_interior_equilibrium, sum_zero_basis
@@ -629,6 +630,28 @@ class TestBounds:
                 "eda7ad6acbae97476af7d382ff39da8213ff1da8f59f7dfe46af0f610613d6cd",
         }.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_one_deviation_matrix_alive_at_a_time(self):
+        # each N's ensemble is tabulated and freed before the next N is
+        # simulated; two alive at once would pass 2x one matrix
+        def config(replicates):
+            return resolve("bounds", {"matrix": A2, "omega": 0.5, "N": [200, 800],
+                                      "epsilons": [0.05, 0.1], "horizon": 100,
+                                      "replicates": replicates, "seed": 5,
+                                      "lipschitz_samples": 10})
+
+        cfg = config(4000)
+        rule = make_rule(**rule_keywords(cfg))
+        # a small run first, so the modules numpy imports on first use are
+        # not counted against the matrix
+        cli._run_bounds(config(2), rule, 1)
+        tracemalloc.start()
+        try:
+            cli._run_bounds(cfg, rule, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * cfg["replicates"] * cfg["horizon"]
 
     def test_missing_fields_exit_one(self, runner, tmp_path):
         cfg = write_config(tmp_path, "b.json", {"matrix": A2, "omega": 0.5})

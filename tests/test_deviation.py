@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,9 +33,9 @@ from wfsim.fitness import (
     sampling_probs,
 )
 from wfsim.meanfield import iterate
-from wfsim.simplex import lattice_counts, round_to_lattice
+from wfsim.simplex import lattice_counts, linf_distances, round_to_lattice
 
-from conftest import A2, CHI2, neutral_rule
+from conftest import A2, CHI2, neutral_rule, rule_of_kind
 
 
 def constant_vertex_rule(m: int):
@@ -203,6 +204,37 @@ class TestLipschitz:
         den = cdist(pts, pts, metric="chebyshev")[iu]
         keep = den > 1e-12
         assert est.pair_max == float((num[keep] / den[keep]).max())
+
+    @pytest.mark.parametrize("samples", [2, 36, 37, 38, 1000])
+    @pytest.mark.parametrize("kind", ["linear-fractional", "exponential", "mutation"])
+    def test_row_blocks_keep_the_all_pairs_bits(self, kind, samples):
+        # with the 91 grid nodes, 36, 37 and 38 samples give 127, 128 and
+        # 129 probes, either side of one PAIR_BLOCK; the reference pairs
+        # every probe with every probe in (P, P) buffers
+        rule = rule_of_kind(kind)
+        est = estimate_lipschitz(rule, samples, np.random.default_rng(63))
+        grid = lattice_counts(3, _PROBE_RESOLUTION) / _PROBE_RESOLUTION
+        grid = (1.0 - _PROBE_SHRINK) * grid + _PROBE_SHRINK / 3
+        pts = np.vstack([grid, np.random.default_rng(63).dirichlet(np.ones(3), size=samples)])
+        images = rule.update_probs_batch(pts)
+        den = linf_distances(pts, pts)
+        keep = den > 1e-12
+        quotients = linf_distances(images, images)[keep] / den[keep]
+        assert est.probes == pts.shape[0] == samples + 91
+        assert est.pair_max == float(quotients.max())
+        assert est.value == max(est.pair_max, est.jacobian_max)
+
+    def test_pair_buffers_are_row_blocks(self, rule_a2):
+        # all pairs at once traced 28.6 MiB here: (P, P) buffers at
+        # P = 1,091 probes; row blocks hold O(PAIR_BLOCK x P)
+        rng = np.random.default_rng(64)
+        tracemalloc.start()
+        try:
+            estimate_lipschitz(rule_a2, 1000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from wfsim import extinction
 from wfsim.errors import ConfigError, DomainError, PreconditionError
 from wfsim.extinction import (
     ExperimentSpec,
@@ -314,9 +315,10 @@ class TestRunExperiment:
         assert json.dumps(serial.summary_dict(), sort_keys=True) == \
             json.dumps(parallel.summary_dict(), sort_keys=True)
 
-    def test_pool_is_capped_by_tasks_and_cores(self, small_spec, monkeypatch):
-        # an inline stand-in for the pool, so no process starts at any threads
-        workers = []
+    @staticmethod
+    def record_pools_and_blocks(monkeypatch):
+        """Run pools inline and note each pool's size and each block run."""
+        workers, blocks = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -333,11 +335,35 @@ class TestRunExperiment:
                 future.set_result(fn(*args))
                 return future
 
+        def run_chunk(spec, initial_idx, start, stop):
+            blocks.append(initial_idx)
+            return _run_chunk(spec, initial_idx, start, stop)
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(extinction, "_run_chunk", run_chunk)
+        return workers, blocks
+
+    def test_pool_is_capped_by_tasks_and_cores(self, small_spec, monkeypatch):
+        # an inline stand-in for the pool, so no process starts at any threads;
+        # a start gets one block per worker, so its batches stay as large
+        # as the cores allow
+        serial = run_experiment(small_spec, threads=1).rows
+        workers, blocks = self.record_pools_and_blocks(monkeypatch)
+        cores = os.cpu_count() or 1
         rows = run_experiment(small_spec, threads=10**6).rows
-        assert len(workers) == 1
-        assert workers[0] <= min(os.cpu_count() or 1, 2 * small_spec.replicates)
-        assert rows == run_experiment(small_spec, threads=1).rows
+        assert len(workers) == (cores > 1)
+        assert all(w <= min(cores, small_spec.replicates) for w in workers)
+        assert max(blocks.count(i) for i in set(blocks)) <= cores
+        assert rows == serial
+
+    def test_one_core_runs_inline(self, small_spec, monkeypatch):
+        serial = run_experiment(small_spec, threads=1).rows
+        workers, blocks = self.record_pools_and_blocks(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        rows = run_experiment(small_spec, threads=4).rows
+        assert workers == []
+        assert blocks == [0, 1]
+        assert rows == serial
 
     def test_counts_partition_the_replicates(self, small_spec):
         result = run_experiment(small_spec, threads=1)
