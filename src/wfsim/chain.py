@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,15 +56,19 @@ QSD_MAX_ITER = 200_000
 KERNEL_BLOCK = 256
 
 
+@cache
 def _box_offsets(m: int) -> np.ndarray:
     """Sum-zero integer offsets (K, M): every first M-1 coordinates in
-    [-r, r], the last balancing them, with r the LAW_BOX half-width."""
+    [-r, r], the last balancing them, with r the LAW_BOX half-width.
+    Built once per M and shared, so the array is read-only."""
     r = 0
     while m > 1 and (2 * r + 3) ** (m - 1) <= LAW_BOX:
         r += 1
     grid = np.array(list(itertools.product(range(-r, r + 1), repeat=m - 1)),
                     dtype=np.int64).reshape((2 * r + 1) ** (m - 1), m - 1)
-    return np.column_stack([grid, -grid.sum(axis=1)])
+    offsets = np.column_stack([grid, -grid.sum(axis=1)])
+    offsets.flags.writeable = False
+    return offsets
 
 
 def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,

@@ -264,7 +264,7 @@ def _run_bounds(cfg: dict, rule, threads: int):
             else:
                 entry.update({"expectation_bound": None, "applicable": False})
             expectation.append(entry)
-        # free this N's deviations before the next N's are simulated
+        # free this N's records before the next N's are simulated
         del ens
 
     header = ["N", "epsilon", "K", "exceed_count", "replicates",

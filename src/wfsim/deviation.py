@@ -224,48 +224,43 @@ def one_step_exceedance_upper(rule: UpdateRule, x0: LatticePoint,
 
 @dataclass
 class DeviationEnsemble:
-    """Max-norm deviations from the orbit for a replicated simulation.
+    """Running-maximum records of the max-norm deviations from the orbit
+    for a replicated simulation.
 
-    ``deviations[r, k-1]`` is the distance of replicate ``r`` from the
-    orbit at step ``k`` (steps 1..horizon; step 0 is exactly zero by
-    construction).  :func:`simulate_deviations` stores it step-major: the
-    array is the transpose of a C-ordered (horizon, replicates) buffer, so
-    one step's deviations are contiguous and one replicate's are strided.
+    ``records[k-1]`` is a pair ``(indices, values)``: the replicates whose
+    distance from the orbit at step ``k`` (steps 1..horizon; step 0 is
+    exactly zero by construction) exceeds every earlier one of theirs,
+    and that distance.  Every replicate records at step 1, and each
+    replicate's record steps and values strictly increase.  The first
+    step whose deviation exceeds a threshold is always a new running
+    maximum, so the records determine every decoupling time exactly,
+    while they hold a few entries per replicate instead of one per step.
     """
 
-    deviations: np.ndarray     # (replicates, horizon)
+    records: list[tuple[np.ndarray, np.ndarray]]
     orbit: Orbit
     n: int
     horizon: int
-
-    @property
-    def replicates(self) -> int:
-        return self.deviations.shape[0]
+    replicates: int
 
     def decoupling_times(self, epsilon: float) -> np.ndarray:
         """Per-replicate decoupling time for one threshold; -1 = censored
         (never exceeded within the horizon).
 
-        A first-passage scan down the step rows, which are contiguous in
-        the buffer ``simulate_deviations`` fills: step k sets the time of
-        the replicates that exceed ``epsilon`` there for the first time.
+        A scan down the steps' records: step k sets the time of the
+        replicates that record above ``epsilon`` there and have no time
+        yet.
         """
         taus = np.full(self.replicates, -1, dtype=np.int64)
-        live = np.ones(self.replicates, dtype=bool)
-        for k, row in enumerate(self.deviations.T, start=1):
-            first = row > epsilon
-            first &= live
-            taus[first] = k
-            live &= ~first
+        for k, (indices, values) in enumerate(self.records, start=1):
+            hit = indices[values > epsilon]
+            taus[hit[taus[hit] < 0]] = k
         return taus
 
     def exceed_counts(self, epsilon: float) -> np.ndarray:
         """Number of replicates with decoupling time <= K, for K = 1..horizon."""
         taus = self.decoupling_times(epsilon)
-        counts = np.zeros(self.horizon, dtype=np.int64)
-        hit = taus[taus > 0]
-        np.add.at(counts, hit - 1, 1)
-        return np.cumsum(counts)
+        return np.cumsum(np.bincount(taus[taus > 0] - 1, minlength=self.horizon))
 
     def censored_mean(self, epsilon: float) -> float:
         """Mean of min(decoupling time, horizon): a lower bound of the
@@ -279,19 +274,27 @@ def simulate_deviations(rule: UpdateRule, x0: LatticePoint, horizon: int,
                         replicates: int,
                         rng: np.random.Generator) -> DeviationEnsemble:
     """Run ``replicates`` trajectories from ``x0`` alongside the orbit from
-    the same point and record max-norm deviations at each step."""
+    the same point and record each replicate's running-maximum max-norm
+    deviations (:class:`DeviationEnsemble`)."""
     n = x0.n
     orbit = iterate(rule, x0.counts / n, horizon)
     freqs = np.tile(x0.counts / n, (replicates, 1))
-    # step-major: step k fills the contiguous row k - 1, a running maximum
-    # over the M columns of its gaps
-    devs = np.zeros((horizon, replicates))
+    # from -inf, so that every replicate records at step 1
+    best = np.full(replicates, -np.inf)
+    records = []
     for k in range(1, horizon + 1):
         freqs = rng.multinomial(n, sampling_probs(rule, freqs)) / n
         gap = np.abs(freqs - orbit.states[k])
-        for j in range(x0.m):
-            np.maximum(devs[k - 1], gap[:, j], out=devs[k - 1])
-    return DeviationEnsemble(deviations=devs.T, orbit=orbit, n=n, horizon=horizon)
+        # a running maximum over the M columns: a row reduction is slower
+        dev = gap[:, 0].copy()
+        for j in range(1, x0.m):
+            np.maximum(dev, gap[:, j], out=dev)
+        indices = np.flatnonzero(dev > best)
+        values = dev[indices]
+        best[indices] = values
+        records.append((indices, values))
+    return DeviationEnsemble(records=records, orbit=orbit, n=n, horizon=horizon,
+                             replicates=replicates)
 
 
 @dataclass(frozen=True)

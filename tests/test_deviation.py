@@ -308,6 +308,48 @@ class TestOneStepExceedance:
 # simulated ensembles and the bound table
 # ----------------------------------------------------------------------
 
+def replicate_major_deviations(rule, x0, horizon, replicates, rng):
+    """Every replicate's max-norm deviation at every step, (replicates,
+    horizon): the full matrix that the ensemble's records summarise, by
+    the replicate-major loop the library once ran."""
+    n = x0.n
+    orbit = iterate(rule, x0.counts / n, horizon)
+    counts = np.tile(x0.counts, (replicates, 1))
+    devs = np.empty((replicates, horizon))
+    for k in range(1, horizon + 1):
+        counts = rng.multinomial(n, sampling_probs(rule, counts / n))
+        devs[:, k - 1] = np.max(np.abs(counts / n - orbit.states[k]), axis=1)
+    return devs
+
+
+def first_exceedances(devs, eps):
+    """Each replicate's first step with deviation > eps; -1 if none."""
+    exceeded = devs > eps
+    return np.where(exceeded.any(axis=1), exceeded.argmax(axis=1) + 1, -1)
+
+
+def running_records(devs):
+    """Per replicate, the (steps, values) at which its deviation exceeds
+    every earlier one, read off the full matrix."""
+    out = []
+    for row in devs:
+        best = np.maximum.accumulate(row)
+        new = np.concatenate([[True], row[1:] > best[:-1]])
+        out.append((np.flatnonzero(new) + 1, row[new]))
+    return out
+
+
+def records_by_replicate(ens):
+    """Per replicate, the (steps, values) of its records in ``ens``."""
+    steps = [[] for _ in range(ens.replicates)]
+    values = [[] for _ in range(ens.replicates)]
+    for k, (indices, vals) in enumerate(ens.records, start=1):
+        for i, v in zip(indices.tolist(), vals.tolist()):
+            steps[i].append(k)
+            values[i].append(v)
+    return [(np.array(s), np.array(v)) for s, v in zip(steps, values)]
+
+
 @pytest.fixture(scope="module")
 def ensemble(rule_a2):
     x0 = round_to_lattice([0.8, 0.1, 0.1], 500)
@@ -317,11 +359,47 @@ def ensemble(rule_a2):
     )
 
 
+@pytest.fixture(scope="module")
+def deviations(rule_a2):
+    """The full deviation matrix of the ``ensemble`` fixture's draws."""
+    x0 = round_to_lattice([0.8, 0.1, 0.1], 500)
+    return replicate_major_deviations(rule_a2, x0, 50, 400,
+                                      np.random.default_rng(55))
+
+
 class TestEnsembles:
     def test_shapes_and_ranges(self, ensemble):
-        assert ensemble.deviations.shape == (400, 50)
-        assert np.all(ensemble.deviations >= 0)
-        assert np.all(ensemble.deviations <= 1)
+        assert (ensemble.replicates, ensemble.horizon) == (400, 50)
+        assert len(ensemble.records) == 50
+        for indices, values in ensemble.records:
+            assert indices.shape == values.shape
+            assert indices.dtype.kind == "i" and values.dtype == np.float64
+            assert np.all(np.diff(indices) > 0)
+            assert np.all((indices >= 0) & (indices < 400))
+            assert np.all(values >= 0)
+            assert np.all(values <= 1)
+
+    def test_records_strictly_increase_from_step_one(self, ensemble):
+        indices, _ = ensemble.records[0]
+        np.testing.assert_array_equal(indices, np.arange(400))
+        for steps, values in records_by_replicate(ensemble):
+            assert steps[0] == 1
+            assert np.all(np.diff(steps) > 0)
+            assert np.all(np.diff(values) > 0)
+
+    def test_a_path_that_never_moves_records_once(self, rule_a2):
+        # at a vertex the paths and the orbit stay put, so every deviation
+        # is 0: it records at step 1 (the running maximum starts below any
+        # deviation) and never again (a tie is not a record)
+        x0 = round_to_lattice([1.0, 0.0, 0.0], 50)
+        ens = simulate_deviations(rule_a2, x0, horizon=5, replicates=7,
+                                  rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(ens.records[0][0], np.arange(7))
+        np.testing.assert_array_equal(ens.records[0][1], np.zeros(7))
+        assert all(len(indices) == 0 for indices, _ in ens.records[1:])
+        np.testing.assert_array_equal(ens.decoupling_times(0.0), np.full(7, -1))
+        np.testing.assert_array_equal(ens.exceed_counts(0.0), np.zeros(5))
+        assert ens.censored_mean(0.0) == 5.0
 
     def test_censoring_convention(self, ensemble):
         taus = ensemble.decoupling_times(0.05)
@@ -329,13 +407,19 @@ class TestEnsembles:
         assert np.all((taus == -1) | (taus >= 1))
 
     @pytest.mark.parametrize("eps", [0.0, 0.02, 0.05, 0.1, 1.0])
-    def test_decoupling_times_are_first_exceedances(self, ensemble, eps):
-        # the first-passage scan against each replicate's first exceeding step
-        exceeded = ensemble.deviations > eps
-        want = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1) + 1, -1)
+    def test_decoupling_times_are_first_exceedances(self, ensemble, deviations, eps):
+        # the scan of the records against each replicate's first exceeding
+        # step in the full matrix
         taus = ensemble.decoupling_times(eps)
         assert taus.dtype == np.int64
-        np.testing.assert_array_equal(taus, want)
+        np.testing.assert_array_equal(taus, first_exceedances(deviations, eps))
+
+    def test_first_exceedances_at_every_deviation_value(self, ensemble, deviations):
+        # a threshold equal to a deviation is not exceeded by it: the tie
+        # at ">" across every distinct value some replicates take
+        for eps in np.unique(deviations[:5]):
+            np.testing.assert_array_equal(ensemble.decoupling_times(eps),
+                                          first_exceedances(deviations, eps))
 
     def test_exceed_counts_are_cumulative(self, ensemble):
         counts = ensemble.exceed_counts(0.05)
@@ -353,27 +437,25 @@ class TestEnsembles:
             rule_a2, x0, horizon=50, replicates=400,
             rng=np.random.default_rng(55),
         )
-        np.testing.assert_array_equal(ensemble.deviations, again.deviations)
+        assert len(again.records) == len(ensemble.records)
+        for (i1, v1), (i2, v2) in zip(ensemble.records, again.records):
+            np.testing.assert_array_equal(i1, i2)
+            np.testing.assert_array_equal(v1, v2)
 
     @pytest.mark.parametrize("n", [50, 2000])
     def test_matches_a_replicate_major_loop(self, rule_a2, n):
-        # the loop as it stood before deviations were stored step-major
-        def reference(rule, x0, horizon, replicates, rng):
-            orbit = iterate(rule, x0.counts / n, horizon)
-            counts = np.tile(x0.counts, (replicates, 1))
-            devs = np.empty((replicates, horizon))
-            for k in range(1, horizon + 1):
-                counts = rng.multinomial(n, sampling_probs(rule, counts / n))
-                devs[:, k - 1] = np.max(np.abs(counts / n - orbit.states[k]), axis=1)
-            return devs
-
         x0 = round_to_lattice(CHI2, n)
         ens = simulate_deviations(rule_a2, x0, horizon=40, replicates=300,
                                   rng=np.random.default_rng(61))
-        assert ens.deviations.shape == (300, 40)
-        np.testing.assert_array_equal(
-            ens.deviations,
-            reference(rule_a2, x0, 40, 300, np.random.default_rng(61)))
+        devs = replicate_major_deviations(rule_a2, x0, 40, 300,
+                                          np.random.default_rng(61))
+        assert (ens.replicates, ens.horizon) == (300, 40)
+        for got, want in zip(records_by_replicate(ens), running_records(devs)):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        for eps in (0.0, 0.02, 0.05, 0.1):
+            np.testing.assert_array_equal(ens.decoupling_times(eps),
+                                          first_exceedances(devs, eps))
 
     @pytest.mark.parametrize("epsilon", [0.05, 0.1])
     def test_bound_table_is_consistent_at_moderate_population(
