@@ -32,7 +32,6 @@ from .fitness import (
     LinearFractionalFitness,
     MutationMatrix,
     PayoffMatrix,
-    TabulatedFitness,
     UpdateRule,
     make_rule,
 )
@@ -50,6 +49,5 @@ __all__ = [
     # core types
     "LatticePoint", "SupportSet", "round_to_lattice",
     "PayoffMatrix", "FitnessModel", "LinearFractionalFitness",
-    "ExponentialFitness", "TabulatedFitness", "MutationMatrix", "UpdateRule",
-    "make_rule",
+    "ExponentialFitness", "MutationMatrix", "UpdateRule", "make_rule",
 ]

@@ -30,7 +30,7 @@ from .errors import (
     WfsimError,
 )
 from .fitness import UpdateRule, sampling_probs
-from .meanfield import is_positive_definite_on_sum_zero, rule_payoff
+from .meanfield import is_positive_definite_on_sum_zero
 from .simplex import (
     PAIR_CAP,
     LatticePoint,
@@ -87,12 +87,9 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
     undefined), or once the memo holds ``LAW_MEMO`` states, the miss
     computes c alone, so the path raises exactly where a per-state loop
     would.  ``rule`` must therefore be a pure function of the profile:
-    every ``make_rule`` rule is.  A ``TabulatedFitness`` callback also runs
-    on unvisited states of the boxes the path enters (it may raise a
-    ``WfsimError`` there); it runs once per state while the memo has room
-    and no box raises, then once per miss.  Without ``stop`` every row is written, so the path is
-    allocated at once; with ``stop`` it grows geometrically, so a run that
-    stops early costs only the rows it reached.
+    every ``make_rule`` rule is.  Without ``stop`` every row is written, so
+    the path is allocated at once; with ``stop`` it grows geometrically, so
+    a run that stops early costs only the rows it reached.
     """
     n, laws = x0.n, {}                 # counts.tobytes() -> law
     offsets = _box_offsets(x0.m)
@@ -445,7 +442,7 @@ def quadratic_form_drift(rule: UpdateRule, n: int) -> tuple[float, float]:
     ``(min drift over all states, min drift over non-vertex states)``
     computed exactly from the enumerated transition matrix.
     """
-    payoff = rule_payoff(rule)
+    payoff = rule.fitness.payoff
     if not (payoff.is_symmetric and payoff.is_invertible
             and payoff.has_positive_entries):
         raise PreconditionError(

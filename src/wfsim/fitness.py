@@ -1,18 +1,19 @@
 """Fitness landscapes and the induced expected-update map.
 
-A fitness model assigns every type a non-negative reproductive weight as a
-function of the current profile.  The expected next-generation profile is
-the fitness-weighted renormalization of the current one; an optional
-row-stochastic mutation matrix is applied to the profile first.  Every
-sampler in the package draws from the multinomial cell probabilities of
-:func:`sampling_probs`; every command seeds its random streams with
-:func:`rng_stream` and builds its rule with :func:`make_rule`, which
-checks the parameters each fitness family takes.
+A fitness model, linear-fractional or exponential, assigns every type a
+non-negative reproductive weight built on a payoff matrix and the current
+profile.  The expected next-generation profile is the fitness-weighted
+renormalization of the current one; an optional row-stochastic mutation
+matrix is applied to the profile first.  Every sampler in the package
+draws from the multinomial cell probabilities of :func:`sampling_probs`;
+every command seeds its random streams with :func:`rng_stream` and builds
+its rule with :func:`make_rule`, which checks the parameters each fitness
+family takes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -85,9 +86,11 @@ class PayoffMatrix:
 
 
 class FitnessModel:
-    """Base class: maps a profile to a vector of per-type fitness values."""
+    """Base class of the payoff-driven fitness families: maps a profile to a
+    vector of per-type fitness values built on ``payoff``."""
 
     m: int
+    payoff: PayoffMatrix
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Raw fitness vector at profile ``x`` (may overflow; see subclasses)."""
@@ -97,20 +100,17 @@ class FitnessModel:
         """Range-guarded substitute used inside the update map.
 
         Takes a profile ``(M,)`` or a batch ``(R, M)`` and returns, per
-        profile, ``w = c * values(x)`` for some positive scalar ``c``; the
-        update map is invariant under such scaling, so subclasses may shift
-        into a safe numeric range here.  This base version calls ``values``
-        once per profile (the ``TabulatedFitness`` path); the closed-form
-        models override it with one array expression.
+        profile, ``w = c * values(x)`` for some positive scalar ``c``, in
+        one array expression; the update map is invariant under such
+        scaling, so subclasses may shift into a safe numeric range here.
         """
-        return np.apply_along_axis(self.values, -1, xs)
+        raise NotImplementedError
 
-    def weights_gradient(self, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    def weights_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weights ``w = c * values(x)`` at a profile ``(M,)`` and their
-        derivative matrix dw_i/dx_j, both at one positive scale ``c``, or
-        None if the model has no analytic derivative (tabulated models).
+        derivative matrix dw_i/dx_j, both at one positive scale ``c``.
         The derivative of the update map is invariant under that scale."""
-        return None
+        raise NotImplementedError
 
 
 class LinearFractionalFitness(FitnessModel):
@@ -192,24 +192,6 @@ class ExponentialFitness(FitnessModel):
         return w, self.beta * w[:, None] * self.payoff.entries
 
 
-class TabulatedFitness(FitnessModel):
-    """User-supplied fitness callback; validated at call time."""
-
-    def __init__(self, func: Callable[[np.ndarray], Iterable[float]], m: int):
-        self.func = func
-        self.m = int(m)
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.func(x), dtype=np.float64)
-        if out.shape != (self.m,):
-            raise DimensionMismatch("tabulated fitness returned the wrong shape")
-        if not np.all(np.isfinite(out)):
-            raise NumericRangeError("tabulated fitness returned non-finite values")
-        if np.any(out < 0):
-            raise DegenerateFitness("tabulated fitness must be non-negative")
-        return out
-
-
 class MutationMatrix:
     """Row-stochastic matrix of per-generation type-switch probabilities."""
 
@@ -260,15 +242,14 @@ class UpdateRule:
             xs = np.einsum("...k,kj->...j", xs, self.mutation.entries)
         return self._replicator_probs(xs)
 
-    #: The same map; the name is kept for callers that take batches.
+    #: The same map under a second name.  It stays only because the traced
+    #: ``orbit_gap`` replay in ``perfbench/layers.py`` wraps it to count
+    #: Lipschitz probes; it goes with ROADMAP.md item 1.
     update_probs_batch = update_probs
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Derivative matrix of the update map at ``x``.
-
-        Analytic whenever the fitness model has a gradient; otherwise falls
-        back to central finite differences of the full map.
-        """
+        """Derivative matrix of the update map at ``x``, from the fitness
+        model's analytic weight gradient."""
         x = np.asarray(x, dtype=np.float64)
         if self.mutation is not None:
             inner = x @ self.mutation.entries
@@ -276,10 +257,7 @@ class UpdateRule:
         return self._replicator_jacobian(x)
 
     def _replicator_jacobian(self, x: np.ndarray) -> np.ndarray:
-        grad = self.fitness.weights_gradient(x)
-        if grad is None:
-            return _fd_jacobian(self._replicator_probs, x, 1e-7)
-        phi, dphi = grad
+        phi, dphi = self.fitness.weights_gradient(x)
         s = float(np.dot(x, phi))
         if not s > 0:
             raise DegenerateFitness("total fitness is zero at this profile")
@@ -317,17 +295,6 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
-                 step: float) -> np.ndarray:
-    # rows j and m + j of each profile's block are it moved by +step and
-    # -step along e_j; the blocks of a whole stack go through one map call
-    m = xs.shape[-1]
-    shift = step * np.eye(m)
-    pts = np.concatenate([xs[..., None, :] + shift, xs[..., None, :] - shift], axis=-2)
-    images = f(pts.reshape(-1, m)).reshape(pts.shape)
-    return ((images[..., :m, :] - images[..., m:, :]) / (2.0 * step)).swapaxes(-1, -2).copy()
-
-
 def finite_difference_jacobian(rule: UpdateRule, xs: np.ndarray,
                                step: float = 1e-6) -> np.ndarray:
     """Central-difference derivative matrix of the update map at a profile
@@ -337,7 +304,14 @@ def finite_difference_jacobian(rule: UpdateRule, xs: np.ndarray,
     The map extends smoothly to a neighborhood of the simplex, so the
     perturbed points are evaluated without renormalizing the input.
     """
-    return _fd_jacobian(rule.update_probs, np.asarray(xs, dtype=np.float64), step)
+    # rows j and m + j of each profile's block are it moved by +step and
+    # -step along e_j; the blocks of a whole stack go through one map call
+    xs = np.asarray(xs, dtype=np.float64)
+    m = xs.shape[-1]
+    shift = step * np.eye(m)
+    pts = np.concatenate([xs[..., None, :] + shift, xs[..., None, :] - shift], axis=-2)
+    images = rule.update_probs(pts.reshape(-1, m)).reshape(pts.shape)
+    return ((images[..., :m, :] - images[..., m:, :]) / (2.0 * step)).swapaxes(-1, -2).copy()
 
 
 def make_rule(matrix, *, omega: float | None = None,

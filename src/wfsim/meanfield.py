@@ -2,10 +2,10 @@
 
 The infinite-population dynamics iterate the expected-update map.  This
 module computes orbits, interior equilibria of partnership payoff
-matrices, the derivative of the update map at equilibrium together with
-its spectral radius on the sum-zero subspace, diagnostic checks of the
-stability hypotheses (symmetry, definiteness on sum-zero directions,
-permanence), and random test matrices that meet or break them.
+matrices, the spectral radius on the sum-zero subspace of the update
+map's derivative there, diagnostic checks of the stability hypotheses
+(symmetry, definiteness on sum-zero directions, permanence), and random
+test matrices that meet or break them.
 """
 
 from __future__ import annotations
@@ -38,17 +38,6 @@ MatrixLike = Union[PayoffMatrix, np.ndarray, Sequence[Sequence[float]]]
 
 def _as_matrix(a: MatrixLike) -> PayoffMatrix:
     return a if isinstance(a, PayoffMatrix) else PayoffMatrix(a)
-
-
-def rule_payoff(rule: UpdateRule) -> PayoffMatrix:
-    """The payoff matrix a payoff-driven rule's fitness is built on."""
-    payoff = getattr(rule.fitness, "payoff", None)
-    if payoff is None:
-        raise PreconditionError(
-            f"{type(rule.fitness).__name__} has no payoff matrix; this needs "
-            "a payoff-driven fitness model"
-        )
-    return payoff
 
 
 def sum_zero_basis(m: int) -> np.ndarray:
@@ -101,7 +90,7 @@ def iterate(rule: UpdateRule, x0, steps: int) -> Orbit:
 
 
 # ----------------------------------------------------------------------
-# interior equilibrium and its derivative
+# interior equilibrium and its contraction
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -146,38 +135,6 @@ def solve_interior_equilibrium(a: MatrixLike) -> EquilibriumResult:
     return EquilibriumResult(vector=chi, c=c,
                              is_interior=bool(np.all(chi > 0)),
                              residual=residual)
-
-
-def jacobian_at_equilibrium(a: MatrixLike, omega: float, chi: np.ndarray) -> np.ndarray:
-    """Derivative matrix of the affine-fitness update map at its interior
-    equilibrium.
-
-    For the unit-baseline affine fitness with mixing weight ``omega``, the
-    derivative at the equilibrium acts on sum-zero perturbations as
-    ``I + (diag(chi) B - chi chi' (B - B')) / (1 + r)`` where
-    ``B = omega / (1 - omega) * A`` and ``r`` is the common value of
-    ``B chi``; the ``B - B'`` term vanishes when A is symmetric.  It agrees
-    with ``rule.jacobian`` on sum-zero directions only: the full derivative
-    of the map also sends the equilibrium itself to zero, which this closed
-    form does not.
-    """
-    payoff = _as_matrix(a)
-    chi = np.asarray(chi, dtype=np.float64)
-    if chi.shape != (payoff.m,):
-        raise PreconditionError("equilibrium vector has the wrong length")
-    if np.any(chi <= 0):
-        raise PreconditionError("equilibrium must be interior (all coordinates > 0)")
-    ratio = omega / (1.0 - omega)
-    b_mat = ratio * payoff.entries
-    bchi = b_mat @ chi
-    r = float(bchi.mean())
-    if float(np.max(np.abs(bchi - r))) > 1e-8 * (1.0 + abs(r)):
-        raise PreconditionError(
-            "chi is not an equal-payoff interior equilibrium of this matrix"
-        )
-    d = np.eye(payoff.m) + chi[:, None] * b_mat / (1.0 + r)
-    d -= np.outer(chi, chi @ (b_mat - b_mat.T)) / (1.0 + r)
-    return d
 
 
 def spectral_radius_on_sum_zero(d: np.ndarray) -> float:
@@ -319,7 +276,7 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
     interior profile ``y`` whose payoff against each boundary fixed point
     ``z`` strictly exceeds ``z``'s payoff against itself.
     """
-    payoff = rule_payoff(rule)
+    payoff = rule.fitness.payoff
     if not payoff.is_symmetric:
         raise PreconditionError("permanence test requires a symmetric payoff matrix")
     m = payoff.m
@@ -483,7 +440,7 @@ def build_meanfield_report(rule: UpdateRule,
     same equal-payoff system.  The derivative at the equilibrium is the
     full derivative of the update map, ``rule.jacobian``, for every rule.
     """
-    payoff = rule_payoff(rule)
+    payoff = rule.fitness.payoff
     stability = check_stability_assumptions(payoff)
     eq = solve_interior_equilibrium(payoff)
     jac = None

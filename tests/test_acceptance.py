@@ -42,7 +42,6 @@ from wfsim.extinction import (
 from wfsim.fitness import MutationMatrix, UpdateRule, finite_difference_jacobian, make_rule
 from wfsim.gaussian import ar1_covariance, compare_residual_moments, rescaled_residuals
 from wfsim.meanfield import (
-    jacobian_at_equilibrium,
     random_pd_on_sum_zero_matrix,
     random_stability_matrix,
     solve_interior_equilibrium,
@@ -51,7 +50,7 @@ from wfsim.meanfield import (
 )
 from wfsim.simplex import round_to_lattice
 
-from conftest import A1, A2, CHI2, neutral_rule
+from conftest import A1, A2, CHI2, jacobian_at_equilibrium, neutral_rule
 
 CONFIG_DIR = Path(wfsim.__file__).parent / "configs"
 
@@ -128,8 +127,10 @@ def test_criterion_03_outcome_proportions_match_benchmarks():
 def test_criterion_04_equilibrium_contraction_suite():
     """Benchmark matrices plus >= 100 generated stability matrices
     (M in {2,3,4}), each at mixing weights {0.1, 0.5, 0.9}: the update
-    map's derivative at the equilibrium contracts sum-zero directions
-    (spectral radius < 1 - 1e-9) and matches finite differences to 1e-5."""
+    map's derivative at the equilibrium, both the closed form and the
+    ``rule.jacobian`` that ``wf meanfield`` writes, contracts sum-zero
+    directions (spectral radius < 1 - 1e-9) and matches finite differences
+    to 1e-5; the two agree on sum-zero directions to 1e-12."""
     rng = np.random.default_rng(2026)
     matrices = [np.asarray(A1, dtype=np.float64),
                 np.asarray(A2, dtype=np.float64)]
@@ -141,15 +142,23 @@ def test_criterion_04_equilibrium_contraction_suite():
         chi = solve_interior_equilibrium(a).vector
         basis = sum_zero_basis(a.shape[0])
         for omega in (0.1, 0.5, 0.9):
-            deriv = jacobian_at_equilibrium(a, omega, chi)
-            radius = spectral_radius_on_sum_zero(deriv)
-            assert radius < 1.0 - 1e-9, (
-                f"radius {radius!r} at omega={omega} for matrix {a.tolist()}"
-            )
-            fd = finite_difference_jacobian(make_rule(a, omega=omega), chi)
-            gap = float(np.abs((deriv - fd) @ basis).max())
-            assert gap <= 1e-5, (
-                f"analytic-vs-FD gap {gap:.2e} at omega={omega} "
+            rule = make_rule(a, omega=omega)
+            closed = jacobian_at_equilibrium(a, omega, chi)
+            analytic = rule.jacobian(chi)
+            fd = finite_difference_jacobian(rule, chi)
+            for name, deriv in (("closed-form", closed), ("rule.jacobian", analytic)):
+                radius = spectral_radius_on_sum_zero(deriv)
+                assert radius < 1.0 - 1e-9, (
+                    f"{name} radius {radius!r} at omega={omega} for matrix {a.tolist()}"
+                )
+                gap = float(np.abs((deriv - fd) @ basis).max())
+                assert gap <= 1e-5, (
+                    f"{name}-vs-FD gap {gap:.2e} at omega={omega} "
+                    f"for matrix {a.tolist()}"
+                )
+            gap = float(np.abs((analytic - closed) @ basis).max())
+            assert gap <= 1e-12, (
+                f"rule.jacobian-vs-closed-form gap {gap:.2e} at omega={omega} "
                 f"for matrix {a.tolist()}"
             )
 

@@ -34,7 +34,6 @@ from wfsim.errors import (
 )
 from wfsim.fitness import (
     MutationMatrix,
-    TabulatedFitness,
     UpdateRule,
     make_rule,
     sampling_probs,
@@ -59,6 +58,15 @@ def constant_vertex_rule(m: int):
     theta = np.zeros((m, m))
     theta[:, 0] = 1.0
     return UpdateRule(neutral_rule(m).fitness, MutationMatrix(theta))
+
+
+def count_rows(update_probs, record):
+    """``update_probs`` that first hands the profiles it maps, as rows, to
+    ``record``."""
+    def counted(xs):
+        record(np.atleast_2d(xs))
+        return update_probs(xs)
+    return counted
 
 
 def mixing_rule(base, u: float = 0.05):
@@ -140,11 +148,11 @@ class TestStepSample:
         np.testing.assert_array_equal(full, np.array(reference))
 
     def test_law_is_computed_once_per_distinct_state(self):
-        # neutral, no mutation: the callback sees each state's counts / 60;
-        # the 1,891-state lattice takes several boxes of at most 225 states
-        calls = []
-        rule = UpdateRule(TabulatedFitness(
-            lambda x: calls.append(tuple(np.rint(60 * x).astype(int))) or np.ones(3), 3))
+        # neutral, no mutation: the map sees each state's counts / 60; the
+        # 1,891-state lattice takes several boxes of at most 225 states
+        calls, rule = [], neutral_rule(3)
+        rule.update_probs = count_rows(rule.update_probs, lambda rows: calls.extend(
+            map(tuple, np.rint(60 * rows).astype(int).tolist())))
         path = sample_path(rule, LatticePoint([20, 20, 20], 60), 500,
                            np.random.default_rng(3))
         visited = {tuple(row) for row in path[:-1].tolist()}
@@ -179,9 +187,10 @@ class TestStepSample:
 
     def test_full_memo_computes_one_state_per_miss(self, monkeypatch):
         # the start's box fills the memo: every later miss outside that box
-        # calls the callback once, however often the state recurs
-        calls = []
-        rule = UpdateRule(TabulatedFitness(lambda x: calls.append(1) or np.ones(3), 3))
+        # maps one profile, however often the state recurs
+        calls, rule = [], neutral_rule(3)
+        rule.update_probs = count_rows(rule.update_probs,
+                                       lambda rows: calls.extend([1] * len(rows)))
         x0, steps = LatticePoint([20, 20, 20], 60), 500
         monkeypatch.setattr(chain, "LAW_MEMO", 2)
         path = sample_path(rule, x0, steps, np.random.default_rng(3))
@@ -677,8 +686,3 @@ class TestDrift:
     def test_indefinite_form_rejected(self, rule_two):
         with pytest.raises(PreconditionError):
             quadratic_form_drift(rule_two, 4)
-
-    def test_rule_without_a_payoff_matrix_rejected(self):
-        rule = UpdateRule(TabulatedFitness(lambda x: 1.0 + x, m=2))
-        with pytest.raises(PreconditionError, match="payoff-driven"):
-            quadratic_form_drift(rule, 4)

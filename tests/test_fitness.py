@@ -9,7 +9,6 @@ import pytest
 
 from wfsim.errors import (
     ConfigError,
-    DegenerateFitness,
     DimensionMismatch,
     NumericRangeError,
 )
@@ -18,7 +17,6 @@ from wfsim.fitness import (
     LinearFractionalFitness,
     MutationMatrix,
     PayoffMatrix,
-    TabulatedFitness,
     UpdateRule,
     finite_difference_jacobian,
     make_rule,
@@ -113,18 +111,6 @@ class TestExponential:
     def test_beta_zero_rejected(self):
         with pytest.raises(ConfigError):
             ExponentialFitness(PayoffMatrix(A_TWO), beta=0.0)
-
-
-class TestTabulated:
-    def test_wraps_callable(self):
-        model = TabulatedFitness(lambda x: x + 1.0, m=3)
-        x = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(model.values(x), x + 1.0)
-
-    def test_negative_output_rejected(self):
-        model = TabulatedFitness(lambda x: x - 1.0, m=2)
-        with pytest.raises(DegenerateFitness):
-            model.values(np.array([0.5, 0.5]))
 
 
 # ----------------------------------------------------------------------
@@ -286,8 +272,7 @@ class TestJacobian:
             d_fd = finite_difference_jacobian(rule, x)
             assert np.max(np.abs(d - d_fd)) < 1e-6
 
-    @pytest.mark.parametrize("kind", ["linear-fractional", "exponential", "mutation",
-                                      "tabulated"])
+    @pytest.mark.parametrize("kind", ["linear-fractional", "exponential", "mutation"])
     def test_batched_differences_match_a_column_loop(self, kind):
         # the 2M perturbed points go through the map as one batch; each
         # column must keep the bits of two profile calls, and each matrix

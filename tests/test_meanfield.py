@@ -6,19 +6,13 @@ import numpy as np
 import pytest
 
 from wfsim.errors import NoInteriorEquilibrium, PreconditionError
-from wfsim.fitness import (
-    TabulatedFitness,
-    UpdateRule,
-    finite_difference_jacobian,
-    make_rule,
-)
+from wfsim.fitness import finite_difference_jacobian, make_rule
 from wfsim.meanfield import (
     build_meanfield_report,
     check_permanence,
     check_stability_assumptions,
     is_positive_definite_on_sum_zero,
     iterate,
-    jacobian_at_equilibrium,
     random_pd_on_sum_zero_matrix,
     random_stability_matrix,
     solve_interior_equilibrium,
@@ -26,7 +20,7 @@ from wfsim.meanfield import (
     sum_zero_basis,
 )
 
-from conftest import A1, A2, CHI1, CHI2, A_TWO, NON_SYMMETRIC
+from conftest import A1, A2, CHI1, CHI2, A_TWO, NON_SYMMETRIC, jacobian_at_equilibrium
 
 
 # ----------------------------------------------------------------------
@@ -225,11 +219,6 @@ class TestPermanence:
     def test_asymmetric_matrix_rejected(self, rule_two):
         with pytest.raises(PreconditionError):
             check_permanence(make_rule([[2.0, 2.0], [1.0, 1.0]], omega=0.5))
-
-    def test_rule_without_a_payoff_matrix_rejected(self):
-        rule = UpdateRule(TabulatedFitness(lambda x: 1.0 + x, m=2))
-        with pytest.raises(PreconditionError, match="payoff-driven"):
-            check_permanence(rule)
 
 
 # ----------------------------------------------------------------------
