@@ -3,12 +3,12 @@
 One generation draws the next composition from a multinomial whose cell
 probabilities are the expected-update image of the current composition.
 This module provides trajectory sampling, fully enumerated transition
-matrices for small populations (with state/entry caps), structural
-classification of states (recurrent classes and their periods,
-transient), face-closure checks for recurrent classes, quasi-stationary
-distributions of the interior restriction, and the exact one-step drift
-of a batch function at every state (the check of the maximization
-principle).
+matrices for small populations (with a state cap and a byte cap on each
+kernel block), structural classification of states (recurrent classes
+and their periods, transient), face-closure checks for recurrent
+classes, quasi-stationary distributions of the interior restriction,
+and the exact one-step drift of a batch function at every state (the
+check of the maximization principle).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    DomainError,
     PreconditionError,
     ReducibleInterior,
     ResourceLimitExceeded,
@@ -31,13 +30,7 @@ from .errors import (
 )
 from .fitness import UpdateRule, sampling_probs
 from .meanfield import is_positive_definite_on_sum_zero
-from .simplex import (
-    PAIR_CAP,
-    LatticePoint,
-    SupportSet,
-    lattice_counts,
-    lattice_size,
-)
+from .simplex import LatticePoint, SupportSet, lattice_counts
 
 
 #: Distinct states whose law one sample_path call keeps (~250 B each at M=3);
@@ -52,8 +45,14 @@ LAW_BOX = 256
 #: Power-iteration steps a QSD solve may take before it gives up.
 QSD_MAX_ITER = 200_000
 
-#: Kernel rows assembled at a time: one (KERNEL_BLOCK, S) float64 buffer.
-KERNEL_BLOCK = 256
+#: Kernel rows assembled at a time: one (KERNEL_BLOCK, S) float64 buffer,
+#: 0.6 MiB at N=70.  Blocks of a few rows are not bit-identical to the
+#: whole-matrix product (BLAS takes another kernel for them).
+KERNEL_BLOCK = 32
+
+#: Bytes a kernel block (rows x cols float64) may take; a larger one is
+#: refused before anything is allocated.
+BLOCK_BYTE_CAP = 80_000_000
 
 
 @cache
@@ -78,18 +77,20 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
 
     Returns an integer array of shape (k+1, M) where k <= steps; the last
     row is the first state satisfying ``stop`` (row 0 when ``x0`` does).
-    Laws ``sampling_probs(rule, counts / n)`` are memoised per state.  A
-    miss at counts c computes, in one batched call, the law of every
-    lattice state c + d not yet memoised (``_box_offsets``, clipped to
-    counts >= 0) and keeps them all; a batch row has the bits of the
-    profile call, so the path is that of a per-state loop.  If that call
-    raises a ``WfsimError`` (the box reached a state where the map is
-    undefined), or once the memo holds ``LAW_MEMO`` states, the miss
-    computes c alone, so the path raises exactly where a per-state loop
-    would.  ``rule`` must therefore be a pure function of the profile:
-    every ``make_rule`` rule is.  Without ``stop`` every row is written, so
-    the path is allocated at once; with ``stop`` it grows geometrically, so
-    a run that stops early costs only the rows it reached.
+    Laws ``sampling_probs(rule, counts / n)`` are memoised per state.  The
+    first miss (the start, unless it stops) computes its state alone, so a
+    short path pays for no box.  Every later miss at counts c computes, in
+    one batched call, the law of every lattice state c + d not yet
+    memoised (``_box_offsets``, clipped to counts >= 0) and keeps them
+    all; a batch row has the bits of the profile call, so the path is that
+    of a per-state loop.  If that call raises a ``WfsimError`` (the box
+    reached a state where the map is undefined), or once the memo holds
+    ``LAW_MEMO`` states, the miss computes c alone, so the path raises
+    exactly where a per-state loop would.  ``rule`` must therefore be a
+    pure function of the profile: every ``make_rule`` rule is.  Without
+    ``stop`` every row is written, so the path is allocated at once; with
+    ``stop`` it grows geometrically, so a run that stops early costs only
+    the rows it reached.
     """
     n, laws = x0.n, {}                 # counts.tobytes() -> law
     offsets = _box_offsets(x0.m)
@@ -113,8 +114,9 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
 def _memo_miss(rule: UpdateRule, counts: np.ndarray, n: int,
                offsets: np.ndarray, laws: dict) -> np.ndarray:
     """The law at ``counts``, after memoising the laws of its box in
-    ``laws`` (only ``counts`` when the memo is full or the box raises)."""
-    if len(laws) < LAW_MEMO:
+    ``laws`` (only ``counts`` when the memo is empty or full, or the box
+    raises)."""
+    if 0 < len(laws) < LAW_MEMO:
         box = counts + offsets
         box = box[box.min(axis=1) >= 0]
         keys = [row.tobytes() for row in box]
@@ -164,17 +166,6 @@ class ExactChain:
         return kernel_block(self, np.arange(self.n_states))
 
     @cached_property
-    def _index(self) -> dict:
-        return {tuple(row): i for i, row in enumerate(self.states.tolist())}
-
-    def state_index(self, counts) -> int:
-        key = tuple(int(c) for c in np.asarray(counts).ravel())
-        try:
-            return self._index[key]
-        except KeyError:
-            raise DomainError(f"{key} is not a composition of size {self.n}") from None
-
-    @cached_property
     def _classification(self) -> tuple[np.ndarray, list, list, np.ndarray]:
         return classify_states(self.matrix > 0)
 
@@ -203,29 +194,18 @@ class ExactChain:
 
 
 def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
-    """Enumerate every composition of size ``n``; the dense transition
-    matrix is assembled when ``matrix`` is first read.
-
-    Refuses (rather than subsampling) when the state count exceeds the
-    state cap or the matrix would exceed the entry cap.
-    """
-    m = rule.m
-    size = lattice_size(m, n)
-    # the entry cap binds first (at 3,163 states): raising the state cap
-    # cannot help past it
-    if size * size > PAIR_CAP:
-        raise ResourceLimitExceeded(
-            f"dense matrix would have {size * size} entries "
-            f"(cap {PAIR_CAP}); reduce N or M"
-        )
-    return ExactChain(rule, n, lattice_counts(m, n))
+    """Enumerate every composition of size ``n`` (refused past the state
+    cap); the dense transition matrix is assembled when ``matrix`` is
+    first read, under ``kernel_block``'s byte cap."""
+    return ExactChain(rule, n, lattice_counts(rule.m, n))
 
 
 def kernel_block(chain: ExactChain, rows: np.ndarray,
                  cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Transition probabilities from the states ``rows`` to the states
     ``cols`` (index arrays; None for every state, in order, without a
-    column copy), assembled ``KERNEL_BLOCK`` rows at a time.
+    column copy), assembled ``KERNEL_BLOCK`` rows at a time.  Refuses,
+    before allocating, a block of more than ``BLOCK_BYTE_CAP`` bytes.
 
     Row i is the multinomial law of sampling_probs at state i, normalised
     over all S destinations j before the columns are kept:
@@ -233,10 +213,16 @@ def kernel_block(chain: ExactChain, rows: np.ndarray,
     log 0 keeps 0 * log 0 at 0 and sends every s_jk > 0 entry to exactly 0.
     """
     states, n = chain.states, chain.n
+    shape = (rows.size, len(states) if cols is None else cols.size)
+    if shape[0] * shape[1] * 8 > BLOCK_BYTE_CAP:
+        raise ResourceLimitExceeded(
+            f"kernel block {shape} would take {shape[0] * shape[1] * 8} bytes "
+            f"(cap {BLOCK_BYTE_CAP}); reduce N or M"
+        )
     dest = states.T.astype(np.float64)
     log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
     log_count = log_factorial[n] - log_factorial[states].sum(axis=1)
-    out = np.empty((rows.size, len(states) if cols is None else cols.size))
+    out = np.empty(shape)
     for lo in range(0, rows.size, KERNEL_BLOCK):
         p = sampling_probs(chain.rule, states[rows[lo: lo + KERNEL_BLOCK]] / n)
         law = np.log(p, out=np.full_like(p, -1e300), where=p > 0) @ dest

@@ -24,9 +24,6 @@ from .errors import DimensionMismatch, InvalidNormalization, ResourceLimitExceed
 #: enumerate.
 STATE_CAP = 200_000
 
-#: Cap on (state x successor) pairs for dense exhaustive computations.
-PAIR_CAP = 10_000_000
-
 
 @dataclass(frozen=True)
 class SupportSet:

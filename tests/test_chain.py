@@ -60,6 +60,12 @@ def constant_vertex_rule(m: int):
     return UpdateRule(neutral_rule(m).fitness, MutationMatrix(theta))
 
 
+def state_at(chain, counts) -> int:
+    """Index of the composition ``counts`` among ``chain.states``."""
+    (index,) = np.flatnonzero((chain.states == counts).all(axis=1))
+    return int(index)
+
+
 def count_rows(update_probs, record):
     """``update_probs`` that first hands the profiles it maps, as rows, to
     ``record``."""
@@ -186,19 +192,22 @@ class TestStepSample:
             sample_path(rule, x0, 50, np.random.default_rng(1)), reference)
 
     def test_full_memo_computes_one_state_per_miss(self, monkeypatch):
-        # the start's box fills the memo: every later miss outside that box
-        # maps one profile, however often the state recurs
+        # the start is computed alone and the second miss's box fills the
+        # memo: every later miss outside those maps one profile, however
+        # often the state recurs
         calls, rule = [], neutral_rule(3)
         rule.update_probs = count_rows(rule.update_probs,
                                        lambda rows: calls.extend([1] * len(rows)))
         x0, steps = LatticePoint([20, 20, 20], 60), 500
         monkeypatch.setattr(chain, "LAW_MEMO", 2)
         path = sample_path(rule, x0, steps, np.random.default_rng(3))
-        box = {tuple(row) for row in (x0.counts + chain._box_offsets(3)).tolist()
-               if min(row) >= 0}
-        misses = [row for row in path[:-1].tolist() if tuple(row) not in box]
-        assert len(misses) > len({tuple(row) for row in misses})   # states recur
-        assert len(calls) == len(box) + len(misses)
+        visited = [tuple(row) for row in path[:-1].tolist()]
+        second = next(row for row in visited if row != tuple(x0.counts))
+        box = {tuple(row) for row in (np.array(second) + chain._box_offsets(3)).tolist()
+               if min(row) >= 0} - {tuple(x0.counts)}
+        misses = [row for row in visited[1:] if row != tuple(x0.counts) and row not in box]
+        assert len(misses) > len(set(misses))                     # states recur
+        assert len(calls) == 1 + len(box) + len(misses)
 
     def test_start_that_already_stops_is_one_row(self, rule_a2):
         path = sample_path(rule_a2, LatticePoint([480, 10, 10], 500), 100,
@@ -216,15 +225,15 @@ class TestTransitionProbs:
 
     def test_two_type_hand_values(self):
         chain = build_exact_chain(neutral_rule(2), 2)
-        row = chain.matrix[chain.state_index([1, 1])]
-        assert row[chain.state_index([2, 0])] == pytest.approx(0.25)
-        assert row[chain.state_index([1, 1])] == pytest.approx(0.5)
+        row = chain.matrix[state_at(chain, (1, 1))]
+        assert row[state_at(chain, (2, 0))] == pytest.approx(0.25)
+        assert row[state_at(chain, (1, 1))] == pytest.approx(0.5)
 
     def test_unreachable_when_image_coordinate_vanishes(self, rule_a2):
         chain = build_exact_chain(rule_a2, 6)
-        row = chain.matrix[chain.state_index([6, 0, 0])]
-        assert row[chain.state_index([5, 1, 0])] == 0.0
-        assert row[chain.state_index([6, 0, 0])] == 1.0
+        row = chain.matrix[state_at(chain, (6, 0, 0))]
+        assert row[state_at(chain, (5, 1, 0))] == 0.0
+        assert row[state_at(chain, (6, 0, 0))] == 1.0
 
     @pytest.mark.parametrize("rule", KERNEL_RULES, ids=KERNEL_RULE_IDS)
     def test_rows_sum_to_one_exhaustively(self, rule):
@@ -294,6 +303,26 @@ class TestKernelBlock:
             gap = np.abs(got - want)
             assert np.all(gap <= 1e-12 * want), (gap / np.maximum(want, 1e-300)).max()
 
+    def test_byte_cap_refuses_before_allocating(self, rule_a2, monkeypatch):
+        exact = build_exact_chain(rule_a2, 30)
+        idx = exact.interior_indices()
+        want = kernel_block(exact, idx, idx)
+        nbytes = idx.size * idx.size * 8                  # 406 interior states
+        monkeypatch.setattr(chain, "BLOCK_BYTE_CAP", nbytes - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitExceeded) as info:
+                kernel_block(exact, idx, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 100
+        assert f"kernel block (406, 406) would take {nbytes} bytes" in str(info.value)
+        assert f"cap {nbytes - 1}" in str(info.value)
+        # a block of exactly the cap is built
+        monkeypatch.setattr(chain, "BLOCK_BYTE_CAP", nbytes)
+        np.testing.assert_array_equal(kernel_block(exact, idx, idx), want)
+
     def test_rows_and_columns_in_any_order(self, rule_a2):
         exact = build_exact_chain(rule_a2, 12)
         rows, cols = np.array([40, 3, 77, 3]), np.array([90, 0, 12])
@@ -317,7 +346,7 @@ class TestExactChain:
         assert all(p == 1 for p in chain.periods)
         assert len(chain.transient) == 25
         # each vertex is absorbing: a singleton class that keeps all its mass
-        vertex = chain.state_index((6, 0, 0))
+        vertex = state_at(chain, (6, 0, 0))
         assert any(cls.tolist() == [vertex] for cls in chain.recurrent_classes)
         assert chain.matrix[vertex, vertex] == 1.0
 
@@ -349,14 +378,17 @@ class TestExactChain:
         chain = build_exact_chain(rule_a2, 6)
         np.testing.assert_allclose(chain.matrix.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_entry_cap_is_named_before_the_state_cap(self, rule_a2):
-        # 246,051 states: past both caps, but only the entry cap's advice helps
-        with pytest.raises(ResourceLimitExceeded, match="entries") as info:
+    def test_build_refuses_only_past_the_state_cap(self, rule_a2):
+        # 246,051 states: past the state cap, the one cap enumeration has
+        with pytest.raises(ResourceLimitExceeded, match="exceeding the cap of 200000") as info:
             build_exact_chain(rule_a2, 700)
-        message = str(info.value)
-        assert "60541094601 entries" in message          # 246,051 squared
-        assert "cap 10000000" in message
-        assert "exceeding the cap of 200000" not in message
+        assert "246051 states" in str(info.value)
+        # 3,240 states: the full matrix (84 MB) is past the byte cap, but
+        # only a block that is built is refused
+        exact = build_exact_chain(rule_a2, 79)
+        assert exact.n_states == 3240
+        with pytest.raises(ResourceLimitExceeded, match=r"kernel block \(3240, 3240\)"):
+            exact.matrix
 
     def test_states_are_classified_once_and_only_when_read(self, rule_a2, classify_calls):
         exact = build_exact_chain(mixing_rule(rule_a2), 12)

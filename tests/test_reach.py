@@ -1,13 +1,16 @@
-"""Every module-level function and class of the package is reached.
+"""Every module-level function and class of the package, and every
+non-dunder method and property of its classes, is reached.
 
 The roots are what a user or a release check runs: every definition in
 ``wfsim/cli.py``, the names the acceptance criteria and the benchmark
 (``perfbench/*.py``) reference, the README's code spans, and the package's
 own module-level statements (constants, aliases, re-exports).  A definition
 is reached when a root, or the body of a reached definition, names it as
-a variable, an attribute or an import.  Docstrings and comments do not
-count.  Code that only its own unit tests call fails this test: give it a
-caller or delete it.
+a variable, an attribute or an import.  A class's body counts without its
+non-dunder methods and properties: each of those is a definition of its
+own, reached by its name.  Docstrings and comments do not count.  Code
+that only its own unit tests call fails this test: give it a caller or
+delete it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wfsim"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def referenced(tree: ast.AST) -> set[str]:
@@ -41,12 +45,19 @@ def test_every_definition_is_reached():
         roots |= referenced(ast.parse(path.read_text()))
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.setdefault(node.name, []).append((path.stem, node))
-                if path.stem == "cli":
-                    roots.add(node.name)
-            else:
+            if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
                 roots |= referenced(node)
+                continue
+            found = [(path.stem, node)]
+            if isinstance(node, ast.ClassDef):
+                members = [item for item in node.body if isinstance(item, FUNCTIONS)
+                           and not (item.name.startswith("__") and item.name.endswith("__"))]
+                node.body = [item for item in node.body if item not in members]
+                found += [(f"{path.stem}.{node.name}", item) for item in members]
+            for module, definition in found:
+                definitions.setdefault(definition.name, []).append((module, definition))
+                if path.stem == "cli":
+                    roots.add(definition.name)
     reached, todo = set(roots), list(roots)
     while todo:
         for _, node in definitions.get(todo.pop(), []):
