@@ -14,12 +14,11 @@ Exit codes: 0 success, 1 config error, 2 precondition or numeric error.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import click
@@ -34,13 +33,13 @@ from .deviation import (
     simulate_deviations,
 )
 from .config import COMMANDS, resolve, rule_keywords
-from .errors import ConfigError, WfsimError
+from .errors import ConfigError, PreconditionError, WfsimError
 from .extinction import ExperimentSpec, run_experiment
 from .fitness import make_rule, rng_stream
 from .meanfield import build_meanfield_report, solve_interior_equilibrium
 from .simplex import round_to_lattice
 
-#: Rows of an integer table formatted at a time by ``_int_csv_bytes``.
+#: Rows of a table formatted at a time by ``_csv_bytes``.
 CSV_CHUNK = 4096
 
 
@@ -69,22 +68,23 @@ def _json_bytes(obj) -> bytes:
 
 
 def _csv_bytes(header, rows) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().encode()
+    """Every CSV output: ``header``, then ``rows`` (a 2-D array or an iterable
+    of rows), ``CSV_CHUNK`` rows per %-format.  Fields are written by ``%s``,
+    floats by repr; none needs quoting.  One chunk at a time is flattened,
+    or pulled from an iterable, and it is freed once formatted."""
+    width = len(header)
+    line = ",".join(["%s"] * width) + "\n"
 
+    def text(flat):
+        return line * (len(flat) // width) % tuple(flat)
 
-def _int_csv_bytes(header, table: np.ndarray) -> bytes:
-    """``_csv_bytes(header, table.tolist())`` for an integer table, formatted
-    ``CSV_CHUNK`` rows at a time with one %-format each."""
-    line = ",".join(["%d"] * table.shape[1]) + "\n"
-    parts = [",".join(header) + "\n"]
-    for lo in range(0, len(table), CSV_CHUNK):
-        chunk = table[lo: lo + CSV_CHUNK]
-        parts.append(line * len(chunk) % tuple(chunk.ravel().tolist()))
-    return "".join(parts).encode()
+    if isinstance(rows, np.ndarray):
+        body = (text(rows[lo: lo + CSV_CHUNK].ravel().tolist())
+                for lo in range(0, len(rows), CSV_CHUNK))
+    else:
+        rows = iter(rows)
+        body = iter(lambda: text([v for row in islice(rows, CSV_CHUNK) for v in row]), "")
+    return "".join([",".join(header) + "\n", *body]).encode()
 
 
 def _write_outputs(out_dir: Path, command: str, resolved_config: dict,
@@ -191,7 +191,7 @@ def _run_simulate(cfg: dict, rule, threads: int):
     table = np.column_stack([kept, path[kept]])
     extras = {"stopped_at": stopped_at,
               "censored": bool(threshold is not None and stopped_at is None)}
-    return {"trajectory.csv": _int_csv_bytes(header, table)}, extras
+    return {"trajectory.csv": _csv_bytes(header, table)}, extras
 
 
 @_command("extinction")
@@ -203,10 +203,9 @@ def _run_extinction(cfg: dict, rule, threads: int):
         "trials.csv": _csv_bytes(result.TRIAL_COLUMNS, result.trial_rows()),
         "histogram.csv": _csv_bytes(
             ["bin_left", "bin_right", "count"],
-            [(repr(float(l)), repr(float(r)), int(c))
-             for l, r, c in zip(result.histogram_edges[:-1],
-                                result.histogram_edges[1:],
-                                result.histogram_counts)],
+            zip(result.histogram_edges[:-1].tolist(),
+                result.histogram_edges[1:].tolist(),
+                result.histogram_counts.tolist()),
         ),
     }
     return outputs, {"censored_total": int(result.censored.sum())}
@@ -238,41 +237,48 @@ def _run_bounds(cfg: dict, rule, threads: int):
     """Decoupling-time tail bounds versus empirical frequencies."""
     if "initial" not in cfg:
         # the default start, recorded in the manifest: the interior equilibrium
-        cfg["initial"] = solve_interior_equilibrium(cfg["matrix"]).vector.tolist()
+        eq = solve_interior_equilibrium(cfg["matrix"])
+        if not eq.is_interior:
+            raise PreconditionError(
+                f"the equal-payoff profile {np.round(eq.vector, 6).tolist()} is not "
+                "interior, so there is no default start: give initial")
+        cfg["initial"] = eq.vector.tolist()
     n_values = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
     lip = estimate_lipschitz(rule, cfg["lipschitz_samples"], rng_stream(cfg["seed"], 0))
     rho = cfg["safety"] * lip.value
-
-    # one CSV line per bound_table row, with the fields csv.writer would
-    # write (floats by repr); the lines are joined and encoded once
-    lines = ["N,epsilon,K,exceed_count,replicates,empirical_prob,"
-             "wilson_upper_99,bound,consistent\n"]
     expectation = []
-    for idx, n in enumerate(n_values):
-        x0 = round_to_lattice(cfg["initial"], n)
-        ens = simulate_deviations(rule, x0, cfg["horizon"], cfg["replicates"],
-                                  rng_stream(cfg["seed"], idx + 1))
-        for eps in cfg["epsilons"]:
-            lines.extend(f"{row.n},{row.epsilon},{row.horizon},{row.exceed_count},"
-                         f"{row.replicates},{row.empirical!r},{row.wilson_upper!r},"
-                         f"{row.bound!r},{int(row.consistent)}\n"
-                         for row in bound_table(ens, eps, rho, rule.m))
-            entry = {"N": n, "epsilon": eps,
-                     "censored_mean_tau": ens.censored_mean(eps)}
-            if rho < 1.0:
-                b = expected_decoupling_lower_bound(eps, n, rule.m, rho)
-                entry.update({"expectation_bound": b.value,
-                              "applicable": b.applicable})
-            else:
-                entry.update({"expectation_bound": None, "applicable": False})
-            expectation.append(entry)
-        # free this N's records before the next N's are simulated
-        del ens
 
+    def rows():
+        # one N's ensemble at a time; each epsilon's rows go to the writer as
+        # they are tabulated, and its expectation entry is appended after them
+        for idx, n in enumerate(n_values):
+            x0 = round_to_lattice(cfg["initial"], n)
+            ens = simulate_deviations(rule, x0, cfg["horizon"], cfg["replicates"],
+                                      rng_stream(cfg["seed"], idx + 1))
+            for eps in cfg["epsilons"]:
+                yield from ((row.n, row.epsilon, row.horizon, row.exceed_count,
+                             row.replicates, row.empirical, row.wilson_upper,
+                             row.bound, int(row.consistent))
+                            for row in bound_table(ens, eps, rho, rule.m))
+                entry = {"N": n, "epsilon": eps,
+                         "censored_mean_tau": ens.censored_mean(eps)}
+                if rho < 1.0:
+                    b = expected_decoupling_lower_bound(eps, n, rule.m, rho)
+                    entry.update({"expectation_bound": b.value,
+                                  "applicable": b.applicable})
+                else:
+                    entry.update({"expectation_bound": None, "applicable": False})
+                expectation.append(entry)
+            # free this N's records before the next N's are simulated
+            del ens
+
+    table = _csv_bytes(["N", "epsilon", "K", "exceed_count", "replicates",
+                        "empirical_prob", "wilson_upper_99", "bound", "consistent"],
+                       rows())
     summary = {"lipschitz_estimate": lip.value, "rho_used": rho,
                "pair_max": lip.pair_max, "jacobian_max": lip.jacobian_max,
                "expectation": expectation}
-    outputs = {"bounds.csv": "".join(lines).encode(),
+    outputs = {"bounds.csv": table,
                "bounds_summary.json": _json_bytes(summary)}
     return outputs, None
 

@@ -105,7 +105,7 @@ def _window(name, v, m):
 #: canonical form.  A ``None`` default leaves an absent field out of the
 #: resolved config; a callable one is a function of ``m``.
 FIELDS = {
-    # the update rule: the keywords of make_rule; omega_ratio resolves to omega
+    # the update rule: the keywords of make_rule once omega_ratio resolves to omega
     "matrix": (_list(_list(_number(lambda v: True, ""), per_type=True), per_type=True),
                REQUIRED),
     "omega": (_number(lambda v: 0 < v < 1, "in (0, 1)"), None),

@@ -127,7 +127,7 @@ def _lockstep(rule: UpdateRule, x0: LatticePoint, rng, threshold: float,
     for j, (k, t) in enumerate(zip(stop.tolist(), t_star.tolist())):
         ties = np.flatnonzero(final[j] == final[j].min())
         out = TrialOutcome(k, bool(censored[j]), int(ties[0]), ties.size > 1)
-        early = not 1 <= t <= k
+        early = t > k
         outs.append(finish(out, final[j], before[j] if early else sampled[j],
                            max(k - 1, 0) if early else t, early))
     return outs[0] if isinstance(rng, np.random.Generator) else outs

@@ -140,14 +140,6 @@ class LinearFractionalFitness(FitnessModel):
         self._b_part = (1.0 - self.omega) * self.b
         self._wa = self.omega * payoff.entries
 
-    @classmethod
-    def from_ratio(cls, payoff: PayoffMatrix, omega_ratio: float,
-                   b: Iterable[float] | None = None) -> "LinearFractionalFitness":
-        """Construct from the odds form ``omega / (1 - omega)``."""
-        if omega_ratio <= 0:
-            raise ConfigError("omega ratio must be positive")
-        return cls(payoff, omega_ratio / (1.0 + omega_ratio), b)
-
     def values(self, x: np.ndarray) -> np.ndarray:
         return self._b_part + self._wa @ x
 
@@ -314,35 +306,28 @@ def finite_difference_jacobian(rule: UpdateRule, xs: np.ndarray,
     return ((images[..., :m, :] - images[..., m:, :]) / (2.0 * step)).swapaxes(-1, -2).copy()
 
 
-def make_rule(matrix, *, omega: float | None = None,
-              omega_ratio: float | None = None, b=None,
+def make_rule(matrix, *, omega: float | None = None, b=None,
               fitness: str = "linear_fractional", beta: float | None = None,
               mutation=None) -> UpdateRule:
-    """Build an update rule from plain (JSON-friendly) parameters.
-
-    The mixing weight may be given directly (``omega``) or in odds form
-    (``omega_ratio`` = omega / (1 - omega)), but not both.  A parameter
-    of the other fitness family (``beta``; ``omega``, ``omega_ratio``,
-    ``b``) is a config error.
+    """Build an update rule from plain (JSON-friendly) parameters, such as
+    the keywords of a resolved config (which has turned ``omega_ratio``
+    into ``omega``).  A parameter of the other fitness family (``beta``;
+    ``omega``, ``b``) is a config error.
     """
     payoff = PayoffMatrix(matrix)
     mut = MutationMatrix(mutation) if mutation is not None else None
     if fitness == "linear_fractional":
         if beta is not None:
             raise ConfigError("beta does not apply to linear-fractional fitness")
-        if (omega is None) == (omega_ratio is None):
+        if omega is None:
             raise ConfigError(
                 "linear-fractional fitness needs exactly one of omega, omega_ratio"
             )
-        if omega is None:
-            model: FitnessModel = LinearFractionalFitness.from_ratio(
-                payoff, omega_ratio, b)
-        else:
-            model = LinearFractionalFitness(payoff, omega, b)
+        model: FitnessModel = LinearFractionalFitness(payoff, omega, b)
     elif fitness == "exponential":
         if beta is None:
             raise ConfigError("exponential fitness needs beta")
-        if omega is not None or omega_ratio is not None or b is not None:
+        if omega is not None or b is not None:
             raise ConfigError("omega/b do not apply to exponential fitness")
         model = ExponentialFitness(payoff, beta)
     else:

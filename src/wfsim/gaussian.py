@@ -13,7 +13,6 @@ rescales simulated trajectories for empirical comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -37,29 +36,18 @@ def noise_covariance(p) -> np.ndarray:
     return np.diag(vec) - np.outer(vec, vec)
 
 
-def ar1_covariance(orbit: Orbit, stationary: bool = False,
-                   steps: Optional[int] = None) -> np.ndarray:
+def ar1_covariance(orbit: Orbit) -> np.ndarray:
     """Exact second moments of the linear recursion: V_{k+1} = D V_k D' + S_k,
     from V_0 = 0 (a deterministic start), with D the update-map derivative
-    at orbit point k and S the noise covariance of orbit point k+1.  With
-    ``stationary`` both are frozen at the final orbit point, and ``steps``
-    may exceed the orbit length.  Returns an array of shape (steps+1, M, M).
+    at orbit point k and S the noise covariance of orbit point k+1.  Returns
+    an array of shape (len(orbit), M, M).
     """
     rule, m = orbit.rule, orbit.m
-    if steps is None:
-        steps = len(orbit) - 1
-    if stationary:
-        point = orbit.final
-        coeffs = [(rule.jacobian(point), noise_covariance(rule.update_probs(point)))] * steps
-    elif steps > len(orbit) - 1:
-        raise PreconditionError("orbit is shorter than the requested horizon")
-    else:
-        coeffs = [(rule.jacobian(orbit.states[k]), noise_covariance(orbit.states[k + 1]))
-                  for k in range(steps)]
-    out = np.empty((steps + 1, m, m))
+    out = np.empty((len(orbit), m, m))
     out[0] = 0.0
-    for k, (d, sig) in enumerate(coeffs):
-        out[k + 1] = d @ out[k] @ d.T + sig
+    for k in range(len(orbit) - 1):
+        d = rule.jacobian(orbit.states[k])
+        out[k + 1] = d @ out[k] @ d.T + noise_covariance(orbit.states[k + 1])
     return out
 
 

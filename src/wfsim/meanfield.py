@@ -72,10 +72,6 @@ class Orbit:
     def m(self) -> int:
         return self.states.shape[1]
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def iterate(rule: UpdateRule, x0, steps: int) -> Orbit:
     """Iterate the update map ``steps`` times from ``x0``."""

@@ -25,7 +25,7 @@ NON_SYMMETRIC = [[1.0, 3.0, 2.0], [2.0, 1.0, 3.0], [3.0, 2.0, 1.5]]
 
 @pytest.fixture(scope="session")
 def rule_a1():
-    return make_rule(A1, omega_ratio=1e-3)
+    return make_rule(A1, omega=1e-3 / (1.0 + 1e-3))
 
 
 @pytest.fixture(scope="session")

@@ -45,7 +45,7 @@ from conftest import A1, A2, neutral_rule, rule_of_kind
 
 #: Rules whose exact-chain rows are compared with scipy's multinomial law.
 KERNEL_RULES = [
-    make_rule(A1, omega_ratio=1e-3),
+    make_rule(A1, omega=1e-3 / (1.0 + 1e-3)),
     make_rule(A2, omega=0.5, mutation=[[0.9, 0.1, 0.0], [0.0, 0.9, 0.1],
                                        [0.1, 0.0, 0.9]]),
     make_rule(A2, fitness="exponential", beta=0.3),

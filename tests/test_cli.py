@@ -43,6 +43,11 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def config_path(tmp_path, cfg):
+    """A shipped config's path, or a config mapping written to a file."""
+    return str(cfg) if isinstance(cfg, Path) else write_config(tmp_path, "cfg.json", cfg)
+
+
 def run_ok(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output + result.stderr
@@ -336,12 +341,20 @@ class TestSimulate:
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_csv_chunks_leave_the_bytes(self, runner, tmp_path, monkeypatch, chunk):
+        # every CSV table goes through one chunked writer: a pinned run of
+        # each command that writes one keeps its digests at any chunk size
         monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
         cfg, digest = self.PINNED["threshold-stride-7"]
-        path = write_config(tmp_path, "sim.json", cfg)
-        out = tmp_path / "out"
-        run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
-        assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == digest
+        runs = [("simulate", cfg, [], {"trajectory.csv": digest}),
+                *(("extinction", *case) for case in TestExtinction.PINNED),
+                ("bounds", TestBounds.PINNED[0], [], TestBounds.PINNED[1])]
+        for k, (command, cfg, args, digests) in enumerate(runs):
+            out = tmp_path / f"out{k}"
+            run_ok(runner, [command, "--config", config_path(tmp_path, cfg), *args,
+                            "--out", str(out)])
+            for name, digest in digests.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+                    digest, (command, name)
 
     def test_stopped_run_allocates_only_the_rows_it_reaches(self, runner, tmp_path):
         # this run stops at step 2188: a 10**10-step budget must not
@@ -447,35 +460,35 @@ class TestExtinction:
         assert (out1 / "trials.csv").read_bytes() != \
             (out2 / "trials.csv").read_bytes()
 
+    #: (config, extra arguments, SHA-256 of each output), recorded before
+    #: simplex points and drift reports became plain arrays: a moved draw,
+    #: stop or distance changes a digest.  The second case is the one
+    #: absorption run through the command.
+    PINNED = [
+        (CONFIG_DIR / "table2_smoke.json", ["--replicates", "20"], {
+            "summary.json":
+                "e63d390a78d47b5e61bc52137ec2ef605e8545dc4c8591d083a75854db936e98",
+            "trials.csv":
+                "941bc926f1d769b465d6c9cbddc19c273a800c9794674100b280564090777210",
+            "histogram.csv":
+                "7995da062a6304a1122ee204c5e8ffa34271b7cc771d0a1a699eb42ba8c03e86",
+        }),
+        ({"matrix": A2, "omega": 0.5, "N": 50, "initials": [CHI2.tolist()],
+          "replicates": 12, "seed": 3, "mode": "absorption"}, [], {
+            "summary.json":
+                "18c428f4e80cb1794aa7333c8652a042cedee73ec7d3f6622157dccadd81fb64",
+            "trials.csv":
+                "e43d592ae49cd711d31a2efb4d2c1a4b6ad0f6eefc29dc5ad8394d8a3aa8e127",
+            "histogram.csv":
+                "21fd133f34f9bf80eb3e3f489f43cb39543bae258477571d489ab36a3f4052ee",
+        }),
+    ]
+
     def test_outputs_are_pinned(self, runner, tmp_path):
-        # SHA-256 recorded before simplex points and drift reports became
-        # plain arrays: a moved draw, stop or distance changes a digest.
-        # The second case is the one absorption run through the command.
-        absorption = write_config(tmp_path, "absorption.json", {
-            "matrix": A2, "omega": 0.5, "N": 50, "initials": [CHI2.tolist()],
-            "replicates": 12, "seed": 3, "mode": "absorption"})
-        cases = [
-            ([str(CONFIG_DIR / "table2_smoke.json"), "--replicates", "20"], {
-                "summary.json":
-                    "e63d390a78d47b5e61bc52137ec2ef605e8545dc4c8591d083a75854db936e98",
-                "trials.csv":
-                    "941bc926f1d769b465d6c9cbddc19c273a800c9794674100b280564090777210",
-                "histogram.csv":
-                    "7995da062a6304a1122ee204c5e8ffa34271b7cc771d0a1a699eb42ba8c03e86",
-            }),
-            ([absorption], {
-                "summary.json":
-                    "18c428f4e80cb1794aa7333c8652a042cedee73ec7d3f6622157dccadd81fb64",
-                "trials.csv":
-                    "e43d592ae49cd711d31a2efb4d2c1a4b6ad0f6eefc29dc5ad8394d8a3aa8e127",
-                "histogram.csv":
-                    "21fd133f34f9bf80eb3e3f489f43cb39543bae258477571d489ab36a3f4052ee",
-            }),
-        ]
-        for k, (args, digests) in enumerate(cases):
+        for k, (cfg, args, digests) in enumerate(self.PINNED):
             out = tmp_path / f"out{k}"
-            run_ok(runner, ["extinction", "--config", *args, "--threads", "2",
-                            "--out", str(out)])
+            run_ok(runner, ["extinction", "--config", config_path(tmp_path, cfg),
+                            *args, "--threads", "2", "--out", str(out)])
             for name, digest in digests.items():
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
                     digest, (k, name)
@@ -615,20 +628,23 @@ class TestBounds:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
 
+    #: (config, SHA-256 of each output), recorded before the finite
+    #: differences were stacked: a moved probe derivative or draw changes
+    #: the Lipschitz estimate or a count, and with it a digest
+    PINNED = (
+        {"matrix": A2, "omega": 0.5, "N": [200, 800], "epsilons": [0.05, 0.1],
+         "horizon": 20, "replicates": 500, "seed": 7, "lipschitz_samples": 50},
+        {"bounds.csv": "a650ddb817e39e7d4510381574c1bac929cb789e379bdfed73e8a9327c48a4fe",
+         "bounds_summary.json":
+             "eda7ad6acbae97476af7d382ff39da8213ff1da8f59f7dfe46af0f610613d6cd"},
+    )
+
     def test_outputs_are_pinned(self, runner, tmp_path):
-        # SHA-256 recorded before the finite differences were stacked: a
-        # moved probe derivative or draw changes the Lipschitz estimate or
-        # a count, and with it a digest
-        cfg = {"matrix": A2, "omega": 0.5, "N": [200, 800], "epsilons": [0.05, 0.1],
-               "horizon": 20, "replicates": 500, "seed": 7, "lipschitz_samples": 50}
+        cfg, digests = self.PINNED
         path = write_config(tmp_path, "b.json", cfg)
         out = tmp_path / "out"
         run_ok(runner, ["bounds", "--config", path, "--out", str(out)])
-        for name, digest in {
-            "bounds.csv": "a650ddb817e39e7d4510381574c1bac929cb789e379bdfed73e8a9327c48a4fe",
-            "bounds_summary.json":
-                "eda7ad6acbae97476af7d382ff39da8213ff1da8f59f7dfe46af0f610613d6cd",
-        }.items():
+        for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_memory_is_flat_in_the_horizon(self):
@@ -660,6 +676,16 @@ class TestBounds:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "missing" in result.stderr
+
+    def test_default_start_off_the_interior_exits_two(self, runner, tmp_path):
+        # the equal-payoff profile of this matrix is (-1, 2): no default start
+        cfg = dict(self.base_config(), matrix=[[3, 1], [2, 0.5]])
+        path = write_config(tmp_path, "b.json", cfg)
+        result = runner.invoke(main, ["bounds", "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "[-1.0, 2.0]" in result.stderr and "initial" in result.stderr
+        assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------------------

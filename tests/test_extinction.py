@@ -94,6 +94,17 @@ class TestRunTrialThreshold:
         assert out.sample_time == 1
         assert 0.0 <= out.d_eq <= math.sqrt(2.0)
 
+    def test_window_starting_at_step_zero_samples_the_start(self, rule_a2):
+        # step 0 lies inside the window and before the stop (at step 19)
+        x0 = round_to_lattice([0.8, 0.1, 0.1], 100)
+        out = run_trial_threshold(rule_a2, x0, trial_rng(1, 0, 0),
+                                  sample_window=(0, 0), equilibrium=CHI2)
+        assert out.stop_time == 19
+        assert not out.early_sample
+        assert out.sample_time == 0
+        assert out.d_eq == float(np.linalg.norm(x0.counts / 100 - CHI2))
+        assert out.d_eq == pytest.approx(1.0117, abs=1e-4)
+
     def test_no_equilibrium_means_no_distance(self, rule_a2):
         x0 = round_to_lattice([0.8, 0.1, 0.1], 500)
         out = run_trial_threshold(rule_a2, x0, trial_rng(3, 0, 0))
@@ -260,7 +271,7 @@ class TestExperimentSpec:
         probe = np.array([0.2, 0.3, 0.5])
         np.testing.assert_allclose(
             spec.build_rule().update_probs(probe),
-            make_rule(A1, omega_ratio=1e-3).update_probs(probe),
+            make_rule(A1, omega=1e-3 / (1.0 + 1e-3)).update_probs(probe),
             rtol=1e-14)
 
     def test_declared_size_mismatch_rejected(self):

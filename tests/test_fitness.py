@@ -73,9 +73,8 @@ class TestLinearFractional:
         np.testing.assert_allclose(model.values(x), b, rtol=1e-10)
 
     def test_vertex_reads_payoff_column(self):
-        ratio = 1e-3
-        omega = ratio / (1 + ratio)
-        model = LinearFractionalFitness.from_ratio(PayoffMatrix(A1), ratio)
+        omega = 1e-3 / (1.0 + 1e-3)
+        model = LinearFractionalFitness(PayoffMatrix(A1), omega)
         e1 = np.array([1.0, 0.0, 0.0])
         expected = (1 - omega) + omega * np.array([1.0, 20.0, 45.0])
         np.testing.assert_allclose(model.values(e1), expected, rtol=1e-14)
@@ -325,14 +324,6 @@ class TestMakeRule:
     def test_requires_exactly_one_mixing_weight(self):
         with pytest.raises(ConfigError):
             make_rule(A_TWO)
-        with pytest.raises(ConfigError):
-            make_rule(A_TWO, omega=0.5, omega_ratio=1.0)
-
-    def test_ratio_equivalent_to_omega(self):
-        r1 = make_rule(A_TWO, omega_ratio=1.0)
-        r2 = make_rule(A_TWO, omega=0.5)
-        x = np.array([0.3, 0.7])
-        np.testing.assert_allclose(r1.update_probs(x), r2.update_probs(x))
 
     def test_exponential_rejects_mixing_weight(self):
         with pytest.raises(ConfigError):

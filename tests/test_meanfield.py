@@ -41,7 +41,7 @@ class TestIterate:
     def test_benchmark_orbit_converges_to_equilibrium(self, rule_a2):
         orbit = iterate(rule_a2, [0.1, 0.8, 0.1], steps=2000)
         chi = solve_interior_equilibrium(A2).vector
-        np.testing.assert_allclose(orbit.final, CHI2, atol=1e-6)
+        np.testing.assert_allclose(orbit.states[-1], CHI2, atol=1e-6)
         # settled: the last steps sit on the equilibrium to rounding
         np.testing.assert_allclose(orbit.states[-4:], np.tile(chi, (4, 1)),
                                    rtol=0, atol=1e-12)
