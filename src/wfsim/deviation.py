@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericRangeError
 from .fitness import UpdateRule, finite_difference_jacobian, sampling_probs
-from .meanfield import Orbit, iterate
+from .meanfield import iterate
 from .simplex import LatticePoint, lattice_counts, linf_distances
 
 #: One-sided 99% normal quantile used for Wilson upper confidence limits.
@@ -78,14 +78,19 @@ def expected_decoupling_lower_bound(epsilon: float, n: int, m: int,
     Only meaningful for contracting maps (rho < 1) and when the tail mass
     outside the tube is strictly less than one; the slack of that
     condition is reported so inapplicable parameter sets are flagged
-    rather than silently used.
+    rather than silently used; a value past the float range raises
+    NumericRangeError.
     """
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
     if epsilon <= 0 or n < 1 or m < 1:
         raise DomainError("epsilon, N, M must be positive")
     exponent = ((1.0 - rho) ** 2) * (epsilon ** 2) * n / 2.0
-    value = math.exp(exponent) / (2.0 * m)
+    try:
+        value = math.exp(exponent) / (2.0 * m)
+    except OverflowError:
+        raise NumericRangeError(f"expectation bound past the float range at N={n}, "
+                                f"epsilon={epsilon}, rho={rho}") from None
     slack = 1.0 - 2.0 * m * math.exp(-exponent)
     return ExpectationBound(value=value, slack=slack)
 
@@ -107,7 +112,6 @@ class LipschitzEstimate:
     value: float
     pair_max: float
     jacobian_max: float
-    samples: int
     probes: int     # points the map was evaluated at: samples plus the grid
 
 
@@ -168,7 +172,7 @@ def estimate_lipschitz(rule: UpdateRule, samples: int,
     jac_max = float(_sum_zero_operator_norm(finite_difference_jacobian(rule, pts)).max())
     return LipschitzEstimate(value=max(pair_max, jac_max),
                              pair_max=pair_max, jacobian_max=jac_max,
-                             samples=samples, probes=pts.shape[0])
+                             probes=pts.shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +242,6 @@ class DeviationEnsemble:
     """
 
     records: list[tuple[np.ndarray, np.ndarray]]
-    orbit: Orbit
     n: int
     horizon: int
     replicates: int
@@ -293,7 +296,7 @@ def simulate_deviations(rule: UpdateRule, x0: LatticePoint, horizon: int,
         values = dev[indices]
         best[indices] = values
         records.append((indices, values))
-    return DeviationEnsemble(records=records, orbit=orbit, n=n, horizon=horizon,
+    return DeviationEnsemble(records=records, n=n, horizon=horizon,
                              replicates=replicates)
 
 

@@ -18,7 +18,8 @@ class DimensionMismatch(WfsimError):
 
 
 class ResourceLimitExceeded(WfsimError):
-    """An exhaustive operation would exceed the configured state/pair caps."""
+    """An exhaustive operation would exceed a fixed cap: the lattice state
+    cap (``simplex.STATE_CAP``) or the block byte cap (``chain.BLOCK_BYTE_CAP``)."""
 
 
 class NumericRangeError(WfsimError):

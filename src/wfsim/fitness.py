@@ -17,12 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateFitness,
-    DimensionMismatch,
-    NumericRangeError,
-)
+from .errors import ConfigError, DegenerateFitness, DimensionMismatch
 
 #: |det A| must exceed this times max(1, max|A|)^M to count as invertible.
 DET_TOL = 1e-10
@@ -30,15 +25,18 @@ DET_TOL = 1e-10
 #: Row sums of a mutation matrix must be 1 within this tolerance.
 ROW_SUM_TOL = 1e-12
 
+#: Step of the central differences of :func:`finite_difference_jacobian`.
+FD_STEP = 1e-6
+
 
 class PayoffMatrix:
     """Square real matrix of pairwise interaction payoffs.
 
     Structural flags (symmetry, positive entries, invertibility) are
-    computed on demand and cached; the entries themselves are immutable.
+    computed when read; the entries themselves are immutable.
     """
 
-    __slots__ = ("_entries", "_flags")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable[Iterable[float]]):
         arr = np.asarray(entries, dtype=np.float64).copy()
@@ -48,7 +46,6 @@ class PayoffMatrix:
             raise ConfigError("payoff entries must be finite")
         arr.flags.writeable = False
         self._entries = arr
-        self._flags: dict[str, bool] = {}
 
     @property
     def entries(self) -> np.ndarray:
@@ -60,26 +57,19 @@ class PayoffMatrix:
 
     @property
     def is_symmetric(self) -> bool:
-        if "sym" not in self._flags:
-            a = self._entries
-            self._flags["sym"] = bool(np.allclose(a, a.T, rtol=0, atol=1e-12))
-        return self._flags["sym"]
+        return bool(np.allclose(self._entries, self._entries.T, rtol=0, atol=1e-12))
 
     @property
     def has_positive_entries(self) -> bool:
-        if "pos" not in self._flags:
-            self._flags["pos"] = bool(np.all(self._entries > 0))
-        return self._flags["pos"]
+        return bool(np.all(self._entries > 0))
 
     @property
     def is_invertible(self) -> bool:
-        if "inv" not in self._flags:
-            # compared in log space: the determinant and the scale can
-            # leave the float range for large finite payoffs
-            sign, log_det = np.linalg.slogdet(self._entries)
-            log_scale = self.m * np.log(max(1.0, float(np.abs(self._entries).max())))
-            self._flags["inv"] = bool(sign != 0 and log_det > np.log(DET_TOL) + log_scale)
-        return self._flags["inv"]
+        # compared in log space: the determinant and the scale can leave
+        # the float range for large finite payoffs
+        sign, log_det = np.linalg.slogdet(self._entries)
+        log_scale = self.m * np.log(max(1.0, float(np.abs(self._entries).max())))
+        return bool(sign != 0 and log_det > np.log(DET_TOL) + log_scale)
 
     def __repr__(self) -> str:
         return f"PayoffMatrix({self._entries.tolist()!r})"
@@ -87,27 +77,24 @@ class PayoffMatrix:
 
 class FitnessModel:
     """Base class of the payoff-driven fitness families: maps a profile to a
-    vector of per-type fitness values built on ``payoff``."""
+    vector of per-type fitness weights built on ``payoff``, each family's
+    fitness function up to a positive scale."""
 
     m: int
     payoff: PayoffMatrix
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """Raw fitness vector at profile ``x`` (may overflow; see subclasses)."""
-        raise NotImplementedError
-
     def scaled_weights(self, xs: np.ndarray) -> np.ndarray:
-        """Range-guarded substitute used inside the update map.
+        """The weights the update map uses.
 
         Takes a profile ``(M,)`` or a batch ``(R, M)`` and returns, per
-        profile, ``w = c * values(x)`` for some positive scalar ``c``, in
+        profile, ``w = c * fitness(x)`` for some positive scalar ``c``, in
         one array expression; the update map is invariant under such
         scaling, so subclasses may shift into a safe numeric range here.
         """
         raise NotImplementedError
 
     def weights_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weights ``w = c * values(x)`` at a profile ``(M,)`` and their
+        """Weights ``w = c * fitness(x)`` at a profile ``(M,)`` and their
         derivative matrix dw_i/dx_j, both at one positive scale ``c``.
         The derivative of the update map is invariant under that scale."""
         raise NotImplementedError
@@ -140,16 +127,14 @@ class LinearFractionalFitness(FitnessModel):
         self._b_part = (1.0 - self.omega) * self.b
         self._wa = self.omega * payoff.entries
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return self._b_part + self._wa @ x
-
     def scaled_weights(self, xs: np.ndarray) -> np.ndarray:
         # einsum sums each row in a fixed order, so a profile and a batch row
         # get the same bits; BLAS matmul runs gemv at one row and gemm at several
         return self._b_part + np.einsum("...k,ik->...i", xs, self._wa)
 
     def weights_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.values(x), self._wa
+        # matmul, not scaled_weights: the two can differ in the last bit
+        return self._b_part + self._wa @ x, self._wa
 
 
 class ExponentialFitness(FitnessModel):
@@ -162,16 +147,6 @@ class ExponentialFitness(FitnessModel):
         self.beta = float(beta)
         self.m = payoff.m
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            out = np.exp(self.beta * (self.payoff.entries @ x))
-        if not np.all(np.isfinite(out)):
-            raise NumericRangeError(
-                "exponential fitness overflowed; use the update map, which "
-                "is scale-invariant and evaluates in a guarded range"
-            )
-        return out
-
     def scaled_weights(self, xs: np.ndarray) -> np.ndarray:
         # shift each exponent by its maximum; the update map is invariant
         # under positive scalar rescaling of fitness
@@ -179,7 +154,7 @@ class ExponentialFitness(FitnessModel):
         return np.exp(z - z.max(axis=-1, keepdims=True))
 
     def weights_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the shifted weights stay finite where the raw values overflow
+        # the shifted weights stay finite where exp(beta * A x) overflows
         w = self.scaled_weights(x)
         return w, self.beta * w[:, None] * self.payoff.entries
 
@@ -232,7 +207,11 @@ class UpdateRule:
         same bits, whatever the batch."""
         if self.mutation is not None:
             xs = np.einsum("...k,kj->...j", xs, self.mutation.entries)
-        return self._replicator_probs(xs)
+        num = xs * self.fitness.scaled_weights(xs)
+        totals = num.sum(axis=-1, keepdims=True)
+        if not totals.min(initial=np.inf) > 0:        # NaN fails too
+            raise DegenerateFitness("total fitness is zero at some profile")
+        return num / totals
 
     #: The same map under a second name.  It stays only because the traced
     #: ``orbit_gap`` replay in ``perfbench/layers.py`` wraps it to count
@@ -259,13 +238,6 @@ class UpdateRule:
         jac -= np.outer(gamma, grad_s) / s
         return jac
 
-    def _replicator_probs(self, xs: np.ndarray) -> np.ndarray:
-        num = xs * self.fitness.scaled_weights(xs)
-        totals = num.sum(axis=-1, keepdims=True)
-        if not totals.min(initial=np.inf) > 0:        # NaN fails too
-            raise DegenerateFitness("total fitness is zero at some profile")
-        return num / totals
-
 
 def sampling_probs(rule: UpdateRule, freqs: np.ndarray) -> np.ndarray:
     """Multinomial cell probabilities of one resampling step.
@@ -287,8 +259,7 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def finite_difference_jacobian(rule: UpdateRule, xs: np.ndarray,
-                               step: float = 1e-6) -> np.ndarray:
+def finite_difference_jacobian(rule: UpdateRule, xs: np.ndarray) -> np.ndarray:
     """Central-difference derivative matrix of the update map at a profile
     ``(M,)``, or ``(R, M, M)`` at each profile of a stack ``(R, M)`` with
     the bits of its own profile call.
@@ -296,14 +267,14 @@ def finite_difference_jacobian(rule: UpdateRule, xs: np.ndarray,
     The map extends smoothly to a neighborhood of the simplex, so the
     perturbed points are evaluated without renormalizing the input.
     """
-    # rows j and m + j of each profile's block are it moved by +step and
-    # -step along e_j; the blocks of a whole stack go through one map call
+    # rows j and m + j of each profile's block are it moved by +FD_STEP and
+    # -FD_STEP along e_j; the blocks of a whole stack go through one map call
     xs = np.asarray(xs, dtype=np.float64)
     m = xs.shape[-1]
-    shift = step * np.eye(m)
+    shift = FD_STEP * np.eye(m)
     pts = np.concatenate([xs[..., None, :] + shift, xs[..., None, :] - shift], axis=-2)
     images = rule.update_probs(pts.reshape(-1, m)).reshape(pts.shape)
-    return ((images[..., :m, :] - images[..., m:, :]) / (2.0 * step)).swapaxes(-1, -2).copy()
+    return ((images[..., :m, :] - images[..., m:, :]) / (2.0 * FD_STEP)).swapaxes(-1, -2).copy()
 
 
 def make_rule(matrix, *, omega: float | None = None, b=None,

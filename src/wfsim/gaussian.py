@@ -22,6 +22,10 @@ from .fitness import UpdateRule, sampling_probs
 from .meanfield import Orbit, iterate, spectral_radius_on_sum_zero, sum_zero_basis
 from .simplex import round_to_lattice
 
+#: Moment comparison: standard errors allowed, and relative covariance error.
+Z_LIMIT = 3.0
+REL_TOL = 0.10
+
 
 def noise_covariance(p) -> np.ndarray:
     """Covariance of one multinomial draw (scaled by N) with cell
@@ -93,8 +97,6 @@ class ResidualSample:
 
     residuals: np.ndarray       # (replicates, M)
     orbit: Orbit
-    n: int
-    step: int
 
 
 def rescaled_residuals(rule: UpdateRule, n: int, start, step: int,
@@ -112,7 +114,7 @@ def rescaled_residuals(rule: UpdateRule, n: int, start, step: int,
     for k in range(step):
         counts = rng.multinomial(n, sampling_probs(rule, counts / n))
     residuals = np.sqrt(n) * (counts / n - orbit.states[step])
-    return ResidualSample(residuals=residuals, orbit=orbit, n=n, step=step)
+    return ResidualSample(residuals=residuals, orbit=orbit)
 
 
 @dataclass(frozen=True)
@@ -131,14 +133,13 @@ class MomentComparison:
         return self.mean_ok and self.cov_ok
 
 
-def compare_residual_moments(residuals: np.ndarray, predicted_cov: np.ndarray,
-                             rel_tol: float = 0.10,
-                             z_limit: float = 3.0) -> MomentComparison:
+def compare_residual_moments(residuals: np.ndarray,
+                             predicted_cov: np.ndarray) -> MomentComparison:
     """Check empirical mean against zero and empirical covariance against
     a prediction, at Monte Carlo resolution.
 
-    The mean test uses ``z_limit`` standard errors per coordinate; the
-    covariance test allows ``max(rel_tol * |predicted|, z_limit * SE)``
+    The mean test uses ``Z_LIMIT`` standard errors per coordinate; the
+    covariance test allows ``max(REL_TOL * |predicted|, Z_LIMIT * SE)``
     per entry, with the usual Gaussian standard error for sample
     covariances, SE(C_ij) = sqrt((V_ii V_jj + V_ij^2) / R).
     """
@@ -150,11 +151,11 @@ def compare_residual_moments(residuals: np.ndarray, predicted_cov: np.ndarray,
 
     mean_se = np.sqrt(np.clip(np.diag(emp_cov), 1e-300, None) / r)
     mean_z = np.abs(emp_mean) / mean_se
-    mean_ok = bool(np.all(mean_z <= z_limit))
+    mean_ok = bool(np.all(mean_z <= Z_LIMIT))
 
     diag = np.diag(predicted)
     cov_se = np.sqrt((np.outer(diag, diag) + predicted ** 2) / r)
-    allowance = np.maximum(rel_tol * np.abs(predicted), z_limit * cov_se)
+    allowance = np.maximum(REL_TOL * np.abs(predicted), Z_LIMIT * cov_se)
     excess = np.abs(emp_cov - predicted) - allowance
     return MomentComparison(
         mean_ok=mean_ok,

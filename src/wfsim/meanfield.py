@@ -96,7 +96,6 @@ class EquilibriumResult:
     vector: np.ndarray
     c: float
     is_interior: bool
-    residual: float
 
 
 def solve_interior_equilibrium(a: MatrixLike) -> EquilibriumResult:
@@ -128,9 +127,7 @@ def solve_interior_equilibrium(a: MatrixLike) -> EquilibriumResult:
         raise NumericRangeError(
             f"equilibrium residual {residual:.3e} exceeds 1e-9 * {scale:.3e}"
         )
-    return EquilibriumResult(vector=chi, c=c,
-                             is_interior=bool(np.all(chi > 0)),
-                             residual=residual)
+    return EquilibriumResult(vector=chi, c=c, is_interior=bool(np.all(chi > 0)))
 
 
 def spectral_radius_on_sum_zero(d: np.ndarray) -> float:
@@ -231,24 +228,21 @@ def is_positive_definite_on_sum_zero(a: MatrixLike) -> bool:
 @dataclass(frozen=True)
 class BoundaryFixedPoint:
     support: SupportSet
-    point: np.ndarray
-    margin: Optional[float] = None  # witness payoff advantage at this point
+    margin: float           # witness payoff advantage at this point
 
 
 @dataclass
 class PermanenceReport:
     """Result of the sufficient-condition test that the boundary repels.
 
-    ``status`` is "permanent" when some interior profile strictly
-    out-scores every boundary fixed point against itself, "not-verified"
-    when no tried candidate does, and "inconclusive" when no interior
-    candidate was available at all.
+    ``status`` is "permanent" when there is no boundary fixed point or
+    some interior profile strictly out-scores every boundary fixed point
+    against itself, and "not-verified" when no tried candidate does.
     """
 
     status: str
     witness: Optional[np.ndarray]
     fixed_points: list[BoundaryFixedPoint] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
 
 def _face_grid(m: int, indices: np.ndarray, resolution: int) -> np.ndarray:
@@ -312,12 +306,10 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
                 if ok:
                     fixed.append((SupportSet.from_mask(z > 0), z))
 
-    report = PermanenceReport(status="inconclusive", witness=None)
     if not fixed:
-        report.notes.append("no boundary fixed points found")
-        report.status = "permanent"
-        return report
+        return PermanenceReport(status="permanent", witness=None)
 
+    # never empty: the grid has interior points for every m <= 5
     candidates_y: list[np.ndarray] = []
     try:
         eq = solve_interior_equilibrium(payoff)
@@ -329,14 +321,9 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
     interior_counts = interior_counts[np.all(interior_counts > 0, axis=1)]
     candidates_y.extend(interior_counts / CANDIDATE_RESOLUTION)
 
-    if not candidates_y:
-        report.notes.append("no interior candidate available")
-        return report
-
     z_mat = np.array([z for _, z in fixed])
     self_scores = np.einsum("ij,jk,ik->i", z_mat, entries, z_mat)
-    best_y = None
-    best_margins = None
+    best_y = best_margins = None
     for y in candidates_y:
         margins = z_mat @ (entries @ y) - self_scores
         if best_margins is None or margins.min() > best_margins.min():
@@ -345,13 +332,12 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
         if margins.min() > 0:
             break
 
-    report.witness = best_y
-    report.fixed_points = [
-        BoundaryFixedPoint(support=supp, point=z, margin=float(mrg))
-        for (supp, z), mrg in zip(fixed, best_margins)
-    ]
-    report.status = "permanent" if best_margins.min() > 0 else "not-verified"
-    return report
+    return PermanenceReport(
+        status="permanent" if best_margins.min() > 0 else "not-verified",
+        witness=best_y,
+        fixed_points=[BoundaryFixedPoint(support=supp, margin=float(mrg))
+                      for (supp, _), mrg in zip(fixed, best_margins)],
+    )
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,13 @@ from wfsim.extinction import (
     trial_rng,
 )
 from wfsim.fitness import MutationMatrix, UpdateRule, finite_difference_jacobian, make_rule
-from wfsim.gaussian import ar1_covariance, compare_residual_moments, rescaled_residuals
+from wfsim.gaussian import (
+    REL_TOL,
+    Z_LIMIT,
+    ar1_covariance,
+    compare_residual_moments,
+    rescaled_residuals,
+)
 from wfsim.meanfield import (
     random_pd_on_sum_zero_matrix,
     random_stability_matrix,
@@ -239,8 +245,8 @@ def test_criterion_07_gaussian_residual_moments(rule_a2):
                              replicates=10_000,
                              rng=np.random.default_rng(20260814))
     predicted = ar1_covariance(res.orbit)[20]
-    comp = compare_residual_moments(res.residuals, predicted,
-                                    rel_tol=0.10, z_limit=3.0)
+    assert (REL_TOL, Z_LIMIT) == (0.10, 3.0)
+    comp = compare_residual_moments(res.residuals, predicted)
     assert comp.mean_ok, (
         f"residual mean off zero: max |mean|/SE = {comp.max_mean_z:.3f} > 3 "
         f"(empirical mean {res.residuals.mean(axis=0).tolist()})"

@@ -128,6 +128,32 @@ class TestMeanfield:
         assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == (
             "9f5990df1dd5dc68e632e14fd9acf67fde615ea175990573f1676b597fb16356")
 
+    #: name -> (config, SHA-256 of report.json), recorded before the raw
+    #: fitness values, the payoff flag cache and the permanence notes were
+    #: removed: the jacobian, the flags and the permanence certificate of a
+    #: linear-fractional, an exponential (overflowing raw fitness) and a
+    #: mutation rule; the mutation rule has no boundary fixed points
+    PINNED = {
+        "a2": ({"matrix": A2, "omega": 0.5, "check_permanence": True},
+               "38bd4f54306e4982b5aa6c25303d279b92223307977476df4288c8964b4aab96"),
+        "exponential-40": (
+            {"matrix": A2, "fitness": "exponential", "beta": 40,
+             "check_permanence": True},
+            "38b71db40857fc8d57a5a150d08ba2e8c98f65e50af6d9e5ebba3c6e815b6e0f"),
+        "mutation": (
+            {"matrix": A2, "omega": 0.5, "check_permanence": True,
+             "mutation": [[0.98, 0.01, 0.01], [0.01, 0.98, 0.01], [0.01, 0.01, 0.98]]},
+            "9bff76c2431e53448d81c0a1f7ccff440e8c5d5268d2d08c02fe73b0dbe009ac"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_permanence_report_is_pinned(self, runner, tmp_path, name):
+        cfg, digest = self.PINNED[name]
+        out = tmp_path / "out"
+        run_ok(runner, ["meanfield", "--config", write_config(tmp_path, "mf.json", cfg),
+                        "--out", str(out)])
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+
     def test_non_symmetric_matrix_report(self, runner, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": NON_SYMMETRIC, "omega": 0.5})
@@ -627,6 +653,23 @@ class TestBounds:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
+
+    def test_expectation_bound_past_the_float_range_exits_two(self, runner, tmp_path):
+        # strong mutation contracts the map, so rho < 1 and the expectation
+        # bound exp((1 - rho)^2 eps^2 N / 2) / (2M) is past the float range
+        cfg = {"matrix": A2, "omega": 0.5,
+               "mutation": [[0.4, 0.3, 0.3], [0.3, 0.4, 0.3], [0.3, 0.3, 0.4]],
+               "N": [20000], "initial": [0.3, 0.4, 0.3], "epsilons": [0.5],
+               "horizon": 3, "replicates": 10, "seed": 1}
+        path = write_config(tmp_path, "b.json", cfg)
+        result = runner.invoke(main, ["bounds", "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert "N=20000" in result.stderr and "epsilon=0.5" in result.stderr
+        assert not (tmp_path / "out").exists()
 
     #: (config, SHA-256 of each output), recorded before the finite
     #: differences were stacked: a moved probe derivative or draw changes

@@ -24,7 +24,7 @@ from wfsim.deviation import (
     simulate_deviations,
     wilson_upper,
 )
-from wfsim.errors import DomainError
+from wfsim.errors import DomainError, NumericRangeError
 from wfsim.fitness import (
     MutationMatrix,
     UpdateRule,
@@ -121,6 +121,13 @@ class TestExpectationBound:
     def test_rho_must_contract(self):
         with pytest.raises(DomainError):
             expected_decoupling_lower_bound(0.1, 500, 3, 1.2)
+
+    def test_bound_past_the_float_range_raises(self):
+        # exponent 0.9^2 * 0.5^2 * 20000 / 2 = 2025: exp overflows a double
+        with pytest.raises(NumericRangeError) as info:
+            expected_decoupling_lower_bound(0.5, 20000, 3, 0.1)
+        assert all(part in str(info.value)
+                   for part in ("N=20000", "epsilon=0.5", "rho=0.1"))
 
     def test_empirical_mean_exceeds_the_bound(self, rule_a2):
         # large population: the sampled system hugs the orbit much longer

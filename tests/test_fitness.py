@@ -7,12 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wfsim.errors import (
-    ConfigError,
-    DimensionMismatch,
-    NumericRangeError,
-)
+from wfsim.errors import ConfigError, DimensionMismatch
 from wfsim.fitness import (
+    FD_STEP,
     ExponentialFitness,
     LinearFractionalFitness,
     MutationMatrix,
@@ -63,21 +60,21 @@ class TestLinearFractional:
     def test_two_type_hand_value(self):
         model = LinearFractionalFitness(PayoffMatrix(A_TWO), omega=0.5)
         np.testing.assert_allclose(
-            model.values(np.array([0.5, 0.5])), [1.25, 1.25]
+            model.scaled_weights(np.array([0.5, 0.5])), [1.25, 1.25]
         )
 
     def test_vanishing_selection_recovers_baseline(self):
         b = np.array([1.0, 2.0, 3.0])
         model = LinearFractionalFitness(PayoffMatrix(A1), omega=1e-12, b=b)
         x = np.array([0.3, 0.3, 0.4])
-        np.testing.assert_allclose(model.values(x), b, rtol=1e-10)
+        np.testing.assert_allclose(model.scaled_weights(x), b, rtol=1e-10)
 
     def test_vertex_reads_payoff_column(self):
         omega = 1e-3 / (1.0 + 1e-3)
         model = LinearFractionalFitness(PayoffMatrix(A1), omega)
         e1 = np.array([1.0, 0.0, 0.0])
         expected = (1 - omega) + omega * np.array([1.0, 20.0, 45.0])
-        np.testing.assert_allclose(model.values(e1), expected, rtol=1e-14)
+        np.testing.assert_allclose(model.scaled_weights(e1), expected, rtol=1e-14)
 
     def test_omega_bounds(self):
         with pytest.raises(ConfigError):
@@ -92,19 +89,19 @@ class TestLinearFractional:
 
 class TestExponential:
     def test_matches_direct_formula(self):
+        # the weights are exp(beta * A x) up to a positive scale: each
+        # divided by its maximum, the two agree
         model = ExponentialFitness(PayoffMatrix(A2), beta=0.7)
         x = np.array([0.2, 0.5, 0.3])
-        np.testing.assert_allclose(
-            model.values(x), np.exp(0.7 * (np.asarray(A2) @ x))
-        )
+        w = model.scaled_weights(x)
+        raw = np.exp(0.7 * (np.asarray(A2) @ x))
+        np.testing.assert_allclose(w / w.max(), raw / raw.max())
 
-    def test_overflow_raises_but_scaled_weights_survive(self):
+    def test_scaled_weights_survive_overflow(self):
+        # exp(beta * A x) is exp(1000) here, past the float range
         big = PayoffMatrix(np.full((2, 2), 500.0))
         model = ExponentialFitness(big, beta=2.0)
-        x = np.array([0.5, 0.5])
-        with pytest.raises(NumericRangeError):
-            model.values(x)
-        lw = model.scaled_weights(x)
+        lw = model.scaled_weights(np.array([0.5, 0.5]))
         assert np.all(np.isfinite(lw))
 
     def test_beta_zero_rejected(self):
@@ -278,7 +275,7 @@ class TestJacobian:
         # of a stack the bits of its own profile call
         rule = rule_of_kind(kind)
         rng = np.random.default_rng(12)
-        step = 1e-6
+        step = FD_STEP
         xs = 0.9 * np.array([random_interior(3, rng) for _ in range(10)]) + 0.1 / 3
         singles = []
         for x in xs:
@@ -288,9 +285,9 @@ class TestJacobian:
                 hi[j] += step
                 lo[j] -= step
                 reference[:, j] = (rule.update_probs(hi) - rule.update_probs(lo)) / (2.0 * step)
-            singles.append(finite_difference_jacobian(rule, x, step))
+            singles.append(finite_difference_jacobian(rule, x))
             np.testing.assert_array_equal(singles[-1], reference)
-        stacked = finite_difference_jacobian(rule, xs, step)
+        stacked = finite_difference_jacobian(rule, xs)
         assert stacked.shape == (10, 3, 3) and stacked.flags.c_contiguous
         np.testing.assert_array_equal(stacked, np.array(singles))
 

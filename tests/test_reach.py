@@ -11,6 +11,13 @@ non-dunder methods and properties: each of those is a definition of its
 own, reached by its name.  Docstrings and comments do not count.  Code
 that only its own unit tests call fails this test: give it a caller or
 delete it.
+
+What the guard cannot see: dataclass fields, other class attributes and
+function parameters are not definitions here, so a field or a parameter
+that only tests read (or that always takes one value) passes.  Names are
+matched bare, so a method passes when reached code names the same name
+for any other reason: a same-named method of another class, or an
+unrelated variable or attribute.
 """
 
 from __future__ import annotations
