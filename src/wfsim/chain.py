@@ -6,7 +6,8 @@ This module provides trajectory sampling, fully enumerated transition
 matrices for small populations (with a state cap and a byte cap on each
 kernel block), structural classification of states (recurrent classes
 and their periods, transient), face-closure checks for recurrent
-classes, quasi-stationary distributions of the interior restriction,
+classes, quasi-stationary distributions of the interior restriction
+(applied through per-type power tables, without the interior block),
 and the exact one-step drift of a batch function at every state (the
 check of the maximization principle).
 """
@@ -50,9 +51,18 @@ QSD_MAX_ITER = 200_000
 #: whole-matrix product (BLAS takes another kernel for them).
 KERNEL_BLOCK = 32
 
-#: Bytes a kernel block (rows x cols float64) may take; a larger one is
-#: refused before anything is allocated.
+#: Bytes a kernel block (rows x cols float64), or the power tables of an
+#: ``InteriorKernel``, may take; a larger one is refused before anything is
+#: allocated.
 BLOCK_BYTE_CAP = 80_000_000
+
+#: Spread of N log p_ir (natural-log units) over the rows of one
+#: ``InteriorKernel`` band, so each band's rescaled factors stay in float
+#: range: more than one band per reference type needs N log M > 128.
+BAND_LOG = 128.0
+
+#: Bytes of one transient row chunk of an ``InteriorKernel`` product.
+TABLE_CHUNK_BYTES = 1 << 20
 
 
 @cache
@@ -225,7 +235,7 @@ def kernel_block(chain: ExactChain, rows: np.ndarray,
     out = np.empty(shape)
     for lo in range(0, rows.size, KERNEL_BLOCK):
         p = sampling_probs(chain.rule, states[rows[lo: lo + KERNEL_BLOCK]] / n)
-        law = np.log(p, out=np.full_like(p, -1e300), where=p > 0) @ dest
+        law = _log0(p) @ dest
         law += log_count
         np.exp(law, out=law)
         total = law.sum(axis=1, keepdims=True)
@@ -338,35 +348,221 @@ class QsdResult:
     leak_residual: float
 
 
-def qsd_power_iteration(sub_matrix: np.ndarray,
-                        states: Optional[np.ndarray] = None,
+class InteriorKernel:
+    """The kernel restricted to the interior states (every type present),
+    as an operator: ``apply(mu)`` is ``mu @ Q`` for the (T, T) interior
+    block Q, which is never built.
+
+    Entry Q[i, s] is C(s) prod_k p_ik^s_k / Z_i, with C(s) = N!/prod_k s_k!,
+    p_i = ``sampling_probs`` at interior state i, and Z_i the row's sum over
+    all S destinations.  With the reference type r = argmax_k p_ik,
+    prod_k p_ik^s_k = p_ir^N prod_{k != r} rho_ik^s_k, rho_ik = p_ik/p_ir <= 1,
+    so a row is one power table per non-reference type.  Rows are grouped
+    into bands: one reference type, and N log p_ir within ``BAND_LOG``.  A
+    band's tables hold (rho_ik/rhobar_k)^a (rhobar_k is the band's largest
+    rho_ik), and its destination factor C(s) pbar^N prod_k rhobar_k^s_k
+    (pbar is the band's largest p_ir) is taken from log space at every
+    interior s; the row factor (p_ir/pbar)^N cancels in the row's
+    normaliser.  So every factor stays in float range, also at M=2 with N
+    in the thousands, where p_ir^N and C(s) do not.
+
+    A band keeps, for a in [1, N-M+1] (an interior coordinate's range), the
+    row-wise Khatri-Rao product of its first M-2 tables over the distinct
+    first M-2 coordinates (prefixes) of the interior states (the first
+    table itself at M=3, nothing at M=2), and its last table divided by
+    Z_i.  ``mu @ Q`` is then one matrix product per band, read at the
+    interior states: a vector-matrix product at M=2, an (N-2, rows, N-2)
+    product at M=3, of which the prefixes in the second half need only the
+    first half of the columns.  Z_i, the float sum of the row's factored
+    entries over every destination, is taken once by Horner's scheme; it
+    cancels the rounding the factors share, so a row sums to 1 in this
+    form.  An interior row is all positive when every p_ik > 0 and all
+    zero otherwise, so ``pieces``, the count of strongly connected pieces,
+    is read off the rows.  The kept arrays, T (U + N-M+1) float64 for U
+    distinct prefixes (U = 0 at M=2), are refused past ``BLOCK_BYTE_CAP``
+    before anything is allocated.
+    """
+
+    def __init__(self, chain: ExactChain):
+        idx = chain.interior_indices()
+        states, n = chain.states, chain.n
+        m = states.shape[1]
+        if m < 2:
+            raise PreconditionError("the interior kernel needs at least two types")
+        width = n - m + 1
+        # U = C(W+M-3, M-2) interior prefixes: M-2 kept columns summing to < W
+        shape = (idx.size, (math.comb(width + m - 3, m - 2) if m > 2 else 0) + width)
+        if shape[0] * shape[1] * 8 > BLOCK_BYTE_CAP:
+            raise ResourceLimitExceeded(
+                f"interior power tables {shape} would take {shape[0] * shape[1] * 8} "
+                f"bytes (cap {BLOCK_BYTE_CAP}); reduce N or M"
+            )
+        self.size = idx.size
+        interior = states[idx]
+        p = sampling_probs(chain.rule, interior / n)
+        positive = (p > 0).all(axis=1)
+        self.pieces = 1 if positive.all() else int((~positive).sum()) + int(positive.any())
+        log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+        log_count = log_factorial[n] - log_factorial[states].sum(axis=1)
+        ref = p.argmax(axis=1)
+        p_ref = p[np.arange(idx.size), ref]
+        band = np.floor(n * np.log(p_ref) / BAND_LOG).astype(np.int64)
+        self._bands = []
+        for r in np.flatnonzero(np.bincount(ref, minlength=m)):
+            others = [k for k in range(m) if k != r]
+            # interior destinations in kept columns (a - 1), prefixes ascending
+            # by sum, so the second half needs only the last columns its
+            # destinations reach; every destination in full columns (a)
+            inner = interior[:, others] - 1
+            cols, count, at = _prefixes(inner[:, :-1])
+            half = (count + 1) // 2
+            need = int(inner[at >= half, -1].max(initial=-1)) + 1
+            at = at * width + inner[:, -1]
+            full_count, full_at, levels = _horner_levels(states[:, others[:-1]])
+            full_at = full_at * (n + 1) + states[:, others[-1]]
+            for b in np.flatnonzero(np.bincount(-band[ref == r])):
+                rows = np.flatnonzero((ref == r) & (band == -b))
+                ratio = p[rows][:, others] / p_ref[rows, None]
+                top = ratio.max(axis=0)
+                log_x = _log0(np.divide(ratio, top, out=np.zeros_like(ratio),
+                                        where=top > 0))
+                factor = np.exp(log_count + n * math.log(p_ref[rows].max())
+                                + states[:, others] @ _log0(top))
+                grid = np.zeros((full_count, n + 1))
+                np.put(grid, full_at, factor)
+                head = np.empty((rows.size, count)) if m > 2 else None
+                last = np.empty((rows.size, width))
+                step = _chunk_rows(max(full_count, (m - 1) * (n + 1)))
+                for lo in range(0, rows.size, step):
+                    full = log_x[lo: lo + step, :, None] * np.arange(n + 1)
+                    tables = np.exp(full, out=full).transpose(1, 0, 2)
+                    # the normalisers: the last table against the grid, then one
+                    # coordinate of the prefixes at a time (Horner's scheme)
+                    z = tables[-1] @ grid.T
+                    for table, (col, starts) in zip(tables[-2::-1], levels):
+                        z = np.add.reduceat(z * table[:, col], starts, axis=1)
+                    kept = tables[:, :, 1: width + 1]
+                    np.divide(kept[-1], z, out=last[lo: lo + step])
+                    if head is not None:
+                        head[lo: lo + step] = _khatri_rao(kept[:-1], cols)
+                self._bands.append((rows, head, last, half, need, at, factor[idx],
+                                    _chunk_rows(width)))
+
+    def apply(self, mu: np.ndarray) -> np.ndarray:
+        """``mu @ Q`` for a (T,) row vector ``mu``."""
+        out = np.zeros(self.size)
+        for rows, head, last, half, need, at, factor, step in self._bands:
+            acc = np.zeros((1 if head is None else head.shape[1], last.shape[1]))
+            for lo in range(0, rows.size, step):
+                w = mu[rows[lo: lo + step]]
+                if head is None:                   # M=2: one empty prefix
+                    left, right = w[:, None], last[lo: lo + step]
+                else:
+                    left, right = head[lo: lo + step], w[:, None] * last[lo: lo + step]
+                acc[:half] += left[:, :half].T @ right
+                acc[half:, :need] += left[:, half:].T @ right[:, :need]
+            out += factor * np.take(acc, at)
+        return out
+
+
+def _log0(x: np.ndarray) -> np.ndarray:
+    """log x, with a finite stand-in for log 0 that keeps 0 * log 0 at 0
+    and sends a positive multiple to a number whose exp is exactly 0."""
+    return np.log(x, out=np.full_like(x, -1e300), where=x > 0)
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows of a (rows, width) float64 chunk within ``TABLE_CHUNK_BYTES``."""
+    return max(1, TABLE_CHUNK_BYTES // (8 * width))
+
+
+def _prefixes(coords: np.ndarray) -> tuple[list, int, np.ndarray]:
+    """The distinct rows of (K, M-2) table columns ``coords``, ascending by
+    their sum, as one column array per table, their count U, and each
+    row's index among them."""
+    prefixes, at = _distinct_rows(coords)
+    order = np.argsort(prefixes.sum(axis=1), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return list(prefixes[order].T), len(prefixes), rank[at]
+
+
+def _horner_levels(coords: np.ndarray) -> tuple[int, np.ndarray, list]:
+    """The distinct rows of (K, J) table columns ``coords`` in lexicographic
+    order: their count U, each row's index among them, and per prefix
+    length L = J, ..., 1 the last column of each distinct length-L prefix
+    and where each group sharing its first L-1 columns starts."""
+    prefixes, at = _distinct_rows(coords)
+    count, levels = len(prefixes), []
+    for length in range(coords.shape[1], 0, -1):
+        shorter = prefixes[:, :length - 1]
+        starts = np.flatnonzero(np.r_[True, (shorter[1:] != shorter[:-1]).any(axis=1)])
+        levels.append((prefixes[:, length - 1], starts))
+        prefixes = shorter[starts]
+    return count, at, levels
+
+
+def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a non-negative (K, J) integer array in
+    lexicographic order (one empty row when J = 0), and each row's index
+    among them.  Sorted by hand: ``np.unique`` imports ``numpy.ma``, 1.6 MiB
+    of resident memory."""
+    # one integer key per row; radix^J stays far below 2^63 under the state cap
+    radix = int(coords.max(initial=0)) + 1
+    keys = coords @ radix ** np.arange(coords.shape[1] - 1, -1, -1)
+    order = np.argsort(keys, kind="stable")
+    fresh = np.r_[True, np.diff(keys[order]) != 0]
+    at = np.empty_like(order)
+    at[order] = np.cumsum(fresh) - 1
+    return coords[order[fresh]], at
+
+
+def _khatri_rao(tables: np.ndarray, cols: list) -> np.ndarray:
+    """(R, U) row-wise products prod_j tables[j, i, cols[j][u]] of (J, R, W)
+    ``tables``, J >= 1, at U column selections."""
+    out = tables[0][:, cols[0]]
+    for table, col in zip(tables[1:], cols[1:]):
+        out = out * table[:, col]
+    return out
+
+
+def qsd_power_iteration(restriction, states: Optional[np.ndarray] = None,
                         tol: float = 1e-12) -> QsdResult:
-    """Left Perron vector of a substochastic matrix by power iteration
+    """Left Perron vector of a substochastic restriction by power iteration
     with L1 renormalization, stopped when an L1 step falls below ``tol``;
     gives up after ``QSD_MAX_ITER`` steps.
 
-    The restriction must be irreducible (one strongly connected component)
-    so the quasi-stationary distribution is unique and strictly positive.
+    ``restriction`` is a dense square matrix or an ``InteriorKernel``.  It
+    must be irreducible (one strongly connected component) so the
+    quasi-stationary distribution is unique and strictly positive.  The
+    leak residual takes the mass that leaves in one step from the final
+    weights, ``sum(weights) - sum(weights @ restriction)``.
     """
-    sub = np.asarray(sub_matrix, dtype=np.float64)
-    if sub.ndim != 2 or sub.shape[0] != sub.shape[1]:
-        raise DimensionMismatch("restriction matrix must be square")
-    s = sub.shape[0]
-    if s == 0:
-        raise PreconditionError("empty restriction has no quasi-stationary law")
-    if not (sub.min() >= 0 and np.isfinite(sub.max())):
-        raise PreconditionError("restriction entries must be finite and non-negative")
-    if not is_irreducible(sub):
-        n_comp = int(classify_states(sub > 0)[0].max()) + 1
+    if isinstance(restriction, InteriorKernel):
+        s, pieces, step = restriction.size, restriction.pieces, restriction.apply
+    else:
+        sub = np.asarray(restriction, dtype=np.float64)
+        if sub.ndim != 2 or sub.shape[0] != sub.shape[1]:
+            raise DimensionMismatch("restriction matrix must be square")
+        s = sub.shape[0]
+        if s == 0:
+            raise PreconditionError("empty restriction has no quasi-stationary law")
+        if not (sub.min() >= 0 and np.isfinite(sub.max())):
+            raise PreconditionError("restriction entries must be finite and non-negative")
+        pieces = 1 if is_irreducible(sub) else int(classify_states(sub > 0)[0].max()) + 1
+
+        def step(mu: np.ndarray) -> np.ndarray:
+            return mu @ sub
+    if pieces > 1:
         raise ReducibleInterior(
-            f"restriction splits into {n_comp} strongly connected pieces; "
+            f"restriction splits into {pieces} strongly connected pieces; "
             "the quasi-stationary law is not unique"
         )
     mu = np.full(s, 1.0 / s)
     lam = 0.0
     its = 0
     for its in range(1, QSD_MAX_ITER + 1):
-        nxt = mu @ sub
+        nxt = step(mu)
         lam = float(nxt.sum())
         if lam <= 0:
             raise PreconditionError("restriction annihilates the iterate")
@@ -379,8 +575,7 @@ def qsd_power_iteration(sub_matrix: np.ndarray,
         raise PreconditionError(
             f"power iteration did not converge in {QSD_MAX_ITER} iterations"
         )
-    leak = 1.0 - sub.sum(axis=1)
-    residual = abs((1.0 - lam) - float(mu @ leak))
+    residual = abs((1.0 - lam) - (float(mu.sum()) - float(step(mu).sum())))
     if states is None:
         states = np.arange(s)
     return QsdResult(weights=mu, states=np.asarray(states),
@@ -389,14 +584,14 @@ def qsd_power_iteration(sub_matrix: np.ndarray,
 
 def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
     """Quasi-stationary distribution of the chain restricted to the strictly
-    interior compositions (every type present): only that block is built."""
+    interior compositions (every type present), through ``InteriorKernel``:
+    no (T, T) block is built."""
     idx = chain.interior_indices()
     if idx.size == 0:
         raise PreconditionError(
             f"no interior compositions at N={chain.n} with M={chain.states.shape[1]}"
         )
-    return qsd_power_iteration(kernel_block(chain, idx, idx),
-                               states=chain.states[idx], tol=tol)
+    return qsd_power_iteration(InteriorKernel(chain), states=chain.states[idx], tol=tol)
 
 
 # ----------------------------------------------------------------------

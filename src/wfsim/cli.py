@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 config error, 2 precondition or numeric error.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 import time
@@ -90,6 +89,10 @@ def _csv_bytes(header, rows) -> bytes:
 def _write_outputs(out_dir: Path, command: str, resolved_config: dict,
                    outputs: dict[str, bytes], extras: dict | None,
                    started: float) -> None:
+    # imported here: after numpy, hashlib maps OpenSSL, 3.65 MiB of
+    # resident memory that a run pays only once it writes
+    import hashlib
+
     out_dir.mkdir(parents=True, exist_ok=True)
     checksums = {}
     for name, blob in outputs.items():

@@ -37,15 +37,13 @@ Z_95 = 1.6448536269514722
 class LeastFitReport:
     """Smallest expected next-generation share at a profile.
 
-    ``alpha`` is the minimal component of the update image, attained
-    exactly on ``least_fit`` (1-based labels); ``beta`` is the smallest
-    component over the remaining types.
+    ``least_fit`` (1-based labels) holds the types at which the update
+    image attains its minimum; ``beta`` is the smallest component over
+    the remaining types.
     """
 
-    alpha: float
     beta: float
     least_fit: SupportSet
-    image: np.ndarray
 
 
 def least_fit(rule: UpdateRule, point) -> LeastFitReport:
@@ -55,15 +53,13 @@ def least_fit(rule: UpdateRule, point) -> LeastFitReport:
     least-fit set.  A uniform image has no least-fit type and is rejected.
     """
     image = rule.update_probs(np.asarray(point, dtype=np.float64))
-    alpha = float(image.min())
-    mask = image == alpha
+    mask = image == image.min()
     if mask.all():
         raise DomainError(
             "update image is uniform; the least-fit set is undefined"
         )
-    beta = float(image[~mask].min())
-    return LeastFitReport(alpha=alpha, beta=beta,
-                          least_fit=SupportSet.from_mask(mask), image=image)
+    return LeastFitReport(beta=float(image[~mask].min()),
+                          least_fit=SupportSet.from_mask(mask))
 
 
 # ----------------------------------------------------------------------

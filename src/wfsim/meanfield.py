@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .fitness import PayoffMatrix, UpdateRule
-from .simplex import SupportSet, lattice_counts
+from .simplex import lattice_counts
 
 #: Permanence: interior candidates lie on the barycentric grid of this
 #: resolution; the update map moves a boundary fixed point less than this.
@@ -227,7 +227,6 @@ def is_positive_definite_on_sum_zero(a: MatrixLike) -> bool:
 
 @dataclass(frozen=True)
 class BoundaryFixedPoint:
-    support: SupportSet
     margin: float           # witness payoff advantage at this point
 
 
@@ -274,7 +273,7 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
         raise PreconditionError("face enumeration is limited to m <= 5")
     entries = payoff.entries
 
-    fixed: list[tuple[SupportSet, np.ndarray]] = []
+    fixed: list[np.ndarray] = []
     for size in range(1, m):
         for combo in itertools.combinations(range(m), size):
             idx = np.array(combo, dtype=np.intp)
@@ -296,15 +295,14 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
                     # row has its profile's bits, so the hits need no re-check
                     grid = _face_grid(m, idx, 40)
                     gaps = np.abs(rule.update_probs(grid) - grid).max(axis=-1)
-                    fixed.extend((SupportSet.from_mask(z > 0), z)
-                                 for z in grid[gaps < FIXED_POINT_RESIDUAL])
+                    fixed.extend(grid[gaps < FIXED_POINT_RESIDUAL])
             for z in candidates:
                 try:
                     ok = np.max(np.abs(rule.update_probs(z) - z)) < FIXED_POINT_RESIDUAL
                 except DegenerateFitness:
                     ok = False
                 if ok:
-                    fixed.append((SupportSet.from_mask(z > 0), z))
+                    fixed.append(z)
 
     if not fixed:
         return PermanenceReport(status="permanent", witness=None)
@@ -321,7 +319,7 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
     interior_counts = interior_counts[np.all(interior_counts > 0, axis=1)]
     candidates_y.extend(interior_counts / CANDIDATE_RESOLUTION)
 
-    z_mat = np.array([z for _, z in fixed])
+    z_mat = np.array(fixed)
     self_scores = np.einsum("ij,jk,ik->i", z_mat, entries, z_mat)
     best_y = best_margins = None
     for y in candidates_y:
@@ -335,8 +333,7 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
     return PermanenceReport(
         status="permanent" if best_margins.min() > 0 else "not-verified",
         witness=best_y,
-        fixed_points=[BoundaryFixedPoint(support=supp, margin=float(mrg))
-                      for (supp, _), mrg in zip(fixed, best_margins)],
+        fixed_points=[BoundaryFixedPoint(margin=float(mrg)) for mrg in best_margins],
     )
 
 

@@ -14,6 +14,7 @@ from scipy.stats import multinomial
 
 from wfsim import chain
 from wfsim.chain import (
+    InteriorKernel,
     build_exact_chain,
     classify_states,
     interior_qsd,
@@ -650,9 +651,10 @@ class TestQsd:
         np.testing.assert_allclose(res.weights, np.full(s, 1 / s), atol=1e-12)
 
     def test_solve_holds_only_the_interior_block(self, rule_a2):
-        # tracemalloc peak over build plus solve at N=70, against the T^2
-        # float64 interior block: 1.25x when the block is assembled on its
-        # own, 2.44x when it was copied out of the full (S, S) matrix
+        # tracemalloc peak over build plus solve at N=70, against the power
+        # tables, 2 T (N-2) float64 (2.4 MiB): 2.19x measured, the rest being
+        # the normalisers' row chunk (about 2 MiB) and per-band vectors.  The
+        # T^2 interior block it replaced (42 MiB) peaked at 1.25x its size
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
@@ -662,7 +664,7 @@ class TestQsd:
         finally:
             tracemalloc.stop()
         assert "matrix" not in vars(exact)
-        assert peak < 1.5 * res.weights.size ** 2 * 8
+        assert peak < 3 * 2 * res.weights.size * 68 * 8
 
     def test_no_interior_states(self, rule_a2):
         chain = build_exact_chain(rule_a2, 2)
@@ -681,6 +683,101 @@ class TestQsd:
         res = interior_qsd(build_exact_chain(rule_a2, n))
         assert abs(res.eigenvalue - eigenvalue) <= 1e-14
         assert res.leak_residual < 1e-13
+
+
+def dense_step(exact, mu: np.ndarray) -> np.ndarray:
+    """``mu @ Q`` on the interior block, accumulated over row blocks of
+    ``kernel_block`` so the (T, T) block is never held."""
+    idx = exact.interior_indices()
+    out = np.zeros(idx.size)
+    for lo in range(0, idx.size, 512):
+        out += mu[lo: lo + 512] @ kernel_block(exact, idx[lo: lo + 512], idx)
+    return out
+
+
+M4 = [[1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0], [3.0, 4.0, 1.0, 2.0], [4.0, 3.0, 2.0, 1.0]]
+
+
+class TestInteriorKernel:
+    """``mu @ Q`` through the power tables against the dense block."""
+
+    @pytest.mark.parametrize("rule,n", [
+        (make_rule(A2, omega=0.5), 6),
+        (make_rule(A2, omega=0.5), 30),
+        (make_rule(A2, omega=0.5), 70),
+        (make_rule(A2, omega=0.5), 100),       # past the cap on the T x T block
+        (mixing_rule(make_rule(A2, omega=0.5)), 30),
+        (mixing_rule(make_rule(A2, omega=0.5)), 70),
+        (make_rule(A2, omega=0.5, mutation=[[0.9, 0.1, 0.0], [0.1, 0.9, 0.0],
+                                            [0.0, 0.0, 1.0]]), 30),
+        (make_rule([[1.0, 3.0], [2.0, 1.0]], omega=0.5), 50),
+        (make_rule([[1.0, 3.0], [2.0, 1.0]], omega=0.5), 3163),
+        (make_rule(M4, omega=0.5), 12),
+        (make_rule(M4, omega=0.5), 20),
+    ], ids=["a2-6", "a2-30", "a2-70", "a2-100", "mixing-30", "mixing-70", "block-30",
+            "m2-50", "m2-3163", "m4-12", "m4-20"])
+    def test_step_matches_the_dense_block(self, rule, n):
+        # both routes round exponents of size up to N log M, so they differ
+        # by about N ulps: 1e-13 relative up to N=450, N * eps past it.  At
+        # N=3163 (M=2) both differ from an mpmath reference by up to 4e-12,
+        # through the shared math.lgamma table, and from each other by 2e-13
+        exact = build_exact_chain(rule, n)
+        op = InteriorKernel(exact)
+        rtol = max(1e-13, n * np.finfo(float).eps)
+        rng = np.random.default_rng(n)
+        for mu in (np.full(op.size, 1.0 / op.size), rng.random(op.size)):
+            got, want = op.apply(mu), dense_step(exact, mu)
+            np.testing.assert_array_equal(got > 0, want > 0)
+            gap = np.abs(got - want)
+            assert np.all(gap <= rtol * want), (gap / want).max()
+
+    def test_ladder_top_iterates_like_the_dense_solve(self, rule_a2):
+        # N=80 is the largest M=3 rung whose T x T block (76 MB) fits the cap
+        exact = build_exact_chain(rule_a2, 80)
+        idx = exact.interior_indices()
+        res = interior_qsd(exact)
+        dense = qsd_power_iteration(kernel_block(exact, idx, idx))
+        assert res.iterations == dense.iterations
+        assert abs(res.eigenvalue - dense.eigenvalue) <= 1e-14
+        np.testing.assert_allclose(res.weights, dense.weights, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("rule", [
+        make_rule(A2, omega=0.5, mutation=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
+                                           [0.2, 0.8, 0.0]]),
+        make_rule([[1.0, 1.0], [-1.0, 1.0]], omega=0.9),
+    ], ids=["zero-column", "negative-fitness"])
+    def test_pieces_are_counted_like_classify_states(self, rule):
+        # a mutation matrix with a zero column empties every interior row; a
+        # fitness driven below zero empties the rows where it is clamped
+        exact = build_exact_chain(rule, 12)
+        idx = exact.interior_indices()
+        sub = kernel_block(exact, idx, idx)
+        pieces = int(classify_states(sub > 0)[0].max()) + 1
+        assert InteriorKernel(exact).pieces == pieces > 1
+        with pytest.raises(ReducibleInterior, match=f"into {pieces} strongly connected"):
+            interior_qsd(exact)
+
+    def test_one_type_is_refused(self):
+        exact = build_exact_chain(make_rule([[1.0]], omega=0.5), 3)
+        with pytest.raises(PreconditionError, match="at least two types"):
+            interior_qsd(exact)
+
+    def test_byte_cap_refuses_before_allocating(self, rule_a2, monkeypatch):
+        exact = build_exact_chain(rule_a2, 30)
+        nbytes = 406 * 2 * 28 * 8       # T (U + N-M+1) float64, U = N-M+1 at M=3
+        monkeypatch.setattr(chain, "BLOCK_BYTE_CAP", nbytes - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitExceeded) as info:
+                InteriorKernel(exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 10
+        assert f"interior power tables (406, 56) would take {nbytes} bytes" in str(info.value)
+        # tables of exactly the cap are built
+        monkeypatch.setattr(chain, "BLOCK_BYTE_CAP", nbytes)
+        assert InteriorKernel(exact).size == 406
 
 
 # ----------------------------------------------------------------------

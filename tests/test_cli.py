@@ -549,12 +549,24 @@ class TestQsd:
         assert all(r["leak_residual"] < 1e-10 for r in results)
 
     def test_state_cap_exits_two(self, runner, tmp_path):
+        # 246,051 lattice states at N=700 (N=200 ran into the byte cap on the
+        # T x T block before the interior kernel was applied through tables)
         cfg = write_config(tmp_path, "qsd.json",
-                           {"matrix": A2, "omega": 0.5, "N": 200})
+                           {"matrix": A2, "omega": 0.5, "N": 700})
         result = runner.invoke(main, ["qsd", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "error:" in result.stderr
+
+    def test_table_byte_cap_exits_two(self, runner, tmp_path):
+        # N=217 is the last M=3 rung whose power tables fit BLOCK_BYTE_CAP
+        cfg = write_config(tmp_path, "qsd.json",
+                           {"matrix": A2, "omega": 0.5, "N": 218})
+        result = runner.invoke(main, ["qsd", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "error: interior power tables (23436, 432)" in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_environment_does_not_change_the_result(self, runner, tmp_path):
         # the library reads no environment variable; WF_MAX_STATES once
@@ -580,14 +592,16 @@ class TestQsd:
         assert result.exit_code == 2
 
     def test_outputs_are_pinned(self, runner, tmp_path):
-        # SHA-256 recorded before the kernel was assembled in row blocks: a
-        # moved bit in the interior block moves a weight, and the digest
+        # SHA-256 recorded when the interior kernel came to be applied through
+        # power tables: a moved bit in a step moves a weight, and the digest.
+        # The matrix products take their bits from the BLAS kernel of the CPU
+        # (forcing OpenBLAS's Sandybridge kernel moves the digest)
         cfg = write_config(tmp_path, "qsd.json", {
             "matrix": A2, "omega": 0.5, "N": [30, 45], "include_weights": True})
         out = tmp_path / "out"
         run_ok(runner, ["qsd", "--config", cfg, "--out", str(out)])
         assert hashlib.sha256((out / "qsd.json").read_bytes()).hexdigest() == (
-            "d028e785a1b87c8869b428d1d05cdeafdca95b9bae2f35926eeb525d513528cc")
+            "80c834659771ae53b10aac2945aa1d40f18f85772285354e1b08ea76a3a83851")
 
     def test_weights_included_on_request(self, runner, tmp_path):
         cfg = write_config(tmp_path, "qsd.json", {
@@ -845,8 +859,8 @@ class TestPlumbing:
         ("meanfield", {"matrix": A2, "omega": 0.5, "check_permanence": True}),
     ])
     def test_qsd_and_meanfield_load_no_scipy(self, tmp_path, command, cfg):
-        # the exact chain takes its log-factorials from math.lgamma, checks
-        # interior irreducibility by two numpy sweeps and classifies its
+        # the exact chain takes its log-factorials from math.lgamma, reads
+        # interior irreducibility off the sampling laws and classifies its
         # states only when they are read, which `wf qsd` never does
         assert self.scipy_modules_after(self.command_code(tmp_path, command, cfg)) == "[]"
 

@@ -33,21 +33,22 @@ from conftest import A1, A2, CHI1, CHI2, neutral_rule
 class TestLeastFit:
     def test_benchmark_a2(self, rule_a2):
         rep = least_fit(rule_a2, CHI2)
-        assert rep.alpha == pytest.approx(0.0246913, abs=1e-6)
         assert rep.beta == pytest.approx(0.2407407, abs=1e-6)
         assert rep.least_fit.labels == {1}
 
     def test_benchmark_a1(self, rule_a1):
         rep = least_fit(rule_a1, CHI1)
-        assert rep.alpha == pytest.approx(0.24766355, abs=1e-6)
         assert rep.beta == pytest.approx(0.3411215, abs=1e-6)
         assert rep.least_fit.labels == {1}
 
     def test_equilibrium_image_reduces_to_coordinate_minima(self, rule_a2):
-        # at an interior fixed point the expected next shares are the
-        # shares themselves, so alpha is just the smallest coordinate
+        # at an interior fixed point the expected next shares are the shares
+        # themselves: the least-fit type holds the smallest coordinate, and
+        # beta is the next smallest
         rep = least_fit(rule_a2, CHI2)
-        np.testing.assert_allclose(rep.image, CHI2, atol=1e-6)
+        order = np.argsort(CHI2)
+        assert rep.least_fit.labels == {int(order[0]) + 1}
+        assert rep.beta == pytest.approx(CHI2[order[1]], abs=1e-6)
 
     def test_uniform_image_rejected(self, rule_two):
         with pytest.raises(DomainError, match="uniform"):
@@ -55,10 +56,11 @@ class TestLeastFit:
 
     def test_minimum_attained_exactly_on_least_fit_set(self, rule_a1):
         rep = least_fit(rule_a1, CHI1)
+        image = rule_a1.update_probs(CHI1)
         mask = rep.least_fit.to_mask(3)
-        assert np.all(rep.image[mask] == rep.alpha)
-        assert np.all(rep.image[~mask] > rep.alpha)
-        assert rep.beta > rep.alpha
+        assert np.all(image[mask] == image.min())
+        assert np.all(image[~mask] > image.min())
+        assert rep.beta == image[~mask].min() > image.min()
 
 
 # ----------------------------------------------------------------------
