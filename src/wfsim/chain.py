@@ -6,10 +6,11 @@ This module provides trajectory sampling, fully enumerated transition
 matrices for small populations (with a state cap and a byte cap on each
 kernel block), structural classification of states (recurrent classes
 and their periods, transient), face-closure checks for recurrent
-classes, quasi-stationary distributions of the interior restriction
+classes, the quasi-stationary distribution of the interior restriction
 (applied through per-type power tables, without the interior block),
-and the exact one-step drift of a batch function at every state (the
-check of the maximization principle).
+and the exact one-step drift of the average score x'Ax from the
+multinomial moments, without a chain (the check of the maximization
+principle).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     PreconditionError,
     ReducibleInterior,
     ResourceLimitExceeded,
@@ -288,28 +288,6 @@ def classify_states(positive: np.ndarray) -> tuple[np.ndarray, list, list, np.nd
     return labels, classes, periods, np.flatnonzero(~sink)
 
 
-def _reached_from_zero(step: Callable[[np.ndarray], np.ndarray], s: int) -> np.ndarray:
-    """States reached from state 0 of S, one breadth-first level at a time:
-    ``step(frontier)`` is the (S,) mask one edge away from a frontier mask."""
-    seen = np.zeros(s, dtype=bool)
-    frontier = seen.copy()
-    frontier[0] = True
-    while frontier.any():
-        seen |= frontier
-        frontier = step(frontier) & ~seen
-    return seen
-
-
-def is_irreducible(weights: np.ndarray) -> bool:
-    """Whether the digraph with an edge i -> j where ``weights[i, j] > 0``
-    ((S, S), S >= 1, non-negative or boolean) is one strongly connected
-    component: state 0 reaches every state, and every state reaches state
-    0.  Each level is one vector-matrix product, so no (S, S) mask is made."""
-    s = weights.shape[0]
-    return bool(_reached_from_zero(lambda f: f @ weights > 0, s).all()
-                and _reached_from_zero(lambda f: weights @ f > 0, s).all())
-
-
 def recurrent_class_faces(chain: ExactChain,
                           class_index: int) -> tuple[list[SupportSet], bool]:
     """Maximal supports appearing in a recurrent class, plus whether the
@@ -333,11 +311,11 @@ def recurrent_class_faces(chain: ExactChain,
 
 @dataclass(frozen=True)
 class QsdResult:
-    """Left Perron data of a substochastic restriction.
+    """Left Perron data of the interior restriction.
 
     ``weights`` is the normalized quasi-stationary distribution over the
-    kept states, ``eigenvalue`` the per-step survival factor, and
-    ``leak_residual`` the defect in the identity
+    interior states ``states``, ``eigenvalue`` the per-step survival
+    factor, and ``leak_residual`` the defect in the identity
     ``1 - eigenvalue = sum_x weights(x) * P(x, leave)``.
     """
 
@@ -526,43 +504,31 @@ def _khatri_rao(tables: np.ndarray, cols: list) -> np.ndarray:
     return out
 
 
-def qsd_power_iteration(restriction, states: Optional[np.ndarray] = None,
-                        tol: float = 1e-12) -> QsdResult:
-    """Left Perron vector of a substochastic restriction by power iteration
-    with L1 renormalization, stopped when an L1 step falls below ``tol``;
-    gives up after ``QSD_MAX_ITER`` steps.
+def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
+    """Quasi-stationary distribution of the chain restricted to the strictly
+    interior compositions (every type present): the left Perron vector of
+    ``InteriorKernel`` (no (T, T) block is built) by power iteration with
+    L1 renormalization, stopped when an L1 step falls below ``tol``; gives
+    up after ``QSD_MAX_ITER`` steps.
 
-    ``restriction`` is a dense square matrix or an ``InteriorKernel``.  It
-    must be irreducible (one strongly connected component) so the
-    quasi-stationary distribution is unique and strictly positive.  The
-    leak residual takes the mass that leaves in one step from the final
-    weights, ``sum(weights) - sum(weights @ restriction)``.
+    The interior must be one strongly connected piece, so the law is unique
+    and strictly positive.  The leak residual takes the mass that leaves in
+    one step from the final weights, ``sum(weights) - sum(weights @ Q)``.
     """
-    if isinstance(restriction, InteriorKernel):
-        s, pieces, step = restriction.size, restriction.pieces, restriction.apply
-    else:
-        sub = np.asarray(restriction, dtype=np.float64)
-        if sub.ndim != 2 or sub.shape[0] != sub.shape[1]:
-            raise DimensionMismatch("restriction matrix must be square")
-        s = sub.shape[0]
-        if s == 0:
-            raise PreconditionError("empty restriction has no quasi-stationary law")
-        if not (sub.min() >= 0 and np.isfinite(sub.max())):
-            raise PreconditionError("restriction entries must be finite and non-negative")
-        pieces = 1 if is_irreducible(sub) else int(classify_states(sub > 0)[0].max()) + 1
-
-        def step(mu: np.ndarray) -> np.ndarray:
-            return mu @ sub
-    if pieces > 1:
+    idx = chain.interior_indices()
+    if idx.size == 0:
+        raise PreconditionError(
+            f"no interior compositions at N={chain.n} with M={chain.states.shape[1]}"
+        )
+    kernel = InteriorKernel(chain)
+    if kernel.pieces > 1:
         raise ReducibleInterior(
-            f"restriction splits into {pieces} strongly connected pieces; "
+            f"restriction splits into {kernel.pieces} strongly connected pieces; "
             "the quasi-stationary law is not unique"
         )
-    mu = np.full(s, 1.0 / s)
-    lam = 0.0
-    its = 0
+    mu = np.full(idx.size, 1.0 / idx.size)
     for its in range(1, QSD_MAX_ITER + 1):
-        nxt = step(mu)
+        nxt = kernel.apply(mu)
         lam = float(nxt.sum())
         if lam <= 0:
             raise PreconditionError("restriction annihilates the iterate")
@@ -575,42 +541,14 @@ def qsd_power_iteration(restriction, states: Optional[np.ndarray] = None,
         raise PreconditionError(
             f"power iteration did not converge in {QSD_MAX_ITER} iterations"
         )
-    residual = abs((1.0 - lam) - (float(mu.sum()) - float(step(mu).sum())))
-    if states is None:
-        states = np.arange(s)
-    return QsdResult(weights=mu, states=np.asarray(states),
+    residual = abs((1.0 - lam) - (float(mu.sum()) - float(kernel.apply(mu).sum())))
+    return QsdResult(weights=mu, states=chain.states[idx],
                      eigenvalue=lam, iterations=its, leak_residual=residual)
-
-
-def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
-    """Quasi-stationary distribution of the chain restricted to the strictly
-    interior compositions (every type present), through ``InteriorKernel``:
-    no (T, T) block is built."""
-    idx = chain.interior_indices()
-    if idx.size == 0:
-        raise PreconditionError(
-            f"no interior compositions at N={chain.n} with M={chain.states.shape[1]}"
-        )
-    return qsd_power_iteration(InteriorKernel(chain), states=chain.states[idx], tol=tol)
 
 
 # ----------------------------------------------------------------------
 # exact one-step drift
 # ----------------------------------------------------------------------
-
-def one_step_drift(chain: ExactChain,
-                   h: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Exact one-step drift ``E[h(next) | x] - h(x)`` at every state of an
-    exact chain, as an (S,) array aligned with ``chain.states``.  ``h``
-    maps a batch of frequency profiles ``(S, M)`` to ``(S,)``."""
-    hv = np.asarray(h(chain.states / chain.n))
-    if hv.shape != (chain.n_states,):
-        raise DimensionMismatch(
-            f"function on a batch of {chain.n_states} states returned shape "
-            f"{hv.shape}, expected ({chain.n_states},)"
-        )
-    return chain.matrix @ hv - hv
-
 
 def quadratic_form_drift(rule: UpdateRule, n: int) -> tuple[float, float]:
     """Exhaustive conditional drift of the average-score function x'Ax,
@@ -620,8 +558,13 @@ def quadratic_form_drift(rule: UpdateRule, n: int) -> tuple[float, float]:
     quadratic form is positive definite on sum-zero vectors; under that
     hypothesis the expected one-step change of x'Ax is non-negative
     everywhere and strictly positive off the vertices.  Returns
-    ``(min drift over all states, min drift over non-vertex states)``
-    computed exactly from the enumerated transition matrix.
+    ``(min drift over all states, min drift over non-vertex states)``.
+
+    The next frequencies are a multinomial draw of size n with law
+    p = ``sampling_probs`` at x, so E[x'_next A x_next] = p'Ap +
+    (sum_i a_ii p_i - p'Ap)/n, and the drift at every ``lattice_counts``
+    state is the selection term p'Ap - x'Ax plus that noise term: no
+    chain is built.
     """
     payoff = rule.fitness.payoff
     if not (payoff.is_symmetric and payoff.is_invertible
@@ -633,10 +576,13 @@ def quadratic_form_drift(rule: UpdateRule, n: int) -> tuple[float, float]:
         raise PreconditionError(
             "drift oracle needs the form to be positive definite on sum-zero vectors"
         )
-    chain = build_exact_chain(rule, n)
-    entries = payoff.entries
-    drift = one_step_drift(chain, lambda f: np.einsum("ij,jk,ik->i", f, entries, f))
-    off_vertex = drift[~(chain.states == n).any(axis=1)]
+    states = lattice_counts(rule.m, n)
+    x = states / n
+    p = sampling_probs(rule, x)
+    a = payoff.entries
+    pap = np.einsum("ij,jk,ik->i", p, a, p)
+    drift = (pap - np.einsum("ij,jk,ik->i", x, a, x)) + (p @ np.diag(a) - pap) / n
+    off_vertex = drift[~(states == n).any(axis=1)]
     # at n = 1 every lattice state is a vertex: the off-vertex clause is vacuous
     off_min = float(off_vertex.min()) if off_vertex.size else float("inf")
     return float(drift.min()), off_min

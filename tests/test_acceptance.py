@@ -39,7 +39,13 @@ from wfsim.extinction import (
     run_trial_absorption,
     trial_rng,
 )
-from wfsim.fitness import MutationMatrix, UpdateRule, finite_difference_jacobian, make_rule
+from wfsim.fitness import (
+    MutationMatrix,
+    UpdateRule,
+    finite_difference_jacobian,
+    make_rule,
+    sampling_probs,
+)
 from wfsim.gaussian import (
     REL_TOL,
     Z_LIMIT,
@@ -54,7 +60,7 @@ from wfsim.meanfield import (
     spectral_radius_on_sum_zero,
     sum_zero_basis,
 )
-from wfsim.simplex import round_to_lattice
+from wfsim.simplex import lattice_counts, round_to_lattice
 
 from conftest import A1, A2, CHI2, jacobian_at_equilibrium, neutral_rule
 
@@ -169,25 +175,55 @@ def test_criterion_04_equilibrium_contraction_suite():
             )
 
 
+def score_drift_terms(rule: UpdateRule, n: int):
+    """The two terms of the one-step drift of x'Ax at every lattice state,
+    with p the multinomial law at x: the selection term p'Ap - x'Ax and
+    the noise term tr(A Sigma_p)/N = sum_{i<j} p_i p_j (a_ii + a_jj -
+    2 a_ij)/N, Sigma_p = diag(p) - pp' (Sigma_p has zero row sums)."""
+    x = lattice_counts(rule.m, n) / n
+    p = sampling_probs(rule, x)
+    a = rule.fitness.payoff.entries
+    d = np.diag(a)
+    spread = d[:, None] + d[None, :] - 2.0 * a            # zero on the diagonal
+    selection = (np.einsum("ij,jk,ik->i", p, a, p)
+                 - np.einsum("ij,jk,ik->i", x, a, x))
+    noise = 0.5 * np.einsum("ij,jk,ik->i", p, spread, p) / n
+    return selection, noise, (x == 1.0).any(axis=1)
+
+
 def test_criterion_05_average_score_submartingale():
-    """Exhaustive exact drift check, M in {2,3}, every N <= 8, for 10
-    positive-entry matrices positive definite on sum-zero vectors: the
-    conditional drift of x'Ax is >= -1e-12 everywhere and strictly
-    positive off the vertices."""
+    """Exhaustive exact drift check of x'Ax for positive-entry matrices
+    positive definite on sum-zero vectors (seed 515): five at M=2 at
+    N <= 8 and N in {50, 1000, 10000}, five at M=3 at N <= 8 and N in
+    {50, 200, 630} (near the 200,000-state cap), then one M=4 matrix
+    (N <= 8, 50, 100) and one M=5 matrix (N <= 8, 20, 40).  The
+    conditional drift is >= -1e-12 everywhere and strictly positive off
+    the vertices; each of its two terms, the selection term p'Ap - x'Ax
+    and the noise term, is >= -1e-12 on its own, and their sum has the
+    minima that ``quadratic_form_drift`` reports."""
     rng = np.random.default_rng(515)
     cases = [(2, random_pd_on_sum_zero_matrix(2, rng)) for _ in range(5)]
     cases += [(3, random_pd_on_sum_zero_matrix(3, rng)) for _ in range(5)]
+    cases += [(4, random_pd_on_sum_zero_matrix(4, rng)),
+              (5, random_pd_on_sum_zero_matrix(5, rng))]
+    ladders = {2: (50, 1000, 10000), 3: (50, 200, 630), 4: (50, 100), 5: (20, 40)}
     omegas = (0.3, 0.5, 0.7)
     for idx, (m, payoff) in enumerate(cases):
         rule = make_rule(payoff.entries, omega=omegas[idx % 3])
-        for n in range(1, 9):
+        for n in (*range(1, 9), *ladders[m]):
+            where = f"matrix #{idx} (M={m}), N={n}"
             low, low_off = quadratic_form_drift(rule, n)
-            assert low >= -1e-12, (
-                f"matrix #{idx} (M={m}), N={n}: min drift {low:.3e}"
+            assert low >= -1e-12, f"{where}: min drift {low:.3e}"
+            assert low_off > 0.0, f"{where}: off-vertex drift {low_off:.3e}"
+            selection, noise, vertex = score_drift_terms(rule, n)
+            assert selection.min() >= -1e-12, (
+                f"{where}: min selection term {selection.min():.3e}"
             )
-            assert low_off > 0.0, (
-                f"matrix #{idx} (M={m}), N={n}: off-vertex drift {low_off:.3e}"
-            )
+            assert noise.min() >= -1e-12, f"{where}: min noise term {noise.min():.3e}"
+            drift = selection + noise
+            assert abs(drift.min() - low) <= 1e-13, where
+            if not vertex.all():
+                assert abs(drift[~vertex].min() - low_off) <= 1e-13, where
 
 
 def test_criterion_06_decoupling_tail_bounds(rule_a2):

@@ -18,17 +18,13 @@ from wfsim.chain import (
     build_exact_chain,
     classify_states,
     interior_qsd,
-    is_irreducible,
     kernel_block,
-    one_step_drift,
-    qsd_power_iteration,
     quadratic_form_drift,
     recurrent_class_faces,
     sample_path,
 )
 from wfsim.errors import (
     DegenerateFitness,
-    DimensionMismatch,
     PreconditionError,
     ReducibleInterior,
     ResourceLimitExceeded,
@@ -402,11 +398,6 @@ class TestExactChain:
         np.testing.assert_array_equal(exact.scc_labels, 0)
         assert classify_calls == [(exact.n_states, exact.n_states)]
 
-    def test_reducible_interior_is_classified_to_count_its_pieces(self, classify_calls):
-        sub = scipy.linalg.block_diag(np.full((3, 3), 0.2), np.full((4, 4), 0.1))
-        with pytest.raises(ReducibleInterior, match="2 strongly connected"):
-            qsd_power_iteration(sub)
-        assert classify_calls == [(7, 7)]
 
 
 def direct_classification(positive: np.ndarray):
@@ -471,28 +462,6 @@ class TestClassifyStates:
     @given(masks())
     def test_matches_csgraph_on_the_full_mask(self, mask):
         assert_matches_direct(mask, *classify_states(mask))
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(masks())
-    def test_two_sweeps_decide_irreducibility_like_csgraph(self, mask):
-        n_comp = csgraph.connected_components(csr_matrix(mask), directed=True,
-                                              connection="strong")[0]
-        assert is_irreducible(mask) == (n_comp == 1)
-        # a weighted matrix decides on its positive entries, subnormal ones too
-        assert is_irreducible(np.where(mask, 5e-324, 0.0)) == (n_comp == 1)
-
-    @pytest.mark.parametrize("mask,verdict", [
-        # one state and no edge; a 5-cycle (period 5); the same cycle with
-        # row 2 emptied; paths along which 0 reaches every state but none
-        # reaches 0, and the reverse
-        (np.zeros((1, 1), dtype=bool), True),
-        (np.roll(np.eye(5, dtype=bool), 1, axis=1), True),
-        (np.roll(np.eye(5, dtype=bool), 1, axis=1) & (np.arange(5) != 2)[:, None], False),
-        (np.eye(3, k=1, dtype=bool), False),
-        (np.eye(3, k=-1, dtype=bool), False),
-    ], ids=["single", "cycle", "empty-row", "forward-path", "backward-path"])
-    def test_two_sweeps_on_hand_masks(self, mask, verdict):
-        assert is_irreducible(mask) is verdict
 
     def test_distinct_rows_and_long_cycles(self):
         # every row distinct, a 3-cycle and a 2-cycle as sink classes
@@ -605,50 +574,16 @@ class TestQsd:
         assert lams[0] < lams[1] < lams[2]
 
     def test_power_iteration_matches_dense_eigensolver(self, rule_a2):
-        chain = build_exact_chain(rule_a2, 8)
-        idx = chain.interior_indices()
-        sub = chain.matrix[np.ix_(idx, idx)]
-        res = qsd_power_iteration(sub)
-        eigs = scipy.linalg.eigvals(sub)
+        exact = build_exact_chain(rule_a2, 8)
+        idx = exact.interior_indices()
+        res = interior_qsd(exact)
+        eigs = scipy.linalg.eigvals(kernel_block(exact, idx, idx))
         assert abs(res.eigenvalue - float(np.max(eigs.real))) < 1e-10
 
     def test_reducible_interior_detected(self):
         chain = build_exact_chain(constant_vertex_rule(2), 3)
         with pytest.raises(ReducibleInterior):
             interior_qsd(chain)
-
-    def test_two_positive_blocks_are_reducible(self):
-        # two row patterns only, yet two closed pieces
-        sub = scipy.linalg.block_diag(np.full((3, 3), 0.2), np.full((4, 4), 0.1))
-        with pytest.raises(ReducibleInterior, match="2 strongly connected"):
-            qsd_power_iteration(sub)
-
-    @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
-    def test_entries_must_be_finite_and_non_negative(self, bad):
-        sub = np.full((3, 3), 0.2)
-        sub[1, 2] = bad
-        with pytest.raises(PreconditionError, match="finite and non-negative"):
-            qsd_power_iteration(sub)
-
-    def test_irreducibility_sweeps_make_no_square_mask(self, rule_a2):
-        exact = build_exact_chain(rule_a2, 70)
-        idx = exact.interior_indices()
-        sub = kernel_block(exact, idx, idx)
-        tracemalloc.start()
-        try:
-            assert is_irreducible(sub)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * idx.size         # a (T, T) bool mask is T^2 bytes
-
-    def test_irreducible_restriction_with_distinct_rows(self):
-        # a cyclic permutation plus the diagonal: every row distinct, one piece
-        s = 7
-        sub = 0.4 * np.eye(s) + 0.5 * np.roll(np.eye(s), 1, axis=1)
-        res = qsd_power_iteration(sub)
-        assert res.eigenvalue == pytest.approx(0.9, abs=1e-12)
-        np.testing.assert_allclose(res.weights, np.full(s, 1 / s), atol=1e-12)
 
     def test_solve_holds_only_the_interior_block(self, rule_a2):
         # tracemalloc peak over build plus solve at N=70, against the power
@@ -733,13 +668,23 @@ class TestInteriorKernel:
 
     def test_ladder_top_iterates_like_the_dense_solve(self, rule_a2):
         # N=80 is the largest M=3 rung whose T x T block (76 MB) fits the cap
+        # the reference is the same power loop on the block
         exact = build_exact_chain(rule_a2, 80)
         idx = exact.interior_indices()
         res = interior_qsd(exact)
-        dense = qsd_power_iteration(kernel_block(exact, idx, idx))
-        assert res.iterations == dense.iterations
-        assert abs(res.eigenvalue - dense.eigenvalue) <= 1e-14
-        np.testing.assert_allclose(res.weights, dense.weights, rtol=1e-13, atol=0)
+        block = kernel_block(exact, idx, idx)
+        mu = np.full(idx.size, 1.0 / idx.size)
+        for its in range(1, chain.QSD_MAX_ITER + 1):
+            nxt = mu @ block
+            lam = float(nxt.sum())
+            nxt /= lam
+            delta = float(np.abs(nxt - mu).sum())
+            mu = nxt
+            if delta < 1e-12:
+                break
+        assert res.iterations == its
+        assert abs(res.eigenvalue - lam) <= 1e-14
+        np.testing.assert_allclose(res.weights, mu, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("rule", [
         make_rule(A2, omega=0.5, mutation=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
@@ -794,23 +739,21 @@ class TestDrift:
             assert low_off > 0
 
     def test_vertices_have_zero_drift(self):
-        a = np.array([[3.0, 1.0], [1.0, 3.0]])
-        rule = make_rule(a, omega=0.3)
-        chain = build_exact_chain(rule, 6)
-        drift = one_step_drift(chain, lambda f: np.einsum("ij,jk,ik->i", f, a, f))
-        assert drift.shape == (chain.n_states,)
-        assert drift.min() >= -1e-10
-        # reference: h one state at a time
-        hv = np.array([float(f @ a @ f) for f in chain.states / 6])
-        np.testing.assert_allclose(drift, chain.matrix @ hv - hv, rtol=0, atol=1e-15)
-        for i, s in enumerate(map(tuple, chain.states)):
-            if max(s) == 6:
-                assert abs(drift[i]) < 1e-12
-
-    def test_scalar_function_rejected(self):
-        rule = make_rule(np.array([[3.0, 1.0], [1.0, 3.0]]), omega=0.3)
-        with pytest.raises(DimensionMismatch):
-            one_step_drift(build_exact_chain(rule, 4), lambda f: float(f[0, 0]))
+        # the closed form against E[h(next)] - h from the whole kernel
+        for a in ([[3.0, 1.0], [1.0, 3.0]],
+                  [[4.0, 1.0, 2.0], [1.0, 5.0, 1.5], [2.0, 1.5, 6.0]]):
+            a = np.array(a)
+            rule = make_rule(a, omega=0.3)
+            for n in range(1, 13):
+                exact = build_exact_chain(rule, n)
+                hv = np.einsum("ij,jk,ik->i", exact.states / n, a, exact.states / n)
+                drift = kernel_block(exact, np.arange(exact.n_states)) @ hv - hv
+                vertex = (exact.states == n).any(axis=1)
+                np.testing.assert_allclose(drift[vertex], 0.0, rtol=0, atol=1e-13)
+                low, low_off = quadratic_form_drift(rule, n)
+                assert abs(low - drift.min()) <= 1e-13
+                if n > 1:
+                    assert abs(low_off - drift[~vertex].min()) <= 1e-13
 
     def test_indefinite_form_rejected(self, rule_two):
         with pytest.raises(PreconditionError):

@@ -17,7 +17,10 @@ function parameters are not definitions here, so a field or a parameter
 that only tests read (or that always takes one value) passes.  Names are
 matched bare, so a method passes when reached code names the same name
 for any other reason: a same-named method of another class, or an
-unrelated variable or attribute.
+unrelated variable or attribute.  Nor does it see branches: a reached
+function passes even when one of its branches (a type dispatch, an
+optional argument) is taken only by unit tests.  The QSD power loop's
+dense-matrix branch was one; it was deleted with its tests.
 """
 
 from __future__ import annotations
