@@ -5,9 +5,10 @@ probabilities are the expected-update image of the current composition.
 This module provides trajectory sampling, fully enumerated transition
 matrices for small populations (with a state cap and a byte cap on each
 kernel block), structural classification of states (recurrent classes
-and their periods, transient), face-closure checks for recurrent
-classes, the quasi-stationary distribution of the interior restriction
-(applied through per-type power tables, without the interior block),
+and their periods, transient) from the supports of the sampling laws,
+face-closure checks for recurrent classes, the quasi-stationary
+distribution of the interior restriction (applied through per-type power
+tables, without the interior block),
 and the exact one-step drift of the average score x'Ax from the
 multinomial moments, without a chain (the check of the maximization
 principle).
@@ -154,13 +155,16 @@ class ExactChain:
 
     States are ordered ascending-lexicographically by their count vectors;
     ``matrix[i, j]`` is the probability of moving from state i to state j
-    in one generation.  ``matrix`` is ``kernel_block`` on every row and
-    column, assembled when first read, and kept; so is the structural
-    classification (``scc_labels``, ``recurrent_classes``, ``periods``,
-    ``transient``), computed by ``classify_states(matrix > 0)``.
+    in one generation.  ``matrix`` is ``kernel_block`` on every row,
+    assembled when first read, and kept; only the benchmark's traced replay
+    and tests read it, and it goes with ``kernel_block`` (ROADMAP.md item
+    1).  The structural classification (``scc_labels``,
+    ``recurrent_classes``, ``periods``, ``transient``) is computed when
+    first read, and kept, by ``classify_states`` on the supports of the
+    states and of their sampling laws: no kernel entry (so no underflow
+    to 0) enters it.
     ``scc_labels`` numbers the strongly connected components (like
-    ``recurrent_classes``) ascending by smallest member, not scipy's
-    component ids.
+    ``recurrent_classes``) ascending by smallest member.
     """
 
     rule: UpdateRule
@@ -177,7 +181,8 @@ class ExactChain:
 
     @cached_property
     def _classification(self) -> tuple[np.ndarray, list, list, np.ndarray]:
-        return classify_states(self.matrix > 0)
+        return classify_states(self.states > 0,
+                               sampling_probs(self.rule, self.states / self.n) > 0)
 
     @property
     def scc_labels(self) -> np.ndarray:
@@ -210,20 +215,19 @@ def build_exact_chain(rule: UpdateRule, n: int) -> ExactChain:
     return ExactChain(rule, n, lattice_counts(rule.m, n))
 
 
-def kernel_block(chain: ExactChain, rows: np.ndarray,
-                 cols: Optional[np.ndarray] = None) -> np.ndarray:
-    """Transition probabilities from the states ``rows`` to the states
-    ``cols`` (index arrays; None for every state, in order, without a
-    column copy), assembled ``KERNEL_BLOCK`` rows at a time.  Refuses,
-    before allocating, a block of more than ``BLOCK_BYTE_CAP`` bytes.
+def kernel_block(chain: ExactChain, rows: np.ndarray) -> np.ndarray:
+    """Transition probabilities from the states ``rows`` (an index array)
+    to every state, in order, assembled ``KERNEL_BLOCK`` rows at a time.
+    Refuses, before allocating, a block of more than ``BLOCK_BYTE_CAP``
+    bytes.
 
     Row i is the multinomial law of sampling_probs at state i, normalised
-    over all S destinations j before the columns are kept:
+    over all S destinations j:
     log N! - sum_k log s_jk! + sum_k s_jk log p_ik.  A finite stand-in for
     log 0 keeps 0 * log 0 at 0 and sends every s_jk > 0 entry to exactly 0.
     """
     states, n = chain.states, chain.n
-    shape = (rows.size, len(states) if cols is None else cols.size)
+    shape = (rows.size, len(states))
     if shape[0] * shape[1] * 8 > BLOCK_BYTE_CAP:
         raise ResourceLimitExceeded(
             f"kernel block {shape} would take {shape[0] * shape[1] * 8} bytes "
@@ -238,34 +242,32 @@ def kernel_block(chain: ExactChain, rows: np.ndarray,
         law = _log0(p) @ dest
         law += log_count
         np.exp(law, out=law)
-        total = law.sum(axis=1, keepdims=True)
-        if cols is None:
-            np.divide(law, total, out=out[lo: lo + KERNEL_BLOCK])
-        else:
-            block = np.take(law, cols, axis=1, out=out[lo: lo + KERNEL_BLOCK])
-            block /= total
+        np.divide(law, law.sum(axis=1, keepdims=True), out=out[lo: lo + KERNEL_BLOCK])
     return out
 
 
-def classify_states(positive: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
-    """SCC labels of the digraph with boolean adjacency ``positive`` (S, S),
-    its sink classes with their periods, and its transient states.
+def classify_states(support: np.ndarray,
+                    reach: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
+    """SCC labels of the digraph with an edge i -> j exactly when
+    ``support[j]`` lies within ``reach[i]`` (both (S, M) boolean), its sink
+    classes with their periods, and its transient states.  With the types
+    present at each state and the positive cells of its sampling law, that
+    is the multinomial kernel's positive pattern.  Every ``reach`` row must
+    hold some ``support`` row (a lattice holds every vertex).
 
-    Runs on a hub graph: the S states plus one hub per distinct row, with
-    edges i -> hub(row i) -> every j in that row (none for an empty row),
-    so S + nnz(distinct rows) edges.  Reachability between states is that
-    of ``positive``, and every cycle doubles, so periods are halved.
+    Runs on a hub graph: the S states plus one hub per distinct ``reach``
+    row (at most 2^M - 1), edges i -> hub(reach[i]) -> every j that fits.
+    Reachability between states is that of the digraph, and every cycle
+    doubles, so periods are halved.
     """
     from scipy.sparse import csgraph, csr_matrix
 
-    s = positive.shape[0]
-    packed = np.packbits(positive, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, hub = np.unique(keys, return_index=True, return_inverse=True)
-    patterns, live = positive[first], positive.any(axis=1)
-    indices = np.concatenate([s + hub[live], np.nonzero(patterns)[1]])
-    indptr = np.cumsum(np.concatenate([[0], live, patterns.sum(axis=1)]))
-    size = s + first.size
+    s = support.shape[0]
+    patterns, hub = _distinct_rows(reach)
+    fits = (support[None] <= patterns[:, None]).all(axis=-1)        # (H, S)
+    indices = np.concatenate([s + hub, np.nonzero(fits)[1]])
+    indptr = np.concatenate([np.arange(s), s + np.cumsum(np.r_[0, fits.sum(axis=1)])])
+    size = s + len(patterns)
     graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(size, size))
     n_comp, node_labels = csgraph.connected_components(graph, connection="strong")
     src = node_labels[np.repeat(np.arange(size), np.diff(indptr))]
@@ -481,7 +483,7 @@ def _horner_levels(coords: np.ndarray) -> tuple[int, np.ndarray, list]:
 
 
 def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a non-negative (K, J) integer array in
+    """The distinct rows of a non-negative (K, J) integer or boolean array in
     lexicographic order (one empty row when J = 0), and each row's index
     among them.  Sorted by hand: ``np.unique`` imports ``numpy.ma``, 1.6 MiB
     of resident memory."""
@@ -554,11 +556,11 @@ def quadratic_form_drift(rule: UpdateRule, n: int) -> tuple[float, float]:
     """Exhaustive conditional drift of the average-score function x'Ax,
     with A the payoff matrix of the payoff-driven ``rule``.
 
-    Requires a symmetric, invertible, positive-entry matrix whose
-    quadratic form is positive definite on sum-zero vectors; under that
-    hypothesis the expected one-step change of x'Ax is non-negative
-    everywhere and strictly positive off the vertices.  Returns
-    ``(min drift over all states, min drift over non-vertex states)``.
+    Requires a rule without mutation and a symmetric, invertible,
+    positive-entry matrix whose quadratic form is positive definite on
+    sum-zero vectors; under that hypothesis the expected one-step change of
+    x'Ax is non-negative everywhere and strictly positive off the vertices.
+    Returns ``(min drift over all states, min drift over non-vertex states)``.
 
     The next frequencies are a multinomial draw of size n with law
     p = ``sampling_probs`` at x, so E[x'_next A x_next] = p'Ap +
@@ -566,6 +568,8 @@ def quadratic_form_drift(rule: UpdateRule, n: int) -> tuple[float, float]:
     state is the selection term p'Ap - x'Ax plus that noise term: no
     chain is built.
     """
+    if rule.mutation is not None:
+        raise PreconditionError("drift oracle needs a rule without mutation")
     payoff = rule.fitness.payoff
     if not (payoff.is_symmetric and payoff.is_invertible
             and payoff.has_positive_entries):

@@ -25,9 +25,11 @@ from .errors import (
 from .fitness import PayoffMatrix, UpdateRule
 from .simplex import lattice_counts
 
-#: Permanence: interior candidates lie on the barycentric grid of this
-#: resolution; the update map moves a boundary fixed point less than this.
+#: Permanence: interior candidates lie on the barycentric grid of resolution
+#: CANDIDATE_RESOLUTION, singular faces are scanned on that of FACE_RESOLUTION,
+#: and the update map moves a boundary fixed point less than the residual.
 CANDIDATE_RESOLUTION = 12
+FACE_RESOLUTION = 40
 FIXED_POINT_RESIDUAL = 1e-8
 
 #: Draws a random test-matrix sampler makes before giving up.
@@ -244,17 +246,6 @@ class PermanenceReport:
     fixed_points: list[BoundaryFixedPoint] = field(default_factory=list)
 
 
-def _face_grid(m: int, indices: np.ndarray, resolution: int) -> np.ndarray:
-    """Strictly positive barycentric grid points of one closed face,
-    embedded in the full coordinate system."""
-    k = indices.size
-    counts = lattice_counts(k, resolution)
-    counts = counts[np.all(counts > 0, axis=1)]
-    pts = np.zeros((counts.shape[0], m))
-    pts[:, indices] = counts / resolution
-    return pts
-
-
 def check_permanence(rule: UpdateRule) -> PermanenceReport:
     """Test the interior-dominance sufficient condition for permanence of
     a payoff-driven rule, on its own payoff matrix.
@@ -291,9 +282,13 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
                         z[idx] = eq.vector
                         candidates.append(z)
                 except NoInteriorEquilibrium:
-                    # singular face submatrix: scan the face densely; a batch
-                    # row has its profile's bits, so the hits need no re-check
-                    grid = _face_grid(m, idx, 40)
+                    # singular face submatrix: scan the face's strictly
+                    # positive grid points; a batch row has its profile's
+                    # bits, so the hits need no re-check
+                    counts = lattice_counts(size, FACE_RESOLUTION)
+                    counts = counts[np.all(counts > 0, axis=1)]
+                    grid = np.zeros((len(counts), m))
+                    grid[:, idx] = counts / FACE_RESOLUTION
                     gaps = np.abs(rule.update_probs(grid) - grid).max(axis=-1)
                     fixed.extend(grid[gaps < FIXED_POINT_RESIDUAL])
             for z in candidates:

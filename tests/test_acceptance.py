@@ -327,7 +327,8 @@ def test_criterion_09_recurrent_structure(rule_a2):
     """Mutation-free chain (M=3, N=6): the three pure states are the only
     recurrent classes and every mixed state is transient.  A fully mixing
     rule is one aperiodic recurrent class.  A block mutation pattern
-    yields recurrent classes that are unions of lattice faces."""
+    yields recurrent classes that are unions of lattice faces, also at
+    N=100, where the (S, S) kernel would pass the byte cap."""
     from wfsim.chain import recurrent_class_faces
 
     chain = build_exact_chain(rule_a2, 6)
@@ -349,13 +350,15 @@ def test_criterion_09_recurrent_structure(rule_a2):
                        MutationMatrix([[0.9, 0.1, 0.0],
                                        [0.1, 0.9, 0.0],
                                        [0.0, 0.0, 1.0]]))
-    block_chain = build_exact_chain(block, 6)
-    face_sets = set()
-    for k in range(len(block_chain.recurrent_classes)):
-        supports, is_union = recurrent_class_faces(block_chain, k)
-        assert is_union, f"class {k} is not a union of faces"
-        face_sets.add(frozenset(tuple(sorted(s)) for s in supports))
-    assert face_sets == {frozenset({(1, 2)}), frozenset({(3,)})}
+    for n in (6, 100):
+        block_chain = build_exact_chain(block, n)
+        face_sets = set()
+        for k in range(len(block_chain.recurrent_classes)):
+            supports, is_union = recurrent_class_faces(block_chain, k)
+            assert is_union, f"N={n}: class {k} is not a union of faces"
+            face_sets.add(frozenset(tuple(sorted(s)) for s in supports))
+        assert face_sets == {frozenset({(1, 2)}), frozenset({(3,)})}
+    assert "matrix" not in vars(block_chain)
 
 
 def test_criterion_10_manifest_determinism(tmp_path):

@@ -81,12 +81,13 @@ def mixing_rule(base, u: float = 0.05):
 
 @pytest.fixture
 def classify_calls(monkeypatch):
-    """The mask shape of every ``chain.classify_states`` call, in order."""
+    """The (S, M) support shape of every ``chain.classify_states`` call, in
+    order."""
     calls = []
 
-    def counted(positive):
-        calls.append(positive.shape)
-        return classify_states(positive)
+    def counted(support, reach):
+        calls.append(support.shape)
+        return classify_states(support, reach)
 
     monkeypatch.setattr(chain, "classify_states", counted)
     return calls
@@ -264,7 +265,7 @@ def whole_kernel(exact, monkeypatch) -> np.ndarray:
     every = np.arange(exact.n_states)
     with monkeypatch.context() as patch:
         patch.setattr(chain, "KERNEL_BLOCK", exact.n_states + 1)
-        return kernel_block(exact, every, every)
+        return kernel_block(exact, every)
 
 
 class TestKernelBlock:
@@ -277,8 +278,7 @@ class TestKernelBlock:
         whole = whole_kernel(exact, monkeypatch)
         idx = exact.interior_indices()
         np.testing.assert_array_equal(exact.matrix, whole)
-        np.testing.assert_array_equal(kernel_block(exact, idx, idx),
-                                      whole[np.ix_(idx, idx)])
+        np.testing.assert_array_equal(kernel_block(exact, idx), whole[idx])
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("n", [6, 30, 70])
@@ -294,7 +294,7 @@ class TestKernelBlock:
         idx = exact.interior_indices()
         monkeypatch.setattr(chain, "KERNEL_BLOCK", block)
         for got, want in [(exact.matrix, whole),
-                          (kernel_block(exact, idx, idx), whole[np.ix_(idx, idx)])]:
+                          (kernel_block(exact, idx), whole[idx])]:
             np.testing.assert_array_equal(got > 0, want > 0)
             # rtol 1e-12, written out: assert_allclose takes 0.5 s per N=70 matrix
             gap = np.abs(got - want)
@@ -303,27 +303,28 @@ class TestKernelBlock:
     def test_byte_cap_refuses_before_allocating(self, rule_a2, monkeypatch):
         exact = build_exact_chain(rule_a2, 30)
         idx = exact.interior_indices()
-        want = kernel_block(exact, idx, idx)
-        nbytes = idx.size * idx.size * 8                  # 406 interior states
+        want = kernel_block(exact, idx)
+        nbytes = idx.size * exact.n_states * 8            # 406 interior of 496 states
         monkeypatch.setattr(chain, "BLOCK_BYTE_CAP", nbytes - 1)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitExceeded) as info:
-                kernel_block(exact, idx, idx)
+                kernel_block(exact, idx)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < nbytes / 100
-        assert f"kernel block (406, 406) would take {nbytes} bytes" in str(info.value)
+        assert f"kernel block (406, 496) would take {nbytes} bytes" in str(info.value)
         assert f"cap {nbytes - 1}" in str(info.value)
         # a block of exactly the cap is built
         monkeypatch.setattr(chain, "BLOCK_BYTE_CAP", nbytes)
-        np.testing.assert_array_equal(kernel_block(exact, idx, idx), want)
+        np.testing.assert_array_equal(kernel_block(exact, idx), want)
 
     def test_rows_and_columns_in_any_order(self, rule_a2):
         exact = build_exact_chain(rule_a2, 12)
         rows, cols = np.array([40, 3, 77, 3]), np.array([90, 0, 12])
-        np.testing.assert_array_equal(kernel_block(exact, rows, cols),
+        # columns are kept after the elementwise normalisation: the same bits
+        np.testing.assert_array_equal(kernel_block(exact, rows)[:, cols],
                                       exact.matrix[np.ix_(rows, cols)])
 
 
@@ -396,7 +397,7 @@ class TestExactChain:
         assert exact.recurrent_classes[0].size == exact.n_states
         assert (exact.periods, exact.transient.size) == ([1], 0)
         np.testing.assert_array_equal(exact.scc_labels, 0)
-        assert classify_calls == [(exact.n_states, exact.n_states)]
+        assert classify_calls == [(exact.n_states, 3)]
 
 
 
@@ -433,48 +434,43 @@ def assert_matches_direct(positive, labels, classes, periods, transient):
     assert transient.tolist() == sorted(direct_transient)
 
 
+def induced_mask(support: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """[i, j]: every type present at state j is one state i's law draws."""
+    return (support[None] <= reach[:, None]).all(axis=-1)
+
+
 @st.composite
-def masks(draw):
-    """Boolean adjacency masks of a few kinds, drawn from a seeded stream."""
-    s = draw(st.integers(1, 14))
+def supports_and_reaches(draw):
+    """(S, M) support and reach masks of a few kinds, drawn from a seeded
+    stream; every reach row holds some support row, so none is empty."""
+    s, m = draw(st.integers(1, 14)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "cycles", "shared", "distinct"]))
-    mask = rng.random((s, s)) < draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+    kind = draw(st.sampled_from(["random", "sparse", "cycles"]))
+    support = rng.random((s, m)) < draw(st.sampled_from([0.2, 0.5, 0.8]))
+    reach = rng.random((s, m)) < (0.2 if kind == "sparse" else 0.6)
     if kind == "cycles":
-        # disjoint directed cycles of length 1-4 (a self-loop at length 1)
-        # on a shuffled order, so periods above 1 occur
-        order, start = rng.permutation(s), 0
-        while start < s:
-            cycle = order[start: start + rng.integers(2, 5)]
-            mask[cycle, np.roll(cycle, -1)] = True
-            start += cycle.size
-    elif kind == "shared":
-        # few distinct rows: every row is one of at most three patterns
-        mask = mask[rng.integers(0, 3, size=s) % s]
-    elif kind == "distinct":
-        while np.unique(mask, axis=0).shape[0] < s:
-            mask = rng.random((s, s)) < 0.5
-    return mask
+        # one type per state; most laws draw only the next type of a
+        # shuffled cyclic order, so sink classes of period up to M occur
+        order = rng.permutation(m)
+        successor = np.empty(m, dtype=np.int64)
+        successor[order] = np.roll(order, -1)
+        types = rng.permutation(np.arange(s) % m)
+        support = np.eye(m, dtype=bool)[types]
+        cyclic = rng.random(s) < 0.8
+        reach[cyclic] = np.eye(m, dtype=bool)[successor[types]][cyclic]
+    reach[np.arange(s), rng.integers(0, m, size=s)] |= ~reach.any(axis=1)
+    # every state moves somewhere, as on a lattice, which holds each vertex:
+    # shrinking a support keeps every edge into its state
+    for i in np.flatnonzero(~induced_mask(support, reach).any(axis=1)):
+        support[rng.integers(0, s)] &= reach[i]
+    return support, reach
 
 
 class TestClassifyStates:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(masks())
-    def test_matches_csgraph_on_the_full_mask(self, mask):
-        assert_matches_direct(mask, *classify_states(mask))
-
-    def test_distinct_rows_and_long_cycles(self):
-        # every row distinct, a 3-cycle and a 2-cycle as sink classes
-        mask = np.zeros((7, 7), dtype=bool)
-        mask[[0, 1, 2], [1, 2, 0]] = True
-        mask[[3, 4], [4, 3]] = True
-        mask[5, [0, 5]] = True
-        mask[6, [3, 5]] = True
-        labels, classes, periods, transient = classify_states(mask)
-        assert [cls.tolist() for cls in classes] == [[0, 1, 2], [3, 4]]
-        assert periods == [3, 2]
-        assert transient.tolist() == [5, 6]
-        assert_matches_direct(mask, labels, classes, periods, transient)
+    @given(supports_and_reaches())
+    def test_matches_csgraph_on_the_induced_mask(self, pair):
+        assert_matches_direct(induced_mask(*pair), *classify_states(*pair))
 
     @pytest.mark.parametrize("rule,n", [
         (make_rule(A2, omega=0.5), 6),
@@ -500,13 +496,51 @@ class TestClassifyStates:
         assert chain.periods == [3]
 
     def test_exponential_chain_with_mostly_distinct_rows(self):
-        # exp underflow at beta = 8 leaves 1,570 distinct rows of 1,891:
-        # a hub graph about as large as the full one
+        # exp underflow at beta = 8 leaves 1,570 distinct rows of 1,891 in
+        # the float kernel, and zeros where the law is positive: its pattern
+        # splits into 1,108 SCCs, the chain into 7.  The recurrent classes,
+        # their periods and the transient states are the same
         chain = build_exact_chain(make_rule(A2, fitness="exponential", beta=8.0), 60)
         positive = chain.matrix > 0
         assert np.unique(positive, axis=0).shape[0] == 1570
-        assert_matches_direct(positive, chain.scc_labels, chain.recurrent_classes,
+        assert csgraph.connected_components(positive, connection="strong")[0] == 1108
+        assert chain.scc_labels.max() + 1 == 7
+        _, sinks, transient = direct_classification(positive)
+        assert {frozenset(cls.tolist()): p
+                for cls, p in zip(chain.recurrent_classes, chain.periods)} == sinks
+        assert chain.transient.tolist() == sorted(transient)
+        # the float pattern lies within the support rule's, which csgraph agrees on
+        mask = induced_mask(chain.states > 0,
+                            sampling_probs(chain.rule, chain.states / chain.n) > 0)
+        assert not (positive & ~mask).any()
+        assert_matches_direct(mask, chain.scc_labels, chain.recurrent_classes,
                               chain.periods, chain.transient)
+
+    @pytest.mark.parametrize("mutation,classes,periods", [
+        (None, [[(0, 0, 630)], [(0, 630, 0)], [(630, 0, 0)]], [1, 1, 1]),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[(0, 0, 630), (0, 630, 0), (630, 0, 0)]], [3]),
+    ], ids=["A2", "cyclic-mutation"])
+    def test_state_cap_is_classified_without_the_kernel(self, mutation, classes, periods,
+                                                        monkeypatch):
+        # 199,396 states: the (S, S) kernel would take 318 GB, its positive
+        # pattern S^2/8 = 5.0 GB packed; classification holds a few (S, M)
+        # arrays and the hub graph, at most 8 S edges (7 hubs at M=3)
+        def refused(*args):
+            raise AssertionError("classification built kernel rows")
+
+        monkeypatch.setattr(chain, "kernel_block", refused)
+        exact = build_exact_chain(make_rule(A2, omega=0.5, mutation=mutation), 630)
+        tracemalloc.start()
+        try:
+            got = [[tuple(exact.states[i]) for i in cls] for cls in exact.recurrent_classes]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exact.n_states == 199_396
+        assert got == classes
+        assert exact.periods == periods
+        assert exact.transient.size == exact.n_states - 3
+        assert peak < 64 * 2**20
 
 
 class TestRecurrentClassFaces:
@@ -575,9 +609,8 @@ class TestQsd:
 
     def test_power_iteration_matches_dense_eigensolver(self, rule_a2):
         exact = build_exact_chain(rule_a2, 8)
-        idx = exact.interior_indices()
         res = interior_qsd(exact)
-        eigs = scipy.linalg.eigvals(kernel_block(exact, idx, idx))
+        eigs = scipy.linalg.eigvals(interior_block(exact))
         assert abs(res.eigenvalue - float(np.max(eigs.real))) < 1e-10
 
     def test_reducible_interior_detected(self):
@@ -620,13 +653,28 @@ class TestQsd:
         assert res.leak_residual < 1e-13
 
 
-def dense_step(exact, mu: np.ndarray) -> np.ndarray:
-    """``mu @ Q`` on the interior block, accumulated over row blocks of
-    ``kernel_block`` so the (T, T) block is never held."""
+def interior_rows(exact):
+    """(rows, block) for 512-row blocks of the interior states, each block
+    the kernel from those rows to every interior state.  The columns are
+    kept after ``kernel_block``'s elementwise normalisation, so they have
+    the bits of any other row split, and a (512, S) block stays under the
+    byte cap where the (T, S) rows do not (82 MB at N=80)."""
     idx = exact.interior_indices()
-    out = np.zeros(idx.size)
     for lo in range(0, idx.size, 512):
-        out += mu[lo: lo + 512] @ kernel_block(exact, idx[lo: lo + 512], idx)
+        yield slice(lo, lo + 512), kernel_block(exact, idx[lo: lo + 512])[:, idx]
+
+
+def interior_block(exact) -> np.ndarray:
+    """The (T, T) interior block of the kernel."""
+    return np.concatenate([block for _, block in interior_rows(exact)])
+
+
+def dense_step(exact, mu: np.ndarray) -> np.ndarray:
+    """``mu @ Q`` on the interior block, accumulated over its row blocks so
+    the (T, T) block is never held."""
+    out = np.zeros(exact.interior_indices().size)
+    for rows, block in interior_rows(exact):
+        out += mu[rows] @ block
     return out
 
 
@@ -672,7 +720,7 @@ class TestInteriorKernel:
         exact = build_exact_chain(rule_a2, 80)
         idx = exact.interior_indices()
         res = interior_qsd(exact)
-        block = kernel_block(exact, idx, idx)
+        block = interior_block(exact)
         mu = np.full(idx.size, 1.0 / idx.size)
         for its in range(1, chain.QSD_MAX_ITER + 1):
             nxt = mu @ block
@@ -693,11 +741,11 @@ class TestInteriorKernel:
     ], ids=["zero-column", "negative-fitness"])
     def test_pieces_are_counted_like_classify_states(self, rule):
         # a mutation matrix with a zero column empties every interior row; a
-        # fitness driven below zero empties the rows where it is clamped
+        # fitness driven below zero empties the rows where it is clamped.
+        # The pieces are the strong components of the dense block's pattern
         exact = build_exact_chain(rule, 12)
-        idx = exact.interior_indices()
-        sub = kernel_block(exact, idx, idx)
-        pieces = int(classify_states(sub > 0)[0].max()) + 1
+        pieces = csgraph.connected_components(interior_block(exact) > 0,
+                                              connection="strong")[0]
         assert InteriorKernel(exact).pieces == pieces > 1
         with pytest.raises(ReducibleInterior, match=f"into {pieces} strongly connected"):
             interior_qsd(exact)
@@ -758,3 +806,11 @@ class TestDrift:
     def test_indefinite_form_rejected(self, rule_two):
         with pytest.raises(PreconditionError):
             quadratic_form_drift(rule_two, 4)
+
+    def test_mutation_is_refused(self):
+        # a mutation step pulls the profile off the vertices, and x'Ax can
+        # fall in expectation: (-0.81, -0.60) at N=20 without the check
+        rule = make_rule([[4.0, 1.0, 2.0], [1.0, 5.0, 1.5], [2.0, 1.5, 6.0]], omega=0.5,
+                         mutation=[[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+        with pytest.raises(PreconditionError, match="without mutation"):
+            quadratic_form_drift(rule, 20)

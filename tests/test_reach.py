@@ -12,15 +12,25 @@ own, reached by its name.  Docstrings and comments do not count.  Code
 that only its own unit tests call fails this test: give it a caller or
 delete it.
 
-What the guard cannot see: dataclass fields, other class attributes and
-function parameters are not definitions here, so a field or a parameter
-that only tests read (or that always takes one value) passes.  Names are
+A second test names every parameter that no reached call passes, or
+that every reached call passes as one literal scalar: make the first go
+and the second a constant.  Calls are read from the package, the
+acceptance criteria and the benchmark (the package is all reached, by the
+first test), and matched to definitions by bare name, as above; a call
+that unpacks ``*args`` or ``**kwargs`` passes every parameter.  A function that reached code never calls by name (a command
+runner behind a registering decorator, a checker in a dispatch table) and
+a click command callback get their arguments from code the scan does not
+read, so their parameters are not judged.
+
+What the guards cannot see: dataclass fields and other class attributes
+are not definitions here, so a field that only tests read passes
+(``LipschitzEstimate.probes`` is one: the README documents it).  Names are
 matched bare, so a method passes when reached code names the same name
 for any other reason: a same-named method of another class, or an
-unrelated variable or attribute.  Nor does it see branches: a reached
+unrelated variable or attribute.  Nor do they see branches: a reached
 function passes even when one of its branches (a type dispatch, an
-optional argument) is taken only by unit tests.  The QSD power loop's
-dense-matrix branch was one; it was deleted with its tests.
+value that only unit tests pass) is taken only by unit tests.  The QSD
+power loop's dense-matrix branch was one; it was deleted with its tests.
 """
 
 from __future__ import annotations
@@ -77,3 +87,60 @@ def test_every_definition_is_reached():
     unreached = sorted(f"{module}.{name}" for name, defs in definitions.items()
                        for module, _ in defs if name not in reached)
     assert not unreached, f"reached by no command, criterion or workload: {unreached}"
+
+
+def parameters(node: ast.FunctionDef, method: bool) -> tuple[list[str], list[str]]:
+    """The positional parameters a call fills in order (without ``self`` or
+    ``cls``) and every parameter a call may name."""
+    args = node.args
+    positional = [arg.arg for arg in args.posonlyargs + args.args]
+    if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in node.decorator_list):
+        positional = positional[1:]
+    return positional, positional + [arg.arg for arg in args.kwonlyargs]
+
+
+def is_click_command(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "option" for d in node.decorator_list)
+
+
+def test_every_parameter_is_passed_more_than_one_value():
+    calls: dict[str, list[ast.Call]] = {}
+    callers = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(item): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for item in cls.body}
+        for node in ast.walk(tree):
+            if (not isinstance(node, FUNCTIONS) or is_click_command(node)
+                    or node.name.startswith("__") and node.name != "__init__"):
+                continue
+            # __init__ is called by its class's name
+            sites = calls.get(owner[id(node)] if node.name == "__init__" else node.name, [])
+            positional, named = parameters(node, id(node) in owner)
+            for param in named if sites else []:
+                passed = []                      # unparsed literal scalars, else None
+                for call in sites:
+                    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+                            or any(kw.arg is None for kw in call.keywords)):
+                        passed.append(None)
+                        continue
+                    values = [kw.value for kw in call.keywords if kw.arg == param]
+                    if param in positional and positional.index(param) < len(call.args):
+                        values.append(call.args[positional.index(param)])
+                    passed += [ast.unparse(v) if isinstance(v, ast.Constant) else None
+                               for v in values]
+                where = f"{path.stem}.{node.name}({param})"
+                if not passed:
+                    found.append(f"{where} is never passed")
+                elif len(passed) == len(sites) and len(set(passed)) == 1 and passed[0]:
+                    found.append(f"{where} is always {passed[0]}")
+    assert not found, f"parameters with one value in reached code: {found}"
