@@ -35,7 +35,7 @@ from .fitness import (
     UpdateRule,
     make_rule,
 )
-from .simplex import LatticePoint, SupportSet, round_to_lattice
+from .simplex import LatticePoint, round_to_lattice
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "NoInteriorEquilibrium", "PreconditionError", "DomainError",
     "ReducibleInterior",
     # core types
-    "LatticePoint", "SupportSet", "round_to_lattice",
+    "LatticePoint", "round_to_lattice",
     "PayoffMatrix", "FitnessModel", "LinearFractionalFitness",
     "ExponentialFitness", "MutationMatrix", "UpdateRule", "make_rule",
 ]

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fitness import UpdateRule, sampling_probs
 from .meanfield import is_positive_definite_on_sum_zero
-from .simplex import LatticePoint, SupportSet, lattice_counts
+from .simplex import LatticePoint, lattice_counts
 
 
 #: Distinct states whose law one sample_path call keeps (~250 B each at M=3);
@@ -291,10 +291,11 @@ def classify_states(support: np.ndarray,
 
 
 def recurrent_class_faces(chain: ExactChain,
-                          class_index: int) -> tuple[list[SupportSet], bool]:
-    """Maximal supports appearing in a recurrent class, plus whether the
-    class is exactly the union of the full compositions on those supports
-    (every composition whose support fits inside a maximal support)."""
+                          class_index: int) -> tuple[list[tuple[int, ...]], bool]:
+    """Maximal supports appearing in a recurrent class, as ascending tuples
+    of 1-based labels in sorted order, plus whether the class is exactly
+    the union of the full compositions on those supports (every
+    composition whose support fits inside a maximal support)."""
     members = chain.recurrent_classes[class_index]
     support = chain.states > 0                                  # (S, M)
     supports = np.unique(support[members], axis=0)              # (K, M)
@@ -302,9 +303,8 @@ def recurrent_class_faces(chain: ExactChain,
     maximal = supports[inside.sum(axis=1) == 1]                 # within only itself
     fits = (support[:, None] <= maximal[None]).all(axis=-1).any(axis=1)
     is_union = np.array_equal(np.flatnonzero(fits), np.sort(members))
-    labels = [SupportSet.from_mask(row) for row in maximal]
-    labels.sort(key=lambda s: sorted(s.labels))
-    return labels, is_union
+    faces = sorted(tuple(int(j) + 1 for j in np.flatnonzero(row)) for row in maximal)
+    return faces, is_union
 
 
 # ----------------------------------------------------------------------

@@ -54,7 +54,12 @@ def hoeffding_bound(epsilon: float, horizon: int, n: int, m: int,
     if epsilon <= 0 or n < 1 or m < 1:
         raise DomainError("epsilon, N, M must be positive")
     c = contraction_coefficient(rho, horizon)
-    exponent = -(epsilon ** 2) * (c ** 2) * n / 2.0
+    try:
+        exponent = -(epsilon ** 2) * (c ** 2) * n / 2.0
+    except OverflowError:
+        # epsilon^2 is past the float range; as c <= 1, (epsilon c)^2 is inf,
+        # and the bound 0, only where the true exponent is below -1.8e308
+        exponent = -(epsilon * c) * (epsilon * c) * n / 2.0
     return min(1.0, 2.0 * horizon * m * math.exp(exponent))
 
 
@@ -78,15 +83,15 @@ def expected_decoupling_lower_bound(epsilon: float, n: int, m: int,
     Only meaningful for contracting maps (rho < 1) and when the tail mass
     outside the tube is strictly less than one; the slack of that
     condition is reported so inapplicable parameter sets are flagged
-    rather than silently used; a value past the float range raises
-    NumericRangeError.
+    rather than silently used; a value (or its exponent) past the float
+    range raises NumericRangeError.
     """
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
     if epsilon <= 0 or n < 1 or m < 1:
         raise DomainError("epsilon, N, M must be positive")
-    exponent = ((1.0 - rho) ** 2) * (epsilon ** 2) * n / 2.0
     try:
+        exponent = ((1.0 - rho) ** 2) * (epsilon ** 2) * n / 2.0
         value = math.exp(exponent) / (2.0 * m)
     except OverflowError:
         raise NumericRangeError(f"expectation bound past the float range at N={n}, "

@@ -20,10 +20,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .config import resolve, rule_keywords
-from .errors import ConfigError, DomainError, NoInteriorEquilibrium, PreconditionError
+from .errors import (ConfigError, DimensionMismatch, DomainError, NoInteriorEquilibrium,
+                     PreconditionError, ResourceLimitExceeded)
 from .fitness import UpdateRule, make_rule, rng_stream, sampling_probs
 from .meanfield import solve_interior_equilibrium
-from .simplex import LatticePoint, SupportSet, round_to_lattice
+from .simplex import LatticePoint, round_to_lattice
 
 #: One-sided 95% normal quantile for the trend checks.
 Z_95 = 1.6448536269514722
@@ -33,21 +34,9 @@ Z_95 = 1.6448536269514722
 # least-fit analysis at equilibrium
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LeastFitReport:
-    """Smallest expected next-generation share at a profile.
-
-    ``least_fit`` (1-based labels) holds the types at which the update
-    image attains its minimum; ``beta`` is the smallest component over
-    the remaining types.
-    """
-
-    beta: float
-    least_fit: SupportSet
-
-
-def least_fit(rule: UpdateRule, point) -> LeastFitReport:
-    """Identify the types with the minimal expected next-generation share.
+def least_fit(rule: UpdateRule, point) -> tuple[int, ...]:
+    """The types with the minimal expected next-generation share at a
+    profile, as ascending 1-based labels.
 
     Ties are exact: every index attaining the minimum goes into the
     least-fit set.  A uniform image has no least-fit type and is rejected.
@@ -58,8 +47,7 @@ def least_fit(rule: UpdateRule, point) -> LeastFitReport:
         raise DomainError(
             "update image is uniform; the least-fit set is undefined"
         )
-    return LeastFitReport(beta=float(image[~mask].min()),
-                          least_fit=SupportSet.from_mask(mask))
+    return tuple(int(j) + 1 for j in np.flatnonzero(mask))
 
 
 # ----------------------------------------------------------------------
@@ -159,10 +147,11 @@ def run_trial_threshold(rule: UpdateRule, x0: LatticePoint,
 
 def run_trial_absorption(rule: UpdateRule, x0: LatticePoint,
                          rng: np.random.Generator | Sequence[np.random.Generator],
-                         *, least_fit_set: SupportSet,
+                         *, least_fit_set: Sequence[int],
                          max_steps: int = 1_000_000):
     """Simulate until the first boundary hit (some type's count reaches 0)
     and label it: does exactly one type vanish, and is it least-fit?
+    ``least_fit_set`` holds 1-based labels, as :func:`least_fit` returns.
 
     Requires a mutation-free rule (so the boundary is absorbing) and an
     interior start.  ``rng`` is one stream or a sequence of them, as in
@@ -172,12 +161,14 @@ def run_trial_absorption(rule: UpdateRule, x0: LatticePoint,
         raise PreconditionError("absorption trials require a mutation-free rule")
     if np.any(x0.counts == 0):
         raise PreconditionError("absorption trials require an interior start")
-    fit_mask = least_fit_set.to_mask(x0.m)
+    if not all(1 <= label <= x0.m for label in least_fit_set):
+        raise DimensionMismatch(f"least-fit labels {least_fit_set} out of range 1..{x0.m}")
 
     def finish(out, counts, *_):
         zeros = np.flatnonzero(counts == 0)
         support_size = int(np.count_nonzero(counts))
-        event = None if out.censored else support_size == x0.m - 1 and bool(fit_mask[zeros[0]])
+        event = (None if out.censored else
+                 support_size == x0.m - 1 and int(zeros[0]) + 1 in least_fit_set)
         return out._replace(support_size=support_size, event=event,
                             vanished=tuple(int(z) for z in zeros))
 
@@ -221,14 +212,14 @@ def trial_rng(seed: int, initial_idx: int, trial: int) -> np.random.Generator:
 
 
 def _experiment_context(spec: ExperimentSpec):
-    """Shared derived quantities: (rule, equilibrium or None, least-fit set
-    or None)."""
+    """What every block of a run shares: (rule, equilibrium or None,
+    least-fit labels or None)."""
     rule = spec.build_rule()
     eq = fit_set = None
     try:
         result = solve_interior_equilibrium(spec.rule_params["matrix"])
         eq = result.vector if result.is_interior else None
-        fit_set = None if eq is None else least_fit(rule, eq).least_fit
+        fit_set = None if eq is None else least_fit(rule, eq)
     except (NoInteriorEquilibrium, DomainError):
         pass
     if spec.mode == "absorption" and fit_set is None:
@@ -239,11 +230,11 @@ def _experiment_context(spec: ExperimentSpec):
     return rule, eq, fit_set
 
 
-def _run_chunk(spec: ExperimentSpec, initial_idx: int, start: int,
+def _run_chunk(spec: ExperimentSpec, rule: UpdateRule, eq: Optional[np.ndarray],
+               fit_set: Optional[tuple[int, ...]], initial_idx: int, start: int,
                stop: int) -> list[tuple[int, int, TrialOutcome]]:
     """Worker: trials [start, stop) of one initial condition, as one
-    lockstep block."""
-    rule, eq, fit_set = _experiment_context(spec)
+    lockstep block, under the run's ``_experiment_context``."""
     x0 = round_to_lattice(np.asarray(spec.initials[initial_idx]), spec.n)
     trials = range(start, stop)
     rngs = [trial_rng(spec.seed, initial_idx, trial) for trial in trials]
@@ -275,8 +266,8 @@ class ExperimentResult:
     histogram_counts: np.ndarray
     equilibrium: Optional[np.ndarray]
     least_fit_labels: Optional[list[int]]
+    mean_stop_time: np.ndarray                    # uncensored mean, per initial
     event_counts: Optional[np.ndarray] = None     # absorption mode, per initial
-    mean_stop_time: Optional[np.ndarray] = None   # uncensored mean, per initial
 
     def summary_dict(self) -> dict:
         out = {
@@ -286,12 +277,11 @@ class ExperimentResult:
             "equilibrium": None if self.equilibrium is None else self.equilibrium.tolist(),
             "least_fit_types": self.least_fit_labels,
             "replicates": self.spec.replicates,
+            "mean_stop_time": [None if not np.isfinite(v) else float(v)
+                               for v in self.mean_stop_time],
         }
         if self.event_counts is not None:
             out["event_counts"] = self.event_counts.tolist()
-        if self.mean_stop_time is not None:
-            out["mean_stop_time"] = [None if not np.isfinite(v) else float(v)
-                                     for v in self.mean_stop_time]
         return out
 
     TRIAL_COLUMNS = ("initial_idx", "trial", "stop_time", "least_type", "tie",
@@ -325,7 +315,17 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     """
     if threads < 1:
         raise ConfigError("threads must be positive")
-    _, eq, fit_set = _experiment_context(spec)
+    rule, eq, fit_set = _experiment_context(spec)
+    # the last edge reaches sqrt(2), the largest distance between two simplex
+    # points, so np.histogram drops no distance; built before any trial runs,
+    # so a bin count past what memory holds is refused at once
+    width = spec.bin_width
+    try:
+        n_bins = max(int(round(1.5 / width)), math.ceil(math.sqrt(2) / width))
+        edges = np.linspace(0.0, n_bins * width, n_bins + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise ResourceLimitExceeded(f"bin_width {width} asks for more histogram "
+                                    "bins than memory holds") from None
 
     n_initials = len(spec.initials)
     # one block per worker that can run: more blocks would only shrink the
@@ -336,12 +336,13 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
              for i in range(n_initials) for s in range(0, spec.replicates, chunk)]
 
     if workers == 1:
-        blocks = [_run_chunk(spec, *task) for task in tasks]
+        blocks = [_run_chunk(spec, rule, eq, fit_set, *task) for task in tasks]
     else:
         # imported here, so runs that never start a pool skip its import
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = [f.result() for f in [pool.submit(_run_chunk, spec, *t) for t in tasks]]
+            futures = [pool.submit(_run_chunk, spec, rule, eq, fit_set, *t) for t in tasks]
+            blocks = [f.result() for f in futures]
     # tasks run in (initial, trial) order, so the rows come out sorted
     all_rows = [row for block in blocks for row in block]
 
@@ -360,11 +361,6 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         if out.d_eq is not None:
             d_values.append(out.d_eq)
 
-    # the last edge reaches sqrt(2), the largest distance between two simplex
-    # points, so np.histogram drops no distance
-    width = spec.bin_width
-    n_bins = max(int(round(1.5 / width)), math.ceil(math.sqrt(2) / width))
-    edges = np.linspace(0.0, n_bins * width, n_bins + 1)
     hist, _ = np.histogram(np.asarray(d_values), bins=edges)
 
     stopped = counts.sum(axis=1)
@@ -373,9 +369,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         spec=spec, counts=counts, censored=censored, rows=all_rows,
         histogram_edges=edges, histogram_counts=hist,
         equilibrium=eq,
-        least_fit_labels=sorted(fit_set.labels) if fit_set is not None else None,
-        event_counts=event_counts if spec.mode == "absorption" else None,
+        least_fit_labels=None if fit_set is None else list(fit_set),
         mean_stop_time=mean_stop,
+        event_counts=event_counts if spec.mode == "absorption" else None,
     )
 
 

@@ -128,10 +128,6 @@ class MomentComparison:
     predicted_cov: np.ndarray
     empirical_cov: np.ndarray
 
-    @property
-    def ok(self) -> bool:
-        return self.mean_ok and self.cov_ok
-
 
 def compare_residual_moments(residuals: np.ndarray,
                              predicted_cov: np.ndarray) -> MomentComparison:

@@ -227,11 +227,6 @@ def is_positive_definite_on_sum_zero(a: MatrixLike) -> bool:
 # permanence
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryFixedPoint:
-    margin: float           # witness payoff advantage at this point
-
-
 @dataclass
 class PermanenceReport:
     """Result of the sufficient-condition test that the boundary repels.
@@ -239,11 +234,13 @@ class PermanenceReport:
     ``status`` is "permanent" when there is no boundary fixed point or
     some interior profile strictly out-scores every boundary fixed point
     against itself, and "not-verified" when no tried candidate does.
+    ``margins`` holds the witness's payoff advantage at each boundary
+    fixed point.
     """
 
     status: str
     witness: Optional[np.ndarray]
-    fixed_points: list[BoundaryFixedPoint] = field(default_factory=list)
+    margins: list[float] = field(default_factory=list)
 
 
 def check_permanence(rule: UpdateRule) -> PermanenceReport:
@@ -328,7 +325,7 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
     return PermanenceReport(
         status="permanent" if best_margins.min() > 0 else "not-verified",
         witness=best_y,
-        fixed_points=[BoundaryFixedPoint(margin=float(mrg)) for mrg in best_margins],
+        margins=best_margins.tolist(),
     )
 
 
@@ -399,9 +396,8 @@ class MeanFieldReport:
                 "status": self.permanence.status,
                 "witness": (None if self.permanence.witness is None
                             else np.asarray(self.permanence.witness).tolist()),
-                "n_boundary_fixed_points": len(self.permanence.fixed_points),
-                "min_margin": (min((fp.margin for fp in self.permanence.fixed_points),
-                                   default=None)),
+                "n_boundary_fixed_points": len(self.permanence.margins),
+                "min_margin": min(self.permanence.margins, default=None),
             }
         return out
 

@@ -4,16 +4,16 @@ A population profile over M types is a point of the (M-1)-dimensional
 probability simplex, held as a plain float array of shape (M,) (or a
 batch of them, (R, M)).  A finite population of size N lives on the
 lattice slice of integer count vectors summing to N.  This module provides
-the lattice point type, support sets of type labels, lattice enumeration
-with resource caps, rounding onto the lattice, and the max-norm distance
-matrix used throughout the package.
+the lattice point type, lattice enumeration with resource caps, rounding
+onto the lattice, and the max-norm distance matrix used throughout the
+package.  A set of types (a support, a face, the least-fit set) is a
+sorted tuple of 1-based labels, the form the outputs write.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -23,39 +23,6 @@ from .errors import DimensionMismatch, InvalidNormalization, ResourceLimitExceed
 #: Cap on the number of lattice states an exhaustive operation may
 #: enumerate.
 STATE_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Set of type labels (1-based) carrying positive mass.
-
-    Labels are 1-based to match the usual numbering of types in reported
-    tables; use :meth:`to_mask` / :meth:`from_mask` to convert to and from
-    0-based numpy indexing.
-    """
-
-    labels: frozenset[int]
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "SupportSet":
-        return cls(frozenset(int(i) + 1 for i in np.flatnonzero(mask)))
-
-    def to_mask(self, m: int) -> np.ndarray:
-        mask = np.zeros(m, dtype=bool)
-        for label in self.labels:
-            if not 1 <= label <= m:
-                raise DimensionMismatch(f"label {label} out of range 1..{m}")
-            mask[label - 1] = True
-        return mask
-
-    def __contains__(self, label: int) -> bool:
-        return label in self.labels
-
-    def __iter__(self):
-        return iter(sorted(self.labels))
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 class LatticePoint:

@@ -397,14 +397,13 @@ def test_note_extinction_trend_ladder(rule_a2):
     trials each, the single-extinction-in-least-fit-set frequency is
     non-decreasing (95% one-sided test) and the mean absorption time
     strictly increases."""
-    report = least_fit(rule_a2, CHI2)
     ladder = []
     mean_times = []
     for n in (25, 50, 100):
         x0 = round_to_lattice(CHI2, n)
         outs = run_trial_absorption(rule_a2, x0,
                                     [trial_rng(500 + n, 0, t) for t in range(2000)],
-                                    least_fit_set=report.least_fit)
+                                    least_fit_set=least_fit(rule_a2, CHI2))
         assert not any(o.censored for o in outs)
         ladder.append((sum(o.event for o in outs), 2000))
         mean_times.append(float(np.mean([o.stop_time for o in outs])))

@@ -35,7 +35,7 @@ from wfsim.fitness import (
     make_rule,
     sampling_probs,
 )
-from wfsim.simplex import LatticePoint, SupportSet
+from wfsim.simplex import LatticePoint
 
 from conftest import A1, A2, neutral_rule, rule_of_kind
 
@@ -569,6 +569,15 @@ class TestRecurrentClassFaces:
             face_sets.add(frozenset(tuple(sorted(s)) for s in supports))
         assert face_sets == {frozenset({(1, 2)}), frozenset({(3,)})}
 
+    def test_faces_are_label_tuples(self, rule_a2):
+        # the form summary.json writes: ascending 1-based labels as ints
+        theta = np.array([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.0, 1.0]])
+        chain = build_exact_chain(UpdateRule(rule_a2.fitness, MutationMatrix(theta)), 6)
+        faces = sorted(recurrent_class_faces(chain, k)[0]
+                       for k in range(len(chain.recurrent_classes)))
+        assert faces == [[(1, 2)], [(3,)]]
+        assert all(type(label) is int for face in faces for label in face[0])
+
     def test_masks_match_a_per_state_loop(self, rule_a2):
         theta = np.array([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.0, 1.0]])
         chain = build_exact_chain(UpdateRule(rule_a2.fitness, MutationMatrix(theta)), 30)
@@ -579,8 +588,7 @@ class TestRecurrentClassFaces:
             predicted = {i for i in range(chain.n_states)
                          if any(frozenset(np.flatnonzero(chain.states[i] > 0).tolist()) <= mx
                                 for mx in maximal)}
-            labels = sorted((SupportSet(frozenset(j + 1 for j in s)) for s in maximal),
-                            key=lambda s: sorted(s.labels))
+            labels = sorted(tuple(sorted(j + 1 for j in s)) for s in maximal)
             assert recurrent_class_faces(chain, k) == (labels, predicted == set(members.tolist()))
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wfsim
-from wfsim import cli
+from wfsim import cli, extinction
 from wfsim.chain import sample_path
 from wfsim.cli import main
 from wfsim.config import COMMANDS, FIELDS, resolve, rule_keywords
@@ -519,6 +519,23 @@ class TestExtinction:
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
                     digest, (k, name)
 
+    def test_bin_count_past_memory_exits_two_before_any_trial(self, runner, tmp_path,
+                                                              monkeypatch):
+        # bin_width 1e-300 lies in (0, 1.5] but asks for 1.5e300 bins
+        def no_trials(*args):
+            raise AssertionError("a trial block ran")
+
+        monkeypatch.setattr(extinction, "_run_chunk", no_trials)
+        cfg = {"matrix": A2, "omega": 0.5, "N": 50, "initials": [[0.8, 0.1, 0.1]],
+               "replicates": 4, "seed": 3, "bin_width": 1e-300}
+        result = runner.invoke(main, ["extinction", "--config", config_path(tmp_path, cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and "bin_width 1e-300" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
 
 # ----------------------------------------------------------------------
 # qsd
@@ -733,6 +750,33 @@ class TestBounds:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "missing" in result.stderr
+
+    def test_epsilon_past_the_square_range_has_a_zero_tail_bound(self, runner, tmp_path):
+        # epsilon^2 is past the float range: every tail bound underflows to 0,
+        # and the expansive map has no expectation bound
+        cfg = write_config(tmp_path, "b.json", dict(self.base_config(), epsilons=[1e200]))
+        out = tmp_path / "out"
+        run_ok(runner, ["bounds", "--config", cfg, "--out", str(out)])
+        lines = (out / "bounds.csv").read_text().splitlines()[1:]
+        assert len(lines) == 10
+        assert all(line.split(",")[7] == "0.0" for line in lines)
+        assert load_json(out, "bounds_summary.json")["expectation"][0]["applicable"] is False
+
+    def test_expectation_exponent_past_the_float_range_exits_two(self, runner, tmp_path):
+        # the contracting map of the expectation-bound test above, with
+        # epsilon^2 itself past the float range
+        cfg = {"matrix": A2, "omega": 0.5,
+               "mutation": [[0.4, 0.3, 0.3], [0.3, 0.4, 0.3], [0.3, 0.3, 0.4]],
+               "N": [50], "initial": [0.3, 0.4, 0.3], "epsilons": [1e200],
+               "horizon": 3, "replicates": 10, "seed": 1}
+        path = write_config(tmp_path, "b.json", cfg)
+        result = runner.invoke(main, ["bounds", "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and "epsilon=1e+200" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_default_start_off_the_interior_exits_two(self, runner, tmp_path):
         # the equal-payoff profile of this matrix is (-1, 2): no default start

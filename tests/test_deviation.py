@@ -94,6 +94,15 @@ class TestHoeffdingBound:
     def test_capped_at_one(self):
         assert hoeffding_bound(0.01, 50, 10, 3, 0.99) == 1.0
 
+    @pytest.mark.parametrize("horizon, rho", [(1, 0.5), (3, 1.0), (3, 1.2)])
+    def test_epsilon_squared_past_the_float_range_underflows(self, horizon, rho):
+        # 1e200^2 overflows a double; the bound is exp of an exponent below -1e308
+        assert hoeffding_bound(1e200, horizon, 50, 3, rho) == 0.0
+
+    def test_vanishing_coefficient_keeps_the_trivial_bound(self):
+        # rho^K past the float range sets c to 0: the exponent is 0, not nan
+        assert hoeffding_bound(1e200, 1000, 50, 3, 1e10) == 1.0
+
     @given(
         eps=st.floats(min_value=0.01, max_value=0.5),
         k=st.integers(min_value=1, max_value=50),
@@ -128,6 +137,11 @@ class TestExpectationBound:
             expected_decoupling_lower_bound(0.5, 20000, 3, 0.1)
         assert all(part in str(info.value)
                    for part in ("N=20000", "epsilon=0.5", "rho=0.1"))
+
+    def test_exponent_past_the_float_range_raises(self):
+        # epsilon^2 = 1e400 itself overflows, before exp is reached
+        with pytest.raises(NumericRangeError, match="epsilon=1e\\+200"):
+            expected_decoupling_lower_bound(1e200, 50, 3, 0.5)
 
     def test_empirical_mean_exceeds_the_bound(self, rule_a2):
         # large population: the sampled system hugs the orbit much longer

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from wfsim import extinction
-from wfsim.errors import ConfigError, DomainError, PreconditionError
+from wfsim.errors import ConfigError, DimensionMismatch, DomainError, PreconditionError
 from wfsim.extinction import (
     ExperimentSpec,
+    _experiment_context,
     _run_chunk,
     increasing_proportion_trend,
     least_fit,
@@ -21,7 +22,7 @@ from wfsim.extinction import (
     trial_rng,
 )
 from wfsim.fitness import make_rule
-from wfsim.simplex import SupportSet, round_to_lattice
+from wfsim.simplex import round_to_lattice
 
 from conftest import A1, A2, CHI1, CHI2, neutral_rule
 
@@ -32,35 +33,26 @@ from conftest import A1, A2, CHI1, CHI2, neutral_rule
 
 class TestLeastFit:
     def test_benchmark_a2(self, rule_a2):
-        rep = least_fit(rule_a2, CHI2)
-        assert rep.beta == pytest.approx(0.2407407, abs=1e-6)
-        assert rep.least_fit.labels == {1}
+        assert least_fit(rule_a2, CHI2) == (1,)
 
     def test_benchmark_a1(self, rule_a1):
-        rep = least_fit(rule_a1, CHI1)
-        assert rep.beta == pytest.approx(0.3411215, abs=1e-6)
-        assert rep.least_fit.labels == {1}
+        assert least_fit(rule_a1, CHI1) == (1,)
 
     def test_equilibrium_image_reduces_to_coordinate_minima(self, rule_a2):
         # at an interior fixed point the expected next shares are the shares
-        # themselves: the least-fit type holds the smallest coordinate, and
-        # beta is the next smallest
-        rep = least_fit(rule_a2, CHI2)
+        # themselves: the least-fit type holds the smallest coordinate
         order = np.argsort(CHI2)
-        assert rep.least_fit.labels == {int(order[0]) + 1}
-        assert rep.beta == pytest.approx(CHI2[order[1]], abs=1e-6)
+        assert least_fit(rule_a2, CHI2) == (int(order[0]) + 1,)
 
     def test_uniform_image_rejected(self, rule_two):
         with pytest.raises(DomainError, match="uniform"):
             least_fit(rule_two, np.array([0.5, 0.5]))
 
     def test_minimum_attained_exactly_on_least_fit_set(self, rule_a1):
-        rep = least_fit(rule_a1, CHI1)
         image = rule_a1.update_probs(CHI1)
-        mask = rep.least_fit.to_mask(3)
+        mask = np.isin(np.arange(1, 4), least_fit(rule_a1, CHI1))
         assert np.all(image[mask] == image.min())
         assert np.all(image[~mask] > image.min())
-        assert rep.beta == image[~mask].min() > image.min()
 
 
 # ----------------------------------------------------------------------
@@ -134,9 +126,8 @@ class TestRunTrialAbsorption:
     def test_two_types_always_lose_exactly_one(self):
         rule = neutral_rule(2)
         x0 = round_to_lattice([0.5, 0.5], 20)
-        fit = SupportSet((1,))
         outs = [run_trial_absorption(rule, x0, trial_rng(13, 0, t),
-                                     least_fit_set=fit)
+                                     least_fit_set=(1,))
                 for t in range(50)]
         for out in outs:
             assert out.support_size == 1
@@ -145,10 +136,9 @@ class TestRunTrialAbsorption:
             assert not out.censored
 
     def test_benchmark_small_population_events(self, rule_a2):
-        rep = least_fit(rule_a2, CHI2)
         x0 = round_to_lattice(CHI2, 25)
         outs = [run_trial_absorption(rule_a2, x0, trial_rng(14, 0, t),
-                                     least_fit_set=rep.least_fit)
+                                     least_fit_set=least_fit(rule_a2, CHI2))
                 for t in range(100)]
         events = sum(o.event for o in outs)
         assert events >= 80
@@ -160,13 +150,20 @@ class TestRunTrialAbsorption:
         x0 = round_to_lattice(CHI2, 25)
         with pytest.raises(PreconditionError, match="mutation-free"):
             run_trial_absorption(rule, x0, trial_rng(15, 0, 0),
-                                 least_fit_set=SupportSet((1,)))
+                                 least_fit_set=(1,))
 
     def test_boundary_start_rejected(self, rule_a2):
         x0 = round_to_lattice([0.5, 0.5, 0.0], 10)
         with pytest.raises(PreconditionError, match="interior"):
             run_trial_absorption(rule_a2, x0, trial_rng(16, 0, 0),
-                                 least_fit_set=SupportSet((1,)))
+                                 least_fit_set=(1,))
+
+    @pytest.mark.parametrize("label", [0, 4])
+    def test_label_outside_one_to_m_rejected(self, rule_a2, label):
+        x0 = round_to_lattice(CHI2, 25)
+        with pytest.raises(DimensionMismatch, match=r"out of range 1\.\.3"):
+            run_trial_absorption(rule_a2, x0, trial_rng(17, 0, 0),
+                                 least_fit_set=(1, label))
 
 
 # ----------------------------------------------------------------------
@@ -203,19 +200,21 @@ class TestLockstepBlocks:
     @pytest.mark.parametrize("case", ["neutral-two-type", "a2-n25"])
     def test_absorption_block_matches_one_stream_calls(self, rule_a2, case):
         if case == "neutral-two-type":
-            rule, x0, fit = neutral_rule(2), round_to_lattice([0.5, 0.5], 20), SupportSet((1,))
+            rule, x0, fit = neutral_rule(2), round_to_lattice([0.5, 0.5], 20), (1,)
         else:
             rule, x0 = rule_a2, round_to_lattice(CHI2, 25)
-            fit = least_fit(rule_a2, CHI2).least_fit
+            fit = least_fit(rule_a2, CHI2)
         block = run_trial_absorption(rule, x0, streams(13, 30), least_fit_set=fit)
         alone = [run_trial_absorption(rule, x0, rng, least_fit_set=fit)
                  for rng in streams(13, 30)]
         assert block == alone
 
     def test_rows_do_not_depend_on_block_split_or_threads(self, small_spec):
-        whole = [row for i in range(2) for row in _run_chunk(small_spec, i, 0, 12)]
+        ctx = _experiment_context(small_spec)
+        whole = [row for i in range(2) for row in _run_chunk(small_spec, *ctx, i, 0, 12)]
         split = [row for i in range(2)
-                 for row in _run_chunk(small_spec, i, 0, 5) + _run_chunk(small_spec, i, 5, 12)]
+                 for row in _run_chunk(small_spec, *ctx, i, 0, 5)
+                 + _run_chunk(small_spec, *ctx, i, 5, 12)]
         assert whole == split
         assert run_experiment(small_spec, threads=1).rows == whole
         assert run_experiment(small_spec, threads=3).rows == whole
@@ -348,9 +347,9 @@ class TestRunExperiment:
                 future.set_result(fn(*args))
                 return future
 
-        def run_chunk(spec, initial_idx, start, stop):
+        def run_chunk(spec, rule, eq, fit_set, initial_idx, start, stop):
             blocks.append(initial_idx)
-            return _run_chunk(spec, initial_idx, start, stop)
+            return _run_chunk(spec, rule, eq, fit_set, initial_idx, start, stop)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(extinction, "_run_chunk", run_chunk)
@@ -377,6 +376,16 @@ class TestRunExperiment:
         assert workers == []
         assert blocks == [0, 1]
         assert rows == serial
+
+    def test_context_is_computed_once_per_run(self, small_spec, monkeypatch):
+        # every block runs under the run's rule, equilibrium and least-fit labels
+        _, blocks = self.record_pools_and_blocks(monkeypatch)
+        specs, context = [], extinction._experiment_context
+        monkeypatch.setattr(extinction, "_experiment_context",
+                            lambda spec: (specs.append(spec), context(spec))[1])
+        run_experiment(small_spec, threads=4)
+        assert specs == [small_spec]
+        assert len(blocks) >= 2
 
     def test_counts_partition_the_replicates(self, small_spec):
         result = run_experiment(small_spec, threads=1)

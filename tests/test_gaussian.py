@@ -173,7 +173,7 @@ class TestMomentComparison:
         rng = np.random.default_rng(44)
         draws = rng.multivariate_normal(np.zeros(3), cov, size=30_000, method="eigh")
         comp = compare_residual_moments(draws, cov)
-        assert comp.ok
+        assert comp.mean_ok and comp.cov_ok
         assert comp.max_mean_z < 3.0
 
     def test_rejects_a_misscaled_prediction(self):

@@ -193,8 +193,8 @@ class TestPermanence:
         # the two vertices are the only boundary fixed points
         rep = check_permanence(rule_two)
         assert rep.status == "permanent"
-        assert len(rep.fixed_points) == 2
-        assert all(fp.margin > 0 for fp in rep.fixed_points)
+        assert len(rep.margins) == 2
+        assert all(margin > 0 for margin in rep.margins)
 
     def test_first_benchmark_with_equilibrium_witness(self, rule_a1):
         rep = check_permanence(rule_a1)
@@ -212,7 +212,7 @@ class TestPermanence:
         monkeypatch.setattr(rule, "update_probs",
                             lambda x: (shapes.append(np.shape(x)), update(x))[1])
         rep = check_permanence(rule)
-        assert len(rep.fixed_points) == 44
+        assert len(rep.margins) == 44
         assert sum(len(s) == 2 for s in shapes) == 1
         assert sum(len(s) == 1 for s in shapes) == 5
 

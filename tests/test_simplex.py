@@ -1,4 +1,4 @@
-"""Simplex geometry, support sets, and population-count lattices."""
+"""Simplex geometry and population-count lattices."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from wfsim.errors import (
 )
 from wfsim.simplex import (
     LatticePoint,
-    SupportSet,
     lattice_counts,
     lattice_size,
     linf_distances,
@@ -31,34 +30,6 @@ def simplex_points(m: int):
     return st.lists(
         st.floats(min_value=1e-6, max_value=1.0), min_size=m, max_size=m
     ).map(lambda xs: np.array(xs) / np.sum(xs))
-
-
-# ----------------------------------------------------------------------
-# supports and faces
-# ----------------------------------------------------------------------
-
-class TestSupport:
-    """The open face containing a point is the one spanned by its support."""
-
-    def test_mixed_five_type_profile(self):
-        got = SupportSet.from_mask(np.array([0.0, 1 / 2, 1 / 3, 1 / 6, 0.0]) > 0)
-        assert got == SupportSet(labels=frozenset({2, 3, 4}))
-
-    def test_vertex(self):
-        assert set(SupportSet.from_mask(np.array([1.0, 0.0, 0.0]) > 0)) == {1}
-
-    def test_interior(self):
-        assert len(SupportSet.from_mask(np.full(3, 1 / 3) > 0)) == 3
-
-    def test_lattice_point_support(self):
-        assert set(SupportSet.from_mask(LatticePoint([0, 3, 2], 5).counts > 0)) == {2, 3}
-
-    @given(st.lists(st.booleans(), min_size=1, max_size=6))
-    def test_mask_round_trip(self, mask):
-        mask = np.array(mask)
-        support = SupportSet.from_mask(mask)
-        np.testing.assert_array_equal(support.to_mask(mask.size), mask)
-        assert list(support) == [int(i) + 1 for i in np.flatnonzero(mask)]
 
 
 # ----------------------------------------------------------------------
