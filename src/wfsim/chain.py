@@ -16,13 +16,17 @@ principle).
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     PreconditionError,
@@ -64,6 +68,14 @@ BAND_LOG = 128.0
 
 #: Bytes of one transient row chunk of an ``InteriorKernel`` product.
 TABLE_CHUNK_BYTES = 1 << 20
+
+#: OpenBLAS's (get, set) thread-count symbols: numpy 2 wheels, numpy 1.x
+#: wheels, a system OpenBLAS.
+BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 @cache
@@ -506,6 +518,47 @@ def _khatri_rao(tables: np.ndarray, cols: list) -> np.ndarray:
     return out
 
 
+@cache
+def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The (get, set) thread-count functions of the OpenBLAS numpy calls, or
+    None when numpy's BLAS is not OpenBLAS (MKL, Accelerate).  They are
+    looked up with dlsym through numpy's own linear-algebra extension, which
+    links the BLAS numpy loaded."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for get_name, set_name in BLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+#: Held while a block runs on one OpenBLAS thread: the count is
+#: process-wide, so blocks on several Python threads run one at a time, and
+#: each restores the count it found.
+_ONE_BLAS_THREAD = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's
+    count (also when the block raises); does nothing without OpenBLAS."""
+    functions = _openblas_threads()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    with _ONE_BLAS_THREAD:
+        before = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(before)
+
+
+@_one_blas_thread()
 def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
     """Quasi-stationary distribution of the chain restricted to the strictly
     interior compositions (every type present): the left Perron vector of
@@ -516,6 +569,11 @@ def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
     The interior must be one strongly connected piece, so the law is unique
     and strictly positive.  The leak residual takes the mass that leaves in
     one step from the final weights, ``sum(weights) - sum(weights @ Q)``.
+
+    Every BLAS product (the kernel's construction, the power loop, the leak
+    step) runs on one OpenBLAS thread, whatever the caller's count, which is
+    restored on return: the result does not depend on the core count, and a
+    product never waits on a pool thread that another process has descheduled.
     """
     idx = chain.interior_indices()
     if idx.size == 0:

@@ -158,7 +158,8 @@ def _command(name: str):
                       help="override replicates (extinction, bounds)")
         @click.option("--threads", type=int, default=1,
                       help="extinction's worker processes, and trial blocks "
-                           "per start, at most the cores (never affect results)")
+                           "per start, at most the cores (never affect results); "
+                           "qsd runs its BLAS products on one thread whatever K")
         @click.option("--out", "out_dir", type=str, default=".",
                       help="output directory")
         def command(config_path, seed, replicates, threads, out_dir):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -91,6 +93,23 @@ def classify_calls(monkeypatch):
 
     monkeypatch.setattr(chain, "classify_states", counted)
     return calls
+
+
+@pytest.fixture
+def openblas():
+    """(get, set) of the caller's OpenBLAS thread count, found by the lookup
+    ``interior_qsd`` uses; the count is restored after the test.  Fails
+    where numpy names OpenBLAS but the lookup finds nothing."""
+    functions = chain._openblas_threads()
+    if functions is None:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert "openblas" not in blas["name"].lower(), \
+            f"numpy's BLAS is {blas['name']}, but no OpenBLAS thread setter was found"
+        pytest.skip(f"numpy's BLAS is {blas['name']}, not OpenBLAS")
+    get, set_ = functions
+    before = get()
+    yield get, set_
+    set_(before)
 
 
 # ----------------------------------------------------------------------
@@ -659,6 +678,62 @@ class TestQsd:
         res = interior_qsd(build_exact_chain(rule_a2, n))
         assert abs(res.eigenvalue - eigenvalue) <= 1e-14
         assert res.leak_residual < 1e-13
+
+    def test_bits_do_not_depend_on_the_callers_blas_threads(self, rule_a2, openblas):
+        # every product runs on one OpenBLAS thread; on the default pool the
+        # N=60 and N=70 weights moved between one and two threads (N=45 did not)
+        get, set_ = openblas
+        runs = {}
+        for threads in (2, 1):
+            set_(threads)
+            caller = get()
+            runs[threads] = []
+            for n in (60, 70):
+                runs[threads].append(interior_qsd(build_exact_chain(rule_a2, n)))
+                assert get() == caller
+        for two, one in zip(runs[2], runs[1]):
+            np.testing.assert_array_equal(two.weights, one.weights)
+            assert (two.eigenvalue, two.iterations, two.leak_residual) == \
+                (one.eigenvalue, one.iterations, one.leak_residual)
+        # restored also when the solve raises: a zero mutation column
+        # empties every interior row
+        rule = make_rule(A2, omega=0.5, mutation=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
+                                                  [0.2, 0.8, 0.0]])
+        set_(2)
+        caller = get()
+        with pytest.raises(ReducibleInterior):
+            interior_qsd(build_exact_chain(rule, 12))
+        assert get() == caller
+
+    def test_concurrent_solves_restore_the_callers_blas_threads(self, rule_a2, openblas):
+        # the count is process-wide, so solves on several Python threads run
+        # one at a time: none restores a count that another one set
+        get, set_ = openblas
+        set_(2)
+        caller = get()
+        exact = build_exact_chain(rule_a2, 30)
+        want = interior_qsd(exact)
+        results = []
+
+        def solve():
+            for _ in range(4):
+                results.append(interior_qsd(exact))
+
+        workers = [threading.Thread(target=solve) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert get() == caller
+        assert len(results) == 12
+        for res in results:
+            np.testing.assert_array_equal(res.weights, want.weights)
 
 
 def interior_rows(exact):

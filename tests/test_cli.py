@@ -611,8 +611,10 @@ class TestQsd:
     def test_outputs_are_pinned(self, runner, tmp_path):
         # SHA-256 recorded when the interior kernel came to be applied through
         # power tables: a moved bit in a step moves a weight, and the digest.
-        # The matrix products take their bits from the BLAS kernel of the CPU
-        # (forcing OpenBLAS's Sandybridge kernel moves the digest)
+        # The products run on one OpenBLAS thread, so the digest holds at any
+        # thread count or core count; they still take their bits from the
+        # BLAS kernel of the CPU (forcing OpenBLAS's Sandybridge kernel moves
+        # the digest)
         cfg = write_config(tmp_path, "qsd.json", {
             "matrix": A2, "omega": 0.5, "N": [30, 45], "include_weights": True})
         out = tmp_path / "out"
