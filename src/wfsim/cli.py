@@ -173,7 +173,7 @@ def _command(name: str):
 def _run_meanfield(cfg: dict, rule, threads: int):
     """Equilibrium, stability flags, Jacobian, and spectral radius."""
     report = build_meanfield_report(rule, check_perm=cfg["check_permanence"])
-    return {"report.json": _json_bytes(report.to_dict())}, None
+    return {"report.json": _json_bytes(report)}, None
 
 
 @_command("simulate")

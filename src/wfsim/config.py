@@ -169,9 +169,10 @@ def resolve(command: str, cfg: dict) -> dict:
     """Check a config mapping for ``command`` and resolve it.
 
     Rejects unknown and missing fields, a matrix of fewer than two types,
-    values of the wrong type or out of range, and ``omega`` together with
-    ``omega_ratio``; resolves ``omega_ratio`` to ``omega`` and fills
-    defaults.  Which parameters a
+    values of the wrong type or out of range, ``omega`` together with
+    ``omega_ratio`` and an ``omega_ratio`` so large that ``omega`` rounds
+    to 1; resolves ``omega_ratio`` to ``omega`` and fills defaults.  Which
+    parameters a
     fitness family takes is checked by :func:`wfsim.fitness.make_rule`.
     """
     unknown = set(cfg) - set(COMMANDS[command])
@@ -200,6 +201,9 @@ def resolve(command: str, cfg: dict) -> dict:
     if "omega_ratio" in out:
         ratio = out.pop("omega_ratio")
         out["omega"] = ratio / (1.0 + ratio)
+        if out["omega"] == 1.0:
+            raise ConfigError(f"omega_ratio {ratio!r} is too large: omega = "
+                              "omega_ratio / (1 + omega_ratio) rounds to 1")
     return out
 
 

@@ -11,8 +11,8 @@ test matrices that meet or break them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -149,44 +149,15 @@ def spectral_radius_on_sum_zero(d: np.ndarray) -> float:
 # hypothesis checks
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Flags for the partnership-stability hypotheses on a payoff matrix.
+def check_stability_assumptions(a: MatrixLike) -> dict:
+    """Diagnostic flags: symmetry, positive entries, invertibility, sign
+    structure of the quadratic form, and interior-equilibrium existence.
 
     ``negative_definite_on_sum_zero`` is the projected-eigenvalue test of
     the quadratic form; ``one_positive_eigenvalue`` is the equivalent
     full-spectrum signature test (the two agree whenever an interior
-    equilibrium exists).
+    equilibrium exists).  ``ok`` is the AND of the five other flags.
     """
-
-    symmetric: bool
-    positive_entries: bool
-    invertible: bool
-    one_positive_eigenvalue: bool
-    negative_definite_on_sum_zero: bool
-    interior_equilibrium: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.symmetric and self.positive_entries and self.invertible
-                and self.negative_definite_on_sum_zero
-                and self.interior_equilibrium)
-
-    def to_dict(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "positive_entries": self.positive_entries,
-            "invertible": self.invertible,
-            "one_positive_eigenvalue": self.one_positive_eigenvalue,
-            "negative_definite_on_sum_zero": self.negative_definite_on_sum_zero,
-            "interior_equilibrium": self.interior_equilibrium,
-            "ok": self.ok,
-        }
-
-
-def check_stability_assumptions(a: MatrixLike) -> StabilityReport:
-    """Diagnostic flags: symmetry, positive entries, invertibility, sign
-    structure of the quadratic form, and interior-equilibrium existence."""
     payoff = _as_matrix(a)
     sym_part = 0.5 * (payoff.entries + payoff.entries.T)
     eigs = np.linalg.eigvalsh(sym_part)
@@ -201,14 +172,14 @@ def check_stability_assumptions(a: MatrixLike) -> StabilityReport:
         interior = solve_interior_equilibrium(payoff).is_interior
     except NoInteriorEquilibrium:
         interior = False
-    return StabilityReport(
-        symmetric=payoff.is_symmetric,
-        positive_entries=payoff.has_positive_entries,
-        invertible=payoff.is_invertible,
-        one_positive_eigenvalue=one_positive,
-        negative_definite_on_sum_zero=neg_def,
-        interior_equilibrium=interior,
-    )
+    flags = {
+        "symmetric": payoff.is_symmetric,
+        "positive_entries": payoff.has_positive_entries,
+        "invertible": payoff.is_invertible,
+        "negative_definite_on_sum_zero": neg_def,
+        "interior_equilibrium": interior,
+    }
+    return {**flags, "one_positive_eigenvalue": one_positive, "ok": all(flags.values())}
 
 
 def is_positive_definite_on_sum_zero(a: MatrixLike) -> bool:
@@ -227,31 +198,33 @@ def is_positive_definite_on_sum_zero(a: MatrixLike) -> bool:
 # permanence
 # ----------------------------------------------------------------------
 
-@dataclass
-class PermanenceReport:
-    """Result of the sufficient-condition test that the boundary repels.
-
-    ``status`` is "permanent" when there is no boundary fixed point or
-    some interior profile strictly out-scores every boundary fixed point
-    against itself, and "not-verified" when no tried candidate does.
-    ``margins`` holds the witness's payoff advantage at each boundary
-    fixed point.
-    """
-
-    status: str
-    witness: Optional[np.ndarray]
-    margins: list[float] = field(default_factory=list)
+def _is_fixed(rule: UpdateRule, z: np.ndarray) -> Union[bool, np.ndarray]:
+    """Whether the update map moves a profile ``(M,)``, or each row of a
+    batch ``(R, M)``, by less than FIXED_POINT_RESIDUAL.  A profile where
+    the map is undefined (zero total fitness) is not fixed; a batch is
+    mapped in one call unless one of its rows is such a profile.  A batch
+    row has its profile's bits, so neither route moves a result."""
+    try:
+        return np.abs(rule.update_probs(z) - z).max(axis=-1) < FIXED_POINT_RESIDUAL
+    except DegenerateFitness:
+        if z.ndim == 1:
+            return False
+        return np.array([_is_fixed(rule, row) for row in z], dtype=bool)
 
 
-def check_permanence(rule: UpdateRule) -> PermanenceReport:
+def check_permanence(rule: UpdateRule) -> dict:
     """Test the interior-dominance sufficient condition for permanence of
     a payoff-driven rule, on its own payoff matrix.
 
     Enumerates the fixed points of the update map on every proper face
-    (equal-payoff solutions of the face submatrix, vertices, and a dense
-    grid scan where the submatrix is singular) and searches for an
-    interior profile ``y`` whose payoff against each boundary fixed point
-    ``z`` strictly exceeds ``z``'s payoff against itself.
+    (the equal-payoff solution of the face submatrix, which is the vertex
+    on a 1 x 1 face, or a grid scan where the submatrix is singular) and
+    searches for an interior profile ``y`` whose payoff against each
+    boundary fixed point ``z`` strictly exceeds ``z``'s payoff against
+    itself.  ``status`` is "permanent" when there is no boundary fixed
+    point or some tried ``y`` strictly out-scores every one, and
+    "not-verified" otherwise; ``witness`` is the best ``y`` and
+    ``min_margin`` its smallest payoff advantage.
     """
     payoff = rule.fitness.payoff
     if not payoff.is_symmetric:
@@ -265,39 +238,24 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
     for size in range(1, m):
         for combo in itertools.combinations(range(m), size):
             idx = np.array(combo, dtype=np.intp)
-            candidates: list[np.ndarray] = []
-            if size == 1:
-                z = np.zeros(m)
-                z[idx[0]] = 1.0
-                candidates.append(z)
-            else:
-                sub = entries[np.ix_(idx, idx)]
-                try:
-                    eq = solve_interior_equilibrium(sub)
-                    if eq.is_interior:
-                        z = np.zeros(m)
-                        z[idx] = eq.vector
-                        candidates.append(z)
-                except NoInteriorEquilibrium:
-                    # singular face submatrix: scan the face's strictly
-                    # positive grid points; a batch row has its profile's
-                    # bits, so the hits need no re-check
-                    counts = lattice_counts(size, FACE_RESOLUTION)
-                    counts = counts[np.all(counts > 0, axis=1)]
-                    grid = np.zeros((len(counts), m))
-                    grid[:, idx] = counts / FACE_RESOLUTION
-                    gaps = np.abs(rule.update_probs(grid) - grid).max(axis=-1)
-                    fixed.extend(grid[gaps < FIXED_POINT_RESIDUAL])
-            for z in candidates:
-                try:
-                    ok = np.max(np.abs(rule.update_probs(z) - z)) < FIXED_POINT_RESIDUAL
-                except DegenerateFitness:
-                    ok = False
-                if ok:
-                    fixed.append(z)
+            try:
+                eq = solve_interior_equilibrium(entries[np.ix_(idx, idx)])
+            except NoInteriorEquilibrium:
+                # singular face submatrix: scan the face's strictly positive grid points
+                counts = lattice_counts(size, FACE_RESOLUTION)
+                counts = counts[np.all(counts > 0, axis=1)]
+                grid = np.zeros((len(counts), m))
+                grid[:, idx] = counts / FACE_RESOLUTION
+                fixed.extend(grid[_is_fixed(rule, grid)])
+                continue
+            z = np.zeros(m)
+            z[idx] = eq.vector
+            if eq.is_interior and _is_fixed(rule, z):
+                fixed.append(z)
 
     if not fixed:
-        return PermanenceReport(status="permanent", witness=None)
+        return {"status": "permanent", "witness": None,
+                "n_boundary_fixed_points": 0, "min_margin": None}
 
     # never empty: the grid has interior points for every m <= 5
     candidates_y: list[np.ndarray] = []
@@ -322,11 +280,12 @@ def check_permanence(rule: UpdateRule) -> PermanenceReport:
         if margins.min() > 0:
             break
 
-    return PermanenceReport(
-        status="permanent" if best_margins.min() > 0 else "not-verified",
-        witness=best_y,
-        margins=best_margins.tolist(),
-    )
+    return {
+        "status": "permanent" if best_margins.min() > 0 else "not-verified",
+        "witness": best_y.tolist(),
+        "n_boundary_fixed_points": len(fixed),
+        "min_margin": min(best_margins.tolist()),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +306,7 @@ def random_stability_matrix(m: int, rng: np.random.Generator) -> PayoffMatrix:
         q = g @ g.T + 0.05 * np.eye(m)
         c = float(q.max()) + rng.uniform(0.1, 2.0) * max(1.0, float(np.abs(q).max()))
         a = PayoffMatrix(c * np.ones((m, m)) - q)
-        if check_stability_assumptions(a).ok:
+        if check_stability_assumptions(a)["ok"]:
             return a
     raise NumericRangeError("failed to sample a conforming matrix")
 
@@ -369,58 +328,28 @@ def random_pd_on_sum_zero_matrix(m: int, rng: np.random.Generator) -> PayoffMatr
 # aggregate report
 # ----------------------------------------------------------------------
 
-@dataclass
-class MeanFieldReport:
-    """Equilibrium, local derivative data, and hypothesis flags for one
-    payoff system."""
-
-    equilibrium: np.ndarray
-    c: float
-    interior: bool
-    stability: StabilityReport
-    jacobian: Optional[np.ndarray] = None
-    spectral_radius: Optional[float] = None
-    permanence: Optional[PermanenceReport] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "equilibrium": self.equilibrium.tolist(),
-            "c": self.c,
-            "interior": self.interior,
-            "stability": self.stability.to_dict(),
-            "jacobian": None if self.jacobian is None else self.jacobian.tolist(),
-            "spectral_radius_sum_zero": self.spectral_radius,
-        }
-        if self.permanence is not None:
-            out["permanence"] = {
-                "status": self.permanence.status,
-                "witness": (None if self.permanence.witness is None
-                            else np.asarray(self.permanence.witness).tolist()),
-                "n_boundary_fixed_points": len(self.permanence.margins),
-                "min_margin": min(self.permanence.margins, default=None),
-            }
-        return out
-
-
-def build_meanfield_report(rule: UpdateRule,
-                           check_perm: bool = False) -> MeanFieldReport:
-    """Equilibrium + derivative + flags for a payoff-driven update rule.
+def build_meanfield_report(rule: UpdateRule, check_perm: bool = False) -> dict:
+    """Equilibrium + derivative + flags for a payoff-driven update rule: the
+    mapping ``wf meanfield`` writes as ``report.json``.
 
     Interior equilibria of fitness-monotone payoff responses all solve the
     same equal-payoff system.  The derivative at the equilibrium is the
-    full derivative of the update map, ``rule.jacobian``, for every rule.
+    full derivative of the update map, ``rule.jacobian``, for every rule;
+    ``jacobian`` and ``spectral_radius_sum_zero`` are None when the
+    equilibrium is not interior.
     """
     payoff = rule.fitness.payoff
     stability = check_stability_assumptions(payoff)
     eq = solve_interior_equilibrium(payoff)
-    jac = None
-    radius = None
-    if eq.is_interior:
-        jac = rule.jacobian(eq.vector)
-        radius = spectral_radius_on_sum_zero(jac)
-    perm = None
+    jac = rule.jacobian(eq.vector) if eq.is_interior else None
+    report = {
+        "equilibrium": eq.vector.tolist(),
+        "c": eq.c,
+        "interior": eq.is_interior,
+        "stability": stability,
+        "jacobian": None if jac is None else jac.tolist(),
+        "spectral_radius_sum_zero": None if jac is None else spectral_radius_on_sum_zero(jac),
+    }
     if check_perm:
-        perm = check_permanence(rule)
-    return MeanFieldReport(equilibrium=eq.vector, c=eq.c, interior=eq.is_interior,
-                           stability=stability, jacobian=jac,
-                           spectral_radius=radius, permanence=perm)
+        report["permanence"] = check_permanence(rule)
+    return report

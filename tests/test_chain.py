@@ -817,6 +817,32 @@ class TestInteriorKernel:
         assert abs(res.eigenvalue - lam) <= 1e-14
         np.testing.assert_allclose(res.weights, mu, rtol=1e-13, atol=0)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than float64 on this platform")
+    @pytest.mark.parametrize("n", [30, 45])
+    def test_survival_factor_matches_a_long_double_replay(self, rule_a2, n):
+        # the reference is the dense power loop in long double: the same
+        # sampling_probs, long-double log-factorials, each row normalised
+        # over all S destinations, and interior_qsd's own iteration count.
+        # The factored normalisers land within 2.0e-16 (N=30) and 4.9e-17
+        # (N=45) of it; a closed-form row normaliser missed by 9.2e-15
+        exact = build_exact_chain(rule_a2, n)
+        res = interior_qsd(exact)
+        idx = exact.interior_indices()
+        states = exact.states
+        log_factorial = np.concatenate(
+            [[0], np.cumsum(np.log(np.arange(1, n + 1, dtype=np.longdouble)))])
+        log_count = log_factorial[n] - log_factorial[states].sum(axis=1)
+        log_p = np.log(sampling_probs(rule_a2, states[idx] / n).astype(np.longdouble))
+        law = np.exp(log_p @ states.T.astype(np.longdouble) + log_count)
+        block = (law / law.sum(axis=1, keepdims=True))[:, idx]
+        mu = np.full(idx.size, 1 / np.longdouble(idx.size))
+        for _ in range(res.iterations):
+            nxt = mu @ block
+            lam = nxt.sum()
+            mu = nxt / lam
+        assert abs(res.eigenvalue - float(lam)) <= 1e-15, abs(res.eigenvalue - float(lam))
+
     @pytest.mark.parametrize("rule", [
         make_rule(A2, omega=0.5, mutation=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
                                            [0.2, 0.8, 0.0]]),

@@ -128,12 +128,36 @@ class TestMeanfield:
         assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == (
             "9f5990df1dd5dc68e632e14fd9acf67fde615ea175990573f1676b597fb16356")
 
+    def test_degenerate_face_scan_skips_undefined_points(self, runner, tmp_path):
+        # on the singular {1,2} face every type's fitness 1 - omega + omega
+        # (A x)_i is 0, so the update map is undefined at each scanned grid
+        # point: the scan skips them, as the vertex check skips vertices 1, 2
+        matrix = [[-1, -1, 2], [-1, -1, 3], [2, 3, 1]]
+        reports = []
+        for check in (False, True):
+            out = tmp_path / f"out-{check}"
+            cfg = write_config(tmp_path, f"mf-{check}.json",
+                               {"matrix": matrix, "omega": 0.5, "check_permanence": check})
+            run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+            reports.append(load_json(out, "report.json"))
+        perm = reports[1].pop("permanence")
+        assert perm["n_boundary_fixed_points"] == 3
+        assert perm["status"] == "not-verified"
+        assert reports[1] == reports[0]
+
     #: name -> (config, SHA-256 of report.json), recorded before the raw
     #: fitness values, the payoff flag cache and the permanence notes were
     #: removed: the jacobian, the flags and the permanence certificate of a
     #: linear-fractional, an exponential (overflowing raw fitness) and a
-    #: mutation rule; the mutation rule has no boundary fixed points
+    #: mutation rule; the mutation rule has no boundary fixed points. The
+    #: zero-diagonal matrix's 1 x 1 faces are singular, so its vertices come
+    #: from the face scan; its digest was recorded while vertices still had
+    #: a branch of their own
     PINNED = {
+        "zero-diagonal": (
+            {"matrix": [[0, 1, 2], [1, 0, 3], [2, 3, 0]], "omega": 0.5,
+             "check_permanence": True},
+            "069527dd0fa8473973c7cd5a86c1330fb67bbf583aac9361103d8a414c6da269"),
         "a2": ({"matrix": A2, "omega": 0.5, "check_permanence": True},
                "38bd4f54306e4982b5aa6c25303d279b92223307977476df4288c8964b4aab96"),
         "exponential-40": (
@@ -826,6 +850,14 @@ class TestPlumbing:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "omega_ratio" in result.stderr
+
+    @pytest.mark.parametrize("ratio", [1e16, 1e300])
+    def test_omega_ratio_rounding_omega_to_one_exits_one(self, tmp_path, ratio):
+        # r / (1 + r) is 1.0 in float64 from r = 1e16; the error names the
+        # field the config set, not the omega it resolves to
+        cfg = {"matrix": A2, "omega_ratio": ratio}
+        assert_config_error(invoke("meanfield", cfg, tmp_path), "omega_ratio")
+        assert resolve("meanfield", {"matrix": A2, "omega_ratio": 9e15})["omega"] < 1.0
 
     @pytest.mark.parametrize("start", [
         [0.8, 0.3, 0.1], [0.6, 0.3, 0.0], [0.8, 0.2], [1.2, -0.1, -0.1],
