@@ -31,7 +31,8 @@ class DegenerateFitness(WfsimError):
 
 
 class InvalidNormalization(WfsimError):
-    """A normalizing scalar that must be positive is not."""
+    """A normalizing scalar that must be positive is not, or a sampling law
+    is not a probability vector."""
 
 
 class NoInteriorEquilibrium(WfsimError):

@@ -12,22 +12,30 @@ the equilibrium at a random intermediate time.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .config import resolve, rule_keywords
-from .errors import (ConfigError, DimensionMismatch, DomainError, NoInteriorEquilibrium,
-                     PreconditionError, ResourceLimitExceeded)
-from .fitness import UpdateRule, make_rule, rng_stream, sampling_probs
+from .errors import (ConfigError, DimensionMismatch, DomainError, InvalidNormalization,
+                     NoInteriorEquilibrium, PreconditionError, ResourceLimitExceeded)
+from .fitness import UpdateRule, _row_sums, make_rule, rng_stream, sampling_probs
 from .meanfield import solve_interior_equilibrium
 from .simplex import LatticePoint, round_to_lattice
 
 #: One-sided 95% normal quantile for the trend checks.
 Z_95 = 1.6448536269514722
+
+#: Scratch bytes for numpy's ``binomial_t`` parameter cache, one per
+#: lockstep block: the struct is an int and 16 eight-byte fields (136 bytes
+#: on 64-bit builds), with room to spare.
+BINOMIAL_CACHE_BYTES = 256
 
 
 # ----------------------------------------------------------------------
@@ -69,6 +77,76 @@ class TrialOutcome(NamedTuple):
     event: Optional[bool] = None          # exactly one extinct type, in the least-fit set
 
 
+@cache
+def _c_multinomial():
+    """numpy's C draw ``random_multinomial(bitgen_t *, int64 n, int64 *out,
+    double *p, npy_intp d, binomial_t *)``, which ``Generator.multinomial``
+    wraps, and the reader of a stream's ``bitgen_t *`` from its capsule.
+    Resolved on first use: reading ``np.random`` loads numpy.random, which
+    commands that never sample do not pay for.  ``PyDLL`` keeps the GIL
+    through each call."""
+    draw = getattr(ctypes.PyDLL(np.random._generator.__file__), "random_multinomial", None)
+    if draw is None:
+        raise PreconditionError(f"numpy {np.__version__} exports no random_multinomial "
+                                "from numpy.random._generator; lockstep trials draw with it")
+    # no argtypes: each call passes ctypes objects of the C types, which
+    # go through unconverted; declared argtypes made a draw ~30% slower
+    draw.restype = None
+    bitgen = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return draw, bitgen
+
+
+def _check_law(law: np.ndarray) -> None:
+    """``Generator.multinomial``'s checks on its probabilities, run once on
+    a whole law (L, M): every cell in [0, 1] and not NaN, and the first M-1
+    cells of each row summing to at most 1 + 1e-12."""
+    if not (law.min() >= 0.0 and law.max() <= 1.0):
+        raise InvalidNormalization("sampling law has a NaN or a cell outside [0, 1]")
+    head = _row_sums(law[:, :-1]).max()
+    if head > 1.0 + 1e-12:
+        raise InvalidNormalization(f"sampling law's first M-1 cells sum to {head!r} > 1 + 1e-12")
+
+
+class _BlockDraws:
+    """The multinomial draws of a lockstep block, one C call per live
+    stream, with ``Generator.multinomial``'s bits and stream advances.
+
+    Calling it with a law (L, M) draws ``n`` items for row j from the j-th
+    live stream; :meth:`keep` drops the streams of ended trials.  Each
+    stream draws into its own row of a fixed counts buffer from its own
+    row of a fixed law buffer, so its call arguments are built once.  The
+    Generators' locks are not taken: no other thread may draw from these
+    streams meanwhile."""
+
+    def __init__(self, gens: list, n: int, m: int):
+        self._call, bitgen = _c_multinomial()
+        self._gens = gens                   # owners of the bitgen_t pointed to
+        law, counts = (ctypes.c_double * (len(gens) * m))(), (ctypes.c_int64 * (len(gens) * m))()
+        self._law, self._counts = np.frombuffer(law), np.frombuffer(counts, dtype=np.int64)
+        n_c, m_c = ctypes.c_int64(n), ctypes.c_ssize_t(m)
+        cache_c = ctypes.create_string_buffer(BINOMIAL_CACHE_BYTES)
+        row = 8 * m                         # bytes per row of either buffer
+        self._args = [(ctypes.c_void_p(bitgen(g.bit_generator.capsule, b"BitGenerator")), n_c,
+                       ctypes.byref(counts, row * j), ctypes.byref(law, row * j), m_c, cache_c)
+                      for j, g in enumerate(gens)]
+        self._cells = np.arange(len(gens) * m)     # buffer cells of the live streams' rows
+
+    def keep(self, mask: np.ndarray) -> None:
+        self._args = list(compress(self._args, mask.tolist()))
+        self._cells = self._cells.reshape(len(mask), -1)[mask].ravel()
+
+    def __call__(self, law: np.ndarray) -> np.ndarray:
+        _check_law(law)
+        self._law.put(self._cells, law)
+        # the C draw writes no cells after the count runs out
+        self._counts.fill(0)
+        call = self._call
+        for args in self._args:
+            call(*args)
+        return self._counts.take(self._cells).reshape(law.shape)
+
+
 def _lockstep(rule: UpdateRule, x0: LatticePoint, rng, threshold: float,
               max_steps: int, window: Optional[tuple[int, int]], finish):
     """Run one trial per stream from ``x0``, all in lockstep, until its
@@ -88,13 +166,12 @@ def _lockstep(rule: UpdateRule, x0: LatticePoint, rng, threshold: float,
     censored = final.min(axis=1) / n > threshold
     stop = np.where(censored, max_steps, 0)
     live = np.flatnonzero(censored)
-    gens, cur = [gens[j] for j in live], final[live]
+    draw, cur = _BlockDraws([gens[j] for j in live], n, x0.m), final[live]
     prev, marks = cur, set(t_star.tolist())
     for k in range(1, max_steps + 1):
         if not live.size:
             break
-        prev, cur = cur, np.array([g.multinomial(n, p) for g, p in
-                                   zip(gens, sampling_probs(rule, cur / n))])
+        prev, cur = cur, draw(sampling_probs(rule, cur / n))
         if k in marks:
             hit = t_star[live] == k
             sampled[live[hit]] = cur[hit]
@@ -105,7 +182,7 @@ def _lockstep(rule: UpdateRule, x0: LatticePoint, rng, threshold: float,
             stop[ended], final[ended], before[ended] = k, cur[done], prev[done]
             censored[ended] = False
             live, cur, prev = live[~done], cur[~done], prev[~done]
-            gens = [g for g, d in zip(gens, done) if not d]
+            draw.keep(~done)
     final[live], before[live] = cur, prev
     outs = []
     for j, (k, t) in enumerate(zip(stop.tolist(), t_star.tolist())):
@@ -131,7 +208,9 @@ def run_trial_threshold(rule: UpdateRule, x0: LatticePoint,
     at the step before stopping when the trial ends sooner (flagged).
     Hitting ``max_steps`` first marks the trial censored.  ``rng`` is one
     stream (returns one outcome) or a sequence of streams, one trial
-    each, run in lockstep (returns their outcomes in order).
+    each, run in lockstep (returns their outcomes in order).  The draws
+    bypass the Generators' locks: no other thread may draw from these
+    streams during the call.
     """
     lo, hi = int(sample_window[0]), int(sample_window[1])
     if not 0 <= lo <= hi:

@@ -22,6 +22,11 @@ A_TWO = [[1.0, 2.0], [2.0, 1.0]]
 # Non-symmetric three-type matrix with interior equilibrium (4, 5, 6) / 15.
 NON_SYMMETRIC = [[1.0, 3.0, 2.0], [2.0, 1.0, 3.0], [3.0, 2.0, 1.5]]
 
+# Three-type laws that Generator.multinomial refuses: a NaN, a negative
+# cell, and first two cells summing to 1 + 1e-9.
+BAD_LAWS = {"nan": [np.nan, 0.5, 0.5], "negative": [-0.1, 0.6, 0.5],
+            "head-over-one": [0.5, 0.5 + 1e-9, 0.0]}
+
 
 @pytest.fixture(scope="session")
 def rule_a1():

@@ -27,7 +27,7 @@ from wfsim.fitness import finite_difference_jacobian, make_rule
 from wfsim.meanfield import solve_interior_equilibrium, sum_zero_basis
 from wfsim.simplex import round_to_lattice
 
-from conftest import A1, A2, CHI1, CHI2, NON_SYMMETRIC
+from conftest import A1, A2, BAD_LAWS, CHI1, CHI2, NON_SYMMETRIC
 
 CONFIG_DIR = Path(wfsim.__file__).parent / "configs"
 
@@ -543,6 +543,19 @@ class TestExtinction:
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
                     digest, (k, name)
 
+    @pytest.mark.parametrize("law", BAD_LAWS.values(), ids=BAD_LAWS.keys())
+    def test_law_that_multinomial_refuses_exits_two(self, runner, tmp_path, monkeypatch, law):
+        monkeypatch.setattr(extinction, "sampling_probs",
+                            lambda rule, freqs: np.tile(law, (len(freqs), 1)))
+        cfg = {"matrix": A2, "omega": 0.5, "N": 50, "initials": [[0.4, 0.3, 0.3]],
+               "replicates": 4, "seed": 3}
+        result = runner.invoke(main, ["extinction", "--config", config_path(tmp_path, cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: sampling law")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_bin_count_past_memory_exits_two_before_any_trial(self, runner, tmp_path,
                                                               monkeypatch):
         # bin_width 1e-300 lies in (0, 1.5] but asks for 1.5e300 bins
@@ -897,10 +910,18 @@ class TestPlumbing:
                 ran.append(command)
         assert ran == ["meanfield", "simulate", "qsd", "bounds"]
 
+    #: commands that draw no random numbers, with a config each
+    NON_SAMPLING = [
+        ("qsd", {"matrix": A2, "omega": 0.5, "N": [6, 12], "include_weights": True}),
+        ("meanfield", {"matrix": A2, "omega": 0.5, "check_permanence": True}),
+    ]
+
     @staticmethod
-    def scipy_modules_after(code: str) -> str:
-        """The scipy modules a fresh interpreter holds after running ``code``."""
-        code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    def modules_after(code: str, package: str = "scipy") -> str:
+        """The modules of ``package`` (a dotted name) that a fresh
+        interpreter holds after running ``code``."""
+        code += (f"\nprint(sorted(m for m in sys.modules if m == {package!r}"
+                 f" or m.startswith({package + '.'!r})))\n")
         src = str(Path(wfsim.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -918,7 +939,7 @@ class TestPlumbing:
             "       'N': 50, 'initials': [[0.8, 0.1, 0.1]], 'replicates': 4, 'seed': 1,\n"
             "       'sample_window': [1, 5]}\n"
             "run_experiment(ExperimentSpec.from_config(cfg))\n")
-        assert self.scipy_modules_after(code) == "[]"
+        assert self.modules_after(code) == "[]"
 
     @pytest.mark.parametrize("command,cfg", [
         ("bounds", {"matrix": A2, "omega": 0.5, "N": [50, 200], "epsilons": [0.1],
@@ -930,17 +951,21 @@ class TestPlumbing:
     def test_bounds_and_simulate_load_no_scipy(self, tmp_path, command, cfg):
         # the Lipschitz probe and the pseudo-orbit search measure max-norm
         # distances with numpy alone, so `wf bounds` runs without scipy
-        assert self.scipy_modules_after(self.command_code(tmp_path, command, cfg)) == "[]"
+        assert self.modules_after(self.command_code(tmp_path, command, cfg)) == "[]"
 
-    @pytest.mark.parametrize("command,cfg", [
-        ("qsd", {"matrix": A2, "omega": 0.5, "N": [6, 12], "include_weights": True}),
-        ("meanfield", {"matrix": A2, "omega": 0.5, "check_permanence": True}),
-    ])
+    @pytest.mark.parametrize("command,cfg", NON_SAMPLING)
     def test_qsd_and_meanfield_load_no_scipy(self, tmp_path, command, cfg):
         # the exact chain takes its log-factorials from math.lgamma, reads
         # interior irreducibility off the sampling laws and classifies its
         # states only when they are read, which `wf qsd` never does
-        assert self.scipy_modules_after(self.command_code(tmp_path, command, cfg)) == "[]"
+        assert self.modules_after(self.command_code(tmp_path, command, cfg)) == "[]"
+
+    @pytest.mark.parametrize("command,cfg", NON_SAMPLING)
+    def test_qsd_and_meanfield_load_no_numpy_random(self, tmp_path, command, cfg):
+        # the lockstep trials resolve numpy's C multinomial on first use, so
+        # commands that never sample do not load numpy.random (and OpenSSL)
+        code = self.command_code(tmp_path, command, cfg)
+        assert self.modules_after(code, "numpy.random") == "[]"
 
     @staticmethod
     def command_code(tmp_path, command: str, cfg: dict) -> str:

@@ -1,15 +1,19 @@
 """Tests for metastability and route-to-extinction experiments."""
 
 import concurrent.futures
+import gc
 import json
 import math
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wfsim import extinction
-from wfsim.errors import ConfigError, DimensionMismatch, DomainError, PreconditionError
+from wfsim.errors import (ConfigError, DimensionMismatch, DomainError, InvalidNormalization,
+                          PreconditionError)
 from wfsim.extinction import (
     ExperimentSpec,
     _experiment_context,
@@ -24,7 +28,7 @@ from wfsim.extinction import (
 from wfsim.fitness import make_rule
 from wfsim.simplex import round_to_lattice
 
-from conftest import A1, A2, CHI1, CHI2, neutral_rule
+from conftest import A1, A2, BAD_LAWS, CHI1, CHI2, neutral_rule
 
 
 # ----------------------------------------------------------------------
@@ -184,10 +188,13 @@ class TestLockstepBlocks:
     ], ids=["stop-at-zero", "censored", "window-1-1", "no-equilibrium"])
     def test_threshold_block_matches_one_stream_calls(self, rule_a2, start, kwargs):
         x0 = round_to_lattice(start, 100)
-        block = run_trial_threshold(rule_a2, x0, streams(31, 40), **kwargs)
-        alone = [run_trial_threshold(rule_a2, x0, rng, **kwargs) for rng in streams(31, 40)]
+        gens, lone = streams(31, 40), streams(31, 40)
+        block = run_trial_threshold(rule_a2, x0, gens, **kwargs)
+        alone = [run_trial_threshold(rule_a2, x0, rng, **kwargs) for rng in lone]
         assert isinstance(block, list) and len(block) == 40
         assert block == alone
+        # a stream advances by its own trial's draws only, however long the block runs
+        assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in lone]
 
     def test_blocks_mix_every_kind_of_trial(self, rule_a2):
         x0 = round_to_lattice([0.8, 0.1, 0.1], 100)
@@ -218,6 +225,73 @@ class TestLockstepBlocks:
         assert whole == split
         assert run_experiment(small_spec, threads=1).rows == whole
         assert run_experiment(small_spec, threads=3).rows == whole
+
+
+# ----------------------------------------------------------------------
+# the C multinomial draw of a block
+# ----------------------------------------------------------------------
+
+def draw_laws(m):
+    """Laws (K, m): two interior ones, one with a zero first, middle (for
+    m > 2) and last cell, and every one-hot law."""
+    interior = np.random.default_rng(m).dirichlet(np.ones(m), size=2)
+    holes = [0, m - 1] + ([m // 2] if m > 2 else [])
+    holed = np.array([interior[0] * (np.arange(m) != hole) for hole in holes])
+    return np.vstack([interior, holed / holed.sum(axis=1, keepdims=True), np.eye(m)])
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("n", [1, 2, 50, 500, 10**6])
+    @pytest.mark.parametrize("m", [2, 3, 5, 9])
+    def test_rows_match_generator_multinomial(self, m, n):
+        laws = draw_laws(m)
+        gens, twins = streams(n + m, len(laws)), streams(n + m, len(laws))
+        draw = extinction._BlockDraws(gens, n, m)
+        # each round moves the laws to other rows, so a cell left over from
+        # the row's last draw would show
+        for shift in range(len(laws)):
+            law = np.roll(laws, shift, axis=0)
+            want = np.array([g.multinomial(n, p) for g, p in zip(twins, law)])
+            np.testing.assert_array_equal(draw(law), want)
+        assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in twins]
+
+    @pytest.mark.parametrize("law", BAD_LAWS.values(), ids=BAD_LAWS.keys())
+    def test_law_that_multinomial_refuses_raises(self, rule_a2, monkeypatch, law):
+        monkeypatch.setattr(extinction, "sampling_probs",
+                            lambda rule, freqs: np.tile(law, (len(freqs), 1)))
+        with pytest.raises(InvalidNormalization):
+            run_trial_threshold(rule_a2, round_to_lattice([0.4, 0.3, 0.3], 100), streams(1, 4))
+
+    def test_missing_c_draw_names_numpy_version(self, monkeypatch):
+        extinction._c_multinomial.cache_clear()
+        monkeypatch.setattr(extinction.ctypes, "PyDLL", lambda path: object())
+        try:
+            with pytest.raises(PreconditionError, match=re.escape(f"numpy {np.__version__} ")):
+                extinction._c_multinomial()
+        finally:
+            extinction._c_multinomial.cache_clear()
+
+    def test_block_memory(self):
+        # 2,000 trials of one block peak at 3.1 MiB: 2.4 MiB of outcomes,
+        # states and streams, as with one Generator.multinomial call per
+        # row, and 0.6 MiB of C call arguments; after the run only the 0.5
+        # MiB of outcomes stay. Reading each stream's bitgen_t through
+        # bit_generator.ctypes instead of its capsule peaks at 5.0 MiB
+        spec = ExperimentSpec.from_config(minimal_config(
+            N=50, replicates=2000, initials=[[0.8, 0.1, 0.1]], sample_window=[1, 5]))
+        ctx = _experiment_context(spec)
+        _run_chunk(spec, *ctx, 0, 0, 10)        # modules numpy loads on first use
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows = _run_chunk(spec, *ctx, 0, 0, 2000)
+            gc.collect()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2000
+        assert peak < 4 * 2**20
+        assert held < 2**20
 
 
 # ----------------------------------------------------------------------
