@@ -157,8 +157,9 @@ def _command(name: str):
         @click.option("--replicates", type=int, default=None,
                       help="override replicates (extinction, bounds)")
         @click.option("--threads", type=int, default=1,
-                      help="extinction's worker processes, and trial blocks "
-                           "per start, at most the cores (never affect results); "
+                      help="extinction's worker processes, at most the cores, each "
+                           "running its trial range of every start as one block "
+                           "(never affect results); "
                            "qsd runs its BLAS products on one thread whatever K")
         @click.option("--out", "out_dir", type=str, default=".",
                       help="output directory")

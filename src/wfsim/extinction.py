@@ -8,6 +8,15 @@ module identifies that least-fit set, runs stopped and absorbed trial
 ensembles with reproducible parallelism, and aggregates them into
 per-initial-condition outcome counts plus a histogram of distances from
 the equilibrium at a random intermediate time.
+
+Each trial draws from its own (seed, initial, trial) stream, so a trial's
+outcome does not depend on the block it runs in.  An ensemble gives each
+worker process one range of trials, which it runs for every initial
+condition at once as one lockstep block (at most ``LOCKSTEP_TRIALS``
+trials): the block's streams are seeded together by
+:func:`wfsim.fitness.rng_streams`, its generations share one update-map
+call and one C multinomial call per live trial, and its outcomes are
+read off whole arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,7 +35,7 @@ import numpy as np
 from .config import resolve, rule_keywords
 from .errors import (ConfigError, DimensionMismatch, DomainError, InvalidNormalization,
                      NoInteriorEquilibrium, PreconditionError, ResourceLimitExceeded)
-from .fitness import UpdateRule, _row_sums, make_rule, rng_stream, sampling_probs
+from .fitness import UpdateRule, _row_sums, make_rule, rng_stream, rng_streams, sampling_probs
 from .meanfield import solve_interior_equilibrium
 from .simplex import LatticePoint, round_to_lattice
 
@@ -36,6 +46,10 @@ Z_95 = 1.6448536269514722
 #: lockstep block: the struct is an int and 16 eight-byte fields (136 bytes
 #: on 64-bit builds), with room to spare.
 BINOMIAL_CACHE_BYTES = 256
+
+#: Most trials in one lockstep block, about 13 MiB of block state at
+#: ~1.6 KB a trial.  A worker's share past it runs as several blocks.
+LOCKSTEP_TRIALS = 8192
 
 
 # ----------------------------------------------------------------------
@@ -147,26 +161,50 @@ class _BlockDraws:
         return self._counts.take(self._cells).reshape(law.shape)
 
 
-def _lockstep(rule: UpdateRule, x0: LatticePoint, rng, threshold: float,
-              max_steps: int, window: Optional[tuple[int, int]], finish):
-    """Run one trial per stream from ``x0``, all in lockstep, until its
-    least frequency is at most ``threshold`` (checked from step 0) or
-    ``max_steps`` pass.  Each generation the live trials share one batch
-    ``sampling_probs`` call, whose rows do not depend on the batch, and
-    draw from their own streams, so a trial's path is the same in any
-    block.  With a ``window`` each stream first draws the step whose state
-    is sampled; if the stop comes first, the state before it is (early).
-    ``finish(outcome, counts, sample, sample_time, early)`` completes it."""
-    gens = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    n, r = x0.n, len(gens)
+class _Block(NamedTuple):
+    """Per-trial arrays of a finished lockstep block (R trials, M types)."""
+
+    stop: np.ndarray               # (R,) step of the stop, max_steps if censored
+    censored: np.ndarray           # (R,) bool
+    final: np.ndarray              # (R, M) counts at the stop
+    sample_time: np.ndarray        # (R,) step whose counts are sampled
+    early: np.ndarray              # (R,) bool: the stop came before the sample step
+    sample: np.ndarray             # (R, M) counts at sample_time
+    n: int                         # population size
+
+    def least_and_ties(self) -> tuple[list[int], list[bool]]:
+        """Each trial's least type at the stop (0-based, lowest index on a
+        tie) and whether another type ties it."""
+        low = self.final == self.final.min(axis=1, keepdims=True)
+        return low.argmax(axis=1).tolist(), (low.sum(axis=1) > 1).tolist()
+
+
+def _lockstep(rule: UpdateRule, x0, gens: list, threshold: float,
+              max_steps: int, window: Optional[tuple[int, int]]) -> _Block:
+    """Run one trial per stream, all in lockstep, until its least frequency
+    is at most ``threshold`` (checked from step 0) or ``max_steps`` pass.
+    ``x0`` is one start for every stream or a sequence of one start per
+    stream, all with the same N and M.  Each generation the live trials
+    share one batch ``sampling_probs`` call, whose rows do not depend on
+    the batch, and draw from their own streams, so a trial's path is the
+    same in any block.  With a ``window`` each stream first draws the step
+    whose state is sampled; if the stop comes first, the state before it
+    is (early)."""
+    r = len(gens)
+    starts = [x0] * r if isinstance(x0, LatticePoint) else list(x0)
+    if len(starts) != r:
+        raise DimensionMismatch(f"{len(starts)} starts for {r} streams")
+    n, m = starts[0].n, starts[0].m
+    if any(p.n != n or p.m != m for p in starts):
+        raise DimensionMismatch("the starts of one block must share N and M")
     t_star = np.array([int(g.integers(window[0], window[1] + 1)) for g in gens]
                       if window else np.zeros(r), dtype=np.int64)
-    final = np.tile(x0.counts, (r, 1))
+    final = np.array([p.counts for p in starts])
     before, sampled = final.copy(), final.copy()
     censored = final.min(axis=1) / n > threshold
     stop = np.where(censored, max_steps, 0)
     live = np.flatnonzero(censored)
-    draw, cur = _BlockDraws([gens[j] for j in live], n, x0.m), final[live]
+    draw, cur = _BlockDraws([gens[j] for j in live], n, m), final[live]
     prev, marks = cur, set(t_star.tolist())
     for k in range(1, max_steps + 1):
         if not live.size:
@@ -184,17 +222,27 @@ def _lockstep(rule: UpdateRule, x0: LatticePoint, rng, threshold: float,
             live, cur, prev = live[~done], cur[~done], prev[~done]
             draw.keep(~done)
     final[live], before[live] = cur, prev
-    outs = []
-    for j, (k, t) in enumerate(zip(stop.tolist(), t_star.tolist())):
-        ties = np.flatnonzero(final[j] == final[j].min())
-        out = TrialOutcome(k, bool(censored[j]), int(ties[0]), ties.size > 1)
-        early = t > k
-        outs.append(finish(out, final[j], before[j] if early else sampled[j],
-                           max(k - 1, 0) if early else t, early))
-    return outs[0] if isinstance(rng, np.random.Generator) else outs
+    early = t_star > stop
+    return _Block(stop, censored, final, np.where(early, np.maximum(stop - 1, 0), t_star),
+                  early, np.where(early[:, None], before, sampled), n)
 
 
-def run_trial_threshold(rule: UpdateRule, x0: LatticePoint,
+def _streams(rng) -> list:
+    """One stream or a sequence of them, as a list."""
+    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
+
+
+def _distances(counts: np.ndarray, n: int, point: np.ndarray) -> list[float]:
+    """Euclidean distance of each row's profile ``counts / n`` from
+    ``point``, with the bits of ``np.linalg.norm`` on that row: the squared
+    norms go through numpy's dot kernel, which ``norm`` calls, as a stack of
+    (1, M) @ (M, 1) products (``norm(axis=1)`` and ``einsum`` sum in
+    another order)."""
+    diff = counts / n - point
+    return np.sqrt(diff[:, None, :] @ diff[:, :, None]).ravel().tolist()
+
+
+def run_trial_threshold(rule: UpdateRule, x0: LatticePoint | Sequence[LatticePoint],
                         rng: np.random.Generator | Sequence[np.random.Generator],
                         *, stop_threshold: float = 0.05,
                         sample_window: tuple[int, int] = (1000, 5000),
@@ -208,23 +256,27 @@ def run_trial_threshold(rule: UpdateRule, x0: LatticePoint,
     at the step before stopping when the trial ends sooner (flagged).
     Hitting ``max_steps`` first marks the trial censored.  ``rng`` is one
     stream (returns one outcome) or a sequence of streams, one trial
-    each, run in lockstep (returns their outcomes in order).  The draws
-    bypass the Generators' locks: no other thread may draw from these
-    streams during the call.
+    each, run in lockstep (returns their outcomes in order); ``x0`` is one
+    start for every stream or one start per stream.  The draws bypass the
+    Generators' locks: no other thread may draw from these streams during
+    the call.
     """
     lo, hi = int(sample_window[0]), int(sample_window[1])
     if not 0 <= lo <= hi:
         raise ConfigError(f"bad sample window {sample_window}")
+    gens = _streams(rng)
+    if not gens:
+        return []
+    block = _lockstep(rule, x0, gens, stop_threshold, max_steps, (lo, hi))
+    d_eq = (repeat(None) if equilibrium is None
+            else _distances(block.sample, block.n, equilibrium))
+    outs = list(map(TrialOutcome, block.stop.tolist(), block.censored.tolist(),
+                    *block.least_and_ties(), block.sample_time.tolist(),
+                    block.early.tolist(), d_eq))
+    return outs[0] if isinstance(rng, np.random.Generator) else outs
 
-    def finish(out, counts, sample, sample_time, early):
-        d = (float(np.linalg.norm(sample / x0.n - equilibrium))
-             if equilibrium is not None else None)
-        return out._replace(sample_time=sample_time, early_sample=early, d_eq=d)
 
-    return _lockstep(rule, x0, rng, stop_threshold, max_steps, (lo, hi), finish)
-
-
-def run_trial_absorption(rule: UpdateRule, x0: LatticePoint,
+def run_trial_absorption(rule: UpdateRule, x0: LatticePoint | Sequence[LatticePoint],
                          rng: np.random.Generator | Sequence[np.random.Generator],
                          *, least_fit_set: Sequence[int],
                          max_steps: int = 1_000_000):
@@ -232,26 +284,32 @@ def run_trial_absorption(rule: UpdateRule, x0: LatticePoint,
     and label it: does exactly one type vanish, and is it least-fit?
     ``least_fit_set`` holds 1-based labels, as :func:`least_fit` returns.
 
-    Requires a mutation-free rule (so the boundary is absorbing) and an
-    interior start.  ``rng`` is one stream or a sequence of them, as in
+    Requires a mutation-free rule (so the boundary is absorbing) and
+    interior starts.  ``x0`` and ``rng`` are as in
     :func:`run_trial_threshold`.
     """
+    starts = [x0] if isinstance(x0, LatticePoint) else x0
     if rule.mutation is not None:
         raise PreconditionError("absorption trials require a mutation-free rule")
-    if np.any(x0.counts == 0):
+    if any(np.any(p.counts == 0) for p in starts):
         raise PreconditionError("absorption trials require an interior start")
-    if not all(1 <= label <= x0.m for label in least_fit_set):
-        raise DimensionMismatch(f"least-fit labels {least_fit_set} out of range 1..{x0.m}")
+    if not all(1 <= label <= rule.m for label in least_fit_set):
+        raise DimensionMismatch(f"least-fit labels {least_fit_set} out of range 1..{rule.m}")
+    gens = _streams(rng)
+    if not gens:
+        return []
 
-    def finish(out, counts, *_):
-        zeros = np.flatnonzero(counts == 0)
-        support_size = int(np.count_nonzero(counts))
-        event = (None if out.censored else
-                 support_size == x0.m - 1 and int(zeros[0]) + 1 in least_fit_set)
-        return out._replace(support_size=support_size, event=event,
-                            vanished=tuple(int(z) for z in zeros))
-
-    return _lockstep(rule, x0, rng, 0.0, max_steps, None, finish)
+    block = _lockstep(rule, x0, gens, 0.0, max_steps, None)
+    zero = block.final == 0
+    support = rule.m - zero.sum(axis=1)
+    # an uncensored trial has a zero count; argmax finds the first
+    event = ((support == rule.m - 1) & np.isin(zero.argmax(axis=1) + 1, least_fit_set)).tolist()
+    vanished = [tuple(j for j, z in enumerate(row) if z) for row in zero.tolist()]
+    outs = list(map(TrialOutcome, block.stop.tolist(), block.censored.tolist(),
+                    *block.least_and_ties(), repeat(None), repeat(False), repeat(None),
+                    support.tolist(), vanished,
+                    [None if c else e for c, e in zip(block.censored.tolist(), event)]))
+    return outs[0] if isinstance(rng, np.random.Generator) else outs
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +343,11 @@ class ExperimentSpec:
         return make_rule(**self.rule_params)
 
 
-def trial_rng(seed: int, initial_idx: int, trial: int) -> np.random.Generator:
-    """The canonical per-trial stream, spawn key (initial, trial)."""
+def trial_rng(seed: int, initial_idx: int, trial: int | range):
+    """The canonical per-trial stream, spawn key (initial, trial); for a
+    range of trials, their streams in a list."""
+    if isinstance(trial, range):
+        return rng_streams(seed, [(initial_idx, t) for t in trial])
     return rng_stream(seed, initial_idx, trial)
 
 
@@ -310,22 +371,34 @@ def _experiment_context(spec: ExperimentSpec):
 
 
 def _run_chunk(spec: ExperimentSpec, rule: UpdateRule, eq: Optional[np.ndarray],
-               fit_set: Optional[tuple[int, ...]], initial_idx: int, start: int,
+               fit_set: Optional[tuple[int, ...]], start: int,
                stop: int) -> list[tuple[int, int, TrialOutcome]]:
-    """Worker: trials [start, stop) of one initial condition, as one
-    lockstep block, under the run's ``_experiment_context``."""
-    x0 = round_to_lattice(np.asarray(spec.initials[initial_idx]), spec.n)
-    trials = range(start, stop)
-    rngs = [trial_rng(spec.seed, initial_idx, trial) for trial in trials]
-    if spec.mode == "threshold":
-        outs = run_trial_threshold(
-            rule, x0, rngs, stop_threshold=spec.stop_threshold,
-            sample_window=spec.sample_window, max_steps=spec.max_steps,
-            equilibrium=eq)
-    else:
-        outs = run_trial_absorption(rule, x0, rngs, least_fit_set=fit_set,
-                                    max_steps=spec.max_steps)
-    return [(initial_idx, trial, out) for trial, out in zip(trials, outs)]
+    """Worker: trials [start, stop) of every initial condition under the
+    run's ``_experiment_context``, in (initial, trial) order.  They run as
+    one lockstep block over every start, or, past ``LOCKSTEP_TRIALS``
+    trials (or one trial per start), as blocks over near-equal trial ranges
+    that each still span every start.  ``trial_rng`` and
+    ``run_trial_threshold`` are looked up in this module at each call, so a
+    tracer can wrap them."""
+    x0s = [round_to_lattice(np.asarray(p), spec.n) for p in spec.initials]
+    most = max(LOCKSTEP_TRIALS // len(x0s), 1)        # trials of a start in one block
+    width = math.ceil((stop - start) / math.ceil((stop - start) / most))
+    rows = []
+    for lo in range(start, stop, width):
+        trials = range(lo, min(lo + width, stop))
+        keys = [(i, t) for i in range(len(x0s)) for t in trials]
+        rngs = [g for i in range(len(x0s)) for g in trial_rng(spec.seed, i, trials)]
+        starts = [x0s[i] for i, _ in keys]
+        if spec.mode == "threshold":
+            outs = run_trial_threshold(
+                rule, starts, rngs, stop_threshold=spec.stop_threshold,
+                sample_window=spec.sample_window, max_steps=spec.max_steps,
+                equilibrium=eq)
+        else:
+            outs = run_trial_absorption(rule, starts, rngs, least_fit_set=fit_set,
+                                        max_steps=spec.max_steps)
+        rows += [(i, t, out) for (i, t), out in zip(keys, outs)]
+    return sorted(rows, key=itemgetter(0, 1))
 
 
 @dataclass
@@ -385,9 +458,10 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     """Run the full ensemble: every initial condition times ``replicates``
-    trials, in lockstep blocks merged deterministically.  Each initial
-    condition gets one block per worker process, at most ``threads``, the
-    cores and the trials; with one worker the blocks run in this process.
+    trials, merged deterministically.  The trials split into one range per
+    worker process, at most ``threads``, the cores and the replicates; a
+    worker runs its range of every initial condition as one lockstep block
+    (:func:`_run_chunk`).  With one worker it runs in this process.
 
     Results are identical for any ``threads`` and any split into blocks
     because each trial draws from its own (seed, initial, trial) stream.
@@ -407,23 +481,20 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
                                     "bins than memory holds") from None
 
     n_initials = len(spec.initials)
-    # one block per worker that can run: more blocks would only shrink the
-    # lockstep batches, and a forked pool starts all its workers at once
-    workers = min(threads, os.cpu_count() or 1, spec.replicates)
-    chunk = math.ceil(spec.replicates / workers)
-    tasks = [(i, s, min(s + chunk, spec.replicates))
-             for i in range(n_initials) for s in range(0, spec.replicates, chunk)]
+    # one trial range per worker that can run: more would only shrink the
+    # lockstep blocks, and a forked pool starts all its workers at once
+    chunk = math.ceil(spec.replicates / min(threads, os.cpu_count() or 1, spec.replicates))
+    tasks = [(s, min(s + chunk, spec.replicates)) for s in range(0, spec.replicates, chunk)]
 
-    if workers == 1:
-        blocks = [_run_chunk(spec, rule, eq, fit_set, *task) for task in tasks]
+    if len(tasks) == 1:
+        shares = [_run_chunk(spec, rule, eq, fit_set, *tasks[0])]
     else:
         # imported here, so runs that never start a pool skip its import
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             futures = [pool.submit(_run_chunk, spec, rule, eq, fit_set, *t) for t in tasks]
-            blocks = [f.result() for f in futures]
-    # tasks run in (initial, trial) order, so the rows come out sorted
-    all_rows = [row for block in blocks for row in block]
+            shares = [f.result() for f in futures]
+    all_rows = sorted((row for share in shares for row in share), key=itemgetter(0, 1))
 
     counts = np.zeros((n_initials, spec.m), dtype=np.int64)
     censored = np.zeros(n_initials, dtype=np.int64)

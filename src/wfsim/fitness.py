@@ -8,16 +8,20 @@ matrix is applied to the profile first.  Every sampler in the package
 draws from the multinomial cell probabilities of :func:`sampling_probs`;
 every command seeds its random streams with :func:`rng_stream` and builds
 its rule with :func:`make_rule`, which checks the parameters each fitness
-family takes.
+family takes; :func:`rng_streams` builds many of those streams at once.
+numpy.random loads on the first stream built, so commands that never
+sample do not pay for it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import operator
+from functools import cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFitness, DimensionMismatch
+from .errors import ConfigError, DegenerateFitness, DimensionMismatch, PreconditionError
 
 #: |det A| must exceed this times max(1, max|A|)^M to count as invertible.
 DET_TOL = 1e-10
@@ -27,6 +31,14 @@ ROW_SUM_TOL = 1e-12
 
 #: Step of the central differences of :func:`finite_difference_jacobian`.
 FD_STEP = 1e-6
+
+#: numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``): its
+#: entropy pool size in 32-bit words, its hashmix seeds and multipliers (A
+#: mixes the entropy in, B draws the state out) and its mix multipliers.
+_POOL_WORDS = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 class PayoffMatrix:
@@ -269,6 +281,105 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     key ``key``, so results depend only on these integers, never on
     scheduling.  ``SeedSequence(seed).spawn(k)[j]`` is ``rng_stream(seed, j)``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def rng_streams(seed: int, keys: Sequence[Sequence[int]]) -> list[np.random.Generator]:
+    """``[rng_stream(seed, *key) for key in keys]``, bit for bit, for a
+    fifth of its cost: numpy's SeedSequence hash runs once over all the
+    keys as uint32 array operations, and each PCG64 takes its state through
+    a stand-in seed sequence.  The first stream of each entropy length is
+    checked against numpy's own SeedSequence; a mismatch raises
+    :class:`PreconditionError`."""
+    run = _uint32_words(seed)
+    padded = run + [0] * (_POOL_WORDS - len(run))
+    # numpy pads the seed's words to the pool size when there is a key
+    entropy = [(padded if key else run) + [w for k in key for w in _uint32_words(k)]
+               for key in keys]
+    lengths: dict[int, list[int]] = {}
+    for j, words in enumerate(entropy):
+        lengths.setdefault(len(words), []).append(j)
+    generator, pcg64, preset = _preset_pcg64()
+    gens = [None] * len(entropy)
+    for picks in lengths.values():
+        states = _seed_states(np.array([entropy[j] for j in picks], dtype=np.uint32))
+        for j, state in zip(picks, states):
+            gens[j] = generator(pcg64(preset(state)))
+        first = picks[0]
+        if gens[first].bit_generator.state != rng_stream(seed, *keys[first]).bit_generator.state:
+            raise PreconditionError(f"numpy {np.__version__}'s SeedSequence does not match "
+                                    "the hash rng_streams replicates")
+    return gens
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's words of a non-negative integer: 32 bits each, least
+    significant first, one word for 0."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` for each row of an
+    entropy array (R, L) uint32, as (R, 4) uint64: numpy's hash with every
+    step applied to a column at once.  uint32 array products wrap mod 2**32
+    as the C code's do; the hash multipliers depend on the step only."""
+    rows, length = entropy.shape
+    mult = _INIT_A
+
+    def hashmix(value):
+        nonlocal mult
+        value = value ^ np.uint32(mult)
+        mult = mult * _MULT_A & _MASK32
+        value = value * np.uint32(mult)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return out ^ (out >> np.uint32(16))
+
+    zeros = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_WORDS, length):
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    state = np.empty((rows, 8), dtype=np.uint32)
+    mult = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_WORDS] ^ np.uint32(mult)
+        mult = mult * _MULT_B & _MASK32
+        value = value * np.uint32(mult)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    # numpy pairs the words little-endian whatever the platform
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@cache
+def _preset_pcg64():
+    """numpy's Generator and PCG64, and a seed sequence that hands PCG64 a
+    state already computed.  Built on first use, so numpy.random loads with
+    the first stream."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetState(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for 4 uint64 words once, at construction
+            return self.state
+
+    return np.random.Generator, np.random.PCG64, PresetState
 
 
 def finite_difference_jacobian(rule: UpdateRule, xs: np.ndarray) -> np.ndarray:

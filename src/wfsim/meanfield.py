@@ -218,7 +218,8 @@ def check_permanence(rule: UpdateRule) -> dict:
 
     Enumerates the fixed points of the update map on every proper face
     (the equal-payoff solution of the face submatrix, which is the vertex
-    on a 1 x 1 face, or a grid scan where the submatrix is singular) and
+    on a 1 x 1 face, or a grid scan where the submatrix is singular by
+    :attr:`PayoffMatrix.is_invertible`) and
     searches for an interior profile ``y`` whose payoff against each
     boundary fixed point ``z`` strictly exceeds ``z``'s payoff against
     itself.  ``status`` is "permanent" when there is no boundary fixed
@@ -238,10 +239,16 @@ def check_permanence(rule: UpdateRule) -> dict:
     for size in range(1, m):
         for combo in itertools.combinations(range(m), size):
             idx = np.array(combo, dtype=np.intp)
-            try:
-                eq = solve_interior_equilibrium(entries[np.ix_(idx, idx)])
-            except NoInteriorEquilibrium:
-                # singular face submatrix: scan the face's strictly positive grid points
+            face, eq = PayoffMatrix(entries[np.ix_(idx, idx)]), None
+            # singular by is_invertible's tolerance, not by whether the solve
+            # happens to fail on a nearly singular face
+            if face.is_invertible:
+                try:
+                    eq = solve_interior_equilibrium(face)
+                except NoInteriorEquilibrium:       # a solution of zero mass
+                    pass
+            if eq is None:
+                # scan the face's strictly positive grid points
                 counts = lattice_counts(size, FACE_RESOLUTION)
                 counts = counts[np.all(counts > 0, axis=1)]
                 grid = np.zeros((len(counts), m))

@@ -967,15 +967,29 @@ class TestPlumbing:
         code = self.command_code(tmp_path, command, cfg)
         assert self.modules_after(code, "numpy.random") == "[]"
 
+    def test_extinction_parent_loads_no_numpy_random(self, tmp_path):
+        # the trials, their streams and the C multinomial run in the two
+        # workers; the parent only merges rows. Loading numpy.random there
+        # (a block run in the parent, or the C draw resolved before the
+        # fork) raised the run's peak RSS by 3-7 MiB. Two cores are
+        # reported whatever the machine has, so the pool starts
+        cfg = {"matrix": A2, "omega": 0.5, "N": 50, "initials": [[0.8, 0.1, 0.1]],
+               "replicates": 6, "seed": 1, "sample_window": [1, 5]}
+        code = ("import os\nos.cpu_count = lambda: 2\n"
+                + self.command_code(tmp_path, "extinction", cfg, "--threads", "2"))
+        assert self.modules_after(code, "numpy.random") == "[]"
+        assert len((tmp_path / "out" / "trials.csv").read_text().splitlines()) == 7
+
     @staticmethod
-    def command_code(tmp_path, command: str, cfg: dict) -> str:
-        """Source that runs ``wf <command>`` on ``cfg`` and requires exit 0."""
+    def command_code(tmp_path, command: str, cfg: dict, *args: str) -> str:
+        """Source that runs ``wf <command>`` on ``cfg`` with ``args`` and
+        requires exit 0."""
         path = write_config(tmp_path, "c.json", cfg)
         return (
             "import sys\n"
             "from wfsim.cli import main\n"
             f"sys.argv = ['wf', {command!r}, '--config', {path!r},\n"
-            f"            '--out', {str(tmp_path / 'out')!r}]\n"
+            f"            '--out', {str(tmp_path / 'out')!r}, *{list(args)!r}]\n"
             "try:\n"
             "    main()\n"
             "except SystemExit as exc:\n"

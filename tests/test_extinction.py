@@ -216,15 +216,77 @@ class TestLockstepBlocks:
                  for rng in streams(13, 30)]
         assert block == alone
 
+    @pytest.mark.parametrize("kwargs, kinds", [
+        ({"sample_window": (5, 40), "max_steps": 30, "equilibrium": CHI2},
+         {(True, False), (False, True), (False, False)}),
+        ({"sample_window": (1, 1), "equilibrium": CHI2}, {(False, True), (False, False)}),
+    ], ids=["censored", "window-1-1"])
+    def test_block_over_starts_matches_per_start_and_one_stream_calls(self, rule_a2, kwargs,
+                                                                      kinds):
+        # (0.05, 0.15, 0.8) stops at step 0, so its trials are sampled early;
+        # rows are (censored, early_sample): censored, sampled early, in the window
+        starts = [round_to_lattice(p, 100)
+                  for p in ([0.8, 0.1, 0.1], [0.05, 0.15, 0.8], [0.4, 0.3, 0.3])]
+        mixed = [p for p in starts for _ in range(15)]
+        block = run_trial_threshold(rule_a2, mixed, streams(31, 45), **kwargs)
+        per_start = [out for k, p in enumerate(starts)
+                     for out in run_trial_threshold(rule_a2, p, streams(31, 45)[15 * k:15 * k + 15],
+                                                    **kwargs)]
+        alone = [run_trial_threshold(rule_a2, p, rng, **kwargs)
+                 for p, rng in zip(mixed, streams(31, 45))]
+        assert block == per_start == alone
+        assert kinds <= {(o.censored, o.early_sample) for o in block}
+        assert any(o.d_eq is not None and not o.early_sample for o in block)
+
+    def test_absorption_block_over_starts_matches_one_stream_calls(self, rule_a2):
+        starts = [round_to_lattice(p, 25) for p in (CHI2, [0.5, 0.3, 0.2], [0.1, 0.1, 0.8])]
+        mixed = [p for p in starts for _ in range(10)]
+        fit = least_fit(rule_a2, CHI2)
+        block = run_trial_absorption(rule_a2, mixed, streams(13, 30), least_fit_set=fit,
+                                     max_steps=200)
+        alone = [run_trial_absorption(rule_a2, p, rng, least_fit_set=fit, max_steps=200)
+                 for p, rng in zip(mixed, streams(13, 30))]
+        assert block == alone
+        assert {o.event for o in block} >= {True, False}
+
+    def test_starts_must_match_the_streams(self, rule_a2):
+        starts = [round_to_lattice([0.8, 0.1, 0.1], 100), round_to_lattice([0.8, 0.1, 0.1], 50)]
+        with pytest.raises(DimensionMismatch, match="3 starts for 2 streams"):
+            run_trial_threshold(rule_a2, starts + starts[:1], streams(1, 2))
+        with pytest.raises(DimensionMismatch, match="share N and M"):
+            run_trial_threshold(rule_a2, starts, streams(1, 2))
+
+    def test_block_distances_match_per_row_norm(self):
+        rng = np.random.default_rng(5)
+        for m in (2, 3, 5, 9):
+            counts = rng.multinomial(997, np.ones(m) / m, size=20_000)
+            point = rng.dirichlet(np.ones(m))
+            assert extinction._distances(counts, 997, point) == \
+                [float(np.linalg.norm(c / 997 - point)) for c in counts]
+
     def test_rows_do_not_depend_on_block_split_or_threads(self, small_spec):
         ctx = _experiment_context(small_spec)
-        whole = [row for i in range(2) for row in _run_chunk(small_spec, *ctx, i, 0, 12)]
-        split = [row for i in range(2)
-                 for row in _run_chunk(small_spec, *ctx, i, 0, 5)
-                 + _run_chunk(small_spec, *ctx, i, 5, 12)]
+        whole = _run_chunk(small_spec, *ctx, 0, 12)
+        halves = _run_chunk(small_spec, *ctx, 0, 5) + _run_chunk(small_spec, *ctx, 5, 12)
+        split = [row for i in range(2) for row in halves if row[0] == i]
         assert whole == split
+        assert [row[:2] for row in whole] == [(i, t) for i in range(2) for t in range(12)]
         assert run_experiment(small_spec, threads=1).rows == whole
         assert run_experiment(small_spec, threads=3).rows == whole
+
+    def test_rows_do_not_depend_on_the_block_cap(self, small_spec, monkeypatch):
+        # threads 1, 2 and 3 are compared by the test above and by
+        # TestRunExperiment.test_worker_count_does_not_change_results
+        rows = run_experiment(small_spec, threads=1).rows
+        sizes = []
+        threshold = extinction.run_trial_threshold
+        monkeypatch.setattr(extinction, "LOCKSTEP_TRIALS", 5)
+        monkeypatch.setattr(extinction, "run_trial_threshold",
+                            lambda rule, x0, rng, **kw: (sizes.append(len(rng)),
+                                                         threshold(rule, x0, rng, **kw))[1])
+        assert run_experiment(small_spec, threads=1).rows == rows
+        # 12 trials of 2 starts: 6 blocks of 2 trials a start
+        assert sizes == [4] * 6
 
 
 # ----------------------------------------------------------------------
@@ -279,19 +341,37 @@ class TestBlockDraws:
         # bit_generator.ctypes instead of its capsule peaks at 5.0 MiB
         spec = ExperimentSpec.from_config(minimal_config(
             N=50, replicates=2000, initials=[[0.8, 0.1, 0.1]], sample_window=[1, 5]))
+        held, peak = self.traced_share(spec, 2000)
+        assert peak < 4 * 2**20
+        assert held < 2**20
+
+    def test_share_past_the_cap_runs_in_capped_blocks(self, monkeypatch):
+        # 3 starts x 2,000 trials in blocks of at most 1,000 trials: the peak
+        # is one block's state on top of the outcomes kept so far (0.5 MiB
+        # per 2,000), where one 6,000-trial block peaks at ~9 MiB
+        monkeypatch.setattr(extinction, "LOCKSTEP_TRIALS", 1000)
+        spec = ExperimentSpec.from_config(minimal_config(
+            N=50, replicates=2000, initials=[[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+            sample_window=[1, 5]))
+        held, peak = self.traced_share(spec, 2000)
+        assert peak < 4 * 2**20
+        assert held < 2 * 2**20
+
+    @staticmethod
+    def traced_share(spec, trials):
+        """(held, peak) traced bytes of one worker share of ``trials`` trials."""
         ctx = _experiment_context(spec)
-        _run_chunk(spec, *ctx, 0, 0, 10)        # modules numpy loads on first use
+        _run_chunk(spec, *ctx, 0, 10)        # modules numpy loads on first use
         gc.collect()
         tracemalloc.start()
         try:
-            rows = _run_chunk(spec, *ctx, 0, 0, 2000)
+            rows = _run_chunk(spec, *ctx, 0, trials)
             gc.collect()
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(rows) == 2000
-        assert peak < 4 * 2**20
-        assert held < 2**20
+        assert len(rows) == trials * len(spec.initials)
+        return held, peak
 
 
 # ----------------------------------------------------------------------
@@ -421,9 +501,9 @@ class TestRunExperiment:
                 future.set_result(fn(*args))
                 return future
 
-        def run_chunk(spec, rule, eq, fit_set, initial_idx, start, stop):
-            blocks.append(initial_idx)
-            return _run_chunk(spec, rule, eq, fit_set, initial_idx, start, stop)
+        def run_chunk(spec, rule, eq, fit_set, start, stop):
+            blocks.append((start, stop))
+            return _run_chunk(spec, rule, eq, fit_set, start, stop)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(extinction, "_run_chunk", run_chunk)
@@ -431,15 +511,15 @@ class TestRunExperiment:
 
     def test_pool_is_capped_by_tasks_and_cores(self, small_spec, monkeypatch):
         # an inline stand-in for the pool, so no process starts at any threads;
-        # a start gets one block per worker, so its batches stay as large
-        # as the cores allow
+        # a worker gets one block over every start, so the lockstep batches
+        # stay as large as the cores allow
         serial = run_experiment(small_spec, threads=1).rows
         workers, blocks = self.record_pools_and_blocks(monkeypatch)
         cores = os.cpu_count() or 1
         rows = run_experiment(small_spec, threads=10**6).rows
         assert len(workers) == (cores > 1)
         assert all(w <= min(cores, small_spec.replicates) for w in workers)
-        assert max(blocks.count(i) for i in set(blocks)) <= cores
+        assert len(blocks) <= cores
         assert rows == serial
 
     def test_one_core_runs_inline(self, small_spec, monkeypatch):
@@ -448,12 +528,13 @@ class TestRunExperiment:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         rows = run_experiment(small_spec, threads=4).rows
         assert workers == []
-        assert blocks == [0, 1]
+        assert blocks == [(0, small_spec.replicates)]
         assert rows == serial
 
     def test_context_is_computed_once_per_run(self, small_spec, monkeypatch):
         # every block runs under the run's rule, equilibrium and least-fit labels
         _, blocks = self.record_pools_and_blocks(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         specs, context = [], extinction._experiment_context
         monkeypatch.setattr(extinction, "_experiment_context",
                             lambda spec: (specs.append(spec), context(spec))[1])

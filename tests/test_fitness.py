@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wfsim.errors import ConfigError, DimensionMismatch
+from wfsim import fitness
+from wfsim.errors import ConfigError, DimensionMismatch, PreconditionError
 from wfsim.fitness import (
     FD_STEP,
     ExponentialFitness,
@@ -18,6 +19,7 @@ from wfsim.fitness import (
     finite_difference_jacobian,
     make_rule,
     rng_stream,
+    rng_streams,
     sampling_probs,
 )
 from wfsim.meanfield import solve_interior_equilibrium
@@ -201,6 +203,39 @@ class TestRngStream:
         np.testing.assert_array_equal(
             rng_stream(seed, 2, 5).integers(0, 2 ** 32, size=8),
             draws(np.random.SeedSequence(seed, spawn_key=(2, 5))))
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 11, 20260814]
+STREAM_KEYS = [(), (0,), (2, 5), (1, 2**32 - 1), (1, 2**32), (0, 2**40 + 7)]
+
+
+class TestRngStreams:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_states_match_rng_stream(self, seed):
+        # one call over keys of every entropy length, and one call per key
+        together = rng_streams(seed, STREAM_KEYS)
+        for key, gen in zip(STREAM_KEYS, together):
+            want = rng_stream(seed, *key).bit_generator.state
+            assert gen.bit_generator.state == want, key
+            assert rng_streams(seed, [key])[0].bit_generator.state == want, key
+
+    def test_a_range_of_trials_draws_like_rng_stream(self):
+        keys = [(1, t) for t in range(300)]
+        draws = [g.integers(0, 2**32, size=4).tolist() for g in rng_streams(11, keys)]
+        assert draws == [rng_stream(11, *key).integers(0, 2**32, size=4).tolist()
+                         for key in keys]
+        assert rng_streams(11, []) == []
+
+    def test_hash_that_disagrees_with_numpy_raises(self, monkeypatch):
+        seed_states = fitness._seed_states
+        monkeypatch.setattr(fitness, "_seed_states", lambda entropy: seed_states(entropy) + 1)
+        with pytest.raises(PreconditionError, match="SeedSequence"):
+            rng_streams(3, [(0, t) for t in range(5)])
+
+    @pytest.mark.parametrize("bad, error", [(-1, ValueError), (1.0, TypeError)])
+    def test_keys_that_seed_sequence_refuses_raise(self, bad, error):
+        with pytest.raises(error):
+            rng_streams(3, [(0, 1), (0, bad)])
 
 
 class TestMutation:

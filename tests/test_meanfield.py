@@ -216,6 +216,14 @@ class TestPermanence:
         assert sum(len(s) == 2 for s in shapes) == 1
         assert sum(len(s) == 1 for s in shapes) == 5
 
+    @pytest.mark.parametrize("eps", [1e-16, 1e-15])
+    def test_nearly_singular_face_is_scanned(self, eps):
+        # at eps = 1e-15 np.linalg.solve succeeds on the {1,2} face, but the
+        # face is singular to is_invertible's tolerance, so its 39 grid
+        # points, all moved less than 1e-8 by the map, count as at eps = 1e-16
+        rule = make_rule([[1, 1, 2], [1, 1 + eps, 3], [2, 3, 1]], omega=0.5)
+        assert check_permanence(rule)["n_boundary_fixed_points"] == 44
+
     def test_asymmetric_matrix_rejected(self, rule_two):
         with pytest.raises(PreconditionError):
             check_permanence(make_rule([[2.0, 2.0], [1.0, 1.0]], omega=0.5))
