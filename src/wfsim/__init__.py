@@ -11,43 +11,10 @@ finite-population resampling chain with exact small-scale analysis
 (:mod:`wfsim.deviation`), metastability and extinction-route ensembles
 (:mod:`wfsim.extinction`), and a reproducible command-line front end
 (:mod:`wfsim.cli`).
+
+Public names come from their submodules, for example
+``from wfsim.fitness import make_rule``: importing the package alone loads
+no numpy, so ``wf`` can choose OpenBLAS's thread count before numpy starts.
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateFitness,
-    DimensionMismatch,
-    DomainError,
-    InvalidNormalization,
-    NoInteriorEquilibrium,
-    NumericRangeError,
-    PreconditionError,
-    ReducibleInterior,
-    ResourceLimitExceeded,
-    WfsimError,
-)
-from .fitness import (
-    ExponentialFitness,
-    FitnessModel,
-    LinearFractionalFitness,
-    MutationMatrix,
-    PayoffMatrix,
-    UpdateRule,
-    make_rule,
-)
-from .simplex import LatticePoint, round_to_lattice
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # errors
-    "WfsimError", "ConfigError", "DimensionMismatch", "ResourceLimitExceeded",
-    "NumericRangeError", "DegenerateFitness", "InvalidNormalization",
-    "NoInteriorEquilibrium", "PreconditionError", "DomainError",
-    "ReducibleInterior",
-    # core types
-    "LatticePoint", "round_to_lattice",
-    "PayoffMatrix", "FitnessModel", "LinearFractionalFitness",
-    "ExponentialFitness", "MutationMatrix", "UpdateRule", "make_rule",
-]

@@ -543,7 +543,10 @@ _ONE_BLAS_THREAD = threading.Lock()
 @contextmanager
 def _one_blas_thread():
     """Run the block on one OpenBLAS thread, then restore the caller's
-    count (also when the block raises); does nothing without OpenBLAS."""
+    count (also when the block raises); does nothing without OpenBLAS.
+    Under ``wf`` the pool is already one thread (``wfsim.cli`` sets
+    ``OPENBLAS_NUM_THREADS`` before numpy loads); the pin is for library
+    callers whose numpy started a pool."""
     functions = _openblas_threads()
     if functions is None:
         yield
@@ -574,6 +577,8 @@ def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
     step) runs on one OpenBLAS thread, whatever the caller's count, which is
     restored on return: the result does not depend on the core count, and a
     product never waits on a pool thread that another process has descheduled.
+    Under ``wf`` numpy already loads with one OpenBLAS thread; the pin keeps
+    the bits for library callers on OpenBLAS's default pool.
     """
     idx = chain.interior_indices()
     if idx.size == 0:

@@ -15,10 +15,16 @@ Exit codes: 0 success, 1 config error, 2 precondition or numeric error.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from itertools import islice
 from pathlib import Path
+
+# before numpy loads: no command uses a second BLAS thread, and starting
+# OpenBLAS's pool slows the import and leaves a worker that can spin idle.
+# An exported value is kept
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np
@@ -159,8 +165,9 @@ def _command(name: str):
         @click.option("--threads", type=int, default=1,
                       help="extinction's worker processes, at most the cores, each "
                            "running its trial range of every start as one block "
-                           "(never affect results); "
-                           "qsd runs its BLAS products on one thread whatever K")
+                           "(never affect results); every command runs BLAS on one "
+                           "OpenBLAS thread whatever K, unless OPENBLAS_NUM_THREADS "
+                           "is exported (qsd's products stay on one)")
         @click.option("--out", "out_dir", type=str, default=".",
                       help="output directory")
         def command(config_path, seed, replicates, threads, out_dir):

@@ -917,17 +917,89 @@ class TestPlumbing:
     ]
 
     @staticmethod
-    def modules_after(code: str, package: str = "scipy") -> str:
+    def fresh_env(blas_threads: str | None = None) -> dict:
+        """The environment of a fresh interpreter that imports the package
+        from this tree, with ``OPENBLAS_NUM_THREADS`` set to ``blas_threads``
+        (unset for None, as OpenBLAS's other thread variables are)."""
+        src = str(Path(wfsim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(name, None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        return env
+
+    @classmethod
+    def last_line(cls, code: str, blas_threads: str | None = None) -> str:
+        """The last line that a fresh interpreter prints running ``code``."""
+        run = subprocess.run([sys.executable, "-c", code], env=cls.fresh_env(blas_threads),
+                             check=True, capture_output=True, text=True)
+        return run.stdout.strip().splitlines()[-1]
+
+    @classmethod
+    def modules_after(cls, code: str, package: str = "scipy") -> str:
         """The modules of ``package`` (a dotted name) that a fresh
         interpreter holds after running ``code``."""
         code += (f"\nprint(sorted(m for m in sys.modules if m == {package!r}"
                  f" or m.startswith({package + '.'!r})))\n")
-        src = str(Path(wfsim.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True)
-        return run.stdout.strip().splitlines()[-1]
+        return cls.last_line(code)
+
+    def test_package_import_loads_no_numpy(self):
+        # so that wfsim.cli can set OpenBLAS's thread count before numpy loads
+        assert self.modules_after("import sys, wfsim", "numpy") == "[]"
+
+    def cli_blas_threads(self, blas_threads: str | None) -> tuple[int, int]:
+        """(OpenBLAS threads, OS threads) of a fresh interpreter after
+        ``import wfsim.cli``.  Skips without /proc or OpenBLAS; fails where
+        numpy names OpenBLAS but no thread getter is found."""
+        if not Path("/proc/self/task").is_dir():
+            pytest.skip("no /proc/self/task to count threads in")
+        code = ("import json, os, wfsim.cli\n"
+                "import numpy as np\n"
+                "from wfsim.chain import _openblas_threads\n"
+                "functions = _openblas_threads()\n"
+                "blas = np.show_config(mode='dicts')['Build Dependencies']['blas']['name']\n"
+                "print(json.dumps([functions and functions[0](), blas,\n"
+                "                  len(os.listdir('/proc/self/task'))]))\n")
+        blas, name, tasks = json.loads(self.last_line(code, blas_threads))
+        if blas is None:
+            assert "openblas" not in name.lower(), \
+                f"numpy's BLAS is {name}, but no OpenBLAS thread getter was found"
+            pytest.skip(f"numpy's BLAS is {name}, not OpenBLAS")
+        return blas, tasks
+
+    def test_cli_loads_openblas_on_one_thread(self):
+        # no command uses a second BLAS thread, and a pool's idle worker
+        # costs every wf process start-up time and CPU
+        assert self.cli_blas_threads(None) == (1, 1)
+
+    def test_cli_keeps_an_exported_blas_thread_count(self):
+        blas, _ = self.cli_blas_threads("2")
+        # OpenBLAS caps the count at the usable cores
+        assert blas == min(2, len(os.sched_getaffinity(0)))
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("qsd", {"matrix": A2, "omega": 0.5, "N": [30, 45], "include_weights": True}),
+        ("simulate", {"matrix": A2, "omega": 0.5, "N": 50, "initial": [0.8, 0.1, 0.1],
+                      "steps": 200, "seed": 1}),
+        ("bounds", {"matrix": A2, "omega": 0.5, "N": [50, 200], "epsilons": [0.1],
+                    "horizon": 5, "replicates": 20, "seed": 1,
+                    "lipschitz_samples": 20}),
+    ])
+    def test_outputs_do_not_depend_on_the_blas_variable(self, tmp_path, command, cfg):
+        # in-process tests run on the numpy pytest loaded; only a fresh
+        # `wf` process sees the variable it was started with
+        path = write_config(tmp_path, "c.json", cfg)
+        outputs = {}
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"out-{threads}"
+            subprocess.run([sys.executable, "-m", "wfsim.cli", command, "--config", path,
+                            "--out", str(out)], env=self.fresh_env(threads), check=True,
+                           capture_output=True)
+            outputs[threads] = {name: (out / name).read_bytes()
+                                for name in load_json(out, "manifest.json")["outputs"]}
+        assert outputs[None] and outputs["1"] == outputs[None] == outputs["2"]
 
     def test_cli_and_an_ensemble_load_no_scipy(self):
         # scipy is imported inside the functions that need it, so `wf`
