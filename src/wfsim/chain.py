@@ -34,8 +34,8 @@ from .errors import (
     ResourceLimitExceeded,
     WfsimError,
 )
-from .fitness import UpdateRule, sampling_probs
-from .meanfield import is_positive_definite_on_sum_zero
+from .fitness import (BINOMIAL_CACHE_BYTES, UpdateRule, _c_multinomial, _check_law,
+                      sampling_probs)
 from .simplex import LatticePoint, lattice_counts
 
 
@@ -100,14 +100,17 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
 
     Returns an integer array of shape (k+1, M) where k <= steps; the last
     row is the first state satisfying ``stop`` (row 0 when ``x0`` does).
-    Laws ``sampling_probs(rule, counts / n)`` are memoised per state.  The
-    first miss (the start, unless it stops) computes its state alone, so a
-    short path pays for no box.  Every later miss at counts c computes, in
-    one batched call, the law of every lattice state c + d not yet
-    memoised (``_box_offsets``, clipped to counts >= 0) and keeps them
-    all; a batch row has the bits of the profile call, so the path is that
-    of a per-state loop.  If that call raises a ``WfsimError`` (the box
-    reached a state where the map is undefined), or once the memo holds
+    Each step draws through :func:`wfsim.fitness._c_multinomial` with
+    ``rng.multinomial``'s bits (no other thread may draw from ``rng``
+    meanwhile).  Laws ``sampling_probs(rule, counts / n)`` are checked and
+    memoised per state, each as a pointer into its array.  The first miss
+    (the start, unless it stops) computes its state alone, so a short path
+    pays for no box.  Every later miss at counts c computes, in one batched
+    call, the law of every lattice state c + d not yet memoised
+    (``_box_offsets``, clipped to counts >= 0) and keeps them all; a batch
+    row has the bits of the profile call, so the path is that of a
+    per-state loop.  If that call raises a ``WfsimError`` (the box reached
+    a state where the map is undefined), or once the memo holds
     ``LAW_MEMO`` states, the miss computes c alone, so the path raises
     exactly where a per-state loop would.  ``rule`` must therefore be a
     pure function of the profile: every ``make_rule`` rule is.  Without
@@ -115,45 +118,53 @@ def sample_path(rule: UpdateRule, x0: LatticePoint, steps: int,
     ``stop`` it grows geometrically, so a run that stops early costs only
     the rows it reached.
     """
-    n, laws = x0.n, {}                 # counts.tobytes() -> law
-    offsets = _box_offsets(x0.m)
-    rows = steps + 1 if stop is None else min(steps + 1, 1024)
-    path = np.empty((rows, x0.m), dtype=np.int64)
-    path[0] = counts = x0.counts
+    n, m, laws = x0.n, x0.m, {}        # counts bytes -> pointer to the law
+    width, offsets, cache_c = 8 * m, _box_offsets(m), (ctypes.c_char * BINOMIAL_CACHE_BYTES)()
+    (draw, bitgen), counts = _c_multinomial(), (ctypes.c_char * width)()  # int64 cells, as bytes
+    state, n_c, m_c, zeros = bitgen(rng), ctypes.c_int64(n), ctypes.c_ssize_t(m), bytes(width)
+    path = np.empty((steps + 1 if stop is None else min(steps + 1, 1024), m), dtype=np.int64)
+    out, key = memoryview(path).cast("B"), x0.counts.tobytes()
+    out[:width] = key
     for k in range(steps):
-        if stop is not None and stop(counts):
+        if stop is not None and stop(path[k]):
             return path[: k + 1]
-        law = laws.get(counts.tobytes())
+        law = laws.get(key)
         if law is None:
-            law = _memo_miss(rule, counts, n, offsets, laws)
+            law = _memo_miss(rule, path[k], key, n, offsets, laws)
         if k + 1 == len(path):
-            grown = np.empty((min(2 * len(path), steps + 1), x0.m), dtype=np.int64)
+            grown = np.empty((min(2 * len(path), steps + 1), m), dtype=np.int64)
             grown[: k + 1] = path
-            path = grown
-        path[k + 1] = counts = rng.multinomial(n, law)
+            path, out = grown, memoryview(grown).cast("B")
+        counts.raw = zeros             # the C draw writes no cell after the count runs out
+        draw(state, n_c, counts, law, m_c, cache_c)
+        out[width * (k + 1): width * (k + 2)] = key = counts.raw
     return path
 
 
-def _memo_miss(rule: UpdateRule, counts: np.ndarray, n: int,
-               offsets: np.ndarray, laws: dict) -> np.ndarray:
-    """The law at ``counts``, after memoising the laws of its box in
-    ``laws`` (only ``counts`` when the memo is empty or full, or the box
-    raises)."""
+def _memo_miss(rule: UpdateRule, counts: np.ndarray, key: bytes, n: int,
+               offsets: np.ndarray, laws: dict) -> object:
+    """A pointer to the law at ``counts`` (whose bytes are ``key``), after
+    memoising the laws of its box in ``laws`` (only its own when the memo is
+    empty or full, or the box raises).  Pointers offset a ``c_double`` over
+    the first cell: a ctypes array type per box size would stay cached."""
     if 0 < len(laws) < LAW_MEMO:
         box = counts + offsets
         box = box[box.min(axis=1) >= 0]
-        keys = [row.tobytes() for row in box]
-        fresh = [i for i, key in enumerate(keys) if key not in laws]
+        raw = box.tobytes()
+        keys = [raw[i: i + len(key)] for i in range(0, len(raw), len(key))]
+        fresh = [i for i, row in enumerate(keys) if row not in laws]
         try:
-            probs = sampling_probs(rule, box[fresh] / n)
+            probs = _check_law(sampling_probs(rule, box[fresh] / n))
         except WfsimError:
             pass
         else:
-            laws.update(zip([keys[i] for i in fresh], probs))
-            return laws[counts.tobytes()]
-    law = sampling_probs(rule, counts / n)
+            first, row = ctypes.c_double.from_buffer(probs), len(key)
+            laws.update((keys[i], ctypes.byref(first, row * j)) for j, i in enumerate(fresh))
+            return laws[key]
+    law = _check_law(sampling_probs(rule, counts / n))
+    law = ctypes.byref(ctypes.c_double.from_buffer(law))
     if len(laws) < LAW_MEMO:
-        laws[counts.tobytes()] = law
+        laws[key] = law
     return law
 
 
@@ -631,6 +642,7 @@ def quadratic_form_drift(rule: UpdateRule, n: int) -> tuple[float, float]:
     state is the selection term p'Ap - x'Ax plus that noise term: no
     chain is built.
     """
+    from .meanfield import is_positive_definite_on_sum_zero
     if rule.mutation is not None:
         raise PreconditionError("drift oracle needs a rule without mutation")
     payoff = rule.fitness.payoff

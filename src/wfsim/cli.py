@@ -30,18 +30,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .chain import build_exact_chain, interior_qsd, sample_path
-from .deviation import (
-    bound_table,
-    estimate_lipschitz,
-    expected_decoupling_lower_bound,
-    simulate_deviations,
-)
 from .config import COMMANDS, resolve, rule_keywords
 from .errors import ConfigError, PreconditionError, WfsimError
-from .extinction import ExperimentSpec, run_experiment
 from .fitness import make_rule, rng_stream
-from .meanfield import build_meanfield_report, solve_interior_equilibrium
 from .simplex import round_to_lattice
 
 #: Rows of a table formatted at a time by ``_csv_bytes``.
@@ -180,6 +171,7 @@ def _command(name: str):
 @_command("meanfield")
 def _run_meanfield(cfg: dict, rule, threads: int):
     """Equilibrium, stability flags, Jacobian, and spectral radius."""
+    from .meanfield import build_meanfield_report
     report = build_meanfield_report(rule, check_perm=cfg["check_permanence"])
     return {"report.json": _json_bytes(report)}, None
 
@@ -187,6 +179,7 @@ def _run_meanfield(cfg: dict, rule, threads: int):
 @_command("simulate")
 def _run_simulate(cfg: dict, rule, threads: int):
     """One trajectory of the resampling chain, written as CSV."""
+    from .chain import sample_path
     n, stride, threshold = cfg["N"], cfg["stride"], cfg.get("stop_threshold")
     x0 = round_to_lattice(cfg["initial"], n)
 
@@ -209,6 +202,7 @@ def _run_simulate(cfg: dict, rule, threads: int):
 @_command("extinction")
 def _run_extinction(cfg: dict, rule, threads: int):
     """Stopped or absorbed trial ensembles (outcome tables + histogram)."""
+    from .extinction import ExperimentSpec, run_experiment
     result = run_experiment(ExperimentSpec(cfg), threads=threads)
     outputs = {
         "summary.json": _json_bytes(result.summary_dict()),
@@ -226,6 +220,7 @@ def _run_extinction(cfg: dict, rule, threads: int):
 @_command("qsd")
 def _run_qsd(cfg: dict, rule, threads: int):
     """Quasi-stationary distribution of the interior restriction."""
+    from .chain import build_exact_chain, interior_qsd
     results = []
     for n in cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]:
         chain = build_exact_chain(rule, n)
@@ -247,16 +242,17 @@ def _run_qsd(cfg: dict, rule, threads: int):
 @_command("bounds")
 def _run_bounds(cfg: dict, rule, threads: int):
     """Decoupling-time tail bounds versus empirical frequencies."""
+    from . import deviation, meanfield
     if "initial" not in cfg:
         # the default start, recorded in the manifest: the interior equilibrium
-        eq = solve_interior_equilibrium(cfg["matrix"])
+        eq = meanfield.solve_interior_equilibrium(cfg["matrix"])
         if not eq.is_interior:
             raise PreconditionError(
                 f"the equal-payoff profile {np.round(eq.vector, 6).tolist()} is not "
                 "interior, so there is no default start: give initial")
         cfg["initial"] = eq.vector.tolist()
     n_values = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
-    lip = estimate_lipschitz(rule, cfg["lipschitz_samples"], rng_stream(cfg["seed"], 0))
+    lip = deviation.estimate_lipschitz(rule, cfg["lipschitz_samples"], rng_stream(cfg["seed"], 0))
     rho = cfg["safety"] * lip.value
     expectation = []
 
@@ -265,17 +261,17 @@ def _run_bounds(cfg: dict, rule, threads: int):
         # they are tabulated, and its expectation entry is appended after them
         for idx, n in enumerate(n_values):
             x0 = round_to_lattice(cfg["initial"], n)
-            ens = simulate_deviations(rule, x0, cfg["horizon"], cfg["replicates"],
-                                      rng_stream(cfg["seed"], idx + 1))
+            ens = deviation.simulate_deviations(rule, x0, cfg["horizon"], cfg["replicates"],
+                                                rng_stream(cfg["seed"], idx + 1))
             for eps in cfg["epsilons"]:
                 yield from ((row.n, row.epsilon, row.horizon, row.exceed_count,
                              row.replicates, row.empirical, row.wilson_upper,
                              row.bound, int(row.consistent))
-                            for row in bound_table(ens, eps, rho, rule.m))
+                            for row in deviation.bound_table(ens, eps, rho, rule.m))
                 entry = {"N": n, "epsilon": eps,
                          "censored_mean_tau": ens.censored_mean(eps)}
                 if rho < 1.0:
-                    b = expected_decoupling_lower_bound(eps, n, rule.m, rho)
+                    b = deviation.expected_decoupling_lower_bound(eps, n, rule.m, rho)
                     entry.update({"expectation_bound": b.value,
                                   "applicable": b.applicable})
                 else:

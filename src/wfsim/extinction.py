@@ -15,8 +15,8 @@ worker process one range of trials, which it runs for every initial
 condition at once as one lockstep block (at most ``LOCKSTEP_TRIALS``
 trials): the block's streams are seeded together by
 :func:`wfsim.fitness.rng_streams`, its generations share one update-map
-call and one C multinomial call per live trial, and its outcomes are
-read off whole arrays.
+call and one C multinomial call per live trial (``fitness._c_multinomial``),
+and its outcomes are read off whole arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import ctypes
 import math
 import os
 from dataclasses import dataclass
-from functools import cache
 from itertools import compress, repeat
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -33,19 +32,15 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .config import resolve, rule_keywords
-from .errors import (ConfigError, DimensionMismatch, DomainError, InvalidNormalization,
-                     NoInteriorEquilibrium, PreconditionError, ResourceLimitExceeded)
-from .fitness import UpdateRule, _row_sums, make_rule, rng_stream, rng_streams, sampling_probs
+from .errors import (ConfigError, DimensionMismatch, DomainError, NoInteriorEquilibrium,
+                     PreconditionError, ResourceLimitExceeded)
+from .fitness import (BINOMIAL_CACHE_BYTES, UpdateRule, _c_multinomial, _check_law, make_rule,
+                      rng_stream, rng_streams, sampling_probs)
 from .meanfield import solve_interior_equilibrium
 from .simplex import LatticePoint, round_to_lattice
 
 #: One-sided 95% normal quantile for the trend checks.
 Z_95 = 1.6448536269514722
-
-#: Scratch bytes for numpy's ``binomial_t`` parameter cache, one per
-#: lockstep block: the struct is an int and 16 eight-byte fields (136 bytes
-#: on 64-bit builds), with room to spare.
-BINOMIAL_CACHE_BYTES = 256
 
 #: Most trials in one lockstep block, about 13 MiB of block state at
 #: ~1.6 KB a trial.  A worker's share past it runs as several blocks.
@@ -91,37 +86,6 @@ class TrialOutcome(NamedTuple):
     event: Optional[bool] = None          # exactly one extinct type, in the least-fit set
 
 
-@cache
-def _c_multinomial():
-    """numpy's C draw ``random_multinomial(bitgen_t *, int64 n, int64 *out,
-    double *p, npy_intp d, binomial_t *)``, which ``Generator.multinomial``
-    wraps, and the reader of a stream's ``bitgen_t *`` from its capsule.
-    Resolved on first use: reading ``np.random`` loads numpy.random, which
-    commands that never sample do not pay for.  ``PyDLL`` keeps the GIL
-    through each call."""
-    draw = getattr(ctypes.PyDLL(np.random._generator.__file__), "random_multinomial", None)
-    if draw is None:
-        raise PreconditionError(f"numpy {np.__version__} exports no random_multinomial "
-                                "from numpy.random._generator; lockstep trials draw with it")
-    # no argtypes: each call passes ctypes objects of the C types, which
-    # go through unconverted; declared argtypes made a draw ~30% slower
-    draw.restype = None
-    bitgen = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return draw, bitgen
-
-
-def _check_law(law: np.ndarray) -> None:
-    """``Generator.multinomial``'s checks on its probabilities, run once on
-    a whole law (L, M): every cell in [0, 1] and not NaN, and the first M-1
-    cells of each row summing to at most 1 + 1e-12."""
-    if not (law.min() >= 0.0 and law.max() <= 1.0):
-        raise InvalidNormalization("sampling law has a NaN or a cell outside [0, 1]")
-    head = _row_sums(law[:, :-1]).max()
-    if head > 1.0 + 1e-12:
-        raise InvalidNormalization(f"sampling law's first M-1 cells sum to {head!r} > 1 + 1e-12")
-
-
 class _BlockDraws:
     """The multinomial draws of a lockstep block, one C call per live
     stream, with ``Generator.multinomial``'s bits and stream advances.
@@ -138,12 +102,10 @@ class _BlockDraws:
         self._gens = gens                   # owners of the bitgen_t pointed to
         law, counts = (ctypes.c_double * (len(gens) * m))(), (ctypes.c_int64 * (len(gens) * m))()
         self._law, self._counts = np.frombuffer(law), np.frombuffer(counts, dtype=np.int64)
-        n_c, m_c = ctypes.c_int64(n), ctypes.c_ssize_t(m)
-        cache_c = ctypes.create_string_buffer(BINOMIAL_CACHE_BYTES)
-        row = 8 * m                         # bytes per row of either buffer
-        self._args = [(ctypes.c_void_p(bitgen(g.bit_generator.capsule, b"BitGenerator")), n_c,
-                       ctypes.byref(counts, row * j), ctypes.byref(law, row * j), m_c, cache_c)
-                      for j, g in enumerate(gens)]
+        n_c, m_c, row = ctypes.c_int64(n), ctypes.c_ssize_t(m), 8 * m   # row: bytes per row
+        cache_c = (ctypes.c_char * BINOMIAL_CACHE_BYTES)()
+        self._args = [(bitgen(g), n_c, ctypes.byref(counts, row * j),
+                       ctypes.byref(law, row * j), m_c, cache_c) for j, g in enumerate(gens)]
         self._cells = np.arange(len(gens) * m)     # buffer cells of the live streams' rows
 
     def keep(self, mask: np.ndarray) -> None:
@@ -151,8 +113,7 @@ class _BlockDraws:
         self._cells = self._cells.reshape(len(mask), -1)[mask].ravel()
 
     def __call__(self, law: np.ndarray) -> np.ndarray:
-        _check_law(law)
-        self._law.put(self._cells, law)
+        self._law.put(self._cells, _check_law(law))
         # the C draw writes no cells after the count runs out
         self._counts.fill(0)
         call = self._call

@@ -8,20 +8,22 @@ matrix is applied to the profile first.  Every sampler in the package
 draws from the multinomial cell probabilities of :func:`sampling_probs`;
 every command seeds its random streams with :func:`rng_stream` and builds
 its rule with :func:`make_rule`, which checks the parameters each fitness
-family takes; :func:`rng_streams` builds many of those streams at once.
-numpy.random loads on the first stream built, so commands that never
-sample do not pay for it.
+family takes; :func:`rng_streams` builds many of those streams at once,
+and :func:`_c_multinomial` draws from them.  numpy.random loads on the
+first stream built, so commands that never sample do not pay for it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import operator
-from functools import cache
+from functools import cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFitness, DimensionMismatch, PreconditionError
+from .errors import (ConfigError, DegenerateFitness, DimensionMismatch, InvalidNormalization,
+                     PreconditionError)
 
 #: |det A| must exceed this times max(1, max|A|)^M to count as invertible.
 DET_TOL = 1e-10
@@ -39,6 +41,10 @@ _POOL_WORDS = 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+
+#: Scratch bytes for numpy's ``binomial_t`` parameter cache, one per
+#: drawing loop: an int and 16 eight-byte fields (136 bytes), and spare.
+BINOMIAL_CACHE_BYTES = 256
 
 
 class PayoffMatrix:
@@ -270,6 +276,8 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     right.  Up to M=7 that is numpy's own order (its pairwise sum starts at
     8 terms), so the bits are those of ``a.sum(axis=-1)``, at a tenth of its
     cost on a (16000, 3) batch."""
+    if a.ndim == 1:     # the same additions on Python floats, at a quarter of the cost
+        return np.array([reduce(operator.add, a.tolist())])
     total = a[..., 0].copy()
     for k in range(1, a.shape[-1]):
         total += a[..., k]
@@ -380,6 +388,44 @@ def _preset_pcg64():
             return self.state
 
     return np.random.Generator, np.random.PCG64, PresetState
+
+
+@cache
+def _c_multinomial():
+    """numpy's C draw ``random_multinomial(bitgen_t *, int64 n, int64 *out,
+    double *p, npy_intp d, binomial_t *)``, which every per-stream draw calls
+    for ``Generator.multinomial``'s bits and stream advances without its lock,
+    and ``bitgen(gen)``, a Generator's ``bitgen_t *``.  Resolved on first use,
+    as reading ``np.random`` loads numpy.random; ``PyDLL`` keeps the GIL."""
+    draw = getattr(ctypes.PyDLL(np.random._generator.__file__), "random_multinomial", None)
+    if draw is None:
+        raise PreconditionError(f"numpy {np.__version__} exports no random_multinomial "
+                                "from numpy.random._generator; every draw is made with it")
+    # no argtypes: ctypes objects of the C types pass unconverted, ~30% faster a draw
+    draw.restype = None
+    # a c_void_p subclass comes back as itself, where c_void_p would become an int
+    pointer = ctypes.PYFUNCTYPE(type("bitgen_t", (ctypes.c_void_p,), {}), ctypes.py_object,
+                                ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
+
+    def bitgen(gen: np.random.Generator) -> ctypes.c_void_p:
+        return pointer(gen.bit_generator.capsule, b"BitGenerator")
+    return draw, bitgen
+
+
+def _check_law(law: np.ndarray) -> np.ndarray:
+    """``law``, a profile law (M,) or a whole law (L, M), once it passes
+    ``Generator.multinomial``'s checks: every cell in [0, 1] and not NaN,
+    and the first M-1 cells of each row summing to at most 1 + 1e-12."""
+    if law.ndim == 1:       # in Python, at a seventh of the array checks' cost
+        cells = law.tolist()
+        inside, head = all(0.0 <= p <= 1.0 for p in cells), reduce(operator.add, cells[:-1], 0.0)
+    else:
+        inside, head = law.min() >= 0.0 and law.max() <= 1.0, _row_sums(law[:, :-1]).max()
+    if not inside:
+        raise InvalidNormalization("sampling law has a NaN or a cell outside [0, 1]")
+    if head > 1.0 + 1e-12:
+        raise InvalidNormalization(f"sampling law's first M-1 cells sum to {head!r} > 1 + 1e-12")
+    return law
 
 
 def finite_difference_jacobian(rule: UpdateRule, xs: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from wfsim.chain import (
 )
 from wfsim.errors import (
     DegenerateFitness,
+    InvalidNormalization,
     PreconditionError,
     ReducibleInterior,
     ResourceLimitExceeded,
@@ -39,7 +40,7 @@ from wfsim.fitness import (
 )
 from wfsim.simplex import LatticePoint
 
-from conftest import A1, A2, neutral_rule, rule_of_kind
+from conftest import A1, A2, BAD_LAWS, neutral_rule, rule_of_kind
 
 
 #: Rules whose exact-chain rows are compared with scipy's multinomial law.
@@ -231,6 +232,62 @@ class TestStepSample:
                            np.random.default_rng(1),
                            stop=lambda c: c.min() / 500 <= 0.05)
         np.testing.assert_array_equal(path, [[480, 10, 10]])
+
+    @staticmethod
+    def replay(rule, x0: LatticePoint, steps: int, rng, stop=None) -> np.ndarray:
+        """The path of a per-step ``rng.multinomial`` loop."""
+        counts, path = x0.counts, [x0.counts]
+        for _ in range(steps):
+            if stop is not None and stop(counts):
+                break
+            counts = rng.multinomial(x0.n, sampling_probs(rule, counts / x0.n))
+            path.append(counts)
+        return np.array(path)
+
+    @pytest.mark.parametrize("case", ["plain", "stop", "capped-memo", "boundary"])
+    def test_draws_advance_the_stream_as_generator_multinomial(self, rule_a2, monkeypatch,
+                                                                case):
+        rule, x0, stop = rule_a2, LatticePoint([40, 30, 30], 100), None
+        if case == "stop":
+            stop = lambda c: c.min() <= 8  # noqa: E731
+        elif case == "capped-memo":
+            rule = mixing_rule(rule_a2)
+            monkeypatch.setattr(chain, "LAW_MEMO", 2)
+        elif case == "boundary":
+            # neutral drift at N=4 fixes within a few steps; a draw whose count
+            # runs out before the last cell writes no last cell, so a counts
+            # buffer not zeroed would keep the earlier draw's
+            rule, x0 = neutral_rule(3), LatticePoint([1, 2, 1], 4)
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        path = sample_path(rule, x0, 400, rng, stop=stop)
+        np.testing.assert_array_equal(path, self.replay(rule, x0, 400, twin, stop))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        if case == "stop":
+            assert len(path) < 401 and stop(path[-1])
+        if case == "boundary":
+            assert any(path[k, -1] > 0 and path[k + 1, -1] == 0 for k in range(len(path) - 1))
+
+    @pytest.mark.parametrize("law", BAD_LAWS.values(), ids=BAD_LAWS.keys())
+    def test_law_that_multinomial_refuses_raises(self, rule_a2, monkeypatch, law):
+        # the start's law is computed alone, and checked before its draw
+        monkeypatch.setattr(chain, "sampling_probs",
+                            lambda rule, freqs: np.broadcast_to(law, freqs.shape).copy())
+        with pytest.raises(InvalidNormalization):
+            sample_path(rule_a2, LatticePoint([40, 30, 30], 100), 5, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("law", BAD_LAWS.values(), ids=BAD_LAWS.keys())
+    def test_box_with_a_refused_law_falls_back(self, rule_a2, monkeypatch, law):
+        # every box law is refused, so each miss computes its state alone
+        def box_refused(rule, freqs):
+            probs = sampling_probs(rule, freqs)
+            if probs.ndim == 2:
+                probs[:] = law
+            return probs
+        monkeypatch.setattr(chain, "sampling_probs", box_refused)
+        x0 = LatticePoint([40, 30, 30], 100)
+        np.testing.assert_array_equal(
+            sample_path(rule_a2, x0, 200, np.random.default_rng(4)),
+            self.replay(rule_a2, x0, 200, np.random.default_rng(4)))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wfsim
-from wfsim import cli, extinction
+from wfsim import chain, cli, extinction
 from wfsim.chain import sample_path
 from wfsim.cli import main
 from wfsim.config import COMMANDS, FIELDS, resolve, rule_keywords
@@ -418,6 +419,20 @@ class TestSimulate:
             assert load_json(out, "manifest.json")["stopped_at"] == 2188
             outputs.append((out / "trajectory.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("law", BAD_LAWS.values(), ids=BAD_LAWS.keys())
+    def test_law_that_multinomial_refuses_exits_two(self, runner, tmp_path, monkeypatch, law):
+        # checked before the C draw, which would not refuse it as numpy's
+        # Generator.multinomial does
+        monkeypatch.setattr(chain, "sampling_probs",
+                            lambda rule, freqs: np.broadcast_to(law, freqs.shape).copy())
+        result = runner.invoke(main, ["simulate", "--config",
+                                      write_config(tmp_path, "sim.json", self.base_config()),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: sampling law")
+        assert len(result.stderr.splitlines()) == 1
 
     def test_path_past_the_address_space_exits_two(self, runner, tmp_path):
         # numpy refuses a (10**13 + 1, 3) int64 path at once, allocating nothing
@@ -948,6 +963,21 @@ class TestPlumbing:
     def test_package_import_loads_no_numpy(self):
         # so that wfsim.cli can set OpenBLAS's thread count before numpy loads
         assert self.modules_after("import sys, wfsim", "numpy") == "[]"
+
+    #: the modules of one command or a few: each runner imports its own
+    COMMAND_MODULES = {"wfsim.chain", "wfsim.extinction", "wfsim.deviation", "wfsim.meanfield"}
+
+    def test_cli_import_loads_no_command_module(self):
+        # every `wf` process compiles and loads only what its command runs
+        loaded = ast.literal_eval(self.modules_after("import sys, wfsim.cli", "wfsim"))
+        assert loaded and self.COMMAND_MODULES.isdisjoint(loaded)
+
+    def test_simulate_loads_only_the_chain(self, tmp_path):
+        cfg = {"matrix": A2, "omega": 0.5, "N": 50, "initial": [0.8, 0.1, 0.1],
+               "steps": 20, "seed": 1}
+        code = self.command_code(tmp_path, "simulate", cfg)
+        loaded = set(ast.literal_eval(self.modules_after(code, "wfsim")))
+        assert loaded & self.COMMAND_MODULES == {"wfsim.chain"}
 
     def cli_blas_threads(self, blas_threads: str | None) -> tuple[int, int]:
         """(OpenBLAS threads, OS threads) of a fresh interpreter after

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wfsim import extinction
+from wfsim import extinction, fitness
 from wfsim.errors import (ConfigError, DimensionMismatch, DomainError, InvalidNormalization,
                           PreconditionError)
 from wfsim.extinction import (
@@ -325,13 +325,14 @@ class TestBlockDraws:
             run_trial_threshold(rule_a2, round_to_lattice([0.4, 0.3, 0.3], 100), streams(1, 4))
 
     def test_missing_c_draw_names_numpy_version(self, monkeypatch):
-        extinction._c_multinomial.cache_clear()
-        monkeypatch.setattr(extinction.ctypes, "PyDLL", lambda path: object())
+        # the binding every per-stream draw goes through lives in wfsim.fitness
+        fitness._c_multinomial.cache_clear()
+        monkeypatch.setattr(fitness.ctypes, "PyDLL", lambda path: object())
         try:
             with pytest.raises(PreconditionError, match=re.escape(f"numpy {np.__version__} ")):
-                extinction._c_multinomial()
+                fitness._c_multinomial()
         finally:
-            extinction._c_multinomial.cache_clear()
+            fitness._c_multinomial.cache_clear()
 
     def test_block_memory(self):
         # 2,000 trials of one block peak at 3.1 MiB: 2.4 MiB of outcomes,
