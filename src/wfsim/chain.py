@@ -34,8 +34,8 @@ from .errors import (
     ResourceLimitExceeded,
     WfsimError,
 )
-from .fitness import (BINOMIAL_CACHE_BYTES, UpdateRule, _c_multinomial, _check_law,
-                      sampling_probs)
+from .fitness import (BINOMIAL_CACHE_BYTES, UpdateRule, _c_multinomial, _check_law, _log0,
+                      log_multinomial, sampling_probs)
 from .simplex import LatticePoint, lattice_counts
 
 
@@ -257,8 +257,7 @@ def kernel_block(chain: ExactChain, rows: np.ndarray) -> np.ndarray:
             f"(cap {BLOCK_BYTE_CAP}); reduce N or M"
         )
     dest = states.T.astype(np.float64)
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    log_count = log_factorial[n] - log_factorial[states].sum(axis=1)
+    log_count = log_multinomial(states, n)
     out = np.empty(shape)
     for lo in range(0, rows.size, KERNEL_BLOCK):
         p = sampling_probs(chain.rule, states[rows[lo: lo + KERNEL_BLOCK]] / n)
@@ -275,41 +274,40 @@ def classify_states(support: np.ndarray,
     ``support[j]`` lies within ``reach[i]`` (both (S, M) boolean), its sink
     classes with their periods, and its transient states.  With the types
     present at each state and the positive cells of its sampling law, that
-    is the multinomial kernel's positive pattern.  Every ``reach`` row must
-    hold some ``support`` row (a lattice holds every vertex).
+    is the multinomial kernel's positive pattern.
 
-    Runs on a hub graph: the S states plus one hub per distinct ``reach``
-    row (at most 2^M - 1), edges i -> hub(reach[i]) -> every j that fits.
-    Reachability between states is that of the digraph, and every cycle
-    doubles, so periods are halved.
+    Runs on the hub graph of the distinct ``reach`` rows (at most 2^M - 1),
+    h -> h' when a state that fits h has hub h'.  A state is on a cycle when
+    its hub reaches a hub it fits; states on cycles with mutually reachable
+    hubs form one class, whose period is their hub component's, and every
+    other state is a singleton.  A sink class has no hub step out of it.
     """
-    from scipy.sparse import csgraph, csr_matrix
-
-    s = support.shape[0]
     patterns, hub = _distinct_rows(reach)
     fits = (support[None] <= patterns[:, None]).all(axis=-1)        # (H, S)
-    indices = np.concatenate([s + hub, np.nonzero(fits)[1]])
-    indptr = np.concatenate([np.arange(s), s + np.cumsum(np.r_[0, fits.sum(axis=1)])])
-    size = s + len(patterns)
-    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(size, size))
-    n_comp, node_labels = csgraph.connected_components(graph, connection="strong")
-    src = node_labels[np.repeat(np.arange(size), np.diff(indptr))]
-    has_exit = np.zeros(n_comp, dtype=bool)
-    has_exit[src[src != node_labels[indices]]] = True
-    _, smallest, comp = np.unique(node_labels[:s], return_index=True, return_inverse=True)
+    groups = np.split(np.argsort(hub, kind="stable"), np.cumsum(np.bincount(hub))[:-1])
+    step = np.column_stack([fits[:, cols].any(axis=1) for cols in groups])   # (H, H)
+    closure = step | np.eye(len(patterns), dtype=bool)
+    for _ in range(len(patterns).bit_length()):     # paths of up to 2^k steps after k
+        closure = closure @ closure
+    on_cycle = np.empty(len(hub), dtype=bool)
+    for h, cols in enumerate(groups):
+        on_cycle[cols] = fits[np.ix_(closure[h], cols)].any(axis=0)
+    mutual = closure & closure.T                    # [h, h']: one hub component
+    sink = on_cycle & ~(mutual & (step & ~mutual).any(axis=1)).any(axis=1)[hub]
+    key = np.where(on_cycle, mutual.argmax(axis=1)[hub], len(patterns) + np.arange(len(hub)))
+    _, smallest, comp = np.unique(key, return_index=True, return_inverse=True)
     _, labels = np.unique(smallest[comp], return_inverse=True)   # ascending by smallest member
-    sink = ~has_exit[node_labels[:s]]
 
-    def period(node_label: int) -> int:
+    def period(nodes: np.ndarray) -> int:
         # breadth-first levels; the gcd of level[u] + 1 - level[v] over internal edges
-        nodes = np.flatnonzero(node_labels == node_label)
-        sub = graph[nodes][:, nodes]
-        level = csgraph.shortest_path(sub, unweighted=True, indices=0).astype(np.int64)
-        rows, cols = sub.nonzero()
-        return int(np.gcd.reduce(level[rows] + 1 - level[cols])) // 2 or 1
+        sub, level = step[np.ix_(nodes, nodes)], np.r_[0, np.full(nodes.sum() - 1, -1)]
+        for depth in range(1, len(sub)):
+            level[sub[level == depth - 1].any(axis=0) & (level < 0)] = depth
+        rows, cols = np.nonzero(sub)
+        return int(np.gcd.reduce(level[rows] + 1 - level[cols]))
 
     classes = [np.flatnonzero(labels == cid) for cid in np.unique(labels[sink])]
-    periods = [period(node_labels[members[0]]) for members in classes]
+    periods = [period(mutual[hub[members[0]]]) for members in classes]
     return labels, classes, periods, np.flatnonzero(~sink)
 
 
@@ -405,8 +403,7 @@ class InteriorKernel:
         p = sampling_probs(chain.rule, interior / n)
         positive = (p > 0).all(axis=1)
         self.pieces = 1 if positive.all() else int((~positive).sum()) + int(positive.any())
-        log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-        log_count = log_factorial[n] - log_factorial[states].sum(axis=1)
+        log_count = log_multinomial(states, n)
         ref = p.argmax(axis=1)
         p_ref = p[np.arange(idx.size), ref]
         band = np.floor(n * np.log(p_ref) / BAND_LOG).astype(np.int64)
@@ -466,12 +463,6 @@ class InteriorKernel:
                 acc[half:, :need] += left[:, half:].T @ right[:, :need]
             out += factor * np.take(acc, at)
         return out
-
-
-def _log0(x: np.ndarray) -> np.ndarray:
-    """log x, with a finite stand-in for log 0 that keeps 0 * log 0 at 0
-    and sends a positive multiple to a number whose exp is exactly 0."""
-    return np.log(x, out=np.full_like(x, -1e300), where=x > 0)
 
 
 def _chunk_rows(width: int) -> int:

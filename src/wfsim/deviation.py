@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericRangeError
-from .fitness import UpdateRule, finite_difference_jacobian, sampling_probs
+from .fitness import (UpdateRule, _log0, finite_difference_jacobian, log_multinomial,
+                      sampling_probs)
 from .meanfield import iterate
 from .simplex import LatticePoint, lattice_counts, linf_distances
 
@@ -215,8 +216,6 @@ def one_step_exceedance_upper(rule: UpdateRule, x0: LatticePoint,
     :func:`hoeffding_bound`, which it never exceeds at K = 1 (Hoeffding's
     inequality bounds each marginal tail).
     """
-    from scipy.special import bdtr, bdtrc
-
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     n = x0.n
@@ -226,9 +225,15 @@ def one_step_exceedance_upper(rule: UpdateRule, x0: LatticePoint,
     tol = 1e-9
     lo = np.floor(n * (o - epsilon) + tol)
     hi = np.ceil(n * (o + epsilon) - tol)
-    below = np.where(lo >= 0, bdtr(np.maximum(lo, 0), n, p), 0.0)
-    above = np.where(hi <= n, bdtrc(np.clip(hi - 1, -1, n), n, p), 0.0)
-    return min(1.0, float(below.sum() + above.sum()))
+    return min(1.0, float(binomial_tails(n, p, lo, hi).sum()))
+
+
+def binomial_tails(n: int, p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """P(X_i <= lo_i) + P(X_i >= hi_i), X_i ~ Binomial(n, p_i), with 0 log 0 = 0."""
+    k = np.arange(n + 1)
+    pmf = np.exp(log_multinomial(np.column_stack([k, n - k]), n)
+                 + k * _log0(p)[:, None] + (n - k) * _log0(1.0 - p)[:, None])
+    return np.where((k <= lo[:, None]) | (k >= hi[:, None]), pmf, 0.0).sum(axis=1)
 
 
 @dataclass

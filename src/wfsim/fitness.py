@@ -16,6 +16,7 @@ first stream built, so commands that never sample do not pay for it.
 from __future__ import annotations
 
 import ctypes
+import math
 import operator
 from functools import cache, reduce
 from typing import Iterable, Sequence
@@ -282,6 +283,18 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     for k in range(1, a.shape[-1]):
         total += a[..., k]
     return total[..., None]
+
+
+def log_multinomial(counts: np.ndarray, n: int) -> np.ndarray:
+    """log n!/prod_k s_k! per row s of ``counts`` (rows summing to n), from ``math.lgamma``."""
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    return log_factorial[n] - log_factorial[counts].sum(axis=-1)
+
+
+def _log0(x: np.ndarray) -> np.ndarray:
+    """log x, with a finite stand-in for log 0 that keeps 0 * log 0 at 0
+    and sends a positive multiple to a number whose exp is exactly 0."""
+    return np.log(x, out=np.full_like(x, -1e300), where=x > 0)
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericRangeError, PreconditionError
 from .fitness import UpdateRule, sampling_probs
@@ -60,8 +59,9 @@ def stationary_covariance(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
     The noise lives on the sum-zero subspace with orthonormal basis B, so
     V = B W B' where W solves the discrete Lyapunov equation of the pair
-    (B'DB, B'Sigma B).  Raises when D does not contract that subspace,
-    and when Sigma or D does not keep to it.
+    (B'DB, B'Sigma B): vec W = (I - B'DB (x) B'DB)^-1 vec B'Sigma B, one
+    dense solve in (M-1)^2 unknowns.  Raises when D does not contract that
+    subspace, and when Sigma or D does not keep to it.
     """
     d = np.asarray(d, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -78,8 +78,9 @@ def stationary_covariance(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
             "stationary covariance needs a noise covariance that annihilates "
             "the all-ones vector and a derivative that keeps the sum-zero subspace"
         )
-    w = scipy.linalg.solve_discrete_lyapunov(basis.T @ d @ basis, basis.T @ sigma @ basis)
-    return basis @ w @ basis.T
+    b_d, b_sigma = basis.T @ d @ basis, basis.T @ sigma @ basis
+    w = np.linalg.solve(np.eye(b_d.size) - np.kron(b_d, b_d), b_sigma.ravel())
+    return basis @ w.reshape(b_sigma.shape) @ basis.T
 
 
 # ----------------------------------------------------------------------

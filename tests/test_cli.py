@@ -953,7 +953,7 @@ class TestPlumbing:
         return run.stdout.strip().splitlines()[-1]
 
     @classmethod
-    def modules_after(cls, code: str, package: str = "scipy") -> str:
+    def modules_after(cls, code: str, package: str) -> str:
         """The modules of ``package`` (a dotted name) that a fresh
         interpreter holds after running ``code``."""
         code += (f"\nprint(sorted(m for m in sys.modules if m == {package!r}"
@@ -1031,36 +1031,92 @@ class TestPlumbing:
                                 for name in load_json(out, "manifest.json")["outputs"]}
         assert outputs[None] and outputs["1"] == outputs[None] == outputs["2"]
 
+    #: one small config per `wf` command
+    EVERY_COMMAND = [
+        ("extinction", {"matrix": A2, "omega": 0.5, "N": 50, "initials": [[0.8, 0.1, 0.1]],
+                        "replicates": 4, "seed": 1, "sample_window": [1, 5]}),
+        ("bounds", {"matrix": A2, "omega": 0.5, "N": [50, 200], "epsilons": [0.1],
+                    "horizon": 5, "replicates": 20, "seed": 1, "lipschitz_samples": 20}),
+        ("simulate", {"matrix": A2, "omega": 0.5, "N": 50, "initial": [0.8, 0.1, 0.1],
+                      "steps": 20, "seed": 1}),
+        *NON_SAMPLING,
+    ]
+
+    # beside scipy, no `wf` path loads it: a path that imported it where
+    # it is installed would pass the blocked-scipy test below unseen
+
     def test_cli_and_an_ensemble_load_no_scipy(self):
-        # scipy is imported inside the functions that need it, so `wf`
-        # start-up and `wf extinction` never pay for it
         code = (
             "import sys, wfsim.cli\n"
             "from wfsim.extinction import ExperimentSpec, run_experiment\n"
-            "cfg = {'matrix': [[1, 20, 35], [20, 21, 30], [35, 30, 1]], 'omega': 0.5,\n"
-            "       'N': 50, 'initials': [[0.8, 0.1, 0.1]], 'replicates': 4, 'seed': 1,\n"
-            "       'sample_window': [1, 5]}\n"
-            "run_experiment(ExperimentSpec.from_config(cfg))\n")
-        assert self.modules_after(code) == "[]"
+            f"run_experiment(ExperimentSpec.from_config({self.EVERY_COMMAND[0][1]!r}))\n")
+        assert self.modules_after(code, "scipy") == "[]"
 
-    @pytest.mark.parametrize("command,cfg", [
-        ("bounds", {"matrix": A2, "omega": 0.5, "N": [50, 200], "epsilons": [0.1],
-                    "horizon": 5, "replicates": 20, "seed": 1,
-                    "lipschitz_samples": 20}),
-        ("simulate", {"matrix": A2, "omega": 0.5, "N": 50, "initial": [0.8, 0.1, 0.1],
-                      "steps": 20, "seed": 1}),
-    ])
+    @pytest.mark.parametrize("command,cfg", EVERY_COMMAND[1:3])
     def test_bounds_and_simulate_load_no_scipy(self, tmp_path, command, cfg):
-        # the Lipschitz probe and the pseudo-orbit search measure max-norm
-        # distances with numpy alone, so `wf bounds` runs without scipy
-        assert self.modules_after(self.command_code(tmp_path, command, cfg)) == "[]"
+        assert self.modules_after(self.command_code(tmp_path, command, cfg), "scipy") == "[]"
 
     @pytest.mark.parametrize("command,cfg", NON_SAMPLING)
     def test_qsd_and_meanfield_load_no_scipy(self, tmp_path, command, cfg):
-        # the exact chain takes its log-factorials from math.lgamma, reads
-        # interior irreducibility off the sampling laws and classifies its
-        # states only when they are read, which `wf qsd` never does
-        assert self.modules_after(self.command_code(tmp_path, command, cfg)) == "[]"
+        assert self.modules_after(self.command_code(tmp_path, command, cfg), "scipy") == "[]"
+
+    #: criterion 09's chains: (rule keywords, N)
+    CRITERION_09_CHAINS = [
+        ({"matrix": A2, "omega": 0.5}, 6),
+        ({"matrix": A2, "omega": 0.5,
+          "mutation": (np.full((3, 3), 1.0 / 3.0) * 0.15 + np.eye(3) * 0.85).tolist()}, 6),
+        ({"matrix": A2, "omega": 0.5,
+          "mutation": [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.0, 1.0]]}, 6),
+        ({"matrix": A2, "omega": 0.5,
+          "mutation": [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.0, 1.0]]}, 100),
+    ]
+
+    @classmethod
+    def scipy_free_results(cls) -> str:
+        """Source that prints, as JSON, the classes of criterion 09's chains,
+        criterion 06's exact one-step cell (N=2000, epsilon=0.1) and the
+        stationary covariance of A1 and A2 at their interior equilibria:
+        the three results whose functions once imported scipy."""
+        return (
+            "import json\n"
+            "from wfsim.chain import build_exact_chain\n"
+            "from wfsim.deviation import one_step_exceedance_upper\n"
+            "from wfsim.fitness import make_rule\n"
+            "from wfsim.gaussian import noise_covariance, stationary_covariance\n"
+            "from wfsim.meanfield import iterate, solve_interior_equilibrium\n"
+            "from wfsim.simplex import round_to_lattice\n"
+            "results = {'classes': [], 'covariances': []}\n"
+            f"for keywords, n in {cls.CRITERION_09_CHAINS!r}:\n"
+            "    chain = build_exact_chain(make_rule(**keywords), n)\n"
+            "    results['classes'].append([\n"
+            "        chain.scc_labels.tolist(), chain.periods, chain.transient.tolist(),\n"
+            "        [members.tolist() for members in chain.recurrent_classes]])\n"
+            f"rule = make_rule({A2!r}, omega=0.5)\n"
+            f"x0 = round_to_lattice({CHI2.tolist()!r}, 2000)\n"
+            "results['union'] = one_step_exceedance_upper(rule, x0, 0.1)\n"
+            f"for matrix in {[A1, A2]!r}:\n"
+            "    rule = make_rule(matrix, omega=0.5)\n"
+            "    chi = iterate(rule, solve_interior_equilibrium(matrix).vector, 30).states[-1]\n"
+            "    results['covariances'].append(stationary_covariance(\n"
+            "        rule.jacobian(chi), noise_covariance(rule.update_probs(chi))).tolist())\n"
+            "print(json.dumps(results))\n")
+
+    def test_library_and_every_command_run_with_scipy_blocked(self, tmp_path):
+        # scipy is a test-only dependency: with every import of it refused,
+        # the functions that once used it (criteria 06 and 09, the stationary
+        # covariance) give the results they give beside scipy, and every
+        # `wf` command runs. Their scipy references are in test_chain,
+        # test_deviation and test_gaussian
+        commands = ""
+        for command, cfg in self.EVERY_COMMAND:
+            (tmp_path / command).mkdir()
+            commands += self.command_code(tmp_path / command, command, cfg)
+        blocked = json.loads(self.last_line("import sys\nsys.modules['scipy'] = None\n"
+                                            + commands + self.scipy_free_results()))
+        assert all((tmp_path / command / "out" / "manifest.json").is_file()
+                   for command, _ in self.EVERY_COMMAND)
+        assert blocked == json.loads(self.last_line(self.scipy_free_results()))
+        assert 0 < blocked["union"] < 1e-20      # criterion 06: ~7.4e-23
 
     @pytest.mark.parametrize("command,cfg", NON_SAMPLING)
     def test_qsd_and_meanfield_load_no_numpy_random(self, tmp_path, command, cfg):

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from scipy.spatial.distance import cdist
+from scipy.special import bdtr, bdtrc
 from scipy.stats import multinomial
 from hypothesis import strategies as st
 
 from wfsim.deviation import (
     _PROBE_RESOLUTION,
     _PROBE_SHRINK,
+    binomial_tails,
     bound_table,
     contraction_coefficient,
     estimate_lipschitz,
@@ -294,7 +296,48 @@ def enumerated_one_step_exceedance(rule, x0, epsilon):
     return float(multinomial.pmf(counts, n, p)[dev > epsilon].sum())
 
 
+def scipy_one_step_union(rule, x0, epsilon):
+    """The union of binomial tails of ``one_step_exceedance_upper``, from
+    scipy's binomial CDFs ``bdtr`` and ``bdtrc``."""
+    n = x0.n
+    p = sampling_probs(rule, x0.counts / n)
+    o = rule.update_probs(x0.counts / n)
+    lo = np.floor(n * (o - epsilon) + 1e-9)
+    hi = np.ceil(n * (o + epsilon) - 1e-9)
+    below = np.where(lo >= 0, bdtr(np.maximum(lo, 0), n, p), 0.0)
+    above = np.where(hi <= n, bdtrc(np.clip(hi - 1, -1, n), n, p), 0.0)
+    return min(1.0, float(below.sum() + above.sum()))
+
+
 class TestOneStepExceedance:
+    @pytest.mark.parametrize("n", [500, 2000, 10000])
+    def test_binomial_tails_match_scipy(self, n):
+        # 23 cut-offs from 0 to N, p from 1e-3 to 0.999; both tails down to
+        # where scipy's CDFs underflow
+        p = np.geomspace(1e-3, 0.999, 40)
+        p = np.concatenate([p, 1.0 - p[p < 0.5]])
+        cuts, none_below = np.zeros(p.size), np.full(p.size, -1.0)
+        none_above = np.full(p.size, n + 1.0)
+        for cut in np.linspace(0, n, 23).round():
+            cuts[:] = cut
+            below = binomial_tails(n, p, cuts, none_above)
+            above = binomial_tails(n, p, none_below, cuts)
+            np.testing.assert_allclose(below, bdtr(cut, n, p), rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(above, bdtrc(cut - 1, n, p), rtol=1e-9, atol=1e-300)
+
+    @pytest.mark.parametrize("start,n,eps", [
+        (list(CHI2), 2000, 0.1),            # criterion 06's exact cell
+        ([0.5, 0.5, 0.0], 500, 0.05),       # p_3 = 0: an absent type
+        ([0.0, 1.0, 0.0], 500, 0.05),       # p_2 = 1: a vertex start
+        ([0.8, 0.1, 0.1], 100, 0.1),
+        (list(CHI2), 500, 1.5),             # no count outside (lo, hi)
+    ], ids=["criterion-06", "absent-type", "vertex", "N=100", "wide-epsilon"])
+    def test_union_matches_scipy_cdfs(self, rule_a2, start, n, eps):
+        # no absolute slack, so the vertex and wide-epsilon unions must be exactly 0
+        x0 = round_to_lattice(start, n)
+        union = one_step_exceedance_upper(rule_a2, x0, eps)
+        assert union == pytest.approx(scipy_one_step_union(rule_a2, x0, eps), rel=1e-9, abs=0)
+
     def test_union_dominates_enumerated_probability(self, rule_a2):
         x0 = round_to_lattice(CHI2, 30)
         union = one_step_exceedance_upper(rule_a2, x0, 0.1)

@@ -88,13 +88,16 @@ class TestAr1Covariance:
             vk = d @ vk @ d.T + sig
         np.testing.assert_allclose(vk, vstar, atol=1e-8)
 
-    def test_matches_scipy_lyapunov_solver(self, rule_a2, eq_orbit):
-        chi = eq_orbit.states[-1]
-        d = rule_a2.jacobian(chi)
-        sig = noise_covariance(rule_a2.update_probs(chi))
-        vstar = stationary_covariance(d, sig)
-        oracle = scipy.linalg.solve_discrete_lyapunov(d, sig)
-        np.testing.assert_allclose(vstar, oracle, atol=1e-9)
+    def test_matches_scipy_lyapunov_solver(self):
+        # at the interior equilibrium of each benchmark system
+        for matrix in (A1, A2):
+            rule = make_rule(matrix, omega=0.5)
+            chi = iterate(rule, solve_interior_equilibrium(matrix).vector, steps=30).states[-1]
+            d = rule.jacobian(chi)
+            sig = noise_covariance(rule.update_probs(chi))
+            vstar = stationary_covariance(d, sig)
+            oracle = scipy.linalg.solve_discrete_lyapunov(d, sig)
+            np.testing.assert_allclose(vstar, oracle, atol=1e-9)
 
     def test_expanding_map_diverges(self):
         with pytest.raises(NumericRangeError):
