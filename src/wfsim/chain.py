@@ -56,9 +56,9 @@ QSD_MAX_ITER = 200_000
 #: whole-matrix product (BLAS takes another kernel for them).
 KERNEL_BLOCK = 32
 
-#: Bytes a kernel block (rows x cols float64), or the power tables of an
-#: ``InteriorKernel``, may take; a larger one is refused before anything is
-#: allocated.
+#: Bytes a kernel block (rows x cols float64), the power tables of an
+#: ``InteriorKernel`` or the linear system of ``gaussian.stationary_covariance``
+#: may take; a larger one is refused before anything is allocated.
 BLOCK_BYTE_CAP = 80_000_000
 
 #: Spread of N log p_ir (natural-log units) over the rows of one
@@ -319,7 +319,7 @@ def recurrent_class_faces(chain: ExactChain,
     composition whose support fits inside a maximal support)."""
     members = chain.recurrent_classes[class_index]
     support = chain.states > 0                                  # (S, M)
-    supports = np.unique(support[members], axis=0)              # (K, M)
+    supports, _ = _distinct_rows(support[members])              # (K, M)
     inside = (supports[:, None] <= supports[None]).all(axis=-1)  # [a, b]: a within b
     maximal = supports[inside.sum(axis=1) == 1]                 # within only itself
     fits = (support[:, None] <= maximal[None]).all(axis=-1).any(axis=1)
@@ -497,18 +497,18 @@ def _horner_levels(coords: np.ndarray) -> tuple[int, np.ndarray, list]:
 
 
 def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a non-negative (K, J) integer or boolean array in
-    lexicographic order (one empty row when J = 0), and each row's index
-    among them.  Sorted by hand: ``np.unique`` imports ``numpy.ma``, 1.6 MiB
-    of resident memory."""
-    # one integer key per row; radix^J stays far below 2^63 under the state cap
-    radix = int(coords.max(initial=0)) + 1
-    keys = coords @ radix ** np.arange(coords.shape[1] - 1, -1, -1)
-    order = np.argsort(keys, kind="stable")
-    fresh = np.r_[True, np.diff(keys[order]) != 0]
+    """The distinct rows of a (K, J) integer or boolean array in
+    lexicographic order, as ``np.unique(coords, axis=0)`` gives them (one
+    empty row when J = 0), and each row's index among them.  Sorted by
+    ``np.lexsort`` over the columns, so any J and any values are safe;
+    ``np.unique`` imports ``numpy.ma``, 1.6 MiB of resident memory."""
+    # lexsort's last key leads; the zero key of lowest priority makes J = 0 one row
+    order = np.lexsort((np.zeros(len(coords), dtype=np.int8), *coords.T[::-1]))
+    ranked = coords[order]
+    fresh = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
     at = np.empty_like(order)
     at[order] = np.cumsum(fresh) - 1
-    return coords[order[fresh]], at
+    return ranked[fresh], at
 
 
 def _khatri_rao(tables: np.ndarray, cols: list) -> np.ndarray:

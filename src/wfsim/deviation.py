@@ -70,11 +70,7 @@ class ExpectationBound:
     condition (positive slack) evaluated."""
 
     value: float
-    slack: float
-
-    @property
-    def applicable(self) -> bool:
-        return self.slack > 0
+    applicable: bool
 
 
 def expected_decoupling_lower_bound(epsilon: float, n: int, m: int,
@@ -82,9 +78,9 @@ def expected_decoupling_lower_bound(epsilon: float, n: int, m: int,
     """Contraction-map lower bound exp((1-rho)^2 eps^2 N / 2) / (2M).
 
     Only meaningful for contracting maps (rho < 1) and when the tail mass
-    outside the tube is strictly less than one; the slack of that
-    condition is reported so inapplicable parameter sets are flagged
-    rather than silently used; a value (or its exponent) past the float
+    outside the tube is strictly less than one; whether that condition
+    holds is reported so inapplicable parameter sets are flagged rather
+    than silently used; a value (or its exponent) past the float
     range raises NumericRangeError.
     """
     if not 0.0 < rho < 1.0:
@@ -97,8 +93,7 @@ def expected_decoupling_lower_bound(epsilon: float, n: int, m: int,
     except OverflowError:
         raise NumericRangeError(f"expectation bound past the float range at N={n}, "
                                 f"epsilon={epsilon}, rho={rho}") from None
-    slack = 1.0 - 2.0 * m * math.exp(-exponent)
-    return ExpectationBound(value=value, slack=slack)
+    return ExpectationBound(value=value, applicable=1.0 - 2.0 * m * math.exp(-exponent) > 0)
 
 
 # ----------------------------------------------------------------------

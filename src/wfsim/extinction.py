@@ -10,13 +10,13 @@ per-initial-condition outcome counts plus a histogram of distances from
 the equilibrium at a random intermediate time.
 
 Each trial draws from its own (seed, initial, trial) stream, so a trial's
-outcome does not depend on the block it runs in.  An ensemble gives each
-worker process one range of trials, which it runs for every initial
-condition at once as one lockstep block (at most ``LOCKSTEP_TRIALS``
-trials): the block's streams are seeded together by
-:func:`wfsim.fitness.rng_streams`, its generations share one update-map
-call and one C multinomial call per live trial (``fitness._c_multinomial``),
-and its outcomes are read off whole arrays.
+outcome does not depend on the block it runs in.  An ensemble splits its
+trials into ranges (:func:`run_experiment` alone decides the split) and
+runs each range for every initial condition at once as one lockstep block
+of at most ``LOCKSTEP_TRIALS`` trials: the block's streams are seeded
+together by :func:`wfsim.fitness.rng_streams`, its generations share one
+update-map call and one C multinomial call per live trial
+(``fitness._c_multinomial``), and its outcomes are read off whole arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .simplex import LatticePoint, round_to_lattice
 Z_95 = 1.6448536269514722
 
 #: Most trials in one lockstep block, about 13 MiB of block state at
-#: ~1.6 KB a trial.  A worker's share past it runs as several blocks.
+#: ~1.6 KB a trial.  An ensemble past it runs as several blocks.
 LOCKSTEP_TRIALS = 8192
 
 
@@ -335,31 +335,23 @@ def _run_chunk(spec: ExperimentSpec, rule: UpdateRule, eq: Optional[np.ndarray],
                fit_set: Optional[tuple[int, ...]], start: int,
                stop: int) -> list[tuple[int, int, TrialOutcome]]:
     """Worker: trials [start, stop) of every initial condition under the
-    run's ``_experiment_context``, in (initial, trial) order.  They run as
-    one lockstep block over every start, or, past ``LOCKSTEP_TRIALS``
-    trials (or one trial per start), as blocks over near-equal trial ranges
-    that each still span every start.  ``trial_rng`` and
-    ``run_trial_threshold`` are looked up in this module at each call, so a
-    tracer can wrap them."""
+    run's ``_experiment_context``, as one lockstep block over every start,
+    in (initial, trial) order.  ``trial_rng`` and ``run_trial_threshold``
+    are looked up in this module at each call, so a tracer can wrap them."""
     x0s = [round_to_lattice(np.asarray(p), spec.n) for p in spec.initials]
-    most = max(LOCKSTEP_TRIALS // len(x0s), 1)        # trials of a start in one block
-    width = math.ceil((stop - start) / math.ceil((stop - start) / most))
-    rows = []
-    for lo in range(start, stop, width):
-        trials = range(lo, min(lo + width, stop))
-        keys = [(i, t) for i in range(len(x0s)) for t in trials]
-        rngs = [g for i in range(len(x0s)) for g in trial_rng(spec.seed, i, trials)]
-        starts = [x0s[i] for i, _ in keys]
-        if spec.mode == "threshold":
-            outs = run_trial_threshold(
-                rule, starts, rngs, stop_threshold=spec.stop_threshold,
-                sample_window=spec.sample_window, max_steps=spec.max_steps,
-                equilibrium=eq)
-        else:
-            outs = run_trial_absorption(rule, starts, rngs, least_fit_set=fit_set,
-                                        max_steps=spec.max_steps)
-        rows += [(i, t, out) for (i, t), out in zip(keys, outs)]
-    return sorted(rows, key=itemgetter(0, 1))
+    trials = range(start, stop)
+    keys = [(i, t) for i in range(len(x0s)) for t in trials]
+    rngs = [g for i in range(len(x0s)) for g in trial_rng(spec.seed, i, trials)]
+    starts = [x0s[i] for i, _ in keys]
+    if spec.mode == "threshold":
+        outs = run_trial_threshold(
+            rule, starts, rngs, stop_threshold=spec.stop_threshold,
+            sample_window=spec.sample_window, max_steps=spec.max_steps,
+            equilibrium=eq)
+    else:
+        outs = run_trial_absorption(rule, starts, rngs, least_fit_set=fit_set,
+                                    max_steps=spec.max_steps)
+    return [(i, t, out) for (i, t), out in zip(keys, outs)]
 
 
 @dataclass
@@ -419,10 +411,11 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     """Run the full ensemble: every initial condition times ``replicates``
-    trials, merged deterministically.  The trials split into one range per
-    worker process, at most ``threads``, the cores and the replicates; a
-    worker runs its range of every initial condition as one lockstep block
-    (:func:`_run_chunk`).  With one worker it runs in this process.
+    trials, merged deterministically.  Only here do the trials split into
+    near-equal ranges, each run over every start as one lockstep block
+    (:func:`_run_chunk`): the fewest within ``LOCKSTEP_TRIALS`` that give
+    each worker (at most ``threads``, the cores and the replicates) the
+    same number.  One worker runs them in this process, more a process pool.
 
     Results are identical for any ``threads`` and any split into blocks
     because each trial draws from its own (seed, initial, trial) stream.
@@ -441,19 +434,19 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         raise ResourceLimitExceeded(f"bin_width {width} asks for more histogram "
                                     "bins than memory holds") from None
 
-    n_initials = len(spec.initials)
-    # one trial range per worker that can run: more would only shrink the
-    # lockstep blocks, and a forked pool starts all its workers at once
-    chunk = math.ceil(spec.replicates / min(threads, os.cpu_count() or 1, spec.replicates))
-    tasks = [(s, min(s + chunk, spec.replicates)) for s in range(0, spec.replicates, chunk)]
+    n_initials, reps = len(spec.initials), spec.replicates
+    workers = min(threads, os.cpu_count() or 1, reps)
+    most = max(LOCKSTEP_TRIALS // n_initials, 1)         # trials of a start in one block
+    span = math.ceil(reps / (workers * math.ceil(reps / (most * workers))))
+    ranges = [(lo, min(lo + span, reps)) for lo in range(0, reps, span)]
 
-    if len(tasks) == 1:
-        shares = [_run_chunk(spec, rule, eq, fit_set, *tasks[0])]
+    if workers == 1:
+        shares = [_run_chunk(spec, rule, eq, fit_set, *r) for r in ranges]
     else:
         # imported here, so runs that never start a pool skip its import
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            futures = [pool.submit(_run_chunk, spec, rule, eq, fit_set, *t) for t in tasks]
+        with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
+            futures = [pool.submit(_run_chunk, spec, rule, eq, fit_set, *r) for r in ranges]
             shares = [f.result() for f in futures]
     all_rows = sorted((row for share in shares for row in share), key=itemgetter(0, 1))
 

@@ -2,10 +2,12 @@
 
 A fitness model, linear-fractional or exponential, assigns every type a
 non-negative reproductive weight built on a payoff matrix and the current
-profile.  The expected next-generation profile is the fitness-weighted
-renormalization of the current one; an optional row-stochastic mutation
-matrix is applied to the profile first.  Every sampler in the package
-draws from the multinomial cell probabilities of :func:`sampling_probs`;
+profile.  Each has ``scaled_weights`` (the fitness of a profile or batch,
+at a positive scale the update map ignores) and ``weights_gradient`` (those
+weights and their derivative at a profile).  The expected next-generation
+profile is the fitness-weighted renormalization of the current one; an
+optional row-stochastic mutation matrix is applied to the profile first.
+Every sampler draws from the multinomial cell probabilities of :func:`sampling_probs`;
 every command seeds its random streams with :func:`rng_stream` and builds
 its rule with :func:`make_rule`, which checks the parameters each fitness
 family takes; :func:`rng_streams` builds many of those streams at once,
@@ -94,32 +96,7 @@ class PayoffMatrix:
         return f"PayoffMatrix({self._entries.tolist()!r})"
 
 
-class FitnessModel:
-    """Base class of the payoff-driven fitness families: maps a profile to a
-    vector of per-type fitness weights built on ``payoff``, each family's
-    fitness function up to a positive scale."""
-
-    m: int
-    payoff: PayoffMatrix
-
-    def scaled_weights(self, xs: np.ndarray) -> np.ndarray:
-        """The weights the update map uses.
-
-        Takes a profile ``(M,)`` or a batch ``(R, M)`` and returns, per
-        profile, ``w = c * fitness(x)`` for some positive scalar ``c``, in
-        one array expression; the update map is invariant under such
-        scaling, so subclasses may shift into a safe numeric range here.
-        """
-        raise NotImplementedError
-
-    def weights_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weights ``w = c * fitness(x)`` at a profile ``(M,)`` and their
-        derivative matrix dw_i/dx_j, both at one positive scale ``c``.
-        The derivative of the update map is invariant under that scale."""
-        raise NotImplementedError
-
-
-class LinearFractionalFitness(FitnessModel):
+class LinearFractionalFitness:
     """Affine fitness: baseline vector blended with payoff interaction.
 
     ``fitness(x) = (1 - omega) * b + omega * A x`` with mixing weight
@@ -130,21 +107,16 @@ class LinearFractionalFitness(FitnessModel):
         if not 0.0 < omega < 1.0:
             raise ConfigError(f"omega must lie in (0, 1), got {omega}")
         self.payoff = payoff
-        self.omega = float(omega)
         self.m = payoff.m
-        if b is None:
-            b_arr = np.ones(self.m)
-        else:
-            b_arr = np.asarray(b, dtype=np.float64).copy()
-            if b_arr.shape != (self.m,):
-                raise DimensionMismatch("baseline b has the wrong length")
-            if np.any(b_arr <= 0):
-                raise ConfigError("baseline b must be strictly positive")
-        b_arr.flags.writeable = False
-        self.b = b_arr
+        omega = float(omega)
+        b = np.ones(self.m) if b is None else np.asarray(b, dtype=np.float64)
+        if b.shape != (self.m,):
+            raise DimensionMismatch("baseline b has the wrong length")
+        if np.any(b <= 0):
+            raise ConfigError("baseline b must be strictly positive")
         # precomputed pieces for the hot path
-        self._b_part = (1.0 - self.omega) * self.b
-        self._wa = self.omega * payoff.entries
+        self._b_part = (1.0 - omega) * b
+        self._wa = omega * payoff.entries
 
     def scaled_weights(self, xs: np.ndarray) -> np.ndarray:
         # einsum sums each row in a fixed order, so a profile and a batch row
@@ -156,7 +128,7 @@ class LinearFractionalFitness(FitnessModel):
         return self._b_part + self._wa @ x, self._wa
 
 
-class ExponentialFitness(FitnessModel):
+class ExponentialFitness:
     """Exponential payoff response: ``fitness_i(x) = exp(beta * (A x)_i)``."""
 
     def __init__(self, payoff: PayoffMatrix, beta: float):
@@ -212,7 +184,8 @@ class UpdateRule:
     never creates mass on types absent from the input.
     """
 
-    def __init__(self, fitness: FitnessModel, mutation: MutationMatrix | None = None):
+    def __init__(self, fitness: LinearFractionalFitness | ExponentialFitness,
+                 mutation: MutationMatrix | None = None):
         if mutation is not None and mutation.m != fitness.m:
             raise DimensionMismatch("fitness and mutation dimensions differ")
         self.fitness = fitness
@@ -476,7 +449,7 @@ def make_rule(matrix, *, omega: float | None = None, b=None,
             raise ConfigError(
                 "linear-fractional fitness needs exactly one of omega, omega_ratio"
             )
-        model: FitnessModel = LinearFractionalFitness(payoff, omega, b)
+        model = LinearFractionalFitness(payoff, omega, b)
     elif fitness == "exponential":
         if beta is None:
             raise ConfigError("exponential fitness needs beta")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericRangeError, PreconditionError
+from .errors import NumericRangeError, PreconditionError, ResourceLimitExceeded
 from .fitness import UpdateRule, sampling_probs
 from .meanfield import Orbit, iterate, spectral_radius_on_sum_zero, sum_zero_basis
 from .simplex import round_to_lattice
@@ -61,10 +61,15 @@ def stationary_covariance(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     V = B W B' where W solves the discrete Lyapunov equation of the pair
     (B'DB, B'Sigma B): vec W = (I - B'DB (x) B'DB)^-1 vec B'Sigma B, one
     dense solve in (M-1)^2 unknowns.  Raises when D does not contract that
-    subspace, and when Sigma or D does not keep to it.
+    subspace, when Sigma or D does not keep to it, and, before allocating,
+    when that system would take more than ``chain.BLOCK_BYTE_CAP`` bytes.
     """
+    from .chain import BLOCK_BYTE_CAP       # looked up at each call, as chain does
     d = np.asarray(d, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
+    if (nbytes := 8 * (d.shape[0] - 1) ** 4) > BLOCK_BYTE_CAP:
+        raise ResourceLimitExceeded(f"stationary covariance at M={d.shape[0]} solves a "
+                                    f"{nbytes}-byte system (cap {BLOCK_BYTE_CAP})")
     if spectral_radius_on_sum_zero(d) >= 1.0:
         raise NumericRangeError(
             "covariance recursion diverges (spectral radius >= 1 on the "

@@ -542,6 +542,27 @@ def supports_and_reaches(draw):
     return support, reach
 
 
+class TestDistinctRows:
+    @pytest.mark.parametrize("width", [3, 63, 64, 65, 70])
+    def test_matches_numpy_unique(self, width):
+        # an int64 radix key over the columns would wrap from 64 boolean
+        # columns, merging or misordering rows that differ in a leading one
+        rng = np.random.default_rng(width)
+        pool = rng.random((800, width)) < 0.3
+        rows = pool[rng.integers(0, len(pool), 3000)]
+        rows[::2, 0] ^= True
+        want, inverse = np.unique(rows, axis=0, return_inverse=True)
+        patterns, at = chain._distinct_rows(rows)
+        np.testing.assert_array_equal(patterns, want)
+        np.testing.assert_array_equal(at, inverse.ravel())
+        np.testing.assert_array_equal(patterns[at], rows)
+
+    def test_no_columns_is_one_empty_row(self):
+        patterns, at = chain._distinct_rows(np.zeros((5, 0), dtype=np.int64))
+        assert patterns.shape == (1, 0)
+        np.testing.assert_array_equal(at, np.zeros(5))
+
+
 class TestClassifyStates:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(supports_and_reaches())

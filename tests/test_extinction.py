@@ -284,8 +284,10 @@ class TestLockstepBlocks:
         monkeypatch.setattr(extinction, "run_trial_threshold",
                             lambda rule, x0, rng, **kw: (sizes.append(len(rng)),
                                                          threshold(rule, x0, rng, **kw))[1])
+        _, ranges = TestRunExperiment.record_pools_and_ranges(monkeypatch)
         assert run_experiment(small_spec, threads=1).rows == rows
         # 12 trials of 2 starts: 6 blocks of 2 trials a start
+        assert ranges == [(t, t + 2) for t in range(0, 12, 2)]
         assert sizes == [4] * 6
 
 
@@ -342,7 +344,7 @@ class TestBlockDraws:
         # bit_generator.ctypes instead of its capsule peaks at 5.0 MiB
         spec = ExperimentSpec.from_config(minimal_config(
             N=50, replicates=2000, initials=[[0.8, 0.1, 0.1]], sample_window=[1, 5]))
-        held, peak = self.traced_share(spec, 2000)
+        held, peak = self.traced_run(spec)
         assert peak < 4 * 2**20
         assert held < 2**20
 
@@ -354,24 +356,24 @@ class TestBlockDraws:
         spec = ExperimentSpec.from_config(minimal_config(
             N=50, replicates=2000, initials=[[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
             sample_window=[1, 5]))
-        held, peak = self.traced_share(spec, 2000)
+        held, peak = self.traced_run(spec)
         assert peak < 4 * 2**20
         assert held < 2 * 2**20
 
     @staticmethod
-    def traced_share(spec, trials):
-        """(held, peak) traced bytes of one worker share of ``trials`` trials."""
-        ctx = _experiment_context(spec)
-        _run_chunk(spec, *ctx, 0, 10)        # modules numpy loads on first use
+    def traced_run(spec):
+        """(held, peak) traced bytes of ``run_experiment(spec)`` at one thread."""
+        # a 10-trial run first loads the modules numpy loads on first use
+        run_experiment(ExperimentSpec.from_config({**spec.to_config(), "replicates": 10}))
         gc.collect()
         tracemalloc.start()
         try:
-            rows = _run_chunk(spec, *ctx, 0, trials)
+            result = run_experiment(spec, threads=1)
             gc.collect()
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(rows) == trials * len(spec.initials)
+        assert len(result.rows) == spec.replicates * len(spec.initials)
         return held, peak
 
 
@@ -483,9 +485,10 @@ class TestRunExperiment:
             json.dumps(parallel.summary_dict(), sort_keys=True)
 
     @staticmethod
-    def record_pools_and_blocks(monkeypatch):
-        """Run pools inline and note each pool's size and each block run."""
-        workers, blocks = [], []
+    def record_pools_and_ranges(monkeypatch):
+        """Run pools inline and note each pool's size and each trial range
+        ``run_experiment`` runs as a block."""
+        workers, ranges = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -503,45 +506,45 @@ class TestRunExperiment:
                 return future
 
         def run_chunk(spec, rule, eq, fit_set, start, stop):
-            blocks.append((start, stop))
+            ranges.append((start, stop))
             return _run_chunk(spec, rule, eq, fit_set, start, stop)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(extinction, "_run_chunk", run_chunk)
-        return workers, blocks
+        return workers, ranges
 
     def test_pool_is_capped_by_tasks_and_cores(self, small_spec, monkeypatch):
         # an inline stand-in for the pool, so no process starts at any threads;
         # a worker gets one block over every start, so the lockstep batches
         # stay as large as the cores allow
         serial = run_experiment(small_spec, threads=1).rows
-        workers, blocks = self.record_pools_and_blocks(monkeypatch)
+        workers, ranges = self.record_pools_and_ranges(monkeypatch)
         cores = os.cpu_count() or 1
         rows = run_experiment(small_spec, threads=10**6).rows
         assert len(workers) == (cores > 1)
         assert all(w <= min(cores, small_spec.replicates) for w in workers)
-        assert len(blocks) <= cores
+        assert len(ranges) <= cores
         assert rows == serial
 
     def test_one_core_runs_inline(self, small_spec, monkeypatch):
         serial = run_experiment(small_spec, threads=1).rows
-        workers, blocks = self.record_pools_and_blocks(monkeypatch)
+        workers, ranges = self.record_pools_and_ranges(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         rows = run_experiment(small_spec, threads=4).rows
         assert workers == []
-        assert blocks == [(0, small_spec.replicates)]
+        assert ranges == [(0, small_spec.replicates)]
         assert rows == serial
 
     def test_context_is_computed_once_per_run(self, small_spec, monkeypatch):
         # every block runs under the run's rule, equilibrium and least-fit labels
-        _, blocks = self.record_pools_and_blocks(monkeypatch)
+        _, ranges = self.record_pools_and_ranges(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         specs, context = [], extinction._experiment_context
         monkeypatch.setattr(extinction, "_experiment_context",
                             lambda spec: (specs.append(spec), context(spec))[1])
         run_experiment(small_spec, threads=4)
         assert specs == [small_spec]
-        assert len(blocks) >= 2
+        assert len(ranges) >= 2
 
     def test_counts_partition_the_replicates(self, small_spec):
         result = run_experiment(small_spec, threads=1)

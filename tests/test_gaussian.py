@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wfsim.errors import NumericRangeError, PreconditionError
+from wfsim import chain
+from wfsim.errors import NumericRangeError, PreconditionError, ResourceLimitExceeded
 from wfsim.fitness import make_rule
 from wfsim.gaussian import (
     ar1_covariance,
@@ -121,6 +124,33 @@ class TestAr1Covariance:
     def test_noise_off_the_sum_zero_subspace_rejected(self):
         with pytest.raises(PreconditionError):
             stationary_covariance(0.5 * np.eye(3), np.eye(3))
+
+    def test_first_system_past_the_byte_cap_is_refused_before_allocating(self):
+        # M=58 is the first M whose (M-1)^2 x (M-1)^2 system passes the
+        # 80,000,000-byte cap: 57^4 x 8 = 84.4 MB (M=57: 78.7 MB)
+        m = 58
+        assert (m - 1) ** 4 * 8 > chain.BLOCK_BYTE_CAP >= (m - 2) ** 4 * 8
+        d, sig = 0.5 * np.eye(m), noise_covariance(np.full(m, 1.0 / m))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitExceeded, match="M=58"):
+                stationary_covariance(d, sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_byte_cap_bounds_the_system(self, monkeypatch):
+        # M=3: a 4 x 4 system of 128 bytes
+        rule = make_rule(A2, omega=0.5)
+        chi = solve_interior_equilibrium(A2).vector
+        d, sig = rule.jacobian(chi), noise_covariance(rule.update_probs(chi))
+        want = stationary_covariance(d, sig)
+        monkeypatch.setattr(chain, "BLOCK_BYTE_CAP", 128)
+        np.testing.assert_array_equal(stationary_covariance(d, sig), want)
+        monkeypatch.setattr(chain, "BLOCK_BYTE_CAP", 127)
+        with pytest.raises(ResourceLimitExceeded):
+            stationary_covariance(d, sig)
 
 
 # ----------------------------------------------------------------------

@@ -22,12 +22,16 @@ runner behind a registering decorator, a checker in a dispatch table) and
 a click command callback get their arguments from code the scan does not
 read, so their parameters are not judged.
 
-What the guards cannot see: dataclass fields and other class attributes
-are not definitions here, so a field that only tests read passes
-(``LipschitzEstimate.probes`` is one: the README documents it).  Names are
-matched bare, so a method passes when reached code names the same name
-for any other reason: a same-named method of another class, or an
-unrelated variable or attribute.  Nor do they see branches: a reached
+A third test names every attribute that a method sets on ``self`` and
+no code loads outside that method, and every dataclass or NamedTuple
+field that no code loads, reading the same files as the second; those in
+``UNREAD_FIELDS`` stay, each for the reason given there.
+
+What the guards cannot see: names are matched bare, so a method passes
+when reached code names the same name for any other reason (a
+same-named method of another class, or an unrelated variable or
+attribute), and a field passes when code loads an attribute of the same
+name on any other class.  Nor do they see branches: a reached
 function passes even when one of its branches (a type dispatch, an
 value that only unit tests pass) is taken only by unit tests.  The QSD
 power loop's dense-matrix branch was one; it was deleted with its tests.
@@ -37,11 +41,22 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wfsim"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+CALLERS = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+           ROOT / "tests" / "test_acceptance.py"]
+
+#: Fields no code reads that stay, with the reason.
+UNREAD_FIELDS = {
+    "extinction._BlockDraws._gens": "keeps alive the Generators whose bitgen_t "
+                                    "the block's C draws point into",
+    "deviation.LipschitzEstimate.probes": "the README documents it, and a benchmark "
+                                          "that reports the probe count will read it",
+}
 
 
 def referenced(tree: ast.AST) -> set[str]:
@@ -107,9 +122,7 @@ def is_click_command(node: ast.FunctionDef) -> bool:
 
 def test_every_parameter_is_passed_more_than_one_value():
     calls: dict[str, list[ast.Call]] = {}
-    callers = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
-               ROOT / "tests" / "test_acceptance.py"]
-    for path in callers:
+    for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -144,3 +157,40 @@ def test_every_parameter_is_passed_more_than_one_value():
                 elif len(passed) == len(sites) and len(set(passed)) == 1 and passed[0]:
                     found.append(f"{where} is always {passed[0]}")
     assert not found, f"parameters with one value in reached code: {found}"
+
+
+def attribute_loads(tree: ast.AST) -> Counter:
+    """How often each attribute name is read in ``tree``; an augmented
+    assignment reads its target."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and not isinstance(node.ctx, ast.Store)) + Counter(
+        node.target.attr for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute))
+
+
+def is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple class."""
+    names = [ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list]
+    return "dataclass" in names or any(ast.unparse(b) == "NamedTuple" for b in cls.bases)
+
+
+def test_every_field_is_read():
+    loads = sum((attribute_loads(ast.parse(path.read_text())) for path in CALLERS), Counter())
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            owner = f"{path.stem}.{cls.name}"
+            if is_record(cls):
+                found |= {f"{owner}.{item.target.id}" for item in cls.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                          and "ClassVar" not in ast.unparse(item.annotation)
+                          and not loads[item.target.id]}
+            for method in (item for item in cls.body if isinstance(item, FUNCTIONS)):
+                outside = loads - attribute_loads(method)
+                found |= {f"{owner}.{node.attr}" for node in ast.walk(method)
+                          if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                          and ast.unparse(node.value) == "self" and not outside[node.attr]}
+    assert found - set(UNREAD_FIELDS) == set(), "fields no code reads"
+    assert set(UNREAD_FIELDS) <= found, "allowed fields that are read or gone"
