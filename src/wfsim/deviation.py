@@ -124,7 +124,7 @@ _PROBE_SHRINK = 1e-4
 
 #: Probe rows paired at a time by :func:`estimate_lipschitz`: its distance
 #: buffers are (PAIR_BLOCK, P) floats, never (P, P).
-PAIR_BLOCK = 128
+PAIR_BLOCK = 32
 
 
 def _sum_zero_operator_norm(jac: np.ndarray) -> np.ndarray:
@@ -135,10 +135,12 @@ def _sum_zero_operator_norm(jac: np.ndarray) -> np.ndarray:
     relevant operator norm is sup ||J w||_inf over sum-zero w with
     ||w||_inf <= 1.  Per row r the supremum of r @ w under those
     constraints equals min_t ||r - t 1||_1 (linear-programming duality),
-    attained at the row median.
+    attained at the row median, here with ``np.median``'s bits from a sort
+    of the last axis (``np.median`` imports ``numpy.ma``).
     """
-    centered = jac - np.median(jac, axis=-1, keepdims=True)
-    return np.abs(centered).sum(axis=-1).max(axis=-1)
+    m = jac.shape[-1]
+    median = np.sort(jac, axis=-1)[..., (m - 1) // 2: m // 2 + 1].mean(axis=-1, keepdims=True)
+    return np.abs(jac - median).sum(axis=-1).max(axis=-1)
 
 
 def estimate_lipschitz(rule: UpdateRule, samples: int,
@@ -166,10 +168,10 @@ def estimate_lipschitz(rule: UpdateRule, samples: int,
     for lo in range(0, pts.shape[0], PAIR_BLOCK):
         den = linf_distances(pts[lo: lo + PAIR_BLOCK], pts[lo:])
         keep = den > 1e-12
-        if keep.any():
-            num = linf_distances(images[lo: lo + PAIR_BLOCK], images[lo:])
-            maxima.append((num[keep] / den[keep]).max())
-    pair_max = float(np.max(maxima)) if maxima else 0.0
+        num = linf_distances(images[lo: lo + PAIR_BLOCK], images[lo:])
+        np.divide(num, den, out=num, where=keep)
+        maxima.append(num.max(initial=0.0, where=keep))
+    pair_max = float(np.max(maxima))
     jac_max = float(_sum_zero_operator_norm(finite_difference_jacobian(rule, pts)).max())
     return LipschitzEstimate(value=max(pair_max, jac_max),
                              pair_max=pair_max, jacobian_max=jac_max,
@@ -283,24 +285,29 @@ def simulate_deviations(rule: UpdateRule, x0: LatticePoint, horizon: int,
                         rng: np.random.Generator) -> DeviationEnsemble:
     """Run ``replicates`` trajectories from ``x0`` alongside the orbit from
     the same point and record each replicate's running-maximum max-norm
-    deviations (:class:`DeviationEnsemble`)."""
+    deviations (:class:`DeviationEnsemble`; int32 indices up to 2**31 replicates)."""
     n = x0.n
     orbit = iterate(rule, x0.counts / n, horizon)
     freqs = np.tile(x0.counts / n, (replicates, 1))
     # from -inf, so that every replicate records at step 1
     best = np.full(replicates, -np.inf)
+    dev, gap = np.empty(replicates), np.empty(replicates)
     records = []
     for k in range(1, horizon + 1):
-        freqs = rng.multinomial(n, sampling_probs(rule, freqs)) / n
-        gap = np.abs(freqs - orbit.states[k])
+        # a step holds two (R, M) arrays at most: the shares go before the
+        # draw, the laws after it, and the new shares overwrite the counts
+        probs, freqs = sampling_probs(rule, freqs), None
+        freqs, probs = rng.multinomial(n, probs), None
+        freqs = np.divide(freqs, n, out=freqs.view(np.float64))
         # a running maximum over the M columns: a row reduction is slower
-        dev = gap[:, 0].copy()
+        np.abs(np.subtract(freqs[:, 0], orbit.states[k, 0], out=dev), out=dev)
         for j in range(1, x0.m):
-            np.maximum(dev, gap[:, j], out=dev)
+            np.abs(np.subtract(freqs[:, j], orbit.states[k, j], out=gap), out=gap)
+            np.maximum(dev, gap, out=dev)
         indices = np.flatnonzero(dev > best)
         values = dev[indices]
         best[indices] = values
-        records.append((indices, values))
+        records.append((indices.astype(np.int32 if replicates <= 2**31 else np.intp), values))
     return DeviationEnsemble(records=records, n=n, horizon=horizon,
                              replicates=replicates)
 

@@ -121,7 +121,8 @@ class LinearFractionalFitness:
     def scaled_weights(self, xs: np.ndarray) -> np.ndarray:
         # einsum sums each row in a fixed order, so a profile and a batch row
         # get the same bits; BLAS matmul runs gemv at one row and gemm at several
-        return self._b_part + np.einsum("...k,ik->...i", xs, self._wa)
+        weights = np.einsum("...k,ik->...i", xs, self._wa)
+        return np.add(weights, self._b_part, out=weights)
 
     def weights_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # matmul, not scaled_weights: the two can differ in the last bit
@@ -199,11 +200,13 @@ class UpdateRule:
         same bits, whatever the batch."""
         if self.mutation is not None:
             xs = np.einsum("...k,kj->...j", xs, self.mutation.entries)
-        num = xs * self.fitness.scaled_weights(xs)
+        # scaled_weights returns a new array, so the rest of the map works in it
+        num = self.fitness.scaled_weights(xs)
+        num *= xs
         totals = _row_sums(num)
         if not totals.min(initial=np.inf) > 0:        # NaN fails too
             raise DegenerateFitness("total fitness is zero at some profile")
-        return num / totals
+        return np.divide(num, totals, out=num)
 
     #: The same map under a second name.  It stays only because the traced
     #: ``orbit_gap`` replay in ``perfbench/layers.py`` wraps it to count
@@ -239,9 +242,9 @@ def sampling_probs(rule: UpdateRule, freqs: np.ndarray) -> np.ndarray:
     renormalised, so the multinomial sampler never rejects it.  A profile
     and a batch row get the same bits.
     """
-    p = np.maximum(rule.update_probs(freqs), 0.0)
-    p /= _row_sums(p)
-    return p
+    p = rule.update_probs(freqs)
+    np.maximum(p, 0.0, out=p)
+    return np.divide(p, _row_sums(p), out=p)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:

@@ -63,6 +63,8 @@ def stationary_covariance(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     dense solve in (M-1)^2 unknowns.  Raises when D does not contract that
     subspace, when Sigma or D does not keep to it, and, before allocating,
     when that system would take more than ``chain.BLOCK_BYTE_CAP`` bytes.
+    I - K is built in the Kronecker product K's buffer as (0 - K) + I, with I - K's
+    bits; LAPACK's working copy inside ``np.linalg.solve`` is not traced by tracemalloc.
     """
     from .chain import BLOCK_BYTE_CAP       # looked up at each call, as chain does
     d = np.asarray(d, dtype=np.float64)
@@ -84,7 +86,10 @@ def stationary_covariance(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
             "the all-ones vector and a derivative that keeps the sum-zero subspace"
         )
     b_d, b_sigma = basis.T @ d @ basis, basis.T @ sigma @ basis
-    w = np.linalg.solve(np.eye(b_d.size) - np.kron(b_d, b_d), b_sigma.ravel())
+    system = np.kron(b_d, b_d)
+    np.subtract(0.0, system, out=system)
+    system.flat[::b_d.size + 1] += 1.0
+    w = np.linalg.solve(system, b_sigma.ravel())
     return basis @ w.reshape(b_sigma.shape) @ basis.T
 
 

@@ -1060,6 +1060,12 @@ class TestPlumbing:
     def test_qsd_and_meanfield_load_no_scipy(self, tmp_path, command, cfg):
         assert self.modules_after(self.command_code(tmp_path, command, cfg), "scipy") == "[]"
 
+    @pytest.mark.parametrize("command,cfg", EVERY_COMMAND)
+    def test_no_command_loads_numpy_ma(self, tmp_path, command, cfg):
+        # np.median and np.unique import numpy.ma (~1 MiB resident, ~10 ms);
+        # wf bounds runs estimate_lipschitz and simulate_deviations
+        assert self.modules_after(self.command_code(tmp_path, command, cfg), "numpy.ma") == "[]"
+
     #: criterion 09's chains: (rule keywords, N)
     CRITERION_09_CHAINS = [
         ({"matrix": A2, "omega": 0.5}, 6),

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from wfsim.deviation import (
     _PROBE_RESOLUTION,
     _PROBE_SHRINK,
+    PAIR_BLOCK,
+    _sum_zero_operator_norm,
     binomial_tails,
     bound_table,
     contraction_coefficient,
@@ -228,12 +230,14 @@ class TestLipschitz:
         keep = den > 1e-12
         assert est.pair_max == float((num[keep] / den[keep]).max())
 
-    @pytest.mark.parametrize("samples", [2, 36, 37, 38, 1000])
+    @pytest.mark.parametrize("samples", [2, 4, 5, 6, 36, 37, 38, 1000])
     @pytest.mark.parametrize("kind", ["linear-fractional", "exponential", "mutation"])
     def test_row_blocks_keep_the_all_pairs_bits(self, kind, samples):
-        # with the 91 grid nodes, 36, 37 and 38 samples give 127, 128 and
-        # 129 probes, either side of one PAIR_BLOCK; the reference pairs
-        # every probe with every probe in (P, P) buffers
+        # with the 91 grid nodes, 4, 5 and 6 samples give 95, 96 and 97
+        # probes, either side of three PAIR_BLOCKs, and 36, 37 and 38 give
+        # 127, 128 and 129, either side of four; the reference pairs every
+        # probe with every probe in (P, P) buffers
+        assert PAIR_BLOCK == 32
         rule = rule_of_kind(kind)
         est = estimate_lipschitz(rule, samples, np.random.default_rng(63))
         grid = lattice_counts(3, _PROBE_RESOLUTION) / _PROBE_RESOLUTION
@@ -249,7 +253,9 @@ class TestLipschitz:
 
     def test_pair_buffers_are_row_blocks(self, rule_a2):
         # all pairs at once traced 28.6 MiB here: (P, P) buffers at
-        # P = 1,091 probes; row blocks hold O(PAIR_BLOCK x P)
+        # P = 1,091 probes; row blocks hold O(PAIR_BLOCK x P), with the
+        # quotients in the numerators' buffer (1.25 MiB traced; 4.45 MiB
+        # with 128-row blocks and masked copies of the pairs)
         rng = np.random.default_rng(64)
         tracemalloc.start()
         try:
@@ -257,7 +263,17 @@ class TestLipschitz:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_sum_zero_operator_norm_keeps_the_median_bits(self, m):
+        # the row median from a sort, against np.median, on continuous
+        # entries and on small integers, where rows tie
+        rng = np.random.default_rng(65 + m)
+        for jac in (rng.normal(size=(200, m, m)), rng.integers(-2, 3, size=(200, m, m)) / 3.0):
+            centered = jac - np.median(jac, axis=-1, keepdims=True)
+            np.testing.assert_array_equal(_sum_zero_operator_norm(jac),
+                                          np.abs(centered).sum(axis=-1).max(axis=-1))
 
 
 # ----------------------------------------------------------------------
@@ -518,6 +534,27 @@ class TestEnsembles:
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
         for eps in (0.0, 0.02, 0.05, 0.1):
+            np.testing.assert_array_equal(ens.decoupling_times(eps),
+                                          first_exceedances(devs, eps))
+
+    def test_steps_run_in_fixed_buffers_and_records_hold_int32_indices(self, rule_a2):
+        # the perfbench orbit_gap ensemble at N=2000, 16,000 x 100: its
+        # records take 1.58 MiB (2.10 with int64 indices); a draw holds the
+        # (R, M) laws and counts, the shares overwrite the counts, and the
+        # gaps take two (R,) buffers. Traced 2.88 MiB; 4.03 MiB with the
+        # shares held through the draw and a new (R, M) array for each gap
+        x0 = round_to_lattice(CHI2, 2000)
+        simulate_deviations(rule_a2, x0, 2, 10, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            ens = simulate_deviations(rule_a2, x0, 100, 16_000, np.random.default_rng(66))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.7 * 2**20
+        assert all(indices.dtype == np.int32 for indices, _ in ens.records)
+        devs = replicate_major_deviations(rule_a2, x0, 100, 16_000, np.random.default_rng(66))
+        for eps in (0.02, 0.05, 0.1):
             np.testing.assert_array_equal(ens.decoupling_times(eps),
                                           first_exceedances(devs, eps))
 

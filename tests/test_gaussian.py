@@ -20,7 +20,7 @@ from wfsim.gaussian import (
     rescaled_residuals,
     stationary_covariance,
 )
-from wfsim.meanfield import iterate, solve_interior_equilibrium
+from wfsim.meanfield import iterate, solve_interior_equilibrium, sum_zero_basis
 
 from conftest import A1, A2
 
@@ -139,6 +139,28 @@ class TestAr1Covariance:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_system_is_built_in_one_buffer(self):
+        # M=40: a 1521 x 1521 system of 18.5 MB. I and K as two arrays traced
+        # 37.2 MB; one buffer 18.7 MB. LAPACK's copy inside solve is not traced
+        m = 40
+        rng = np.random.default_rng(67)
+        pert = 0.01 * rng.normal(size=(m, m))
+        d = 0.5 * np.eye(m) + pert - pert.mean(axis=0)     # columns keep their sum 0.5
+        sig = noise_covariance(np.full(m, 1.0 / m))
+        stationary_covariance(0.5 * np.eye(3), noise_covariance(np.full(3, 1.0 / 3)))
+        tracemalloc.start()
+        try:
+            v = stationary_covariance(d, sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 8 * (m - 1) ** 4
+        # the same bits as I - K formed from two arrays
+        basis = sum_zero_basis(m)
+        b_d, b_sig = basis.T @ d @ basis, basis.T @ sig @ basis
+        w = np.linalg.solve(np.eye(b_d.size) - np.kron(b_d, b_d), b_sig.ravel())
+        np.testing.assert_array_equal(v, basis @ w.reshape(b_sig.shape) @ basis.T)
 
     def test_byte_cap_bounds_the_system(self, monkeypatch):
         # M=3: a 4 x 4 system of 128 bytes
