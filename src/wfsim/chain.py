@@ -29,6 +29,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import (
+    NumericRangeError,
     PreconditionError,
     ReducibleInterior,
     ResourceLimitExceeded,
@@ -574,6 +575,8 @@ def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
     The interior must be one strongly connected piece, so the law is unique
     and strictly positive.  The leak residual takes the mass that leaves in
     one step from the final weights, ``sum(weights) - sum(weights @ Q)``.
+    A survival factor that is not below 1 (the leak is below float64
+    resolution) raises ``NumericRangeError``: it is never reported.
 
     Every BLAS product (the kernel's construction, the power loop, the leak
     step) runs on one OpenBLAS thread, whatever the caller's count, which is
@@ -607,6 +610,11 @@ def interior_qsd(chain: ExactChain, tol: float = 1e-12) -> QsdResult:
     else:
         raise PreconditionError(
             f"power iteration did not converge in {QSD_MAX_ITER} iterations"
+        )
+    if lam >= 1.0:
+        raise NumericRangeError(
+            f"survival factor {lam!r} at N={chain.n} is not below 1: the leak "
+            "from the interior is below float64 resolution"
         )
     residual = abs((1.0 - lam) - (float(mu.sum()) - float(kernel.apply(mu).sum())))
     return QsdResult(weights=mu, states=chain.states[idx],

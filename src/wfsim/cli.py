@@ -9,11 +9,12 @@ the resolved config, seed, version, and SHA-256 checksums of each output;
 re-running with the manifest as the config reproduces the outputs
 byte-for-byte.
 
-Exit codes: 0 success, 1 config error, 2 precondition or numeric error.
+Exit codes: 0 success, 1 config error, 2 precondition, numeric or usage error.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -26,7 +27,6 @@ from pathlib import Path
 # An exported value is kept
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import click
 import numpy as np
 
 from . import __version__
@@ -107,65 +107,63 @@ def _write_outputs(out_dir: Path, command: str, resolved_config: dict,
         manifest.update(extras)
     (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
     for name in list(outputs) + ["manifest.json"]:
-        click.echo(f"wrote {out_dir / name}")
+        print(f"wrote {out_dir / name}")
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="wf")
-def main():
+#: ``wf``'s commands by name, each registered by ``_command``.
+RUNNERS = {}
+
+
+def main(argv: list[str] | None = None) -> None:
     """Simulation and analysis toolkit for multinomial resampling
     dynamics with fitness-weighted updates."""
+    parser = argparse.ArgumentParser(prog="wf", description=main.__doc__, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"wf, version {__version__}")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, runner in RUNNERS.items():
+        sub = commands.add_parser(name, help=runner.__doc__, description=runner.__doc__,
+                                  allow_abbrev=False)
+        sub.add_argument("--config", help="JSON config file (or a manifest.json)")
+        sub.add_argument("--seed", type=int, help="override seed (simulate, extinction, bounds)")
+        sub.add_argument("--replicates", type=int, help="override replicates (extinction, bounds)")
+        sub.add_argument("--threads", type=int, default=1,
+                         help="extinction's worker processes, at most the cores, each "
+                              "running its trial range of every start as one block "
+                              "(never affect results); every command runs BLAS on one "
+                              "OpenBLAS thread whatever K, unless OPENBLAS_NUM_THREADS "
+                              "is exported (qsd's products stay on one)")
+        sub.add_argument("--out", default=".", help="output directory")
+    _dispatch(parser.parse_args(argv))
 
 
-def _dispatch(command: str, runner, config_path, seed, replicates, threads,
-              out_dir) -> None:
+def _dispatch(args: argparse.Namespace) -> None:
     """Load, check and resolve the config, build the rule, run, write."""
     started = time.perf_counter()
+    command = args.command
     try:
-        cfg = _load_config(config_path)
-        for flag, field, value in (("--seed", "seed", seed),
-                                   ("--replicates", "replicates", replicates)):
+        cfg = _load_config(args.config)
+        for field, value in (("seed", args.seed), ("replicates", args.replicates)):
             if value is not None:
                 if field not in COMMANDS[command]:
-                    raise ConfigError(f"{flag} does not apply to wf {command}")
+                    raise ConfigError(f"--{field} does not apply to wf {command}")
                 cfg[field] = value
-        if threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {threads}")
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = resolve(command, cfg)
-        outputs, extras = runner(cfg, make_rule(**rule_keywords(cfg)), threads)
-        _write_outputs(Path(out_dir), command, cfg, outputs, extras, started)
+        outputs, extras = RUNNERS[command](cfg, make_rule(**rule_keywords(cfg)), args.threads)
+        _write_outputs(Path(args.out), command, cfg, outputs, extras, started)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         sys.exit(1)
     except (WfsimError, MemoryError) as exc:
-        click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         sys.exit(2)
 
 
 def _command(name: str):
     """Register ``runner(resolved_config, rule, threads) -> (outputs,
     extras)`` as ``wf <name>``, with its docstring as the help text."""
-    def register(runner):
-        @main.command(name, help=runner.__doc__)
-        @click.option("--config", "config_path", type=str, default=None,
-                      help="JSON config file (or a manifest.json)")
-        @click.option("--seed", type=int, default=None,
-                      help="override seed (simulate, extinction, bounds)")
-        @click.option("--replicates", type=int, default=None,
-                      help="override replicates (extinction, bounds)")
-        @click.option("--threads", type=int, default=1,
-                      help="extinction's worker processes, at most the cores, each "
-                           "running its trial range of every start as one block "
-                           "(never affect results); every command runs BLAS on one "
-                           "OpenBLAS thread whatever K, unless OPENBLAS_NUM_THREADS "
-                           "is exported (qsd's products stay on one)")
-        @click.option("--out", "out_dir", type=str, default=".",
-                      help="output directory")
-        def command(config_path, seed, replicates, threads, out_dir):
-            _dispatch(name, runner, config_path, seed, replicates, threads,
-                      out_dir)
-        return runner
-    return register
+    return lambda runner: RUNNERS.setdefault(name, runner)
 
 
 @_command("meanfield")

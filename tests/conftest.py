@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -92,3 +96,53 @@ def jacobian_at_equilibrium(a: MatrixLike, omega: float, chi: np.ndarray) -> np.
     d = np.eye(payoff.m) + chi[:, None] * b_mat / (1.0 + r)
     d -= np.outer(chi, chi @ (b_mat - b_mat.T)) / (1.0 + r)
     return d
+
+
+@dataclass
+class WfResult:
+    """What one in-process ``wf`` run left: ``output`` is its standard output
+    and error interleaved, as they were written; ``exception`` is None on
+    exit 0, else the ``SystemExit`` or the exception that escaped."""
+    exit_code: int
+    output: str
+    stderr: str
+    exception: BaseException | None
+
+
+class _Tee(io.StringIO):
+    """A stream that also writes everything into ``shared``."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text: str) -> int:
+        self.shared.write(text)
+        return super().write(text)
+
+
+def run_wf(args: list[str], env: dict | None = None,
+           catch_exceptions: bool = True) -> WfResult:
+    """Run ``wf <args>`` in this process, with ``env`` added to the
+    environment, and capture its streams.  An exception other than
+    ``SystemExit`` exits 1, or is raised when ``catch_exceptions`` is false."""
+    from wfsim.cli import main         # sets OPENBLAS_NUM_THREADS only when a test runs wf
+
+    output = io.StringIO()
+    stderr = _Tee(output)
+    exception = None
+    with (redirect_stdout(_Tee(output)), redirect_stderr(stderr),
+          pytest.MonkeyPatch.context() as patch):
+        for name, value in (env or {}).items():
+            patch.setenv(name, value)
+        try:
+            main(args)
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+            exception = exc if exit_code else None
+        except Exception as exc:
+            if not catch_exceptions:
+                raise
+            exit_code, exception = 1, exc
+    return WfResult(exit_code, output.getvalue(), stderr.getvalue(), exception)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.stats import binom
-from click.testing import CliRunner
 
 import wfsim
 from wfsim.chain import (
@@ -23,7 +22,6 @@ from wfsim.chain import (
     interior_qsd,
     quadratic_form_drift,
 )
-from wfsim.cli import main as cli_main
 from wfsim.deviation import (
     bound_table,
     estimate_lipschitz,
@@ -62,7 +60,7 @@ from wfsim.meanfield import (
 )
 from wfsim.simplex import lattice_counts, round_to_lattice
 
-from conftest import A1, A2, CHI2, jacobian_at_equilibrium, neutral_rule
+from conftest import A1, A2, CHI2, jacobian_at_equilibrium, neutral_rule, run_wf
 
 CONFIG_DIR = Path(wfsim.__file__).parent / "configs"
 
@@ -364,21 +362,16 @@ def test_criterion_09_recurrent_structure(rule_a2):
 def test_criterion_10_manifest_determinism(tmp_path):
     """An experiment rerun from its manifest, with 1 and then 8 worker
     threads, reproduces every CSV/JSON output byte for byte."""
-    runner = CliRunner()
     outs = {name: tmp_path / name for name in ("t1", "t8", "rerun")}
     base = ["extinction", "--config", str(CONFIG_DIR / "table2_smoke.json"),
             "--replicates", "16"]
 
-    r1 = runner.invoke(cli_main, base + ["--threads", "1",
-                                         "--out", str(outs["t1"])])
+    r1 = run_wf(base + ["--threads", "1", "--out", str(outs["t1"])])
     assert r1.exit_code == 0, r1.output
-    r8 = runner.invoke(cli_main, base + ["--threads", "8",
-                                         "--out", str(outs["t8"])])
+    r8 = run_wf(base + ["--threads", "8", "--out", str(outs["t8"])])
     assert r8.exit_code == 0, r8.output
-    rr = runner.invoke(cli_main,
-                       ["extinction", "--config",
-                        str(outs["t1"] / "manifest.json"),
-                        "--threads", "8", "--out", str(outs["rerun"])])
+    rr = run_wf(["extinction", "--config", str(outs["t1"] / "manifest.json"),
+                 "--threads", "8", "--out", str(outs["rerun"])])
     assert rr.exit_code == 0, rr.output
 
     manifests = {k: json.loads((d / "manifest.json").read_text())

@@ -28,6 +28,7 @@ from wfsim.chain import (
 from wfsim.errors import (
     DegenerateFitness,
     InvalidNormalization,
+    NumericRangeError,
     PreconditionError,
     ReducibleInterior,
     ResourceLimitExceeded,
@@ -693,6 +694,11 @@ class TestRecurrentClassFaces:
 # quasi-stationary distributions
 # ----------------------------------------------------------------------
 
+#: A two-type game, interior equilibrium (2/3, 1/3), whose exit rate from
+#: the interior falls like e^{-0.128 N} at omega = 0.5.
+TWO_TYPE_SLOW_EXIT = [[1, 3], [2, 1]]
+
+
 class TestQsd:
     def test_single_interior_state_toy(self):
         theta = MutationMatrix(np.full((2, 2), 0.5))
@@ -742,6 +748,14 @@ class TestQsd:
     def test_no_interior_states(self, rule_a2):
         chain = build_exact_chain(rule_a2, 2)
         with pytest.raises(PreconditionError):
+            interior_qsd(chain)
+
+    @pytest.mark.parametrize("n", [300, 400])
+    def test_survival_factor_past_float64_is_refused(self, n):
+        # the leak e^{-0.128 N} of this two-type game is below float64's
+        # resolution of 1: the sum of mu Q once read 1.0000000000000002
+        chain = build_exact_chain(make_rule(TWO_TYPE_SLOW_EXIT, omega=0.5), n)
+        with pytest.raises(NumericRangeError, match=f"N={n}"):
             interior_qsd(chain)
 
     @pytest.mark.parametrize("n,eigenvalue", [

@@ -14,28 +14,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wfsim
 from wfsim import chain, cli, extinction
 from wfsim.chain import sample_path
-from wfsim.cli import main
 from wfsim.config import COMMANDS, FIELDS, resolve, rule_keywords
 from wfsim.errors import WfsimError
 from wfsim.fitness import finite_difference_jacobian, make_rule
 from wfsim.meanfield import solve_interior_equilibrium, sum_zero_basis
 from wfsim.simplex import round_to_lattice
 
-from conftest import A1, A2, BAD_LAWS, CHI1, CHI2, NON_SYMMETRIC
+from conftest import A1, A2, BAD_LAWS, CHI1, CHI2, NON_SYMMETRIC, run_wf
 
 CONFIG_DIR = Path(wfsim.__file__).parent / "configs"
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def write_config(tmp_path, name, payload):
@@ -49,8 +42,8 @@ def config_path(tmp_path, cfg):
     return str(cfg) if isinstance(cfg, Path) else write_config(tmp_path, "cfg.json", cfg)
 
 
-def run_ok(runner, args):
-    result = runner.invoke(main, args, catch_exceptions=False)
+def run_ok(args):
+    result = run_wf(args, catch_exceptions=False)
     assert result.exit_code == 0, result.output + result.stderr
     return result
 
@@ -77,22 +70,22 @@ def start_config(command, start):
 # ----------------------------------------------------------------------
 
 class TestMeanfield:
-    def test_benchmark_slow_system_report(self, runner, tmp_path):
+    def test_benchmark_slow_system_report(self, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": A1, "omega_ratio": 1e-3})
         out = tmp_path / "out"
-        run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+        run_ok(["meanfield", "--config", cfg, "--out", str(out)])
         report = load_json(out, "report.json")
         np.testing.assert_allclose(report["equilibrium"], CHI1, atol=1e-6)
         assert report["interior"]
         assert 0.0 < report["spectral_radius_sum_zero"] < 1.0
         assert report["stability"]["ok"]
 
-    def test_two_type_hand_values(self, runner, tmp_path):
+    def test_two_type_hand_values(self, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": [[1, 2], [2, 1]], "omega": 0.5})
         out = tmp_path / "out"
-        run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+        run_ok(["meanfield", "--config", cfg, "--out", str(out)])
         report = load_json(out, "report.json")
         np.testing.assert_allclose(report["equilibrium"], [0.5, 0.5],
                                    atol=1e-12)
@@ -102,18 +95,18 @@ class TestMeanfield:
         assert report["spectral_radius_sum_zero"] == pytest.approx(0.8,
                                                                    abs=1e-12)
 
-    def test_permanence_flag(self, runner, tmp_path):
+    def test_permanence_flag(self, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": A2, "omega": 0.5,
                             "check_permanence": True})
         out = tmp_path / "out"
-        run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+        run_ok(["meanfield", "--config", cfg, "--out", str(out)])
         report = load_json(out, "report.json")
         assert report["permanence"]["status"] == "permanent"
         np.testing.assert_allclose(report["permanence"]["witness"], CHI2,
                                    atol=1e-6)
 
-    def test_singular_face_scan_is_pinned(self, runner, tmp_path):
+    def test_singular_face_scan_is_pinned(self, tmp_path):
         # the {1,2} face submatrix [[1, 1], [1, 1]] is singular, so the
         # permanence check scans that face's grid for fixed points; SHA-256
         # recorded before the scan became one map call
@@ -121,7 +114,7 @@ class TestMeanfield:
                            {"matrix": [[1, 1, 2], [1, 1, 3], [2, 3, 1]],
                             "omega": 0.5, "check_permanence": True})
         out = tmp_path / "out"
-        run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+        run_ok(["meanfield", "--config", cfg, "--out", str(out)])
         perm = load_json(out, "report.json")["permanence"]
         assert perm["n_boundary_fixed_points"] == 44
         assert perm["status"] == "not-verified"
@@ -129,7 +122,7 @@ class TestMeanfield:
         assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == (
             "9f5990df1dd5dc68e632e14fd9acf67fde615ea175990573f1676b597fb16356")
 
-    def test_degenerate_face_scan_skips_undefined_points(self, runner, tmp_path):
+    def test_degenerate_face_scan_skips_undefined_points(self, tmp_path):
         # on the singular {1,2} face every type's fitness 1 - omega + omega
         # (A x)_i is 0, so the update map is undefined at each scanned grid
         # point: the scan skips them, as the vertex check skips vertices 1, 2
@@ -139,7 +132,7 @@ class TestMeanfield:
             out = tmp_path / f"out-{check}"
             cfg = write_config(tmp_path, f"mf-{check}.json",
                                {"matrix": matrix, "omega": 0.5, "check_permanence": check})
-            run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+            run_ok(["meanfield", "--config", cfg, "--out", str(out)])
             reports.append(load_json(out, "report.json"))
         perm = reports[1].pop("permanence")
         assert perm["n_boundary_fixed_points"] == 3
@@ -172,18 +165,18 @@ class TestMeanfield:
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_permanence_report_is_pinned(self, runner, tmp_path, name):
+    def test_permanence_report_is_pinned(self, tmp_path, name):
         cfg, digest = self.PINNED[name]
         out = tmp_path / "out"
-        run_ok(runner, ["meanfield", "--config", write_config(tmp_path, "mf.json", cfg),
-                        "--out", str(out)])
+        run_ok(["meanfield", "--config", write_config(tmp_path, "mf.json", cfg),
+                "--out", str(out)])
         assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
 
-    def test_non_symmetric_matrix_report(self, runner, tmp_path):
+    def test_non_symmetric_matrix_report(self, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": NON_SYMMETRIC, "omega": 0.5})
         out = tmp_path / "out"
-        run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+        run_ok(["meanfield", "--config", cfg, "--out", str(out)])
         report = load_json(out, "report.json")
         chi = np.array([4, 5, 6]) / 15
         np.testing.assert_allclose(report["equilibrium"], chi, atol=1e-12)
@@ -192,13 +185,13 @@ class TestMeanfield:
                                    d_fd @ sum_zero_basis(3), atol=1e-8)
 
     @pytest.mark.parametrize("beta", [0.3, 40.0])
-    def test_exponential_report_at_any_beta(self, runner, tmp_path, beta):
+    def test_exponential_report_at_any_beta(self, tmp_path, beta):
         # at beta = 40 the raw fitness exp(beta * (A2 chi)_i) overflows; the
         # derivative is taken at the scale of the shifted weights
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": A2, "fitness": "exponential", "beta": beta})
         out = tmp_path / "out"
-        run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+        run_ok(["meanfield", "--config", cfg, "--out", str(out)])
         report = load_json(out, "report.json")
         rule = make_rule(A2, fitness="exponential", beta=beta)
         basis = sum_zero_basis(3)
@@ -207,11 +200,11 @@ class TestMeanfield:
         assert np.all(np.isfinite(d))
         assert np.abs(d - d_fd).max() <= 1e-7 * np.abs(d).max()
 
-    def test_singular_matrix_exits_two(self, runner, tmp_path):
+    def test_singular_matrix_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": [[1, 1], [1, 1]], "omega": 0.5})
-        result = runner.invoke(main, ["meanfield", "--config", cfg,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["meanfield", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "no interior equilibrium" in result.stderr
 
@@ -227,41 +220,41 @@ class TestMeanfield:
         assert result.exception is None or isinstance(result.exception, SystemExit), \
             repr(result.exception)
 
-    def test_zero_mass_equilibrium_exits_two(self, runner, tmp_path):
+    def test_zero_mass_equilibrium_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": [[89, 57], [53, 21]], "omega": 0.5})
-        result = runner.invoke(main, ["meanfield", "--config", cfg,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["meanfield", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "zero total mass" in result.stderr
 
-    def test_unknown_field_exits_one(self, runner, tmp_path):
+    def test_unknown_field_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": A2, "omega": 0.5, "bogus": 1})
-        result = runner.invoke(main, ["meanfield", "--config", cfg,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["meanfield", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "config error:" in result.stderr
         assert "bogus" in result.stderr
 
-    def test_manifest_checksums_match_outputs(self, runner, tmp_path):
+    def test_manifest_checksums_match_outputs(self, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": A2, "omega": 0.5})
         out = tmp_path / "out"
-        run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out)])
+        run_ok(["meanfield", "--config", cfg, "--out", str(out)])
         manifest = load_json(out, "manifest.json")
         import hashlib
         for name, digest in manifest["outputs"].items():
             blob = (out / name).read_bytes()
             assert hashlib.sha256(blob).hexdigest() == digest
 
-    def test_resolved_config_round_trips(self, runner, tmp_path):
+    def test_resolved_config_round_trips(self, tmp_path):
         cfg = write_config(tmp_path, "mf.json",
                            {"matrix": A1, "omega_ratio": 1e-3})
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_ok(runner, ["meanfield", "--config", cfg, "--out", str(out1)])
-        run_ok(runner, ["meanfield", "--config",
-                        str(out1 / "manifest.json"), "--out", str(out2)])
+        run_ok(["meanfield", "--config", cfg, "--out", str(out1)])
+        run_ok(["meanfield", "--config",
+                str(out1 / "manifest.json"), "--out", str(out2)])
         m1, m2 = load_json(out1, "manifest.json"), load_json(out2, "manifest.json")
         assert m1["config"] == m2["config"]
         assert m1["outputs"] == m2["outputs"]
@@ -276,32 +269,32 @@ class TestSimulate:
         return {"matrix": A2, "omega": 0.5, "N": 500,
                 "initial": [0.8, 0.1, 0.1], "steps": 100, "seed": 11}
 
-    def test_seed_repeat_is_byte_identical(self, runner, tmp_path):
+    def test_seed_repeat_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json", self.base_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_ok(runner, ["simulate", "--config", cfg, "--out", str(out1)])
-        run_ok(runner, ["simulate", "--config", cfg, "--out", str(out2)])
+        run_ok(["simulate", "--config", cfg, "--out", str(out1)])
+        run_ok(["simulate", "--config", cfg, "--out", str(out2)])
         assert (out1 / "trajectory.csv").read_bytes() == \
             (out2 / "trajectory.csv").read_bytes()
 
-    def test_vertex_start_is_constant(self, runner, tmp_path):
+    def test_vertex_start_is_constant(self, tmp_path):
         cfg = self.base_config()
         cfg.update({"initial": [1.0, 0.0, 0.0], "steps": 5})
         path = write_config(tmp_path, "sim.json", cfg)
         out = tmp_path / "out"
-        run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
+        run_ok(["simulate", "--config", path, "--out", str(out)])
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "step,count_1,count_2,count_3"
         assert len(lines) == 7
         for k, line in enumerate(lines[1:]):
             assert line == f"{k},500,0,0"
 
-    def test_threshold_stop_recorded(self, runner, tmp_path):
+    def test_threshold_stop_recorded(self, tmp_path):
         cfg = self.base_config()
         cfg.update({"steps": 500, "stop_threshold": 0.05})
         path = write_config(tmp_path, "sim.json", cfg)
         out = tmp_path / "out"
-        run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
+        run_ok(["simulate", "--config", path, "--out", str(out)])
         manifest = load_json(out, "manifest.json")
         assert manifest["stopped_at"] is not None
         assert manifest["censored"] is False
@@ -309,22 +302,22 @@ class TestSimulate:
         counts = list(map(int, last.split(",")))[1:]
         assert min(counts) <= 0.05 * 500
 
-    def test_seed_flag_overrides_config(self, runner, tmp_path):
+    def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json", self.base_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_ok(runner, ["simulate", "--config", cfg, "--out", str(out1)])
-        run_ok(runner, ["simulate", "--config", cfg, "--seed", "99",
-                        "--out", str(out2)])
+        run_ok(["simulate", "--config", cfg, "--out", str(out1)])
+        run_ok(["simulate", "--config", cfg, "--seed", "99",
+                "--out", str(out2)])
         assert (out1 / "trajectory.csv").read_bytes() != \
             (out2 / "trajectory.csv").read_bytes()
         assert load_json(out2, "manifest.json")["seed"] == 99
 
-    def test_stride_rows_plus_stop_step_match_sample_path(self, runner, tmp_path):
+    def test_stride_rows_plus_stop_step_match_sample_path(self, tmp_path):
         cfg = self.base_config()
         cfg.update({"steps": 500, "stride": 7, "stop_threshold": 0.05, "seed": 13})
         path = write_config(tmp_path, "sim.json", cfg)
         out = tmp_path / "out"
-        run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
+        run_ok(["simulate", "--config", path, "--out", str(out)])
         stop_step = load_json(out, "manifest.json")["stopped_at"]
         assert stop_step % 7 != 0          # so the stop step is an extra row
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(13)))
@@ -336,13 +329,13 @@ class TestSimulate:
                     for k in [*range(0, stop_step + 1, 7), stop_step]]
         assert (out / "trajectory.csv").read_text().splitlines()[1:] == expected
 
-    def test_start_at_threshold_writes_one_row(self, runner, tmp_path):
+    def test_start_at_threshold_writes_one_row(self, tmp_path):
         cfg = self.base_config()
         cfg.update({"initial": [0.96, 0.02, 0.02], "stride": 7,
                     "stop_threshold": 0.05})
         path = write_config(tmp_path, "sim.json", cfg)
         out = tmp_path / "out"
-        run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
+        run_ok(["simulate", "--config", path, "--out", str(out)])
         assert (out / "trajectory.csv").read_text().splitlines() == \
             ["step,count_1,count_2,count_3", "0,480,10,10"]
         manifest = load_json(out, "manifest.json")
@@ -381,17 +374,17 @@ class TestSimulate:
     }
 
     @pytest.mark.parametrize("name", list(PINNED))
-    def test_trajectory_bytes_are_pinned(self, runner, tmp_path, name):
+    def test_trajectory_bytes_are_pinned(self, tmp_path, name):
         cfg, digest = self.PINNED[name]
         path = write_config(tmp_path, "sim.json", cfg)
         out = tmp_path / "out"
-        run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
+        run_ok(["simulate", "--config", path, "--out", str(out)])
         blob = (out / "trajectory.csv").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest
         assert load_json(out, "manifest.json")["outputs"]["trajectory.csv"] == digest
 
     @pytest.mark.parametrize("chunk", [1, 7])
-    def test_csv_chunks_leave_the_bytes(self, runner, tmp_path, monkeypatch, chunk):
+    def test_csv_chunks_leave_the_bytes(self, tmp_path, monkeypatch, chunk):
         # every CSV table goes through one chunked writer: a pinned run of
         # each command that writes one keeps its digests at any chunk size
         monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
@@ -401,13 +394,13 @@ class TestSimulate:
                 ("bounds", TestBounds.PINNED[0], [], TestBounds.PINNED[1])]
         for k, (command, cfg, args, digests) in enumerate(runs):
             out = tmp_path / f"out{k}"
-            run_ok(runner, [command, "--config", config_path(tmp_path, cfg), *args,
-                            "--out", str(out)])
+            run_ok([command, "--config", config_path(tmp_path, cfg), *args,
+                    "--out", str(out)])
             for name, digest in digests.items():
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
                     digest, (command, name)
 
-    def test_stopped_run_allocates_only_the_rows_it_reaches(self, runner, tmp_path):
+    def test_stopped_run_allocates_only_the_rows_it_reaches(self, tmp_path):
         # this run stops at step 2188: a 10**10-step budget must not
         # allocate 10**10 rows up front
         cfg, _ = self.PINNED["threshold-stride-7"]
@@ -415,64 +408,64 @@ class TestSimulate:
         for steps in (5000, 10**10):
             path = write_config(tmp_path, f"sim{steps}.json", {**cfg, "steps": steps})
             out = tmp_path / f"out{steps}"
-            run_ok(runner, ["simulate", "--config", path, "--out", str(out)])
+            run_ok(["simulate", "--config", path, "--out", str(out)])
             assert load_json(out, "manifest.json")["stopped_at"] == 2188
             outputs.append((out / "trajectory.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("law", BAD_LAWS.values(), ids=BAD_LAWS.keys())
-    def test_law_that_multinomial_refuses_exits_two(self, runner, tmp_path, monkeypatch, law):
+    def test_law_that_multinomial_refuses_exits_two(self, tmp_path, monkeypatch, law):
         # checked before the C draw, which would not refuse it as numpy's
         # Generator.multinomial does
         monkeypatch.setattr(chain, "sampling_probs",
                             lambda rule, freqs: np.broadcast_to(law, freqs.shape).copy())
-        result = runner.invoke(main, ["simulate", "--config",
-                                      write_config(tmp_path, "sim.json", self.base_config()),
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["simulate", "--config",
+                         write_config(tmp_path, "sim.json", self.base_config()),
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: sampling law")
         assert len(result.stderr.splitlines()) == 1
 
-    def test_path_past_the_address_space_exits_two(self, runner, tmp_path):
+    def test_path_past_the_address_space_exits_two(self, tmp_path):
         # numpy refuses a (10**13 + 1, 3) int64 path at once, allocating nothing
         cfg = self.base_config()
         cfg["steps"] = 10**13
         path = write_config(tmp_path, "sim.json", cfg)
-        result = runner.invoke(main, ["simulate", "--config", path,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["simulate", "--config", path,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("n", [2**40, 2**53])
-    def test_start_whose_floors_overshoot_runs(self, runner, tmp_path, n):
+    def test_start_whose_floors_overshoot_runs(self, tmp_path, n):
         # the start sums to 1 + 8e-10, which the schema accepts; its floors
         # at N add up to more than N
         cfg = write_config(tmp_path, "sim.json", {
             "matrix": [[1, 2], [2, 1]], "omega": 0.5, "N": n,
             "initial": [0.5000000004, 0.5000000004], "steps": 3, "seed": 1})
         out = tmp_path / "out"
-        run_ok(runner, ["simulate", "--config", cfg, "--out", str(out)])
+        run_ok(["simulate", "--config", cfg, "--out", str(out)])
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert rows[0] == f"0,{n // 2},{n // 2}"
         assert all(sum(map(int, row.split(",")[1:])) == n for row in rows)
 
-    def test_unknown_field_exits_one(self, runner, tmp_path):
+    def test_unknown_field_exits_one(self, tmp_path):
         cfg = self.base_config()
         cfg["stop_treshold"] = 0.05
         path = write_config(tmp_path, "sim.json", cfg)
-        result = runner.invoke(main, ["simulate", "--config", path,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["simulate", "--config", path,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "stop_treshold" in result.stderr
 
-    def test_missing_fields_exit_one(self, runner, tmp_path):
+    def test_missing_fields_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json",
                            {"matrix": A2, "omega": 0.5})
-        result = runner.invoke(main, ["simulate", "--config", cfg,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "config error:" in result.stderr
         assert "missing" in result.stderr
@@ -483,11 +476,11 @@ class TestSimulate:
 # ----------------------------------------------------------------------
 
 class TestExtinction:
-    def test_smoke_config_reduced_replicates(self, runner, tmp_path):
+    def test_smoke_config_reduced_replicates(self, tmp_path):
         out = tmp_path / "out"
-        run_ok(runner, ["extinction", "--config",
-                        str(CONFIG_DIR / "table2_smoke.json"),
-                        "--replicates", "10", "--out", str(out)])
+        run_ok(["extinction", "--config",
+                str(CONFIG_DIR / "table2_smoke.json"),
+                "--replicates", "10", "--out", str(out)])
         summary = load_json(out, "summary.json")
         counts = np.asarray(summary["counts"])
         assert counts.shape == (3, 3)
@@ -497,31 +490,31 @@ class TestExtinction:
         trials = (out / "trials.csv").read_text().splitlines()
         assert len(trials) == 1 + 30
 
-    def test_thread_count_never_changes_outputs(self, runner, tmp_path):
+    def test_thread_count_never_changes_outputs(self, tmp_path):
         args = ["extinction", "--config",
                 str(CONFIG_DIR / "table2_smoke.json"), "--replicates", "8"]
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        run_ok(runner, args + ["--threads", "1", "--out", str(out1)])
-        run_ok(runner, args + ["--threads", "2", "--out", str(out2)])
+        run_ok(args + ["--threads", "1", "--out", str(out1)])
+        run_ok(args + ["--threads", "2", "--out", str(out2)])
         for name in ("summary.json", "trials.csv", "histogram.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_manifest_rerun_reproduces_outputs(self, runner, tmp_path):
+    def test_manifest_rerun_reproduces_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_ok(runner, ["extinction", "--config",
-                        str(CONFIG_DIR / "table2_smoke.json"),
-                        "--replicates", "6", "--out", str(out1)])
-        run_ok(runner, ["extinction", "--config",
-                        str(out1 / "manifest.json"), "--out", str(out2)])
+        run_ok(["extinction", "--config",
+                str(CONFIG_DIR / "table2_smoke.json"),
+                "--replicates", "6", "--out", str(out1)])
+        run_ok(["extinction", "--config",
+                str(out1 / "manifest.json"), "--out", str(out2)])
         for name in ("summary.json", "trials.csv", "histogram.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_seed_override_changes_trials(self, runner, tmp_path):
+    def test_seed_override_changes_trials(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         base = ["extinction", "--config",
                 str(CONFIG_DIR / "table2_smoke.json"), "--replicates", "6"]
-        run_ok(runner, base + ["--out", str(out1)])
-        run_ok(runner, base + ["--seed", "404", "--out", str(out2)])
+        run_ok(base + ["--out", str(out1)])
+        run_ok(base + ["--seed", "404", "--out", str(out2)])
         assert (out1 / "trials.csv").read_bytes() != \
             (out2 / "trials.csv").read_bytes()
 
@@ -549,29 +542,29 @@ class TestExtinction:
         }),
     ]
 
-    def test_outputs_are_pinned(self, runner, tmp_path):
+    def test_outputs_are_pinned(self, tmp_path):
         for k, (cfg, args, digests) in enumerate(self.PINNED):
             out = tmp_path / f"out{k}"
-            run_ok(runner, ["extinction", "--config", config_path(tmp_path, cfg),
-                            *args, "--threads", "2", "--out", str(out)])
+            run_ok(["extinction", "--config", config_path(tmp_path, cfg),
+                    *args, "--threads", "2", "--out", str(out)])
             for name, digest in digests.items():
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
                     digest, (k, name)
 
     @pytest.mark.parametrize("law", BAD_LAWS.values(), ids=BAD_LAWS.keys())
-    def test_law_that_multinomial_refuses_exits_two(self, runner, tmp_path, monkeypatch, law):
+    def test_law_that_multinomial_refuses_exits_two(self, tmp_path, monkeypatch, law):
         monkeypatch.setattr(extinction, "sampling_probs",
                             lambda rule, freqs: np.tile(law, (len(freqs), 1)))
         cfg = {"matrix": A2, "omega": 0.5, "N": 50, "initials": [[0.4, 0.3, 0.3]],
                "replicates": 4, "seed": 3}
-        result = runner.invoke(main, ["extinction", "--config", config_path(tmp_path, cfg),
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["extinction", "--config", config_path(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: sampling law")
         assert len(result.stderr.splitlines()) == 1
 
-    def test_bin_count_past_memory_exits_two_before_any_trial(self, runner, tmp_path,
+    def test_bin_count_past_memory_exits_two_before_any_trial(self, tmp_path,
                                                               monkeypatch):
         # bin_width 1e-300 lies in (0, 1.5] but asks for 1.5e300 bins
         def no_trials(*args):
@@ -580,8 +573,8 @@ class TestExtinction:
         monkeypatch.setattr(extinction, "_run_chunk", no_trials)
         cfg = {"matrix": A2, "omega": 0.5, "N": 50, "initials": [[0.8, 0.1, 0.1]],
                "replicates": 4, "seed": 3, "bin_width": 1e-300}
-        result = runner.invoke(main, ["extinction", "--config", config_path(tmp_path, cfg),
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["extinction", "--config", config_path(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ") and "bin_width 1e-300" in result.stderr
@@ -594,50 +587,50 @@ class TestExtinction:
 # ----------------------------------------------------------------------
 
 class TestQsd:
-    def test_single_interior_state_toy(self, runner, tmp_path):
+    def test_single_interior_state_toy(self, tmp_path):
         cfg = write_config(tmp_path, "qsd.json", {
             "matrix": [[1, 1], [1, 1]], "omega": 0.5,
             "mutation": [[0.5, 0.5], [0.5, 0.5]], "N": 2,
         })
         out = tmp_path / "out"
-        run_ok(runner, ["qsd", "--config", cfg, "--out", str(out)])
+        run_ok(["qsd", "--config", cfg, "--out", str(out)])
         res = load_json(out, "qsd.json")["results"][0]
         assert res["eigenvalue"] == pytest.approx(0.5, abs=1e-12)
         assert res["leak_residual"] < 1e-10
         assert res["interior_states"] == 1
 
-    def test_ladder_is_increasing(self, runner, tmp_path):
+    def test_ladder_is_increasing(self, tmp_path):
         cfg = write_config(tmp_path, "qsd.json",
                            {"matrix": A2, "omega": 0.5, "N": [4, 6, 8]})
         out = tmp_path / "out"
-        run_ok(runner, ["qsd", "--config", cfg, "--out", str(out)])
+        run_ok(["qsd", "--config", cfg, "--out", str(out)])
         results = load_json(out, "qsd.json")["results"]
         eigs = [r["eigenvalue"] for r in results]
         assert eigs == sorted(eigs)
         assert eigs[0] < eigs[-1]
         assert all(r["leak_residual"] < 1e-10 for r in results)
 
-    def test_state_cap_exits_two(self, runner, tmp_path):
+    def test_state_cap_exits_two(self, tmp_path):
         # 246,051 lattice states at N=700 (N=200 ran into the byte cap on the
         # T x T block before the interior kernel was applied through tables)
         cfg = write_config(tmp_path, "qsd.json",
                            {"matrix": A2, "omega": 0.5, "N": 700})
-        result = runner.invoke(main, ["qsd", "--config", cfg,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["qsd", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "error:" in result.stderr
 
-    def test_table_byte_cap_exits_two(self, runner, tmp_path):
+    def test_table_byte_cap_exits_two(self, tmp_path):
         # N=217 is the last M=3 rung whose power tables fit BLOCK_BYTE_CAP
         cfg = write_config(tmp_path, "qsd.json",
                            {"matrix": A2, "omega": 0.5, "N": 218})
-        result = runner.invoke(main, ["qsd", "--config", cfg,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["qsd", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "error: interior power tables (23436, 432)" in result.stderr
         assert not (tmp_path / "out").exists()
 
-    def test_environment_does_not_change_the_result(self, runner, tmp_path):
+    def test_environment_does_not_change_the_result(self, tmp_path):
         # the library reads no environment variable; WF_MAX_STATES once
         # lowered the lattice cap
         cfg = write_config(tmp_path, "qsd.json", {
@@ -645,22 +638,38 @@ class TestQsd:
         blobs = []
         for env in ({}, {"WF_MAX_STATES": "1"}):
             out = tmp_path / f"out{len(blobs)}"
-            result = runner.invoke(main, ["qsd", "--config", cfg, "--out", str(out)],
-                                   env=env, catch_exceptions=False)
+            result = run_wf(["qsd", "--config", cfg, "--out", str(out)],
+                            env=env, catch_exceptions=False)
             assert result.exit_code == 0, result.stderr
             blobs.append((out / "qsd.json").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_reducible_interior_exits_two(self, runner, tmp_path):
+    def test_reducible_interior_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, "qsd.json", {
             "matrix": [[1, 1], [1, 1]], "omega": 0.5,
             "mutation": [[1.0, 0.0], [1.0, 0.0]], "N": 3,
         })
-        result = runner.invoke(main, ["qsd", "--config", cfg,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["qsd", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
 
-    def test_outputs_are_pinned(self, runner, tmp_path):
+    @pytest.mark.parametrize("n,exit_code", [(200, 0), (300, 2), (400, 2)])
+    def test_survival_factor_not_below_one_exits_two(self, tmp_path, n, exit_code):
+        # the leak of this game at N=300 and 400 is below float64's resolution
+        # of 1; qsd.json once read eigenvalue 1.0000000000000002 and exited 0
+        cfg = write_config(tmp_path, "qsd.json",
+                           {"matrix": [[1, 3], [2, 1]], "omega": 0.5, "N": n})
+        result = run_wf(["qsd", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == exit_code, result.stderr
+        if exit_code:
+            assert result.stderr.startswith("error: survival factor")
+            assert f"N={n}" in result.stderr
+            assert len(result.stderr.splitlines()) == 1
+            assert not (tmp_path / "out").exists()
+        else:
+            assert load_json(tmp_path / "out", "qsd.json")["results"][0]["eigenvalue"] < 1
+
+    def test_outputs_are_pinned(self, tmp_path):
         # SHA-256 recorded when the interior kernel came to be applied through
         # power tables: a moved bit in a step moves a weight, and the digest.
         # The products run on one OpenBLAS thread, so the digest holds at any
@@ -670,16 +679,16 @@ class TestQsd:
         cfg = write_config(tmp_path, "qsd.json", {
             "matrix": A2, "omega": 0.5, "N": [30, 45], "include_weights": True})
         out = tmp_path / "out"
-        run_ok(runner, ["qsd", "--config", cfg, "--out", str(out)])
+        run_ok(["qsd", "--config", cfg, "--out", str(out)])
         assert hashlib.sha256((out / "qsd.json").read_bytes()).hexdigest() == (
             "80c834659771ae53b10aac2945aa1d40f18f85772285354e1b08ea76a3a83851")
 
-    def test_weights_included_on_request(self, runner, tmp_path):
+    def test_weights_included_on_request(self, tmp_path):
         cfg = write_config(tmp_path, "qsd.json", {
             "matrix": A2, "omega": 0.5, "N": 6, "include_weights": True,
         })
         out = tmp_path / "out"
-        run_ok(runner, ["qsd", "--config", cfg, "--out", str(out)])
+        run_ok(["qsd", "--config", cfg, "--out", str(out)])
         res = load_json(out, "qsd.json")["results"][0]
         weights = np.asarray(res["weights"])
         assert weights.size == res["interior_states"]
@@ -695,10 +704,10 @@ class TestBounds:
         return {"matrix": A2, "omega": 0.5, "N": [200], "epsilons": [0.1],
                 "horizon": 10, "replicates": 50, "seed": 9}
 
-    def test_table_shape_and_header(self, runner, tmp_path):
+    def test_table_shape_and_header(self, tmp_path):
         cfg = write_config(tmp_path, "b.json", self.base_config())
         out = tmp_path / "out"
-        run_ok(runner, ["bounds", "--config", cfg, "--out", str(out)])
+        run_ok(["bounds", "--config", cfg, "--out", str(out)])
         lines = (out / "bounds.csv").read_text().splitlines()
         assert lines[0] == ("N,epsilon,K,exceed_count,replicates,"
                             "empirical_prob,wilson_upper_99,bound,consistent")
@@ -710,36 +719,36 @@ class TestBounds:
         assert summary["rho_used"] == pytest.approx(
             1.2 * summary["lipschitz_estimate"])
 
-    def test_expansive_map_flagged_inapplicable(self, runner, tmp_path):
+    def test_expansive_map_flagged_inapplicable(self, tmp_path):
         cfg = write_config(tmp_path, "b.json", self.base_config())
         out = tmp_path / "out"
-        run_ok(runner, ["bounds", "--config", cfg, "--out", str(out)])
+        run_ok(["bounds", "--config", cfg, "--out", str(out)])
         entry = load_json(out, "bounds_summary.json")["expectation"][0]
         assert entry["applicable"] is False
         assert entry["expectation_bound"] is None
         assert entry["censored_mean_tau"] >= 1.0
 
-    def test_manifest_rerun_is_byte_identical(self, runner, tmp_path):
+    def test_manifest_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "b.json", self.base_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_ok(runner, ["bounds", "--config", cfg, "--out", str(out1)])
-        run_ok(runner, ["bounds", "--config", str(out1 / "manifest.json"),
-                        "--out", str(out2)])
+        run_ok(["bounds", "--config", cfg, "--out", str(out1)])
+        run_ok(["bounds", "--config", str(out1 / "manifest.json"),
+                "--out", str(out2)])
         for name in ("bounds.csv", "bounds_summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_ensemble_past_the_address_space_exits_two(self, runner, tmp_path):
+    def test_ensemble_past_the_address_space_exits_two(self, tmp_path):
         cfg = self.base_config()
         cfg.update({"replicates": 10**13, "lipschitz_samples": 10})
         path = write_config(tmp_path, "b.json", cfg)
-        result = runner.invoke(main, ["bounds", "--config", path,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["bounds", "--config", path,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
 
-    def test_expectation_bound_past_the_float_range_exits_two(self, runner, tmp_path):
+    def test_expectation_bound_past_the_float_range_exits_two(self, tmp_path):
         # strong mutation contracts the map, so rho < 1 and the expectation
         # bound exp((1 - rho)^2 eps^2 N / 2) / (2M) is past the float range
         cfg = {"matrix": A2, "omega": 0.5,
@@ -747,8 +756,8 @@ class TestBounds:
                "N": [20000], "initial": [0.3, 0.4, 0.3], "epsilons": [0.5],
                "horizon": 3, "replicates": 10, "seed": 1}
         path = write_config(tmp_path, "b.json", cfg)
-        result = runner.invoke(main, ["bounds", "--config", path,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["bounds", "--config", path,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
@@ -767,11 +776,11 @@ class TestBounds:
              "eda7ad6acbae97476af7d382ff39da8213ff1da8f59f7dfe46af0f610613d6cd"},
     )
 
-    def test_outputs_are_pinned(self, runner, tmp_path):
+    def test_outputs_are_pinned(self, tmp_path):
         cfg, digests = self.PINNED
         path = write_config(tmp_path, "b.json", cfg)
         out = tmp_path / "out"
-        run_ok(runner, ["bounds", "--config", path, "--out", str(out)])
+        run_ok(["bounds", "--config", path, "--out", str(out)])
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
@@ -798,25 +807,25 @@ class TestBounds:
             tracemalloc.stop()
         assert peak < 0.15 * 8 * cfg["replicates"] * cfg["horizon"]
 
-    def test_missing_fields_exit_one(self, runner, tmp_path):
+    def test_missing_fields_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, "b.json", {"matrix": A2, "omega": 0.5})
-        result = runner.invoke(main, ["bounds", "--config", cfg,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["bounds", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "missing" in result.stderr
 
-    def test_epsilon_past_the_square_range_has_a_zero_tail_bound(self, runner, tmp_path):
+    def test_epsilon_past_the_square_range_has_a_zero_tail_bound(self, tmp_path):
         # epsilon^2 is past the float range: every tail bound underflows to 0,
         # and the expansive map has no expectation bound
         cfg = write_config(tmp_path, "b.json", dict(self.base_config(), epsilons=[1e200]))
         out = tmp_path / "out"
-        run_ok(runner, ["bounds", "--config", cfg, "--out", str(out)])
+        run_ok(["bounds", "--config", cfg, "--out", str(out)])
         lines = (out / "bounds.csv").read_text().splitlines()[1:]
         assert len(lines) == 10
         assert all(line.split(",")[7] == "0.0" for line in lines)
         assert load_json(out, "bounds_summary.json")["expectation"][0]["applicable"] is False
 
-    def test_expectation_exponent_past_the_float_range_exits_two(self, runner, tmp_path):
+    def test_expectation_exponent_past_the_float_range_exits_two(self, tmp_path):
         # the contracting map of the expectation-bound test above, with
         # epsilon^2 itself past the float range
         cfg = {"matrix": A2, "omega": 0.5,
@@ -824,20 +833,20 @@ class TestBounds:
                "N": [50], "initial": [0.3, 0.4, 0.3], "epsilons": [1e200],
                "horizon": 3, "replicates": 10, "seed": 1}
         path = write_config(tmp_path, "b.json", cfg)
-        result = runner.invoke(main, ["bounds", "--config", path,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["bounds", "--config", path,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ") and "epsilon=1e+200" in result.stderr
         assert len(result.stderr.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
-    def test_default_start_off_the_interior_exits_two(self, runner, tmp_path):
+    def test_default_start_off_the_interior_exits_two(self, tmp_path):
         # the equal-payoff profile of this matrix is (-1, 2): no default start
         cfg = dict(self.base_config(), matrix=[[3, 1], [2, 0.5]])
         path = write_config(tmp_path, "b.json", cfg)
-        result = runner.invoke(main, ["bounds", "--config", path,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["bounds", "--config", path,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "[-1.0, 2.0]" in result.stderr and "initial" in result.stderr
         assert not (tmp_path / "out").exists()
@@ -848,34 +857,34 @@ class TestBounds:
 # ----------------------------------------------------------------------
 
 class TestPlumbing:
-    def test_missing_config_path(self, runner, tmp_path):
-        result = runner.invoke(main, ["meanfield",
-                                      "--out", str(tmp_path / "out")])
+    def test_missing_config_path(self, tmp_path):
+        result = run_wf(["meanfield",
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "config error:" in result.stderr
 
-    def test_nonexistent_config_file(self, runner, tmp_path):
-        result = runner.invoke(main, ["meanfield", "--config",
-                                      str(tmp_path / "nope.json"),
-                                      "--out", str(tmp_path / "out")])
+    def test_nonexistent_config_file(self, tmp_path):
+        result = run_wf(["meanfield", "--config",
+                         str(tmp_path / "nope.json"),
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "not found" in result.stderr
 
-    def test_invalid_json_exits_one(self, runner, tmp_path):
+    def test_invalid_json_exits_one(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        result = runner.invoke(main, ["meanfield", "--config", str(bad),
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf(["meanfield", "--config", str(bad),
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "not valid JSON" in result.stderr
 
     @pytest.mark.parametrize("command", ["simulate", "extinction"])
-    def test_omega_and_ratio_together_exit_one(self, runner, tmp_path, command):
+    def test_omega_and_ratio_together_exit_one(self, tmp_path, command):
         cfg = start_config(command, [0.8, 0.1, 0.1])
         cfg["omega_ratio"] = 1.0
         path = write_config(tmp_path, "c.json", cfg)
-        result = runner.invoke(main, [command, "--config", path,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf([command, "--config", path,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "omega_ratio" in result.stderr
 
@@ -892,12 +901,39 @@ class TestPlumbing:
         [float("nan"), 0.5, 0.5],
     ], ids=["sum-above-1", "sum-below-1", "length", "negative", "nan"])
     @pytest.mark.parametrize("command", ["simulate", "extinction", "bounds"])
-    def test_malformed_start_exits_one(self, runner, tmp_path, command, start):
+    def test_malformed_start_exits_one(self, tmp_path, command, start):
         path = write_config(tmp_path, "c.json", start_config(command, start))
-        result = runner.invoke(main, [command, "--config", path,
-                                      "--out", str(tmp_path / "out")])
+        result = run_wf([command, "--config", path,
+                         "--out", str(tmp_path / "out")])
         assert result.exit_code == 1, result.stderr
         assert "config error: initial condition" in result.stderr
+
+    def test_version(self):
+        result = run_wf(["--version"])
+        assert (result.exit_code, result.output) == (0, "wf, version 0.1.0\n")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_names_the_flags_and_the_runner(self, command):
+        result = run_wf([command, "--help"])
+        assert result.exit_code == 0, result.output
+        for flag in ("--config", "--seed", "--replicates", "--threads", "--out"):
+            assert flag in result.output
+        words = " ".join(result.output.split())
+        assert " ".join(cli.RUNNERS[command].__doc__.split()) in words
+
+    @pytest.mark.parametrize("args", [
+        ["meanfield", "--bogus"],
+        ["simulate", "--seed", "x"],
+        [],
+        ["meanfield", "--conf", "c.json"],      # no abbreviation of a flag
+    ], ids=["unknown-flag", "non-integer-seed", "no-command", "abbreviated-flag"])
+    def test_usage_error_exits_two(self, args):
+        result = run_wf(args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("usage: wf")
+        assert result.output == result.stderr
+        assert "Traceback" not in result.output
 
     def test_readme_quick_start_imports(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -908,7 +944,7 @@ class TestPlumbing:
         assert imports
         exec("\n".join(imports), {})
 
-    def test_readme_examples_run(self, runner, tmp_path):
+    def test_readme_examples_run(self, tmp_path):
         # every JSON config under a "### `wf <command>`" heading runs as is
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         ran = []
@@ -920,8 +956,8 @@ class TestPlumbing:
             for i, block in enumerate(re.findall(r"```json\n(.*?)```", section, re.S)):
                 cfg = tmp_path / f"{command}{i}.json"
                 cfg.write_text(block)
-                run_ok(runner, [command, "--config", str(cfg),
-                                "--out", str(tmp_path / cfg.stem)])
+                run_ok([command, "--config", str(cfg),
+                        "--out", str(tmp_path / cfg.stem)])
                 ran.append(command)
         assert ran == ["meanfield", "simulate", "qsd", "bounds"]
 
@@ -1108,8 +1144,9 @@ class TestPlumbing:
             "print(json.dumps(results))\n")
 
     def test_library_and_every_command_run_with_scipy_blocked(self, tmp_path):
-        # scipy is a test-only dependency: with every import of it refused,
-        # the functions that once used it (criteria 06 and 09, the stationary
+        # numpy is the only runtime dependency: with every import of scipy
+        # (test-only) and of click (the old command line) refused, the
+        # functions that once used scipy (criteria 06 and 09, the stationary
         # covariance) give the results they give beside scipy, and every
         # `wf` command runs. Their scipy references are in test_chain,
         # test_deviation and test_gaussian
@@ -1117,8 +1154,9 @@ class TestPlumbing:
         for command, cfg in self.EVERY_COMMAND:
             (tmp_path / command).mkdir()
             commands += self.command_code(tmp_path / command, command, cfg)
-        blocked = json.loads(self.last_line("import sys\nsys.modules['scipy'] = None\n"
-                                            + commands + self.scipy_free_results()))
+        blocked = json.loads(self.last_line(
+            "import sys\nsys.modules['scipy'] = sys.modules['click'] = None\n"
+            + commands + self.scipy_free_results()))
         assert all((tmp_path / command / "out" / "manifest.json").is_file()
                    for command, _ in self.EVERY_COMMAND)
         assert blocked == json.loads(self.last_line(self.scipy_free_results()))
@@ -1194,9 +1232,7 @@ def invoke(command, cfg, out_dir, *args):
     """Run a command on a config, catching any exception it lets escape."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = write_config(out_dir, "config.json", cfg)
-    return CliRunner().invoke(main, [command, "--config", path,
-                                     "--out", str(out_dir / "out"), *args],
-                              catch_exceptions=True)
+    return run_wf([command, "--config", path, "--out", str(out_dir / "out"), *args])
 
 
 def assert_config_error(result, *names):
@@ -1352,7 +1388,7 @@ def test_mutated_configs_exit_cleanly(command, data):
         result = invoke(command, cfg, Path(tmp))
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), \
-        "".join(traceback.format_exception(*result.exc_info))
+        "".join(traceback.format_exception(result.exception))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1366,7 +1402,7 @@ def test_meanfield_on_random_positive_matrices(m, data):
     with tempfile.TemporaryDirectory() as tmp:
         result = invoke("meanfield", {"matrix": matrix, "omega": omega}, Path(tmp))
     assert result.exception is None or isinstance(result.exception, SystemExit), \
-        "".join(traceback.format_exception(*result.exc_info))
+        "".join(traceback.format_exception(result.exception))
     try:
         interior = solve_interior_equilibrium(matrix).is_interior
     except WfsimError:  # singular or ill-conditioned: no trusted equilibrium

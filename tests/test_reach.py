@@ -18,9 +18,10 @@ and the second a constant.  Calls are read from the package, the
 acceptance criteria and the benchmark (the package is all reached, by the
 first test), and matched to definitions by bare name, as above; a call
 that unpacks ``*args`` or ``**kwargs`` passes every parameter.  A function that reached code never calls by name (a command
-runner behind a registering decorator, a checker in a dispatch table) and
-a click command callback get their arguments from code the scan does not
-read, so their parameters are not judged.
+runner behind a registering decorator, a checker in a dispatch table) gets
+its arguments from code the scan does not read, so its parameters are not
+judged; those in ``UNPASSED_PARAMETERS`` stay, each for the reason given
+there.
 
 A third test names every attribute that a method sets on ``self`` and
 no code loads outside that method, and every dataclass or NamedTuple
@@ -56,6 +57,15 @@ UNREAD_FIELDS = {
                                     "the block's C draws point into",
     "deviation.LipschitzEstimate.probes": "the README documents it, and a benchmark "
                                           "that reports the probe count will read it",
+}
+
+#: Parameters no reached call passes that stay, with the reason.
+UNPASSED_PARAMETERS = {
+    "cli.main(argv) is never passed": "the in-process entry: the console script and "
+                                      "python -m leave it None, so argparse reads "
+                                      "sys.argv; criterion 10 passes it through "
+                                      "conftest.run_wf, and the CI's wf bounds step "
+                                      "passes it",
 }
 
 
@@ -115,11 +125,6 @@ def parameters(node: ast.FunctionDef, method: bool) -> tuple[list[str], list[str
     return positional, positional + [arg.arg for arg in args.kwonlyargs]
 
 
-def is_click_command(node: ast.FunctionDef) -> bool:
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr == "option" for d in node.decorator_list)
-
-
 def test_every_parameter_is_passed_more_than_one_value():
     calls: dict[str, list[ast.Call]] = {}
     for path in CALLERS:
@@ -133,7 +138,7 @@ def test_every_parameter_is_passed_more_than_one_value():
         owner = {id(item): cls.name for cls in ast.walk(tree)
                  if isinstance(cls, ast.ClassDef) for item in cls.body}
         for node in ast.walk(tree):
-            if (not isinstance(node, FUNCTIONS) or is_click_command(node)
+            if (not isinstance(node, FUNCTIONS)
                     or node.name.startswith("__") and node.name != "__init__"):
                 continue
             # __init__ is called by its class's name
@@ -156,7 +161,9 @@ def test_every_parameter_is_passed_more_than_one_value():
                     found.append(f"{where} is never passed")
                 elif len(passed) == len(sites) and len(set(passed)) == 1 and passed[0]:
                     found.append(f"{where} is always {passed[0]}")
-    assert not found, f"parameters with one value in reached code: {found}"
+    assert set(found) - set(UNPASSED_PARAMETERS) == set(), \
+        f"parameters with one value in reached code: {found}"
+    assert set(UNPASSED_PARAMETERS) <= set(found), "allowed parameters that are passed or gone"
 
 
 def attribute_loads(tree: ast.AST) -> Counter:
